@@ -39,7 +39,7 @@ from repro.index.vectors import build_vectors
 from repro.learning.model import ProximityModel, SortedUniverse, uniform_model
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import metapath
-from repro.serving import QueryRouter, ShardedVectors
+from repro.serving import InProcessBackend, QueryRouter, ShardedVectors
 
 SHARDS = 4
 ROUTER_WORKERS = 4
@@ -147,7 +147,8 @@ def sharded_setup(serving_setup):
     _scalar, compiled_model, universe, queries = serving_setup
     compiled = compiled_model.vectors.compile()
     router = QueryRouter(
-        ShardedVectors.partition(compiled, SHARDS), workers=ROUTER_WORKERS
+        InProcessBackend(ShardedVectors.partition(compiled, SHARDS)),
+        workers=ROUTER_WORKERS,
     )
     # warm the pool and the per-shard dot/mask caches
     router.rank_many(compiled_model, queries, universe=universe, k=TOP_K)

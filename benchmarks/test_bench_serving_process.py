@@ -28,7 +28,12 @@ from repro.index.vectors import build_vectors
 from repro.learning.model import SortedUniverse, uniform_model
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import metapath
-from repro.serving import QueryRouter, ShardedVectors, SubprocessBackend
+from repro.serving import (
+    InProcessBackend,
+    QueryRouter,
+    ShardedVectors,
+    SubprocessBackend,
+)
 from benchmarks.test_bench_serving import (
     BATCH,
     TOP_K,
@@ -101,7 +106,8 @@ def test_process_results_bit_identical(process_setup):
     _scalar, model, universe, queries, _backend, router = process_setup
     compiled = model.vectors.compile()
     with QueryRouter(
-        ShardedVectors.partition(compiled, SHARDS), workers=ROUTER_WORKERS
+        InProcessBackend(ShardedVectors.partition(compiled, SHARDS)),
+        workers=ROUTER_WORKERS,
     ) as flat:
         expected = flat.rank_many(model, queries, universe=universe, k=TOP_K)
     assert router.rank_many(

@@ -18,12 +18,14 @@ Usage::
 
 ``--quick`` switches to the tiny preset (minutes); the default ``small``
 scale is the one EXPERIMENTS.md records.  ``serve`` runs the online
-phase end to end — offline build (or ``--snapshot`` cold start,
-optionally ``--mmap``'d), training, then batched ranking through the
-compiled scoring backend (``--scalar`` for the reference path;
-``--backend process`` for supervised shard-worker processes) — and
-prints rankings plus throughput.  ``index build`` runs the offline
-phase (optionally on a worker pool) and persists a versioned snapshot;
+phase end to end through one
+:class:`~repro.search.SemanticProximitySearch` — offline build (or
+``--snapshot`` cold start, optionally ``--mmap``'d), training, then
+batched ranking through the compiled scoring backend (``--shards`` for
+the shard router, ``--backend process`` for supervised shard-worker
+processes) — and prints rankings plus throughput.  ``index build`` runs
+the offline phase (optionally on a worker pool) and persists a versioned
+snapshot;
 ``index info`` verifies and describes one.  ``shard-worker`` is the
 standalone shard serving process the ``process`` backend supervises
 (usable by hand for multi-host topologies).
@@ -38,8 +40,6 @@ import time
 from pathlib import Path
 
 from repro.experiments import EXPERIMENTS, QUICK_CONFIG, ExperimentConfig, OfflineRunner
-from repro.learning.examples import generate_triplets
-from repro.learning.model import ProximityModel, SortedUniverse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,12 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 8)",
     )
     serve_arg("--k", type=int, help="results per query (default: 5)")
-    serve_arg(
-        "--scalar",
-        action="store_true",
-        help="serve through the scalar reference path instead of the "
-        "compiled CSR backend",
-    )
     serve_arg(
         "--shards",
         type=int,
@@ -232,12 +226,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def run_serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
-    """The ``serve`` subcommand: offline build, fit, batched ranking."""
+    """The ``serve`` subcommand: obtain an engine, fit, batched ranking."""
     # validate --class against a cheap tiny-scale load before paying for
     # the full offline build (classes are scale-independent)
     from repro.datasets import load_dataset
-    from repro.exceptions import QueryError
-    from repro.serving import QueryRouter, validate_query_node
+    from repro.exceptions import SnapshotError
+    from repro.index.parallel import IndexBuildConfig
+    from repro.learning.trainer import TrainerConfig
+    from repro.search import SemanticProximitySearch
 
     # resolve the None sentinels build_parser uses for serve-only flags
     dataset_name = args.dataset or "linkedin"
@@ -260,20 +256,6 @@ def run_serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
         return 2
     if workers < 1:
         print(f"--workers must be >= 1, got {workers}", file=sys.stderr)
-        return 2
-    if args.scalar and shards > 1:
-        print(
-            "--scalar serves the uncompiled reference path; it cannot be "
-            "combined with --shards",
-            file=sys.stderr,
-        )
-        return 2
-    if args.scalar and backend_name == "process":
-        print(
-            "--scalar serves the uncompiled reference path; it cannot be "
-            "combined with --backend process",
-            file=sys.stderr,
-        )
         return 2
     if args.replicas is not None and backend_name != "process":
         print(
@@ -332,21 +314,7 @@ def run_serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.snapshot is not None:
-        return _serve_from_snapshot(
-            args,
-            config,
-            dataset_name,
-            class_name,
-            num_queries=num_queries,
-            top_k=top_k,
-            shards=shards,
-            workers=workers,
-            backend_name=backend_name,
-        )
-    runner = OfflineRunner(config)
-    phase = runner.offline(dataset_name)
-    dataset = phase.dataset
+    dataset = load_dataset(dataset_name, scale=config.scale)
     if class_name not in dataset.classes:  # exact check at serving scale
         print(
             f"class {class_name!r} missing at scale {config.scale!r}; "
@@ -354,7 +322,80 @@ def run_serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
             file=sys.stderr,
         )
         return 2
-    universe = SortedUniverse(dataset.universe)
+    trainer_config = TrainerConfig(
+        restarts=config.trainer_restarts,
+        max_iterations=config.trainer_max_iterations,
+        seed=config.seed,
+    )
+    tier = {
+        "shards": shards,
+        "serving_workers": workers,
+        "serving_backend": backend_name,
+        "replicas": args.replicas,
+    }
+    if shards > 1 or backend_name == "process":
+        process = ", process" if backend_name == "process" else ""
+        backend = f"sharded ({shards} shards, {workers} workers{process})"
+    else:
+        backend = "compiled"
+    if args.snapshot is not None:
+        # cold start: no mining, no matching — the snapshot's counts
+        # (and, with --mmap, its memory-mapped compiled sidecar) back
+        # serving directly
+        try:
+            engine = SemanticProximitySearch.from_index(
+                args.snapshot,
+                dataset.graph,
+                trainer_config=trainer_config,
+                mmap=bool(args.mmap),
+                **tier,
+            )
+        except SnapshotError as exc:
+            print(
+                f"[serve] cannot serve from snapshot {args.snapshot}: {exc}",
+                file=sys.stderr,
+            )
+            return 1
+        backend += f" over {'mmap' if args.mmap else 'loaded'} snapshot"
+    else:
+        engine = SemanticProximitySearch(
+            dataset.graph,
+            anchor_type=dataset.anchor_type,
+            miner_config=config.miner_config(dataset_name),
+            trainer_config=trainer_config,
+            **tier,
+        ).prepare(
+            build_config=IndexBuildConfig(
+                workers=config.index_workers, matcher=config.matcher
+            )
+        )
+    with engine:
+        return _serve_engine(
+            args, config, engine, dataset, class_name,
+            num_queries=num_queries, top_k=top_k, backend=backend,
+        )
+
+
+def _serve_engine(
+    args: argparse.Namespace,
+    config: ExperimentConfig,
+    engine,
+    dataset,
+    class_name: str,
+    *,
+    num_queries: int,
+    top_k: int,
+    backend: str,
+) -> int:
+    """Everything ``serve`` does once it holds a prepared engine.
+
+    Classes a snapshot carries serve as restored; a missing class is
+    fitted from the dataset's labels.  The facade owns the serving tier
+    (backend, worker snapshot, router), so this only asks it questions.
+    """
+    from repro.exceptions import QueryError
+    from repro.serving import validate_query_node
+
     # resolve and validate the query batch before paying for training
     if args.queries is not None:
         queries = [q.strip() for q in args.queries.split(",") if q.strip()]
@@ -372,219 +413,52 @@ def run_serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
             return 2
     else:
         queries = list(dataset.queries(class_name))[:num_queries]
-    labels = dataset.class_labels(class_name)
-    triplets = generate_triplets(
-        dataset.queries(class_name),
-        labels,
-        dataset.universe,
-        num_examples=200,
-        seed=config.seed,
-    )
-    weights = runner.trainer().train(triplets, phase.vectors)
-    model = ProximityModel(weights, phase.vectors, name=class_name)
-    backend = "scalar"
-    router = None
-    snapshot_tmp = None
-    if not args.scalar:
-        model.compile()
-        backend = "compiled"
-    if shards > 1 or backend_name == "process":
-        if backend_name == "process":
-            # process workers mmap their slice from disk, so persist the
-            # just-built index into a run-scoped snapshot first
-            import tempfile
-            from pathlib import Path
+    restored = class_name in engine.classes
+    if not restored:
+        engine.fit(
+            class_name,
+            labels=dataset.class_labels(class_name),
+            num_examples=200,
+            seed=config.seed,
+        )
+    if args.listen is not None:
+        from repro.serving.frontend import FrontendConfig
 
-            from repro.index.persist import save_index
-            from repro.serving import SubprocessBackend
-
-            snapshot_tmp = tempfile.TemporaryDirectory(
-                prefix="repro-serve-snapshot-"
+        frontend_config = FrontendConfig.from_env(
+            max_batch=args.max_batch,
+            max_delay_ms=args.max_delay_ms,
+            cache_size=args.cache_size,
+            cache_ttl=args.cache_ttl,
+        )
+        print(
+            f"[serve] {dataset.name}/{class_name!r}: listening on "
+            f"{args.listen} (digest {engine.serving_digest()[:12]}…, "
+            f"max_batch={frontend_config.max_batch}, "
+            f"max_delay_ms={frontend_config.max_delay_ms}, "
+            f"cache_size={frontend_config.cache_size}, "
+            f"watch={'on' if args.watch else 'off'})"
+        )
+        try:
+            engine.serve_forever(
+                listen=args.listen,
+                config=frontend_config,
+                watch=args.snapshot if args.watch else None,
             )
-            snapshot_path = save_index(
-                Path(snapshot_tmp.name) / "snapshot",
-                phase.vectors,
-                phase.catalog,
-                graph=dataset.graph,
-                index=phase.index,
-            )
-            shard_backend = SubprocessBackend(
-                snapshot_path, shards, replicas=args.replicas
-            )
-            backend = (
-                f"sharded ({shards} shards, {workers} workers, "
-                f"{shard_backend.replicas} process replica(s)/shard)"
-            )
-        else:
-            from repro.serving import InProcessBackend, ShardedVectors
-
-            shard_backend = InProcessBackend(
-                ShardedVectors.partition(phase.vectors.compile(), shards)
-            )
-            backend = f"sharded ({shards} shards, {workers} workers)"
-        router = QueryRouter(shard_backend, workers=workers)
+        except KeyboardInterrupt:
+            print("[serve] interrupted; shutting down")
+        return 0
     start = time.perf_counter()
     try:
-        if router is not None:
-            rankings = router.rank_many(model, queries, universe=universe, k=top_k)
-        else:
-            rankings = [model.rank(q, universe=universe, k=top_k) for q in queries]
+        rankings = engine.query_many(class_name, queries, k=top_k)
     except QueryError as exc:
         # the batch was validated above, so this is unreachable in
         # practice — but a clean message beats a traceback if a new
         # serving path ever skips validation
         print(f"cannot serve this batch: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if router is not None:
-            router.close()
-        if snapshot_tmp is not None:
-            snapshot_tmp.cleanup()
     elapsed = time.perf_counter() - start
     print(
-        f"[serve] {dataset_name}/{class_name!r}: {len(queries)} queries, "
-        f"{backend} backend, k={top_k}"
-    )
-    for query, ranking in zip(queries, rankings):
-        shown = ", ".join(f"{node} ({score:.3f})" for node, score in ranking)
-        print(f"  {query} -> {shown or '(no results)'}")
-    per_query = elapsed / max(len(queries), 1) * 1e3
-    print(
-        f"[serve] ranked {len(queries)} queries in {elapsed * 1e3:.2f} ms "
-        f"({per_query:.3f} ms/query, universe={len(universe)})"
-    )
-    return 0
-
-
-def _serve_from_snapshot(
-    args: argparse.Namespace,
-    config: ExperimentConfig,
-    dataset_name: str,
-    class_name: str,
-    *,
-    num_queries: int,
-    top_k: int,
-    shards: int,
-    workers: int,
-    backend_name: str,
-) -> int:
-    """``serve --snapshot``: cold-start the facade from a saved index.
-
-    No mining, no matching: the snapshot's counts (and, with ``--mmap``,
-    its memory-mapped compiled sidecar) back serving directly.  Classes
-    the snapshot carries serve as restored; a missing class is fitted
-    from the dataset's labels, exactly like the offline-build path.
-    """
-    from repro.datasets import load_dataset
-    from repro.exceptions import QueryError, SnapshotError
-    from repro.learning.trainer import TrainerConfig
-    from repro.search import SemanticProximitySearch
-    from repro.serving import validate_query_node
-
-    dataset = load_dataset(dataset_name, scale=config.scale)
-    if class_name not in dataset.classes:
-        print(
-            f"class {class_name!r} missing at scale {config.scale!r}; "
-            f"available: {list(dataset.classes)}",
-            file=sys.stderr,
-        )
-        return 2
-    mmap = bool(args.mmap)
-    trainer_config = TrainerConfig(
-        restarts=config.trainer_restarts,
-        max_iterations=config.trainer_max_iterations,
-        seed=config.seed,
-    )
-    try:
-        engine = SemanticProximitySearch.from_index(
-            args.snapshot,
-            dataset.graph,
-            trainer_config=trainer_config,
-            shards=shards,
-            serving_workers=workers,
-            serving_backend=backend_name,
-            replicas=args.replicas,
-            mmap=mmap,
-        )
-    except SnapshotError as exc:
-        print(
-            f"[serve] cannot serve from snapshot {args.snapshot}: {exc}",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        if args.queries is not None:
-            queries = [q.strip() for q in args.queries.split(",") if q.strip()]
-            if not queries:
-                print(
-                    f"--queries {args.queries!r} contains no query ids",
-                    file=sys.stderr,
-                )
-                return 2
-            try:
-                for query in queries:
-                    validate_query_node(
-                        dataset.graph, query, dataset.anchor_type
-                    )
-            except QueryError as exc:
-                print(f"cannot serve this batch: {exc}", file=sys.stderr)
-                return 2
-        else:
-            queries = list(dataset.queries(class_name))[:num_queries]
-        restored = class_name in engine.classes
-        if not restored:
-            engine.fit(
-                class_name,
-                labels=dataset.class_labels(class_name),
-                num_examples=200,
-                seed=config.seed,
-            )
-        if args.listen is not None:
-            from repro.serving.frontend import FrontendConfig
-
-            frontend_config = FrontendConfig.from_env(
-                max_batch=args.max_batch,
-                max_delay_ms=args.max_delay_ms,
-                cache_size=args.cache_size,
-                cache_ttl=args.cache_ttl,
-            )
-            print(
-                f"[serve] {dataset_name}/{class_name!r}: listening on "
-                f"{args.listen} (digest {engine.serving_digest()[:12]}…, "
-                f"max_batch={frontend_config.max_batch}, "
-                f"max_delay_ms={frontend_config.max_delay_ms}, "
-                f"cache_size={frontend_config.cache_size}, "
-                f"watch={'on' if args.watch else 'off'})"
-            )
-            try:
-                engine.serve_forever(
-                    listen=args.listen,
-                    config=frontend_config,
-                    watch=args.snapshot if args.watch else None,
-                )
-            except KeyboardInterrupt:
-                print("[serve] interrupted; shutting down")
-            return 0
-        sidecar = "mmap" if mmap else "loaded"
-        if shards > 1 or backend_name == "process":
-            backend = (
-                f"sharded ({shards} shards, {workers} workers, "
-                f"{backend_name}) over {sidecar} snapshot"
-            )
-        else:
-            backend = f"compiled over {sidecar} snapshot"
-        start = time.perf_counter()
-        try:
-            rankings = engine.query_many(class_name, queries, k=top_k)
-        except QueryError as exc:
-            print(f"cannot serve this batch: {exc}", file=sys.stderr)
-            return 2
-        elapsed = time.perf_counter() - start
-        universe_size = len(engine.universe())
-    finally:
-        engine.close()
-    print(
-        f"[serve] {dataset_name}/{class_name!r}: {len(queries)} queries, "
+        f"[serve] {dataset.name}/{class_name!r}: {len(queries)} queries, "
         f"{backend} backend, k={top_k} "
         f"(class {'restored from snapshot' if restored else 'fitted'})"
     )
@@ -594,7 +468,7 @@ def _serve_from_snapshot(
     per_query = elapsed / max(len(queries), 1) * 1e3
     print(
         f"[serve] ranked {len(queries)} queries in {elapsed * 1e3:.2f} ms "
-        f"({per_query:.3f} ms/query, universe={universe_size})"
+        f"({per_query:.3f} ms/query, universe={len(engine.universe())})"
     )
     return 0
 

@@ -337,7 +337,6 @@ def _stage_compiled_sidecar(
     after the manifest is on disk, so a crash mid-save never leaves a
     half-written sidecar as the directory's only copy.
     """
-    had_snapshot = vectors._compiled is not None
     compiled = vectors.compile()
     if list(compiled.nodes) != nodes:
         # cannot happen for a consistent store (a pair member without a
@@ -361,11 +360,6 @@ def _stage_compiled_sidecar(
         digest = _sha256(payload)
         (staging / _member_filename(name, digest)).write_bytes(payload)
         members[name] = {"bytes": len(payload), "sha256": digest}
-    if not had_snapshot:
-        # the store was serving scalar (compile_serving=False): don't
-        # let writing a snapshot pin the CSR arrays in memory for the
-        # engine's lifetime
-        vectors._compiled = None
     return members, staging
 
 

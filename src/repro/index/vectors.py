@@ -17,10 +17,8 @@ scores whole candidate sets in a few vectorised operations.
 
 from __future__ import annotations
 
-import json
 import time
 from collections.abc import Callable, Iterable
-from pathlib import Path
 
 import numpy as np
 
@@ -268,58 +266,6 @@ class MetagraphVectors:
         or belonging to another store is simply not current.
         """
         return compiled is self._compiled
-
-    # ------------------------------------------------------------------
-    # persistence: the offline phase is expensive, the artefact small
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        """Persist raw counts to JSON (transform is re-applied on load).
-
-        Node ids are encoded with :func:`encode_node_id`, so strings
-        (however adversarial), numbers and arbitrarily nested tuples all
-        round-trip; unsupported id types raise
-        :class:`~repro.exceptions.SnapshotError` instead of writing an
-        unreadable file.  The transform itself is not serialised — pass
-        the same one to :meth:`load`.
-        """
-        doc = {
-            "catalog_size": self.catalog_size,
-            "anchor_type": self.anchor_type,
-            "matched": sorted(self._matched),
-            "node": [
-                [encode_node_id(node), sorted(counts.items())]
-                for node, counts in sorted(self._node.items(), key=lambda kv: repr(kv[0]))
-            ],
-            "pair": [
-                [[encode_node_id(pair[0]), encode_node_id(pair[1])], sorted(counts.items())]
-                for pair, counts in sorted(self._pair.items(), key=lambda kv: repr(kv[0]))
-            ],
-        }
-        Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-    @classmethod
-    def load(
-        cls,
-        path: str | Path,
-        transform: Transform = identity,
-    ) -> "MetagraphVectors":
-        """Restore a store saved by :meth:`save`."""
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        store = cls(
-            doc["catalog_size"],
-            anchor_type=doc["anchor_type"],
-            transform=transform,
-        )
-        store._matched = set(doc["matched"])
-        for node, counts in doc["node"]:
-            node = decode_node_id(node)
-            store._node[node] = {int(k): v for k, v in counts}
-        for (x, y), counts in doc["pair"]:
-            x, y = decode_node_id(x), decode_node_id(y)
-            store._pair[(x, y)] = {int(k): v for k, v in counts}
-            store._partners.setdefault(x, set()).add(y)
-            store._partners.setdefault(y, set()).add(x)
-        return store
 
 
 def build_vectors(

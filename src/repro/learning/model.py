@@ -17,16 +17,16 @@ so for modest catalogs or dyadic-rational weights):
   ``m_x . w`` products of every node and the ``m_xy . w`` products of
   every pair are precomputed in two O(nnz) passes when the weights are
   attached, after which ranking is one ``batch_mgp``-style vectorised
-  pass over the candidate slice plus an ``np.argpartition`` top-k.
+  pass over the candidate slice plus an ``np.argpartition`` top-k
+  (:func:`rank_candidates` — the one kernel the shard tier executes
+  too, over its :class:`~repro.serving.shards.CompiledShard` slices).
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import weakref
 from collections.abc import Iterable, Sequence
-from pathlib import Path
 
 import numpy as np
 
@@ -145,6 +145,54 @@ def _descending_order(scores: np.ndarray, k: int | None) -> np.ndarray:
     return keep[:k]
 
 
+def rank_candidates(
+    view,
+    node_dots: np.ndarray,
+    pair_dots: np.ndarray,
+    row: int | None,
+    query: NodeId,
+    universe: SortedUniverse | None,
+    k: int | None,
+) -> list[tuple[NodeId, float]]:
+    """Top-k of one query's partner slice: the online phase's arithmetic.
+
+    ``view`` is whatever holds the slice — a
+    :class:`~repro.index.compiled.CompiledVectors` or one
+    :class:`~repro.serving.shards.CompiledShard` (both expose ``nodes``
+    and ``candidates_of`` in ascending ``repr`` order) — ``node_dots``/
+    ``pair_dots`` its per-weights dot arrays and ``row`` the query's row
+    in it (None when the query has no counts: an empty slice).  Def. 3
+    as one masked division, a stable top-k, and — with a ``universe`` —
+    a zero-proximity tail.  The single-process model and every shard
+    backend call this one function, so their scores and tie-breaks are
+    bit-identical by construction.
+    """
+    if k is not None and k <= 0:
+        return []
+    if row is None:
+        cand = np.empty(0, dtype=np.int64)
+        scores = np.empty(0, dtype=np.float64)
+    else:
+        cand, pair = view.candidates_of(row)
+        keep = cand != row
+        cand, pair = cand[keep], pair[keep]
+        numerators = 2.0 * pair_dots[pair]
+        denominators = node_dots[row] + node_dots[cand]
+        scores = np.zeros(len(cand), dtype=np.float64)
+        positive = denominators > 0.0
+        scores[positive] = numerators[positive] / denominators[positive]
+
+    nodes = view.nodes
+    if universe is None:
+        order = _descending_order(scores, k)
+        return [(nodes[cand[j]], float(scores[j])) for j in order]
+    in_universe = universe.mask_over(view)[cand]
+    hit = np.flatnonzero(in_universe & (scores > 0.0))
+    order = hit[_descending_order(scores[hit], k)]
+    result = [(nodes[cand[j]], float(scores[j])) for j in order]
+    return pad_with_universe(result, query, universe, k)
+
+
 class ProximityModel:
     """A trained MGP model for one semantic class of proximity."""
 
@@ -235,11 +283,17 @@ class ProximityModel:
         :class:`ValueError` instead of silently returning ``[]``.
         """
         require_valid_k(k)
-        if self._compiled is not None:
-            if not self.vectors.is_current_snapshot(self._compiled):
-                self.compile()
-            return self._rank_compiled(query, universe, k)
-        return self._rank_scalar(query, universe, k)
+        if self._compiled is None:
+            return self._rank_scalar(query, universe, k)
+        if not self.vectors.is_current_snapshot(self._compiled):
+            self.compile()
+        if universe is not None and not isinstance(universe, SortedUniverse):
+            universe = SortedUniverse(universe)
+        compiled = self._compiled
+        return rank_candidates(
+            compiled, self._node_dots, self._pair_dots,
+            compiled.position(query), query, universe, k,
+        )
 
     def _rank_scalar(
         self,
@@ -274,44 +328,6 @@ class ProximityModel:
         scored.sort(key=lambda pair: (-pair[1], repr(pair[0])))
         return scored[:k] if k is not None else scored
 
-    def _rank_compiled(
-        self,
-        query: NodeId,
-        universe: Iterable[NodeId] | None,
-        k: int | None,
-    ) -> list[tuple[NodeId, float]]:
-        """Compiled path: slice the CSR adjacency, score in one batch."""
-        if k is not None and k <= 0:
-            return []
-        compiled = self._compiled
-        assert compiled is not None
-        row = compiled.position(query)
-        if row is None:
-            cand_pos = np.empty(0, dtype=np.int64)
-            scores = np.empty(0, dtype=np.float64)
-        else:
-            cand_pos, pair_rows = compiled.candidates_of(row)
-            keep = cand_pos != row
-            cand_pos, pair_rows = cand_pos[keep], pair_rows[keep]
-            numerators = 2.0 * self._pair_dots[pair_rows]
-            denominators = self._node_dots[row] + self._node_dots[cand_pos]
-            scores = np.zeros(len(cand_pos), dtype=np.float64)
-            positive = denominators > 0.0
-            scores[positive] = numerators[positive] / denominators[positive]
-
-        nodes = compiled.nodes
-        if universe is None:
-            order = _descending_order(scores, k)
-            return [(nodes[cand_pos[j]], float(scores[j])) for j in order]
-
-        if not isinstance(universe, SortedUniverse):
-            universe = SortedUniverse(universe)
-        in_universe = universe.mask_over(compiled)[cand_pos]
-        hit = np.flatnonzero(in_universe & (scores > 0.0))
-        order = hit[_descending_order(scores[hit], k)]
-        result = [(nodes[cand_pos[j]], float(scores[j])) for j in order]
-        return pad_with_universe(result, query, universe, k)
-
     def explain(
         self, x: NodeId, y: NodeId, k: int = 5
     ) -> list[tuple[int, float]]:
@@ -344,26 +360,6 @@ class ProximityModel:
         """The k highest-weight metagraph ids — the class's signature."""
         order = np.argsort(-self.weights, kind="stable")[:k]
         return [(int(i), float(self.weights[i])) for i in order]
-
-    # ------------------------------------------------------------------
-    # weight persistence (vectors are rebuilt from the graph, not saved)
-    # ------------------------------------------------------------------
-    def save_weights(self, path: str | Path) -> None:
-        """Persist the learned weights (JSON)."""
-        doc = {"name": self.name, "weights": self.weights.tolist()}
-        Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-    @classmethod
-    def load_weights(
-        cls, path: str | Path, vectors: MetagraphVectors
-    ) -> "ProximityModel":
-        """Restore a model from saved weights plus a rebuilt vector store."""
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            np.asarray(doc["weights"], dtype=float),
-            vectors,
-            name=doc.get("name", ""),
-        )
 
     def __repr__(self) -> str:
         nonzero = int(np.sum(self.weights > 1e-6))

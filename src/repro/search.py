@@ -14,7 +14,7 @@ Classes are independent models over the shared metagraph vectors, so
 adding a class never recomputes matching.  ``fit`` accepts either
 labelled queries (positives per query) or raw pairwise triplets.
 
-Serving is compiled by default: ``prepare()`` freezes the counts into
+Serving is compiled: ``prepare()`` freezes the counts into
 the CSR backend (:meth:`MetagraphVectors.compile`), every fitted model
 scores against it, and the sorted anchor universe is computed once and
 reused by ``query``/``query_many`` instead of being re-sorted per call.
@@ -99,16 +99,12 @@ class SemanticProximitySearch:
         Gradient-ascent knobs shared by all classes.
     transform:
         Count transform applied to the metagraph vectors.
-    compile_serving:
-        Compile the online phase after ``prepare()`` (default).  Turn
-        off to serve through the scalar reference path, e.g. when
-        memory for the CSR snapshot is tighter than latency.
     shards:
         Partition the compiled universe into this many node-range
         shards (:mod:`repro.serving`) and serve ``query``/``query_many``
         through the shard router.  ``1`` (default) keeps the
         single-process compiled path; any value produces bit-identical
-        rankings.  Requires ``compile_serving``.
+        rankings.
     serving_workers:
         Worker threads the shard router fans a query batch out over
         (only meaningful with ``shards > 1``).
@@ -117,7 +113,7 @@ class SemanticProximitySearch:
         shard in this process; ``"process"`` supervises standalone
         shard-worker processes that mmap their slice from a format-v2
         snapshot and answer over the serving wire protocol — rankings
-        stay bit-identical.  Requires ``compile_serving``.
+        stay bit-identical.
     replicas:
         Worker processes per shard with ``serving_backend="process"``
         (default: ``REPRO_SERVING_REPLICAS`` or 1); a shard request
@@ -131,7 +127,6 @@ class SemanticProximitySearch:
         miner_config: MinerConfig | None = None,
         trainer_config: TrainerConfig | None = None,
         transform: Transform = identity,
-        compile_serving: bool = True,
         shards: int = 1,
         serving_workers: int = 1,
         serving_backend: str = "thread",
@@ -148,22 +143,11 @@ class SemanticProximitySearch:
                 f"serving_backend must be 'thread' or 'process', got "
                 f"{serving_backend!r}"
             )
-        if shards > 1 and not compile_serving:
-            raise ValueError(
-                "sharded serving slices the compiled CSR snapshot; it "
-                "requires compile_serving=True"
-            )
-        if serving_backend == "process" and not compile_serving:
-            raise ValueError(
-                "process workers mmap the compiled CSR snapshot; "
-                "serving_backend='process' requires compile_serving=True"
-            )
         self.graph = graph
         self.anchor_type = anchor_type
         self.miner_config = miner_config or MinerConfig()
         self.trainer_config = trainer_config or TrainerConfig()
         self.transform = transform
-        self.compile_serving = compile_serving
         self.shards = shards
         self.serving_workers = serving_workers
         self.serving_backend = serving_backend
@@ -182,14 +166,13 @@ class SemanticProximitySearch:
         self._router_compiled = None  # guarded-by: _serving_lock (writes)
         # latest on-disk snapshot of the current compiled counts (the
         # process backend's workers mmap it); _snapshot_compiled pins
-        # which CompiledVectors the path corresponds to
+        # which CompiledVectors the path corresponds to and
+        # _snapshot_digest is its manifest's self-digest as of that write
         self._snapshot_path: Path | None = None
         self._snapshot_compiled = None
+        self._snapshot_digest: str | None = None
         self._snapshots_tmp: tempfile.TemporaryDirectory | None = None
         self._snapshot_seq = 0
-        # (path, compiled, digest) memo for serving_digest(): read the
-        # manifest once while the snapshot is on disk, not per query
-        self._serving_digest_memo: tuple | None = None
         self.catalog: MetagraphCatalog | None = None
         self.vectors: MetagraphVectors | None = None
         self.index: InstanceIndex | None = None
@@ -282,8 +265,7 @@ class SemanticProximitySearch:
         self.vectors, self.index = build_index(
             self.graph, self.catalog, config=build_config, transform=self.transform
         )
-        if self.compile_serving:
-            self.vectors.compile()
+        self.vectors.compile()
         # the old router serves the replaced snapshot: close it (and any
         # worker processes it supervises) before it can leak
         self._close_router()
@@ -338,19 +320,16 @@ class SemanticProximitySearch:
         self._universe = None
         self._index_graph_version = self.graph.version
         self._update_log = list(loaded.manifest.get("update_log", []))
-        if self.compile_serving:
-            if loaded.compiled is not None:
-                # format-v2 sidecar: the snapshot arrives mmap-loaded,
-                # so serving starts without re-freezing the counts
-                self.vectors.adopt_compiled(loaded.compiled)
-            else:
-                self.vectors.compile()
-        models: dict[str, ProximityModel] = {}
-        for name, weights in loaded.models.items():
-            model = ProximityModel(weights, self.vectors, name=name)
-            if self.compile_serving:
-                model.compile()
-            models[name] = model
+        if loaded.compiled is not None:
+            # format-v2 sidecar: the snapshot arrives mmap-loaded,
+            # so serving starts without re-freezing the counts
+            self.vectors.adopt_compiled(loaded.compiled)
+        else:
+            self.vectors.compile()
+        models = {
+            name: ProximityModel(weights, self.vectors, name=name).compile()
+            for name, weights in loaded.models.items()
+        }
         # one reference swap, not clear-then-refill: a concurrent query
         # during a hot reload sees the full old set or the full new set,
         # never a half-populated dict
@@ -392,9 +371,19 @@ class SemanticProximitySearch:
         )
         # the freshest on-disk copy of the current counts: process
         # shard workers mmap their slice from here
-        self._snapshot_path = target
-        self._snapshot_compiled = vectors._compiled
+        self._pin_snapshot(target, snapshot_digest(target))
         return target
+
+    def _pin_snapshot(self, path: Path, digest: str) -> None:
+        """Record ``path`` as the on-disk copy of the current snapshot.
+
+        ``digest`` is the manifest self-digest of what lies there *now*:
+        re-saving to the same directory moves it, so it is recorded at
+        every write/load instead of being remembered per path.
+        """
+        self._snapshot_path = path
+        self._snapshot_compiled = self.vectors._compiled
+        self._snapshot_digest = digest
 
     @classmethod
     def from_index(
@@ -403,7 +392,6 @@ class SemanticProximitySearch:
         graph: TypedGraph,
         trainer_config: TrainerConfig | None = None,
         transform: Transform | None = None,
-        compile_serving: bool = True,
         shards: int = 1,
         serving_workers: int = 1,
         serving_backend: str = "thread",
@@ -432,17 +420,15 @@ class SemanticProximitySearch:
             anchor_type=loaded.vectors.anchor_type,
             trainer_config=trainer_config,
             transform=loaded.vectors.transform,
-            compile_serving=compile_serving,
             shards=shards,
             serving_workers=serving_workers,
             serving_backend=serving_backend,
             replicas=replicas,
         )
         engine._install_loaded(loaded)
-        if loaded.compiled is not None and compile_serving:
+        if loaded.compiled is not None:
             # process workers can mmap the very snapshot we loaded from
-            engine._snapshot_path = Path(path)
-            engine._snapshot_compiled = engine.vectors._compiled
+            engine._pin_snapshot(Path(path), snapshot_digest(loaded.manifest))
         return engine
 
     def universe(self) -> SortedUniverse:
@@ -518,13 +504,12 @@ class SemanticProximitySearch:
                 index=self.index, on_edit=record,
             )
         finally:
-            if self.compile_serving:
-                # cached no-op when no edit touched the counts; models
-                # re-derive their dot products only against a new snapshot
-                compiled = vectors.compile()
-                for model in self._models.values():
-                    if model.compiled is not compiled:
-                        model.compile(compiled)
+            # cached no-op when no edit touched the counts; models
+            # re-derive their dot products only against a new snapshot
+            compiled = vectors.compile()
+            for model in self._models.values():
+                if model.compiled is not compiled:
+                    model.compile(compiled)
         return stats
 
     # ------------------------------------------------------------------
@@ -562,9 +547,7 @@ class SemanticProximitySearch:
             )
         trainer = Trainer(self.trainer_config)
         weights = trainer.train(triplets, vectors)
-        model = ProximityModel(weights, vectors, name=class_name)
-        if self.compile_serving:
-            model.compile()
+        model = ProximityModel(weights, vectors, name=class_name).compile()
         self._models[class_name] = model
         return model
 
@@ -592,9 +575,7 @@ class SemanticProximitySearch:
     @property
     def _routed(self) -> bool:
         """Whether ``query``/``query_many`` go through the shard router."""
-        return self.compile_serving and (
-            self.shards > 1 or self.serving_backend == "process"
-        )
+        return self.shards > 1 or self.serving_backend == "process"
 
     def _close_router(self) -> None:
         """Tear the serving tier down (thread pools, worker processes)."""
@@ -620,6 +601,7 @@ class SemanticProximitySearch:
             ):
                 self._snapshot_path = None
                 self._snapshot_compiled = None
+                self._snapshot_digest = None
             tmp.cleanup()
 
     def __enter__(self) -> "SemanticProximitySearch":
@@ -706,21 +688,10 @@ class SemanticProximitySearch:
         _catalog, vectors = self._require_fresh()
         compiled = vectors.compile()
         if (
-            self._snapshot_path is not None
+            self._snapshot_digest is not None
             and self._snapshot_compiled is compiled
         ):
-            memo = self._serving_digest_memo
-            if (
-                memo is not None
-                and memo[0] == self._snapshot_path
-                and memo[1] is compiled
-            ):
-                return memo[2]
-            digest = snapshot_digest(self._snapshot_path)
-            self._serving_digest_memo = (
-                self._snapshot_path, compiled, digest,
-            )
-            return digest
+            return self._snapshot_digest
         return compiled.content_digest()
 
     def reload_index(self, path: str | Path, mmap: bool = True) -> str:
@@ -758,8 +729,7 @@ class SemanticProximitySearch:
         )
         self._check_snapshot_compatible(loaded)
         self._install_loaded(loaded, close_router=False)
-        self._snapshot_path = source
-        self._snapshot_compiled = self.vectors._compiled
+        self._pin_snapshot(source, snapshot_digest(loaded.manifest))
         with self._serving_lock:
             if self._router is not None:
                 if self._routed:

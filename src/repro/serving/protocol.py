@@ -8,9 +8,11 @@ function call, no serialization) or across a process boundary (a
 length-prefixed JSON frame over a Unix or TCP socket):
 
 - :func:`score_group_on_shard` — the pure scoring function both
-  transports execute; it is the single implementation of the paper's
-  online ranking on a shard slice, so rankings are bit-identical by
-  construction, not by parallel maintenance of two code paths;
+  transports execute: it checks the router and shard agree on the
+  snapshot, then runs :func:`~repro.learning.model.rank_candidates`
+  (the kernel the unsharded model runs too) on each query's slice, so
+  rankings are bit-identical by construction, not by parallel
+  maintenance of two code paths;
 - :class:`ScoreRequest` — one shard's share of a query batch plus the
   model weights and (optionally) the candidate universe, with a
   JSON-safe codec (:func:`~repro.index.vectors.encode_node_id` handles
@@ -42,11 +44,7 @@ import repro.exceptions as _exceptions
 from repro.exceptions import QueryError, ReproError, ServingError
 from repro.graph.typed_graph import NodeId
 from repro.index.vectors import decode_node_id, encode_node_id
-from repro.learning.model import (
-    SortedUniverse,
-    _descending_order,
-    pad_with_universe,
-)
+from repro.learning.model import SortedUniverse, rank_candidates
 from repro.serving.shards import CompiledShard
 
 #: protocol revision carried in every hello frame; bumped on any wire
@@ -229,44 +227,6 @@ class ScoreRequest:
 # ----------------------------------------------------------------------
 # scoring: the one implementation both transports execute
 # ----------------------------------------------------------------------
-def score_on_shard(
-    shard: CompiledShard,
-    node_dots: np.ndarray,
-    pair_dots: np.ndarray,
-    query: NodeId,
-    global_pos: int,
-    universe: SortedUniverse | None,
-    k: int | None,
-) -> list[tuple[NodeId, float]]:
-    """Score one query on its owning shard — the unsharded math, sliced.
-
-    Mirrors ``ProximityModel._rank_compiled`` operation for operation
-    (same candidate order, same masked division, same stable top-k) so
-    scores and tie-breaks are bit-identical to the single-process path.
-    """
-    if k is not None and k <= 0:
-        return []
-    row = shard.local_row(global_pos)
-    cand, pair = shard.candidates_of(row)
-    keep = cand != row
-    cand, pair = cand[keep], pair[keep]
-    numerators = 2.0 * pair_dots[pair]
-    denominators = node_dots[row] + node_dots[cand]
-    scores = np.zeros(len(cand), dtype=np.float64)
-    positive = denominators > 0.0
-    scores[positive] = numerators[positive] / denominators[positive]
-
-    nodes = shard.nodes
-    if universe is None:
-        order = _descending_order(scores, k)
-        return [(nodes[cand[j]], float(scores[j])) for j in order]
-    in_universe = universe.mask_over(shard)[cand]
-    hit = np.flatnonzero(in_universe & (scores > 0.0))
-    order = hit[_descending_order(scores[hit], k)]
-    result = [(nodes[cand[j]], float(scores[j])) for j in order]
-    return pad_with_universe(result, query, universe, k)
-
-
 def score_group_on_shard(
     shard: CompiledShard,
     node_dots: np.ndarray,
@@ -294,7 +254,8 @@ def score_group_on_shard(
                 f"[{shard.lo}, {shard.hi}); the router and shard disagree "
                 "on the snapshot"
             )
-        resident = shard.nodes[shard.local_row(pos)]
+        row = shard.local_row(pos)
+        resident = shard.nodes[row]
         if resident != query:
             raise QueryError(
                 f"query node {query!r} does not occupy universe position "
@@ -302,8 +263,8 @@ def score_group_on_shard(
                 f"{resident!r}); the router and shard disagree on the "
                 "snapshot"
             )
-        results[slot] = score_on_shard(
-            shard, node_dots, pair_dots, query, pos, universe, k
+        results[slot] = rank_candidates(
+            shard, node_dots, pair_dots, row, query, universe, k
         )
     return results
 

@@ -45,7 +45,7 @@ from repro.learning.model import (
     pad_with_universe,
     require_valid_k,
 )
-from repro.serving.backend import InProcessBackend, ShardBackend
+from repro.serving.backend import ShardBackend
 from repro.serving.shards import CompiledShard, partition_compiled
 
 
@@ -89,20 +89,15 @@ class ShardedVectors:
 class QueryRouter:
     """Fan query batches out across shard workers and merge the results.
 
-    ``backend`` is either a :class:`ShardedVectors` (wrapped into an
-    :class:`InProcessBackend`, the PR-5 behaviour) or any started-able
-    :class:`ShardBackend`.  ``workers`` bounds the router-side fan-out
-    concurrency — threads here are IO/dispatch, the arithmetic runs
-    wherever the backend puts it.
+    ``backend`` is any :class:`ShardBackend`; the router starts it.
+    ``workers`` bounds the router-side fan-out concurrency — threads
+    here are IO/dispatch, the arithmetic runs wherever the backend puts
+    it.
     """
 
-    def __init__(
-        self, backend: ShardBackend | ShardedVectors, workers: int = 1
-    ):
+    def __init__(self, backend: ShardBackend, workers: int = 1):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if isinstance(backend, ShardedVectors):
-            backend = InProcessBackend(backend)
         backend.start()
         self.workers = workers
         # writes serialise under the lock; readers take a benign
@@ -121,11 +116,6 @@ class QueryRouter:
     @property
     def backend(self) -> ShardBackend | None:
         return self._backend
-
-    @property
-    def sharded(self) -> ShardedVectors | None:
-        """The in-process shard set, when the backend holds one."""
-        return getattr(self._backend, "sharded", None)
 
     def close(self, drain_timeout: float = 30.0) -> None:
         """Shut the dispatch pool and the backend down (idempotent).
@@ -178,7 +168,7 @@ class QueryRouter:
     # ------------------------------------------------------------------
     def swap(
         self,
-        backend: ShardBackend | ShardedVectors,
+        backend: ShardBackend,
         drain_timeout: float = 30.0,
     ) -> None:
         """Replace the backend without dropping a query.
@@ -189,8 +179,6 @@ class QueryRouter:
         elapses — the stragglers then race the close, exactly like a
         worker death, which the process backend already survives).
         """
-        if isinstance(backend, ShardedVectors):
-            backend = InProcessBackend(backend)
         backend.start()
         with self._cv:
             if self._backend is None:
@@ -227,16 +215,6 @@ class QueryRouter:
             else:
                 self._inflight[backend] = count
             self._cv.notify_all()
-
-    # ------------------------------------------------------------------
-    # compatibility shims for the in-process backend's caches
-    # ------------------------------------------------------------------
-    def _model_dots(self, model: ProximityModel):
-        return self._backend._model_dots(model)
-
-    @property
-    def _dots(self):
-        return self._backend._dots
 
     # ------------------------------------------------------------------
     # serving

@@ -23,8 +23,9 @@ single-process compiled path (proven by tests/serving/test_shards.py).
 A shard deliberately quacks like a ``CompiledVectors`` where the
 scoring code cares (``nodes``, ``num_nodes``, ``node_dot_products``,
 ``pair_dot_products``, ``candidates_of``), so
-:meth:`~repro.learning.model.SortedUniverse.mask_over` and the router
-reuse the exact single-process code paths.
+:meth:`~repro.learning.model.SortedUniverse.mask_over` and
+:func:`~repro.learning.model.rank_candidates` run over a shard exactly
+as they run over the whole snapshot.
 """
 
 from __future__ import annotations

@@ -95,15 +95,6 @@ class TestServe:
         assert "compiled backend" in out
         assert "ms/query" in out
 
-    def test_serve_scalar_flag(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["serve", "--quick", "--scalar", "--num-queries", "1", "--k", "2"]
-        )
-        assert code == 0
-        assert "scalar backend" in capsys.readouterr().out
-
     def test_serve_unknown_class(self, capsys):
         from repro.cli import main
 
@@ -133,9 +124,9 @@ class TestServe:
     def test_serve_flags_rejected_on_experiments(self, capsys):
         from repro.cli import main
 
-        assert main(["table2", "--quick", "--k", "3", "--scalar"]) == 2
+        assert main(["table2", "--quick", "--k", "3", "--mmap"]) == 2
         err = capsys.readouterr().err
-        assert "--k" in err and "--scalar" in err and "'table2'" in err
+        assert "--k" in err and "--mmap" in err and "'table2'" in err
 
     def test_serve_negative_num_queries_rejected(self, capsys):
         from repro.cli import main
@@ -167,19 +158,32 @@ class TestServe:
         assert "cannot serve this batch" in err
         assert "anchored on 'user'" in err
 
-    def test_serve_sharded_matches_unsharded_output(self, capsys):
+    def test_serve_sharded_matches_unsharded_output(self, capsys, tmp_path):
         from repro.cli import main
+
+        def rankings(out):
+            return [l for l in out.splitlines() if l.startswith("  ")]
 
         argv = ["serve", "--quick", "--num-queries", "3", "--k", "3"]
         assert main(argv) == 0
         unsharded = capsys.readouterr().out
-        assert main(argv + ["--shards", "3", "--workers", "2"]) == 0
+        assert len(rankings(unsharded)) == 3
+        assert main(argv + ["--shards", "2", "--workers", "2"]) == 0
         sharded = capsys.readouterr().out
-        assert "sharded (3 shards, 2 workers)" in sharded
-        # every ranking line must be identical to the unsharded run
-        assert [l for l in unsharded.splitlines() if l.startswith("  ")] == [
-            l for l in sharded.splitlines() if l.startswith("  ")
-        ]
+        assert "sharded (2 shards, 2 workers)" in sharded
+        # every ranking line must be identical to the unsharded run,
+        # however the engine was obtained and wherever shards score
+        assert rankings(sharded) == rankings(unsharded)
+        snapshot = str(tmp_path / "idx")
+        assert main(["index", "build", "--out", snapshot]) == 0
+        capsys.readouterr()
+        for extra in (
+            ["--snapshot", snapshot],
+            ["--snapshot", snapshot, "--mmap"],
+            ["--backend", "process", "--shards", "2"],
+        ):
+            assert main(argv + extra) == 0
+            assert rankings(capsys.readouterr().out) == rankings(unsharded)
 
     def test_serve_sharded_flag_validation(self, capsys):
         from repro.cli import main
@@ -188,8 +192,6 @@ class TestServe:
         assert "--shards must be >= 1" in capsys.readouterr().err
         assert main(["serve", "--quick", "--shards", "2", "--workers", "0"]) == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
-        assert main(["serve", "--quick", "--scalar", "--shards", "2"]) == 2
-        assert "cannot be combined" in capsys.readouterr().err
 
     def test_serve_queries_stripped(self, capsys):
         from repro.cli import main

@@ -132,10 +132,16 @@ class TestLifecycle:
         assert compiled.num_pairs == 0
         assert len(compiled.node_dot_products(np.ones(3))) == 0
 
-    def test_load_roundtrip_compiles_identically(self, tmp_path, toy_compiled):
+    def test_load_roundtrip_compiles_identically(
+        self, tmp_path, toy_compiled, toy_metagraphs
+    ):
+        from repro.index.persist import load_index, save_index
+
         vectors, compiled = toy_compiled
-        vectors.save(tmp_path / "v.json")
-        reloaded = MetagraphVectors.load(tmp_path / "v.json")
+        catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
+        save_index(tmp_path / "snapshot", vectors, catalog)
+        # mmap=False: recompile from the restored counts, not the sidecar
+        reloaded = load_index(tmp_path / "snapshot", mmap=False).vectors
         recompiled = reloaded.compile()
         assert recompiled.nodes == compiled.nodes
         assert np.array_equal(recompiled.node_data, compiled.node_data)

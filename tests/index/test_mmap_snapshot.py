@@ -187,20 +187,12 @@ class TestSidecarIntegrity:
         target, _ds, _vectors = snapshot
         assert not (target / (COMPILED_DIR + ".staging")).exists()
 
-    def test_scalar_engine_save_does_not_pin_snapshot(self, tmp_path):
-        # compile_serving=False exists to keep the CSR snapshot out of
-        # memory; writing the sidecar must not pin one on the store
+    def test_save_keeps_the_compiled_snapshot(self, tmp_path):
         ds = toy_dataset()
-        engine = SemanticProximitySearch(ds.graph, compile_serving=False)
         catalog = MetagraphCatalog(
             toy_metagraphs().values(), anchor_type="user"
         )
-        engine.prepare(catalog=catalog)
-        assert engine.vectors._compiled is None
-        engine.save_index(tmp_path / "scalar-snap")
-        assert engine.vectors._compiled is None
-        # while a compiled engine keeps its (unchanged) snapshot
-        compiled_engine = SemanticProximitySearch(ds.graph.copy())
+        compiled_engine = SemanticProximitySearch(ds.graph)
         compiled_engine.prepare(catalog=catalog)
         before = compiled_engine.vectors.compile()
         compiled_engine.save_index(tmp_path / "compiled-snap")

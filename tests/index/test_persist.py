@@ -16,6 +16,7 @@ from repro.index.persist import (
     graph_fingerprint,
     load_index,
     save_index,
+    snapshot_digest,
 )
 from repro.index.transform import log1p
 from repro.index.vectors import build_vectors
@@ -249,6 +250,22 @@ class TestFacadeRoundTrip:
         assert cold.query("classmate", "Kate", k=3) == engine.query(
             "classmate", "Kate", k=3
         )
+
+    def test_serving_digest_follows_resave_to_same_directory(
+        self, engine, toy_graph, tmp_path
+    ):
+        # the directory stays, its manifest moves: the engine must not
+        # keep reporting the first save's digest
+        path = engine.save_index(tmp_path / "snap")
+        first = engine.serving_digest()
+        assert first == snapshot_digest(path)
+        engine.fit("family", {"Alice": frozenset({"Bob"})})
+        assert engine.save_index(path) == path
+        assert snapshot_digest(path) != first
+        assert engine.serving_digest() == snapshot_digest(path)
+        # and a second engine on the same snapshot agrees on identity
+        cold = SemanticProximitySearch.from_index(path, toy_graph)
+        assert cold.serving_digest() == engine.serving_digest()
 
     def test_save_requires_prepared(self, toy_graph, tmp_path):
         from repro.exceptions import LearningError

@@ -1,10 +1,11 @@
-"""Tests for vector-store persistence (save/load of the offline artefact)."""
+"""Tests for vector-store persistence through index snapshots."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import SnapshotError
 from repro.graph.typed_graph import TypedGraph
+from repro.index.persist import load_index, save_index
 from repro.index.transform import log1p
 from repro.index.vectors import (
     MetagraphVectors,
@@ -17,17 +18,24 @@ from repro.metagraph.metagraph import metapath
 
 
 @pytest.fixture
-def store(toy_graph, toy_metagraphs):
-    catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
+def catalog(toy_metagraphs):
+    return MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
+
+
+@pytest.fixture
+def store(toy_graph, catalog):
     vectors, _ = build_vectors(toy_graph, catalog)
     return vectors
 
 
+@pytest.fixture
+def snapshot(store, catalog, tmp_path):
+    return save_index(tmp_path / "snapshot", store, catalog)
+
+
 class TestPersistence:
-    def test_round_trip_vectors(self, store, tmp_path):
-        path = tmp_path / "vectors.json"
-        store.save(path)
-        restored = MetagraphVectors.load(path)
+    def test_round_trip_vectors(self, store, snapshot):
+        restored = load_index(snapshot).vectors
         assert restored.catalog_size == store.catalog_size
         assert restored.anchor_type == store.anchor_type
         assert restored.matched_ids == store.matched_ids
@@ -40,28 +48,22 @@ class TestPersistence:
             store.pair_vector("Alice", "Bob"),
         )
 
-    def test_partners_restored(self, store, tmp_path):
-        path = tmp_path / "vectors.json"
-        store.save(path)
-        restored = MetagraphVectors.load(path)
+    def test_partners_restored(self, store, snapshot):
+        restored = load_index(snapshot).vectors
         for user in ("Alice", "Bob", "Kate"):
             assert restored.partners(user) == store.partners(user)
 
-    def test_transform_reapplied_on_load(self, store, tmp_path):
-        path = tmp_path / "vectors.json"
-        store.save(path)
-        restored = MetagraphVectors.load(path, transform=log1p)
+    def test_transform_reapplied_on_load(self, store, snapshot):
+        restored = load_index(snapshot, transform=log1p).vectors
         raw = store.pair_vector("Alice", "Bob")
         transformed = restored.pair_vector("Alice", "Bob")
         nonzero = raw > 0
         assert np.allclose(transformed[nonzero], np.log1p(raw[nonzero]))
 
-    def test_loaded_store_usable_by_model(self, store, tmp_path):
+    def test_loaded_store_usable_by_model(self, snapshot):
         from repro.learning.model import ProximityModel
 
-        path = tmp_path / "vectors.json"
-        store.save(path)
-        restored = MetagraphVectors.load(path)
+        restored = load_index(snapshot).vectors
         model = ProximityModel(np.ones(restored.catalog_size), restored)
         ranking = model.rank("Bob", universe=["Alice", "Kate", "Jay", "Tom"])
         assert ranking[0][1] > 0
@@ -70,8 +72,8 @@ class TestPersistence:
 class TestAdversarialNodeIds:
     """Regression: node ids must round-trip whatever their shape.
 
-    The JSON pair encoding once converted only the *top* level of a
-    tuple id back from its array form, so nested tuples came back with
+    A JSON encoding once converted only the *top* level of a tuple id
+    back from its array form, so nested tuples came back with
     unhashable list components and crashed the load; separator-laden
     strings relied on luck.  Ids now go through an explicit codec that
     round-trips scalars and (nested) tuples and rejects everything else
@@ -90,6 +92,10 @@ class TestAdversarialNodeIds:
         ((("twice",), "nested"), 2),
     ]
 
+    CATALOG = MetagraphCatalog(
+        [metapath("user", "school", "user")], anchor_type="user"
+    )
+
     def adversarial_store(self):
         graph = TypedGraph(name="adversarial")
         for uid in self.ADVERSARIAL_IDS:
@@ -99,10 +105,7 @@ class TestAdversarialNodeIds:
         for uid in self.ADVERSARIAL_IDS:
             graph.add_edge(uid, ("attr", 0))
             graph.add_edge(uid, "school|B")
-        catalog = MetagraphCatalog(
-            [metapath("user", "school", "user")], anchor_type="user"
-        )
-        vectors, _ = build_vectors(graph, catalog)
+        vectors, _ = build_vectors(graph, self.CATALOG)
         return vectors
 
     def test_codec_round_trips_every_id(self):
@@ -113,11 +116,10 @@ class TestAdversarialNodeIds:
         with pytest.raises(SnapshotError, match="frozenset"):
             encode_node_id(frozenset({"a"}))
 
-    def test_json_round_trip_with_adversarial_ids(self, tmp_path):
+    def test_snapshot_round_trip_with_adversarial_ids(self, tmp_path):
         store = self.adversarial_store()
-        path = tmp_path / "vectors.json"
-        store.save(path)
-        restored = MetagraphVectors.load(path)
+        path = save_index(tmp_path / "snapshot", store, self.CATALOG)
+        restored = load_index(path).vectors
         assert restored.nodes_with_counts() == store.nodes_with_counts()
         for node in self.ADVERSARIAL_IDS:
             assert restored.partners(node) == store.partners(node)
@@ -137,4 +139,4 @@ class TestAdversarialNodeIds:
         counts.node_counts[frozenset({"x"})] = 1
         store.add_counts(0, counts)
         with pytest.raises(SnapshotError, match="cannot be persisted"):
-            store.save(tmp_path / "vectors.json")
+            save_index(tmp_path / "snapshot", store, self.CATALOG)

@@ -252,13 +252,13 @@ class TestProximityModel:
         assert top[1] == (2, 0.5)
 
     def test_weight_persistence(self, toy_setup, tmp_path):
-        _catalog, vectors = toy_setup
+        from repro.index.persist import load_index, save_index
+
+        catalog, vectors = toy_setup
         model = ProximityModel(np.array([0.1, 0.9, 0.5, 0.0]), vectors, name="c")
-        path = tmp_path / "w.json"
-        model.save_weights(path)
-        restored = ProximityModel.load_weights(path, vectors)
-        assert np.array_equal(restored.weights, model.weights)
-        assert restored.name == "c"
+        save_index(tmp_path / "s", vectors, catalog, models={"c": model.weights})
+        loaded = load_index(tmp_path / "s")
+        assert np.array_equal(loaded.models["c"], model.weights)
 
     def test_uniform_model(self, toy_setup):
         _catalog, vectors = toy_setup

@@ -42,8 +42,6 @@ class TestFacadeSharding:
             SemanticProximitySearch(ds.graph, shards=0)
         with pytest.raises(ValueError):
             SemanticProximitySearch(ds.graph, serving_workers=0)
-        with pytest.raises(ValueError):
-            SemanticProximitySearch(ds.graph, shards=2, compile_serving=False)
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_trained_model_parity_on_toy(self, num_shards):
@@ -96,7 +94,7 @@ class TestFacadeSharding:
         # rebuilt over (and serves) the *current* snapshot
         assert sharded._router is first
         assert sharded._router.backend is not first_backend
-        assert sharded._router.sharded.source is sharded.vectors.compile()
+        assert sharded._router.backend.sharded.source is sharded.vectors.compile()
 
     def test_reprepare_closes_previous_router(self):
         # re-preparing replaces the snapshot: the old router (and its

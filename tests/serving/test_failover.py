@@ -26,6 +26,7 @@ from repro.index.persist import save_index
 from repro.index.vectors import build_vectors
 from repro.learning.model import SortedUniverse, uniform_model
 from repro.serving import (
+    InProcessBackend,
     QueryRouter,
     ShardedVectors,
     SubprocessBackend,
@@ -58,7 +59,7 @@ class TestFailoverDeterminism:
         compiled, model, universe, snapshot = served
         queries = list(universe)
         with QueryRouter(
-            ShardedVectors.partition(compiled, num_shards), workers=2
+            InProcessBackend(ShardedVectors.partition(compiled, num_shards)), workers=2
         ) as flat:
             healthy = {
                 k: flat.rank_many(model, queries, universe=universe, k=k)
@@ -80,7 +81,7 @@ class TestFailoverDeterminism:
         compiled, model, universe, snapshot = served
         queries = list(universe) * 5  # long enough to straddle the kill
         with QueryRouter(
-            ShardedVectors.partition(compiled, 3), workers=2
+            InProcessBackend(ShardedVectors.partition(compiled, 3)), workers=2
         ) as flat:
             healthy = flat.rank_many(model, queries, universe=universe, k=5)
         backend = SubprocessBackend(snapshot, 3, replicas=2)

@@ -134,7 +134,7 @@ class TestDrainOnTeardown:
         # the pool is not involved) raced backend.close()
         compiled, model, universe = corpus
         with QueryRouter(
-            ShardedVectors.partition(compiled, 1), workers=2
+            InProcessBackend(ShardedVectors.partition(compiled, 1)), workers=2
         ) as flat:
             expected = flat.rank_many(
                 model, list(universe), universe=universe, k=5
@@ -177,7 +177,7 @@ class TestDrainOnTeardown:
                 router, model, list(universe), universe, 5
             )
             assert old.entered.wait(timeout=5)
-            router.swap(ShardedVectors.partition(compiled, 3))
+            router.swap(InProcessBackend(ShardedVectors.partition(compiled, 3)))
             thread.join(timeout=10)
             assert not errors, errors
             assert not old.scored_after_close, (
@@ -311,7 +311,7 @@ class TestFailoverRaces:
         compiled, model, universe = corpus
         queries = list(universe)
         with QueryRouter(
-            ShardedVectors.partition(compiled, 2), workers=2
+            InProcessBackend(ShardedVectors.partition(compiled, 2)), workers=2
         ) as flat:
             expected = flat.rank_many(model, queries, universe=universe, k=5)
         backend = SubprocessBackend(served, 2, replicas=2)

@@ -49,7 +49,7 @@ class TestRouterParity:
         compiled, model, universe, snapshot = served
         queries = list(universe)
         with QueryRouter(
-            ShardedVectors.partition(compiled, num_shards), workers=2
+            InProcessBackend(ShardedVectors.partition(compiled, num_shards)), workers=2
         ) as flat, QueryRouter(
             SubprocessBackend(snapshot, num_shards), workers=2
         ) as proc:
@@ -62,7 +62,7 @@ class TestRouterParity:
         compiled, model, universe, snapshot = served
         queries = list(universe)
         with QueryRouter(
-            ShardedVectors.partition(compiled, 3), workers=2
+            InProcessBackend(ShardedVectors.partition(compiled, 3)), workers=2
         ) as flat, QueryRouter(SubprocessBackend(snapshot, 3), workers=2) as proc:
             for k in (None, 4):
                 assert proc.rank_many(model, queries, k=k) == flat.rank_many(
@@ -77,7 +77,7 @@ class TestRouterParity:
         ).compile()
         queries = list(universe)[:10]
         with QueryRouter(
-            ShardedVectors.partition(compiled, 2), workers=1
+            InProcessBackend(ShardedVectors.partition(compiled, 2)), workers=1
         ) as flat, QueryRouter(SubprocessBackend(snapshot, 2), workers=1) as proc:
             for m in (model, other, model):  # interleave: caches must not mix
                 assert proc.rank_many(
@@ -89,7 +89,7 @@ class TestRouterParity:
         compiled, model, universe, snapshot = served
         queries = list(universe)
         with QueryRouter(
-            ShardedVectors.partition(compiled, 2), workers=2
+            InProcessBackend(ShardedVectors.partition(compiled, 2)), workers=2
         ) as flat, QueryRouter(
             SubprocessBackend(snapshot, 2, replicas=replicas), workers=2
         ) as proc:
@@ -281,13 +281,9 @@ class TestFacadeProcessServing:
             flat.close()
             engine.close()
 
-    def test_process_backend_requires_compiled_serving(self):
+    def test_unknown_serving_backend_rejected(self):
         from repro.datasets.toy import toy_dataset
 
         ds = toy_dataset()
-        with pytest.raises(ValueError, match="process"):
-            SemanticProximitySearch(
-                ds.graph, serving_backend="process", compile_serving=False
-            )
         with pytest.raises(ValueError, match="serving_backend"):
             SemanticProximitySearch(ds.graph, serving_backend="socket")

@@ -18,6 +18,7 @@ from repro.learning.model import SortedUniverse, uniform_model
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import metapath
 from repro.serving import (
+    InProcessBackend,
     QueryRouter,
     ShardedVectors,
     partition_compiled,
@@ -26,6 +27,10 @@ from repro.serving import (
 from tests.conftest import random_typed_graph
 
 SHARD_COUNTS = (1, 2, 3, 5, 16)
+
+
+def in_process(compiled, num_shards):
+    return InProcessBackend(ShardedVectors.partition(compiled, num_shards))
 
 
 def synthetic_catalog() -> MetagraphCatalog:
@@ -127,7 +132,7 @@ class TestParity:
     def test_toy_full_parity(self, toy_setup, num_shards):
         compiled, model, universe = toy_setup
         with QueryRouter(
-            ShardedVectors.partition(compiled, num_shards), workers=2
+            in_process(compiled, num_shards), workers=2
         ) as router:
             for k in (None, 0, 1, 3, 100):
                 queries = list(universe)
@@ -147,7 +152,7 @@ class TestParity:
         universe = SortedUniverse(graph.nodes_of_type("user"))
         queries = list(universe)
         with QueryRouter(
-            ShardedVectors.partition(compiled, num_shards), workers=3
+            in_process(compiled, num_shards), workers=3
         ) as router:
             sharded = router.rank_many(model, queries, universe=universe, k=5)
         unsharded = [model.rank(q, universe=universe, k=5) for q in queries]
@@ -156,14 +161,14 @@ class TestParity:
     def test_parity_without_universe(self, synthetic_setup):
         compiled, model, _universe = synthetic_setup
         queries = list(compiled.nodes)
-        with QueryRouter(ShardedVectors.partition(compiled, 4)) as router:
+        with QueryRouter(in_process(compiled, 4)) as router:
             sharded = router.rank_many(model, queries, k=None)
         unsharded = [model.rank(q, k=None) for q in queries]
         assert_bit_identical(sharded, unsharded)
 
     def test_single_query_rank_matches(self, toy_setup):
         compiled, model, universe = toy_setup
-        with QueryRouter(ShardedVectors.partition(compiled, 3)) as router:
+        with QueryRouter(in_process(compiled, 3)) as router:
             for query in universe:
                 assert router.rank(
                     model, query, universe=universe, k=4
@@ -174,7 +179,7 @@ class TestParity:
         # tiers must answer with the zero-padded universe, not an error
         compiled, model, universe = toy_setup
         ghost_universe = SortedUniverse(list(universe) + ["Zz-new-user"])
-        with QueryRouter(ShardedVectors.partition(compiled, 2)) as router:
+        with QueryRouter(in_process(compiled, 2)) as router:
             sharded = router.rank_many(
                 model, ["Zz-new-user"], universe=ghost_universe, k=4
             )
@@ -186,41 +191,47 @@ class TestParity:
 class TestRouterBehaviour:
     def test_negative_k_raises(self, toy_setup):
         compiled, model, universe = toy_setup
-        with QueryRouter(ShardedVectors.partition(compiled, 2)) as router:
+        with QueryRouter(in_process(compiled, 2)) as router:
             with pytest.raises(ValueError):
                 router.rank_many(model, ["Bob"], universe=universe, k=-1)
 
     def test_invalid_workers(self, toy_setup):
         compiled, _model, _universe = toy_setup
         with pytest.raises(ValueError):
-            QueryRouter(ShardedVectors.partition(compiled, 2), workers=0)
+            QueryRouter(in_process(compiled, 2), workers=0)
+
+    def test_bare_shard_set_rejected(self, toy_setup):
+        # the router takes a ShardBackend only; no auto-wrapping
+        compiled, _model, _universe = toy_setup
+        with pytest.raises((TypeError, AttributeError)):
+            QueryRouter(ShardedVectors.partition(compiled, 2))
 
     def test_uncompiled_model_rejected(self, toy_setup):
         from repro.exceptions import LearningError
 
         compiled, model, universe = toy_setup
         scalar = uniform_model(model.vectors)
-        with QueryRouter(ShardedVectors.partition(compiled, 2)) as router:
+        with QueryRouter(in_process(compiled, 2)) as router:
             with pytest.raises(LearningError):
                 router.rank_many(scalar, ["Bob"], universe=universe, k=3)
 
     def test_empty_batch(self, toy_setup):
         compiled, model, universe = toy_setup
-        with QueryRouter(ShardedVectors.partition(compiled, 2)) as router:
+        with QueryRouter(in_process(compiled, 2)) as router:
             assert router.rank_many(model, [], universe=universe, k=3) == []
 
     def test_close_is_idempotent(self, toy_setup):
         compiled, model, universe = toy_setup
-        router = QueryRouter(ShardedVectors.partition(compiled, 4), workers=2)
+        router = QueryRouter(in_process(compiled, 4), workers=2)
         router.rank_many(model, list(universe), universe=universe, k=2)
         router.close()
         router.close()
 
     def test_model_dots_cached_per_snapshot(self, toy_setup):
         compiled, model, universe = toy_setup
-        router = QueryRouter(ShardedVectors.partition(compiled, 2))
-        first = router._model_dots(model)
-        assert router._model_dots(model) is first
+        router = QueryRouter(in_process(compiled, 2))
+        first = router.backend._model_dots(model)
+        assert router.backend._model_dots(model) is first
         router.close()
 
     def test_model_dots_die_with_the_model(self, toy_setup):
@@ -229,13 +240,13 @@ class TestRouterBehaviour:
         import gc
 
         compiled, model, universe = toy_setup
-        router = QueryRouter(ShardedVectors.partition(compiled, 2))
+        router = QueryRouter(in_process(compiled, 2))
         throwaway = uniform_model(model.vectors).compile()
         router.rank_many(throwaway, ["Bob"], universe=universe, k=2)
-        assert len(router._dots) == 1
+        assert len(router.backend._dots) == 1
         del throwaway
         gc.collect()
-        assert len(router._dots) == 0
+        assert len(router.backend._dots) == 0
         router.close()
 
 
@@ -244,7 +255,7 @@ class TestMoreShardsThanNodes:
         compiled, model, universe = toy_setup
         num_shards = compiled.num_nodes + 5
         with QueryRouter(
-            ShardedVectors.partition(compiled, num_shards), workers=2
+            in_process(compiled, num_shards), workers=2
         ) as router:
             queries = list(universe)
             sharded = router.rank_many(model, queries, universe=universe, k=3)

@@ -11,7 +11,8 @@ import pytest
 from repro.datasets import load_dataset
 from repro.eval.harness import evaluate_ranker, model_ranker
 from repro.eval.splits import split_queries
-from repro.index.vectors import MetagraphVectors, build_vectors
+from repro.index.persist import load_index, save_index
+from repro.index.vectors import build_vectors
 from repro.learning.dual_stage import dual_stage_train
 from repro.learning.examples import generate_triplets
 from repro.learning.model import ProximityModel
@@ -146,13 +147,17 @@ class TestDualStageMatchesFullTraining:
 
 class TestArtefactRoundTrip:
     def test_save_load_preserves_ranking(self, linkedin, tmp_path):
-        dataset, _catalog, vectors, _index = linkedin
+        dataset, catalog, vectors, _index = linkedin
         weights, split, _labels = train_class(dataset, vectors, "college")
         model = ProximityModel(weights, vectors, name="college")
-        model.save_weights(tmp_path / "w.json")
-        vectors.save(tmp_path / "v.json")
-        restored_vectors = MetagraphVectors.load(tmp_path / "v.json")
-        restored = ProximityModel.load_weights(tmp_path / "w.json", restored_vectors)
+        save_index(
+            tmp_path / "snapshot", vectors, catalog,
+            models={"college": model.weights},
+        )
+        loaded = load_index(tmp_path / "snapshot")
+        restored = ProximityModel(
+            loaded.models["college"], loaded.vectors, name="college"
+        )
         query = split.test[0]
         assert restored.rank(query, k=10) == model.rank(query, k=10)
 

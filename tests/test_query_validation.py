@@ -4,8 +4,8 @@ Before this suite's fixes, ``query("family", "Zed")`` on a graph with
 no "Zed" silently returned an all-zero ranking, ``proximity`` returned
 0.0 and ``explain`` returned ``[]`` — confidently wrong answers a
 production service would have served.  Every online entry point, on
-both the compiled and scalar backends (and the sharded router), now
-rejects such queries up front.
+the compiled backend and through the sharded router, now rejects such
+queries up front.
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ def make_engine(**kwargs):
 
 @pytest.fixture(
     scope="module",
-    params=["compiled", "scalar", "sharded"],
+    params=["compiled", "sharded"],
 )
 def engine(request):
     """One engine per serving backend — the fixes cover all of them."""
-    if request.param == "scalar":
-        return make_engine(compile_serving=False)
     if request.param == "sharded":
         return make_engine(shards=3, serving_workers=2)
     return make_engine()

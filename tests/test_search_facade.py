@@ -7,6 +7,7 @@ from repro.datasets.toy import toy_dataset, toy_metagraphs
 from repro.exceptions import LearningError, StaleIndexError
 from repro.index.delta import GraphDelta
 from repro.index.vectors import build_vectors
+from repro.learning.model import ProximityModel
 from repro.learning.trainer import TrainerConfig
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.mining import MinerConfig
@@ -134,9 +135,9 @@ class TestCompiledServing:
         with pytest.raises(LearningError):
             spx.query("family", "Bob")
 
-    def test_scalar_engine_opt_out(self):
+    def test_facade_matches_uncompiled_reference(self):
         ds = toy_dataset()
-        spx = SemanticProximitySearch(ds.graph, compile_serving=False)
+        spx = SemanticProximitySearch(ds.graph)
         catalog = MetagraphCatalog(toy_metagraphs().values(), anchor_type="user")
         spx.prepare(catalog=catalog)
         model = spx.fit(
@@ -144,8 +145,14 @@ class TestCompiledServing:
             labels=ds.class_labels("family"),
             num_examples=40,
         )
-        assert model.compiled is None
-        assert spx.query("family", "Bob", k=3)  # scalar path still serves
+        assert model.compiled is not None
+        # never compile()d: the scalar reference path
+        reference = ProximityModel(model.weights, spx.vectors)
+        assert reference.compiled is None
+        for query in spx.universe():
+            assert spx.query("family", query, k=3) == reference.rank(
+                query, universe=spx.universe(), k=3
+            )
 
 
 @pytest.fixture
