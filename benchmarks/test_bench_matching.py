@@ -1,22 +1,20 @@
 """Matching-kernel benchmarks: the compiled CSR engine vs pure Python.
 
-The acceptance floor guards the point of
-:mod:`repro.matching.compiled`: an end-to-end offline build (matching +
-Eq. 1–2 counting for the whole catalog) through the compiled
-integer-CSR kernel — the default engine — must beat the pure-Python
-``SymISO`` reference by >= 3x (``REPRO_MATCHING_SPEEDUP_FLOOR`` relaxes
-it on noisy shared runners, matching the other bench conventions).
+One offline build (matching + Eq. 1–2 counting for the whole catalog)
+runs through the pure-Python ``SymISO`` reference and one through the
+compiled integer-CSR kernel — the default engine.  How much faster the
+kernel is depends on the machine, so the number lives in the repo
+benchmark (``bench/``: ``matching.match_s``, ``index.build_index_s``)
+instead of a wall-clock assertion here.
 
 Exactness is pinned by the cross-matcher parity suite; a bit-identical
-counts assertion on this workload rides along here so the measured
-speedup can never come from counting something different.
+counts assertion on this workload rides along here so the timed kernel
+can never be counting something different.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import time
 
 import pytest
 
@@ -76,27 +74,16 @@ def matching_catalog() -> MetagraphCatalog:
 
 @pytest.fixture(scope="module")
 def matching_workload():
-    """One timed pure-Python build and one timed compiled build."""
+    """One pure-Python build and one compiled build of the same catalog."""
     graph = matching_graph()
     catalog = matching_catalog()
-    start = time.perf_counter()
     reference_vectors, reference_index = build_vectors(
         graph, catalog, matcher=SymISOMatcher()
     )
-    python_seconds = time.perf_counter() - start
-    compiled_seconds = float("inf")
-    for _ in range(2):  # best-of-2: scheduler noise only ever adds time
-        # drop the cached CSR view so every run pays the full cold path,
-        # O(V+E) layout included — the floor certifies end-to-end cost
-        graph.__dict__.pop("_csr_view_cache", None)
-        start = time.perf_counter()
-        compiled_vectors, compiled_index = build_vectors(graph, catalog)
-        compiled_seconds = min(compiled_seconds, time.perf_counter() - start)
+    compiled_vectors, compiled_index = build_vectors(graph, catalog)
     return {
         "graph": graph,
         "catalog": catalog,
-        "python_seconds": python_seconds,
-        "compiled_seconds": compiled_seconds,
         "reference_index": reference_index,
         "compiled_index": compiled_index,
         "reference_vectors": reference_vectors,
@@ -116,21 +103,8 @@ def test_bench_compiled_metagraph_match(benchmark, matching_workload):
     benchmark(match_and_count, workload["graph"], catalog[square_id])
 
 
-def test_compiled_build_speedup(matching_workload):
-    """Acceptance floor: compiled offline build >= 3x over pure Python."""
-    floor = float(os.environ.get("REPRO_MATCHING_SPEEDUP_FLOOR", "3"))
-    workload = matching_workload
-    speedup = workload["python_seconds"] / workload["compiled_seconds"]
-    assert speedup >= floor, (
-        f"compiled offline build only {speedup:.2f}x faster than the "
-        f"pure-Python default (floor {floor}x; SymISO "
-        f"{workload['python_seconds']:.2f} s, compiled "
-        f"{workload['compiled_seconds']:.2f} s)"
-    )
-
-
 def test_compiled_counts_bit_identical(matching_workload):
-    """The measured speedup counts exactly what the reference counts."""
+    """The compiled build counts exactly what the reference counts."""
     workload = matching_workload
     reference, compiled = workload["reference_index"], workload["compiled_index"]
     assert reference.matched_ids() == compiled.matched_ids()

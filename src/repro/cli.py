@@ -806,7 +806,7 @@ def run_index(argv: list[str]) -> int:
             "miner_config": miner_config.to_json_dict(),
         },
     )
-    total = sum(f.stat().st_size for f in target.iterdir())
+    total = sum(f.stat().st_size for f in target.rglob("*") if f.is_file())
     print(f"[index] snapshot written to {target} ({total / 1024:.1f} KiB)")
     return 0
 

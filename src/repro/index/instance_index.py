@@ -157,7 +157,7 @@ def compiled_match_and_count(
 
 
 def match_and_count(
-    graph: TypedGraph,
+    graph: TypedGraph | None,
     metagraph: Metagraph,
     anchor_type: str = "user",
     matcher: MatcherProtocol | None = None,
@@ -169,12 +169,15 @@ def match_and_count(
     :class:`~repro.matching.base.MatcherProtocol` engine streams
     deduplicated embeddings through the reference path instead; the two
     paths are bit-identical (the cross-matcher parity suite pins it).
+    ``graph`` may be ``None`` only for a :class:`CompiledMatcher` bound
+    to CSR arrays (the parallel builder's workers hold no graph).
     """
     engine = matcher if matcher is not None else CompiledMatcher()
     if isinstance(engine, CompiledMatcher):
         return compiled_match_and_count(
             engine.csr_for(graph), metagraph, anchor_type
         )
+    assert graph is not None, "only a CSR-bound CompiledMatcher matches without a graph"
     sym_pairs = anchor_symmetric_pairs(metagraph, anchor_type)
     counts = MetagraphCounts()
     count_instances_into(

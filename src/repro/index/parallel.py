@@ -1,32 +1,27 @@
-"""Parallel offline index builds: shard matching across worker processes.
+"""Parallel offline index builds: one pool task per metagraph.
 
 The offline phase's cost is Eq. 1–2 counting — one independent
-``match_and_count`` per metagraph — so it parallelises along two axes:
-
-- **across metagraphs**: each catalog id is one task;
-- **across graph partitions**: a pattern with at least
-  ``IndexBuildConfig.min_partition_size`` nodes is further split with
-  root-partitioned shard streams, so a handful of expensive patterns
-  cannot serialise the build on one worker.
+``match_and_count`` per metagraph — so the build parallelises along
+exactly that axis: each catalog id is one task, and every task runs the
+same single call the sequential
+:func:`~repro.index.vectors.build_vectors` loop runs.
 
 With the default compiled matcher the pool initializer ships the
 compact :class:`~repro.graph.csr.CSRGraph` arrays (plus the catalog)
 instead of re-pickling the dict-of-set :class:`TypedGraph` — workers
 bind a :class:`~repro.matching.compiled.CompiledMatcher` straight to
 the arrays.  Any other configured engine falls back to shipping the
-graph itself.  Either way workers return plain counters or per-instance
-records and the parent folds results in ascending metagraph-id order.
-Sharded results are merged with instance-level deduplication before
-counting, so the store is *bit-identical* to the sequential
-:func:`~repro.index.vectors.build_vectors` output — the determinism
-suite compares snapshot bytes across worker counts to prove it.
+graph itself.  Either way workers return plain counters and the parent
+folds them in ascending metagraph-id order, so the store is
+*bit-identical* to the sequential output — the determinism suite
+compares snapshot bytes across worker counts to prove it.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.graph.csr import CSRGraph, csr_view
@@ -34,24 +29,14 @@ from repro.graph.typed_graph import TypedGraph
 from repro.index.instance_index import (
     InstanceIndex,
     MetagraphCounts,
-    _pair_key,
-    compiled_match_and_count,
     match_and_count,
 )
 from repro.index.transform import Transform, identity
 from repro.index.vectors import MetagraphVectors, build_vectors
-import numpy as np
-
 from repro.matching import make_matcher
-from repro.matching.base import Embedding, deduplicate_instances
-from repro.matching.compiled import compiled_shard_matrix
-from repro.matching.partition import shard_embeddings
+from repro.matching.base import MatcherProtocol
+from repro.matching.compiled import CompiledMatcher
 from repro.metagraph.catalog import MetagraphCatalog
-from repro.metagraph.metagraph import Metagraph
-from repro.metagraph.symmetry import anchor_symmetric_pairs
-
-# instance records: node set -> the instance's symmetric-pair keys
-InstanceRecords = dict[frozenset, frozenset]
 
 
 @dataclass(frozen=True)
@@ -61,45 +46,29 @@ class IndexBuildConfig:
     Parameters
     ----------
     workers:
-        Process-pool size.  ``1`` (default) runs the sequential
-        reference path in-process — no pool, no pickling.
-    min_partition_size:
-        Patterns with at least this many nodes are sharded across graph
-        partitions as well as across metagraphs.  Small patterns are
-        cheap enough that one task each is the better trade.
-    partitions_per_metagraph:
-        How many graph partitions a large pattern is split into
-        (default: ``workers``).
+        Process-pool size (at least 1).  ``1`` (default) runs the
+        sequential reference path in-process — no pool, no pickling.
     matcher:
         Matching engine name (see :data:`repro.matching.MATCHERS`).
         The default ``"compiled"`` runs the integer-CSR kernel and
-        ships CSR arrays to workers.  Whole-metagraph tasks always use
-        the selected engine; *sharded* tasks need root-restricted
-        search, which only the compiled kernel and the plain
-        backtracking skeleton support — under any other engine the
-        sharded (large) patterns run root-restricted backtracking, as
-        the sequential mixed-engine build always has.  Counts are
-        identical either way.
+        ships CSR arrays to workers.  Counts are identical under every
+        engine.
     """
 
     workers: int = 1
-    min_partition_size: int = 4
-    partitions_per_metagraph: int | None = None
     matcher: str = "compiled"
 
-    def partitions_for(self, metagraph: Metagraph) -> int:
-        """Number of shards for one pattern under this configuration."""
-        if self.workers <= 1 or metagraph.size < self.min_partition_size:
-            return 1
-        return max(1, self.partitions_per_metagraph or self.workers)
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 # ----------------------------------------------------------------------
 # worker side: module-level state installed once per process
 # ----------------------------------------------------------------------
-_worker_payload: TypedGraph | CSRGraph | None = None
-_worker_catalog: MetagraphCatalog | None = None
-_worker_matcher: str = "compiled"
+_worker_graph: TypedGraph | None
+_worker_catalog: MetagraphCatalog
+_worker_matcher: MatcherProtocol
 
 
 def _init_worker(
@@ -107,135 +76,25 @@ def _init_worker(
     catalog: MetagraphCatalog,
     matcher: str,
 ) -> None:
-    global _worker_payload, _worker_catalog, _worker_matcher
-    _worker_payload = payload
+    """Bind the engine once: CSR arrays and no graph, or the graph itself."""
+    global _worker_graph, _worker_catalog, _worker_matcher
     _worker_catalog = catalog
-    _worker_matcher = matcher
-
-
-def _whole_metagraph_task(mg_id: int) -> tuple[int, MetagraphCounts, float]:
-    """One unsharded task: the sequential per-metagraph counting."""
-    start = time.perf_counter()
-    if isinstance(_worker_payload, CSRGraph):
-        counts = compiled_match_and_count(
-            _worker_payload,
-            _worker_catalog[mg_id],
-            anchor_type=_worker_catalog.anchor_type,
-        )
+    if isinstance(payload, CSRGraph):
+        _worker_graph, _worker_matcher = None, CompiledMatcher(payload)
     else:
-        counts = match_and_count(
-            _worker_payload,
-            _worker_catalog[mg_id],
-            anchor_type=_worker_catalog.anchor_type,
-            matcher=make_matcher(_worker_matcher),
-        )
-    return mg_id, counts, time.perf_counter() - start
+        _worker_graph, _worker_matcher = payload, make_matcher(matcher)
 
 
-def _shard_task(
-    mg_id: int, shard: int, num_shards: int
-) -> tuple[int, InstanceRecords, float]:
-    """One graph-partition shard of a large pattern's instance stream."""
+def _metagraph_task(mg_id: int) -> tuple[int, MetagraphCounts, float]:
+    """One task: the sequential per-metagraph counting."""
     start = time.perf_counter()
-    metagraph = _worker_catalog[mg_id]
-    anchor_type = _worker_catalog.anchor_type
-    if isinstance(_worker_payload, CSRGraph):
-        records = compiled_shard_records(
-            _worker_payload, metagraph, anchor_type, shard, num_shards
-        )
-    else:
-        records = shard_instance_records(
-            _worker_payload, metagraph, anchor_type, shard, num_shards
-        )
-    return mg_id, records, time.perf_counter() - start
-
-
-def records_from_embeddings(
-    embeddings: Iterable[Embedding],
-    metagraph: Metagraph,
-    anchor_type: str,
-) -> InstanceRecords:
-    """Deduplicated instance records ``{node set: symmetric pairs}``.
-
-    The pair set of an instance is witness-independent (symmetric
-    pattern-node pairs are invariant under automorphisms), so records of
-    the same instance from different shards are equal and merging is a
-    plain dict union.
-    """
-    sym_pairs = anchor_symmetric_pairs(metagraph, anchor_type)
-    ordered = sorted(metagraph.nodes())
-    position = {u: i for i, u in enumerate(ordered)}
-    records: InstanceRecords = {}
-    for instance in deduplicate_instances(embeddings):
-        emb = instance.embedding
-        records[instance.nodes] = frozenset(
-            _pair_key(emb[position[u]], emb[position[v]]) for u, v in sym_pairs
-        )
-    return records
-
-
-def shard_instance_records(
-    graph: TypedGraph,
-    metagraph: Metagraph,
-    anchor_type: str,
-    shard: int,
-    num_shards: int,
-) -> InstanceRecords:
-    """Instances found in one pure-Python shard, as instance records."""
-    return records_from_embeddings(
-        shard_embeddings(graph, metagraph, shard, num_shards),
-        metagraph,
-        anchor_type,
+    counts = match_and_count(
+        _worker_graph,
+        _worker_catalog[mg_id],
+        anchor_type=_worker_catalog.anchor_type,
+        matcher=_worker_matcher,
     )
-
-
-def compiled_shard_records(
-    csr: CSRGraph,
-    metagraph: Metagraph,
-    anchor_type: str,
-    shard: int,
-    num_shards: int,
-) -> InstanceRecords:
-    """One compiled shard's instance records, deduplicated at array level.
-
-    Equal to :func:`shard_instance_records` record for record (same
-    node sets, same witness-invariant pair keys), but instances collapse
-    under one ``np.unique`` over integer rows — Python objects are built
-    once per *unique* instance, never per embedding, matching the
-    unsharded path's :func:`compiled_match_and_count` economics.
-    """
-    embeddings = compiled_shard_matrix(csr, metagraph, shard, num_shards)
-    if embeddings.shape[0] == 0:
-        return {}
-    keys = np.sort(embeddings, axis=1)
-    uniq, first = np.unique(keys, axis=0, return_index=True)
-    witnesses = embeddings[first]
-    sym_pairs = sorted(anchor_symmetric_pairs(metagraph, anchor_type))
-    node_ids = csr.node_ids
-    records: InstanceRecords = {}
-    for key_row, witness in zip(uniq.tolist(), witnesses.tolist()):
-        records[frozenset(node_ids[i] for i in key_row)] = frozenset(
-            _pair_key(node_ids[witness[u]], node_ids[witness[v]])
-            for u, v in sym_pairs
-        )
-    return records
-
-
-def counts_from_records(records: InstanceRecords) -> MetagraphCounts:
-    """Fold merged instance records into Eq. 1–2 counts.
-
-    Mirrors :func:`~repro.index.instance_index.match_and_count` exactly:
-    one count per instance per distinct pair, one per distinct node
-    appearing in those pairs.
-    """
-    counts = MetagraphCounts(num_instances=len(records))
-    for pairs in records.values():
-        for pair in pairs:
-            counts.pair_counts[pair] += 1
-        # repro-lint: ignore[unordered-iter] -- commutative `+= 1` fold mirroring match_and_count; per-node totals are order-independent
-        for node in {node for pair in pairs for node in pair}:
-            counts.node_counts[node] += 1
-    return counts
+    return mg_id, counts, time.perf_counter() - start
 
 
 # ----------------------------------------------------------------------
@@ -255,15 +114,18 @@ def build_index(
     folded deterministically (ascending metagraph id), so downstream
     artefacts are identical whatever the worker count.  ``on_metagraph``
     receives ``(mg_id, seconds)`` per metagraph; under the pool the
-    seconds are summed worker-side wall clock, i.e. matching cost, not
+    seconds are worker-side wall clock, i.e. matching cost, not
     queueing.
     """
     config = config or IndexBuildConfig()
-    if config.workers <= 1:
+    # resolved here so an unknown engine name fails the same way for
+    # every worker count, before any process is spawned
+    matcher = make_matcher(config.matcher)
+    if config.workers == 1:
         return build_vectors(
             graph,
             catalog,
-            matcher=make_matcher(config.matcher),
+            matcher=matcher,
             transform=transform,
             on_metagraph=on_metagraph,
         )
@@ -274,45 +136,19 @@ def build_index(
     store.verify_catalog(catalog)
     index = InstanceIndex(len(catalog), anchor_type=catalog.anchor_type)
 
-    counts_by_id: dict[int, MetagraphCounts] = {}
-    seconds_by_id: dict[int, float] = {}
-    records_by_id: dict[int, InstanceRecords] = {}
-
     # the compiled engine's workers get the compact CSR arrays; any
     # other engine still needs the TypedGraph's dict-of-set adjacency
-    payload = csr_view(graph) if config.matcher.lower() == "compiled" else graph
+    payload = csr_view(graph) if isinstance(matcher, CompiledMatcher) else graph
     with ProcessPoolExecutor(
         max_workers=config.workers,
         initializer=_init_worker,
         initargs=(payload, catalog, config.matcher),
     ) as pool:
-        futures = []
-        for mg_id in catalog.ids():
-            num_shards = config.partitions_for(catalog[mg_id])
-            if num_shards == 1:
-                futures.append(pool.submit(_whole_metagraph_task, mg_id))
-            else:
-                futures.extend(
-                    pool.submit(_shard_task, mg_id, shard, num_shards)
-                    for shard in range(num_shards)
-                )
-        for future in futures:
-            mg_id, result, seconds = future.result()
-            seconds_by_id[mg_id] = seconds_by_id.get(mg_id, 0.0) + seconds
-            if isinstance(result, MetagraphCounts):
-                counts_by_id[mg_id] = result
-            else:
-                # merge shards as they land: the dict union IS the
-                # instance-level dedup, and it is order-independent
-                records_by_id.setdefault(mg_id, {}).update(result)
-
-    for mg_id, merged in records_by_id.items():
-        counts_by_id[mg_id] = counts_from_records(merged)
-
-    for mg_id in catalog.ids():  # deterministic fold order
-        counts = counts_by_id[mg_id]
-        index.add(mg_id, counts)
-        store.add_counts(mg_id, counts)
-        if on_metagraph is not None:
-            on_metagraph(mg_id, seconds_by_id[mg_id])
+        # map yields in submission order — ascending metagraph id — so
+        # the fold is deterministic however the tasks interleave
+        for mg_id, counts, seconds in pool.map(_metagraph_task, catalog.ids()):
+            index.add(mg_id, counts)
+            store.add_counts(mg_id, counts)
+            if on_metagraph is not None:
+                on_metagraph(mg_id, seconds)
     return store, index

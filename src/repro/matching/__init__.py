@@ -12,18 +12,13 @@ from repro.matching.base import (
     is_valid_embedding,
 )
 from repro.matching.boostiso import BoostISOMatcher
-from repro.matching.compiled import (
-    CompiledMatcher,
-    compiled_pinned_embeddings,
-    compiled_shard_embeddings,
-)
+from repro.matching.compiled import CompiledMatcher, compiled_pinned_embeddings
 from repro.matching.ordering import (
     GraphCardinalities,
     estimated_cost_order,
     random_connected_order,
     rarest_type_order,
 )
-from repro.matching.partition import shard_embeddings
 from repro.matching.quicksi import QuickSIMatcher
 from repro.matching.symiso import SymISOMatcher
 from repro.matching.turboiso import TurboISOMatcher, candidate_regions
@@ -75,7 +70,6 @@ __all__ = [
     "backtrack_embeddings",
     "candidate_regions",
     "compiled_pinned_embeddings",
-    "compiled_shard_embeddings",
     "count_instances",
     "deduplicate_instances",
     "estimated_cost_order",
@@ -84,5 +78,4 @@ __all__ = [
     "make_matcher",
     "random_connected_order",
     "rarest_type_order",
-    "shard_embeddings",
 ]

@@ -69,7 +69,7 @@ def backtrack_embeddings(
         Optional per-pattern-node global candidate restriction
         (TurboISO-style candidate regions).  The mapping may be partial:
         pattern nodes without an entry are unrestricted, which is how
-        the graph-partition sharder restricts only the search root.
+        region-free pinned enumeration restricts only the pinned nodes.
     memoize:
         Cache candidate lists keyed on matched-neighbour assignments
         (BoostISO-style reuse).

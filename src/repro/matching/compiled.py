@@ -32,9 +32,7 @@ parity suite pins this), which makes the Eq. 1–2
 :func:`compiled_pinned_embeddings` is the localized-re-matching
 counterpart of :func:`repro.matching.partition.pinned_embeddings`:
 pins become singleton candidate arrays and the affected region becomes
-per-type candidate masks.  :func:`compiled_shard_embeddings` is the
-root-partitioned stream the parallel builder's workers consume straight
-from shipped CSR arrays.
+per-type candidate masks.
 """
 
 from __future__ import annotations
@@ -174,7 +172,7 @@ def _assignment_batches(
     one Python object at a time.
 
     ``pool`` maps pattern nodes to sorted dense-id candidate arrays
-    (pins, regions, shards).  ``break_symmetry`` must be off whenever a
+    (pins, regions).  ``break_symmetry`` must be off whenever a
     pool restricts nodes asymmetrically — a pin could then exclude an
     embedding whose kept automorphic partner the pool rejects.
     """
@@ -324,13 +322,7 @@ def _embeddings_from_csr(
             yield embedding
 
 
-def compiled_embedding_matrix(
-    csr: CSRGraph,
-    metagraph: Metagraph,
-    order: Sequence[int] | None = None,
-    pool: Mapping[int, np.ndarray] | None = None,
-    break_symmetry: bool = True,
-) -> np.ndarray:
+def compiled_embedding_matrix(csr: CSRGraph, metagraph: Metagraph) -> np.ndarray:
     """Every (remaining) embedding as one ``(N, n)`` dense-id matrix.
 
     Column ``u`` holds the image of pattern node ``u``.  This is the
@@ -342,13 +334,10 @@ def compiled_embedding_matrix(
     4-node embeddings cost ~32 MB, far below the per-object cost of the
     equivalent ``Instance`` stream.
     """
-    if order is None:
-        order = compiled_order(csr, metagraph)
+    order = compiled_order(csr, metagraph)
     n = metagraph.size
     blocks: list[np.ndarray] = []
-    for prefix, tail in _assignment_batches(
-        csr, metagraph, order, pool=pool, break_symmetry=break_symmetry
-    ):
+    for prefix, tail in _assignment_batches(csr, metagraph, order):
         block = np.empty((tail.size, n), dtype=np.int64)
         for j in range(n - 1):
             block[:, j] = prefix[j]
@@ -454,66 +443,3 @@ def _compiled_pinned(
     yield from _embeddings_from_csr(
         csr, metagraph, order, pool=pool, break_symmetry=False
     )
-
-
-def _shard_root_pool(
-    csr: CSRGraph,
-    metagraph: Metagraph,
-    order: Sequence[int],
-    shard: int,
-    num_shards: int,
-) -> Mapping[int, np.ndarray] | None:
-    """Round-robin slice of the root's type class, or None when the root
-    type is absent from the graph (no embeddings at all)."""
-    if num_shards < 1 or not 0 <= shard < num_shards:
-        raise MatchingError(
-            f"shard {shard} outside valid range for {num_shards} shards"
-        )
-    root = order[0]
-    code = csr.type_id(metagraph.node_type(root))
-    if code is None:
-        return None
-    lo, hi = csr.type_range(code)
-    return {root: np.arange(lo, hi, dtype=csr.indices.dtype)[shard::num_shards]}
-
-
-def compiled_shard_embeddings(
-    csr: CSRGraph,
-    metagraph: Metagraph,
-    shard: int,
-    num_shards: int,
-) -> Iterator[Embedding]:
-    """Root-partitioned compiled embedding stream (one graph shard).
-
-    The root's whole type class is sliced round-robin over the dense id
-    order (deterministic — ids are repr-sorted within a type), so every
-    embedding lands in exactly one shard.  Symmetry breaking stays on:
-    a dropped embedding's automorphic partner may surface in a *different*
-    shard, but the parallel builder merges shards with instance-level
-    deduplication, so union coverage is all that is required.
-    """
-    order = compiled_order(csr, metagraph)
-    pool = _shard_root_pool(csr, metagraph, order, shard, num_shards)
-    if pool is None:
-        return
-    yield from _embeddings_from_csr(csr, metagraph, order, pool=pool)
-
-
-def compiled_shard_matrix(
-    csr: CSRGraph,
-    metagraph: Metagraph,
-    shard: int,
-    num_shards: int,
-) -> np.ndarray:
-    """One shard's embeddings as a dense-id matrix (pattern-node columns).
-
-    The matrix form of :func:`compiled_shard_embeddings`, so the
-    parallel builder's shard workers can deduplicate instances with
-    ``np.unique`` instead of one Python dict per embedding — the
-    heaviest patterns are exactly the ones that get sharded.
-    """
-    order = compiled_order(csr, metagraph)
-    pool = _shard_root_pool(csr, metagraph, order, shard, num_shards)
-    if pool is None:
-        return np.empty((0, metagraph.size), dtype=np.int64)
-    return compiled_embedding_matrix(csr, metagraph, order=order, pool=pool)

@@ -1,72 +1,25 @@
-"""Root-restricted matching: sharding and localized (pinned) enumeration.
+"""Root-restricted matching: localized (pinned) enumeration.
 
-Embedding enumeration is embarrassingly parallel in the image of the
-search root: every embedding maps the root pattern node to exactly one
-graph node, so slicing the root's type class into ``num_shards``
-round-robin blocks partitions the *embedding* stream exactly — each
-embedding is produced by exactly one shard, and the union over shards
-is the full stream.
-
-Instances are NOT partitioned the same way: two automorphic witnesses
-of one instance can map the root to nodes in different shards, so the
-same instance may surface in several shards.  Shard consumers must
-therefore deduplicate at the *instance* level when merging (see
-:mod:`repro.index.parallel`, which merges per-instance records keyed by
-node set).
-
-The same root-restriction idea powers *localized* re-matching for
-incremental index maintenance (:mod:`repro.index.delta`):
-:func:`pinned_embeddings` fixes one or two pattern nodes to concrete
-graph nodes (the endpoints of a mutation) and optionally confines every
-other pattern node to an affected region, so only the embeddings a
-mutation could possibly touch are enumerated.
+Every embedding maps the search root to exactly one graph node, so
+restricting the root's candidates restricts the embedding stream
+exactly.  That powers *localized* re-matching for incremental index
+maintenance (:mod:`repro.index.delta`): :func:`pinned_embeddings` fixes
+one or two pattern nodes to concrete graph nodes (the endpoints of a
+mutation) and optionally confines every other pattern node to an
+affected region, so only the embeddings a mutation could possibly touch
+are enumerated.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence, Set
+from collections.abc import Iterator, Mapping, Set
 
 from repro.exceptions import MatchingError
 from repro.graph.typed_graph import NodeId, TypedGraph
 from repro.matching.backtracking import backtrack_embeddings
 from repro.matching.base import Embedding
-from repro.matching.ordering import connected_order_from, rarest_type_order
+from repro.matching.ordering import connected_order_from
 from repro.metagraph.metagraph import Metagraph
-
-
-def shard_embeddings(
-    graph: TypedGraph,
-    metagraph: Metagraph,
-    shard: int,
-    num_shards: int,
-    order: Sequence[int] | None = None,
-) -> Iterator[Embedding]:
-    """Yield the embeddings whose root image falls in one graph partition.
-
-    Parameters
-    ----------
-    shard, num_shards:
-        Which round-robin block of the root's candidate type class this
-        shard enumerates.  Candidates are sorted by ``repr`` before
-        slicing so the partition is deterministic under hash
-        randomisation.
-    order:
-        Connected pattern-node order (default: rarest-type-first).  All
-        shards of one pattern must use the same order — the root (first
-        node of the order) defines the partition.
-    """
-    if num_shards < 1 or not 0 <= shard < num_shards:
-        raise MatchingError(
-            f"shard {shard} outside valid range for {num_shards} shards"
-        )
-    if order is None:
-        order = rarest_type_order(graph, metagraph)
-    root = order[0]
-    candidates = sorted(
-        graph.nodes_of_type(metagraph.node_type(root)), key=repr
-    )
-    pool = {root: set(candidates[shard::num_shards])}
-    yield from backtrack_embeddings(graph, metagraph, order, candidate_pool=pool)
 
 
 def rooted_order(

@@ -211,7 +211,7 @@ class SemanticProximitySearch:
         transform) is loaded instead of mining and matching — restoring
         any classes it carries — and a fresh build is persisted there
         for the next cold start.  A stale or corrupt snapshot is
-        rebuilt, never trusted.  ``build_config`` shards the matching
+        rebuilt, never trusted.  ``build_config`` spreads the matching
         work across a process pool (:class:`IndexBuildConfig`); the
         result is identical for any worker count.
         """

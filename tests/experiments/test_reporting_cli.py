@@ -203,6 +203,21 @@ class TestServe:
         assert " u0  ->" not in out
 
 
+class TestIndexBuild:
+    def test_printed_size_is_bytes_on_disk(self, tmp_path, capsys):
+        # the compiled/ sidecar's members count, not its directory entry
+        import re
+
+        from repro.cli import main
+
+        target = tmp_path / "snapshot"
+        assert main(["index", "build", "--scale", "tiny", "--out", str(target)]) == 0
+        printed = re.search(r"\(([\d.]+) KiB\)", capsys.readouterr().out).group(1)
+        on_disk = sum(f.stat().st_size for f in target.rglob("*") if f.is_file())
+        assert any((target / "compiled").iterdir())
+        assert printed == f"{on_disk / 1024:.1f}"
+
+
 class TestIndexUpdate:
     @pytest.fixture(scope="class")
     def snapshot(self, tmp_path_factory):

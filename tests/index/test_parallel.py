@@ -1,16 +1,11 @@
-"""Parallel offline builder: exactness, sharding and configuration."""
+"""Parallel offline builder: exactness and configuration."""
 
 import pytest
 
 from repro.exceptions import MatchingError
-from repro.index.instance_index import match_and_count
-from repro.index.parallel import (
-    IndexBuildConfig,
-    build_index,
-    counts_from_records,
-    shard_instance_records,
-)
+from repro.index.parallel import IndexBuildConfig, build_index
 from repro.index.vectors import build_vectors
+from repro.matching import make_matcher
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph, metapath
 from tests.conftest import random_typed_graph
@@ -23,78 +18,15 @@ def assert_stores_equal(actual, expected):
     assert actual.matched_ids == expected.matched_ids
 
 
-class TestShardRecords:
-    def test_shard_merge_equals_sequential_counts(self, toy_graph, toy_metagraphs):
-        for metagraph in toy_metagraphs.values():
-            expected = match_and_count(toy_graph, metagraph, anchor_type="user")
-            merged = {}
-            for shard in range(3):
-                merged.update(
-                    shard_instance_records(toy_graph, metagraph, "user", shard, 3)
-                )
-            counts = counts_from_records(merged)
-            assert counts.num_instances == expected.num_instances
-            assert counts.node_counts == expected.node_counts
-            assert counts.pair_counts == expected.pair_counts
-
-    def test_no_symmetric_pair_pattern_counts_instances_only(self, toy_graph):
-        # user-school has no symmetric *anchor* pair: Eq. 1 is empty but
-        # |I(M)| must still be preserved
-        pattern = metapath("user", "school")
-        expected = match_and_count(toy_graph, pattern, anchor_type="user")
-        merged = {}
-        for shard in range(2):
-            merged.update(
-                shard_instance_records(toy_graph, pattern, "user", shard, 2)
-            )
-        counts = counts_from_records(merged)
-        assert counts.num_instances == expected.num_instances > 0
-        assert not counts.node_counts and not counts.pair_counts
-
-    def test_invalid_shard_rejected(self, toy_graph, toy_metagraphs):
-        from repro.matching import shard_embeddings
-
-        with pytest.raises(MatchingError):
-            list(shard_embeddings(toy_graph, toy_metagraphs["M1"], 3, 3))
-        with pytest.raises(MatchingError):
-            list(shard_embeddings(toy_graph, toy_metagraphs["M1"], 0, 0))
-
-    def test_compiled_shard_records_match_python_merge(self, toy_graph, toy_metagraphs):
-        """The array-level shard worker path produces identical records."""
-        from repro.graph.csr import csr_view
-        from repro.index.parallel import compiled_shard_records
-
-        csr = csr_view(toy_graph)
-        for metagraph in toy_metagraphs.values():
-            for num_shards in (1, 2, 3):
-                python_merged: dict = {}
-                compiled_merged: dict = {}
-                for shard in range(num_shards):
-                    python_merged.update(
-                        shard_instance_records(
-                            toy_graph, metagraph, "user", shard, num_shards
-                        )
-                    )
-                    compiled_merged.update(
-                        compiled_shard_records(
-                            csr, metagraph, "user", shard, num_shards
-                        )
-                    )
-                assert compiled_merged == python_merged
-
-    def test_compiled_shard_records_invalid_shard_rejected(self, toy_graph, toy_metagraphs):
-        from repro.graph.csr import csr_view
-        from repro.index.parallel import compiled_shard_records
-
-        csr = csr_view(toy_graph)
-        with pytest.raises(MatchingError):
-            compiled_shard_records(csr, toy_metagraphs["M1"], "user", 2, 2)
-
-
 class TestBuildIndex:
     @pytest.fixture
     def catalog(self, toy_metagraphs):
-        return MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
+        # M1/M2/M4 are 4-node symmetric squares; user-school has no
+        # symmetric anchor pair, so only its |I(M)| is counted
+        return MetagraphCatalog(
+            [*toy_metagraphs.values(), metapath("user", "school")],
+            anchor_type="user",
+        )
 
     def test_workers_1_is_sequential_reference(self, toy_graph, catalog):
         sequential, seq_index = build_vectors(toy_graph, catalog)
@@ -104,13 +36,17 @@ class TestBuildIndex:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_pool_matches_sequential(self, toy_graph, catalog, workers):
-        sequential, seq_index = build_vectors(toy_graph, catalog)
-        built, index = build_index(
-            toy_graph, catalog, IndexBuildConfig(workers=workers)
-        )
-        assert_stores_equal(built, sequential)
-        for mg_id in seq_index.matched_ids():
-            assert index.num_instances(mg_id) == seq_index.num_instances(mg_id)
+        for matcher in ("compiled", "symiso"):
+            sequential, seq_index = build_vectors(
+                toy_graph, catalog, matcher=make_matcher(matcher)
+            )
+            built, index = build_index(
+                toy_graph, catalog, IndexBuildConfig(workers=workers, matcher=matcher)
+            )
+            assert_stores_equal(built, sequential)
+            assert index.matched_ids() == seq_index.matched_ids()
+            for mg_id in seq_index.matched_ids():
+                assert index.num_instances(mg_id) == seq_index.num_instances(mg_id)
 
     def test_pool_matches_sequential_on_random_graph(self):
         graph = random_typed_graph(3, num_users=10, num_attrs_per_type=3)
@@ -130,21 +66,26 @@ class TestBuildIndex:
             anchor_type="user",
         )
         sequential, _ = build_vectors(graph, catalog)
-        built, _ = build_index(
-            graph,
-            catalog,
-            IndexBuildConfig(workers=2, min_partition_size=4),
-        )
+        built, _ = build_index(graph, catalog, IndexBuildConfig(workers=2))
         assert_stores_equal(built, sequential)
 
-    def test_partition_threshold_controls_sharding(self, toy_metagraphs):
-        config = IndexBuildConfig(workers=4, min_partition_size=4)
-        assert config.partitions_for(toy_metagraphs["M1"]) == 4  # 4 nodes
-        assert config.partitions_for(toy_metagraphs["M3"]) == 1  # 3-node path
-        sequential = IndexBuildConfig(workers=1)
-        assert sequential.partitions_for(toy_metagraphs["M1"]) == 1
-        explicit = IndexBuildConfig(workers=4, partitions_per_metagraph=2)
-        assert explicit.partitions_for(toy_metagraphs["M1"]) == 2
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            IndexBuildConfig(workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unknown_matcher_fails_before_any_worker_starts(
+        self, toy_graph, catalog, workers, monkeypatch
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool started for an unknown matcher")
+
+        monkeypatch.setattr("repro.index.parallel.ProcessPoolExecutor", no_pool)
+        with pytest.raises(MatchingError, match="unknown matcher 'nope'"):
+            build_index(
+                toy_graph, catalog, IndexBuildConfig(workers=workers, matcher="nope")
+            )
 
     def test_per_metagraph_timings_reported(self, toy_graph, catalog):
         seconds: dict[int, float] = {}

@@ -1,6 +1,6 @@
 """Compiled-engine specifics the generic engine suites don't reach:
-pinned/localized streams, shard partitioning, the symmetry cut, and the
-embedding-matrix entry point."""
+pinned/localized streams, the symmetry cut, and the embedding-matrix
+entry point."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.matching import (
     MATCHERS,
     SymISOMatcher,
     compiled_pinned_embeddings,
-    compiled_shard_embeddings,
     deduplicate_instances,
     find_instances,
     make_matcher,
@@ -115,38 +114,6 @@ class TestPinnedParity:
     def test_absent_pin_yields_nothing(self, toy_graph):
         m = metapath("user", "school", "user")
         assert list(compiled_pinned_embeddings(toy_graph, m, {0: "Nobody"})) == []
-
-
-class TestShards:
-    @given(SEEDS)
-    @settings(max_examples=20, deadline=None)
-    def test_shard_union_covers_every_instance(self, seed):
-        rng = random.Random(seed)
-        graph = random_typed_graph(seed, num_users=8, num_attrs_per_type=3)
-        metagraph = random_pattern(rng)
-        reference = {
-            inst.nodes
-            for inst in find_instances(SymISOMatcher(), graph, metagraph)
-        }
-        csr = csr_view(graph)
-        for num_shards in (1, 2, 3):
-            union = set()
-            for shard in range(num_shards):
-                union |= {
-                    inst.nodes
-                    for inst in deduplicate_instances(
-                        compiled_shard_embeddings(csr, metagraph, shard, num_shards)
-                    )
-                }
-            assert union == reference, f"{num_shards} shards lose instances"
-
-    def test_invalid_shard_raises(self, toy_graph):
-        csr = csr_view(toy_graph)
-        m = metapath("user", "school", "user")
-        with pytest.raises(MatchingError):
-            list(compiled_shard_embeddings(csr, m, 3, 3))
-        with pytest.raises(MatchingError):
-            list(compiled_shard_embeddings(csr, m, 0, 0))
 
 
 class TestSymmetryCut:

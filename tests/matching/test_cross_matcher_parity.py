@@ -1,13 +1,11 @@
 """Cross-matcher parity: every engine returns the same instance sets.
 
-The offline phase trusts whichever matcher it is handed, and the
-parallel builder mixes engines (SymISO for whole-metagraph tasks, plain
-backtracking for graph-partition shards), so engine disagreement would
-silently corrupt the Eq. 1–2 counts.  This suite pins the contract on
-randomized small typed graphs: for any pattern, ``backtracking`` (under
-several node orders), ``QuickSI``, ``TurboISO``, ``BoostISO`` and
-``SymISO``/``SymISO-R`` must produce identical deduplicated instance
-sets — and the union of graph-partition shards must reproduce them too.
+The offline phase trusts whichever matcher it is handed, so engine
+disagreement would silently corrupt the Eq. 1–2 counts.  This suite
+pins the contract on randomized small typed graphs: for any pattern,
+``backtracking`` (under several node orders), ``QuickSI``, ``TurboISO``,
+``BoostISO`` and ``SymISO``/``SymISO-R`` must produce identical
+deduplicated instance sets.
 
 Generators are seeded (Hypothesis drives the seed, the graphs and
 patterns come from deterministic ``random.Random`` streams), so every
@@ -26,7 +24,6 @@ from repro.matching import (
     backtrack_embeddings,
     deduplicate_instances,
     find_instances,
-    shard_embeddings,
 )
 from repro.matching.ordering import random_connected_order, rarest_type_order
 from repro.metagraph.metagraph import Metagraph
@@ -145,33 +142,6 @@ class TestCrossMatcherParity:
         rng = random.Random(seed)
         graph = adversarial_id_graph(seed)
         assert_parity(graph, random_pattern(rng), rng)
-
-    @given(SEEDS)
-    @settings(max_examples=25, deadline=None)
-    def test_shard_union_reproduces_full_instance_set(self, seed):
-        """Graph-partition shards cover every instance, jointly exact.
-
-        Individual shards may rediscover the same instance through
-        different automorphic witnesses, so the check is on the union
-        of per-shard *instance* sets — exactly the merge the parallel
-        builder performs.
-        """
-        rng = random.Random(seed)
-        graph = random_typed_graph(seed, num_users=8, num_attrs_per_type=3)
-        metagraph = random_pattern(rng)
-        reference = backtracking_instances(
-            graph, metagraph, rarest_type_order(graph, metagraph)
-        )
-        for num_shards in (1, 2, 3):
-            union = set()
-            for shard in range(num_shards):
-                union |= {
-                    inst.nodes
-                    for inst in deduplicate_instances(
-                        shard_embeddings(graph, metagraph, shard, num_shards)
-                    )
-                }
-            assert union == reference, f"{num_shards} shards lose instances"
 
     def test_engines_agree_on_toy_metagraphs(self, toy_graph, toy_metagraphs):
         rng = random.Random(0)

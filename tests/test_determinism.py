@@ -96,9 +96,9 @@ def test_parallel_build_snapshot_is_byte_identical(tmp_path):
     """The parallel builder is exact: workers=1 and workers=4 snapshots
     match byte for byte.
 
-    The catalog deliberately includes 4-node patterns so the build also
-    exercises graph-partition sharding (not just per-metagraph tasks)
-    and the instance-level shard merge.
+    The catalog deliberately includes 4-node symmetric patterns, whose
+    automorphic witnesses the array-level instance dedup must collapse
+    identically in every worker.
     """
     from repro.datasets import load_dataset
     from repro.index.parallel import IndexBuildConfig, build_index
@@ -107,14 +107,12 @@ def test_parallel_build_snapshot_is_byte_identical(tmp_path):
 
     dataset = load_dataset("linkedin", scale="tiny")
     catalog = mine_catalog(dataset.graph, MinerConfig(max_nodes=4, min_support=3))
-    assert any(m.size >= 4 for m in catalog), "need a shardable pattern"
+    assert any(m.size >= 4 for m in catalog), "need a 4-node pattern"
 
     snapshots = {}
     for workers in (1, 4):
         vectors, index = build_index(
-            dataset.graph,
-            catalog,
-            IndexBuildConfig(workers=workers, min_partition_size=4),
+            dataset.graph, catalog, IndexBuildConfig(workers=workers)
         )
         target = tmp_path / f"workers{workers}"
         save_index(target, vectors, catalog, graph=dataset.graph, index=index)
