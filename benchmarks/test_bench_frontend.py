@@ -6,18 +6,15 @@ absorbs the repeats, and the batch coalescer merges the concurrent
 misses into dynamic ``query_many`` batches.  This harness drives a
 fixed-seed Zipf(1.2) workload from concurrent client threads through
 :class:`~repro.serving.frontend.QueryFrontend` over the sharded tier
-and measures sustained QPS and p99 latency.
-
-``test_frontend_qps_floor`` enforces the throughput floor
-(``REPRO_FRONTEND_QPS_FLOOR``, default 200 QPS; the GitHub Actions job
-sets a lower one for shared runners).  The parity spot check pins the
+and measures sustained QPS and p99 latency (recorded, not asserted:
+the gated throughput number is ``ops_per_s`` on ``bench/``'s
+``http_zipf`` workload).  The parity spot check pins the
 whole stack to the direct ``query_many`` bits — caching and batching
 change latency shape, never results.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
@@ -29,7 +26,7 @@ from repro.learning.trainer import TrainerConfig
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import metapath
 from repro.serving import FrontendConfig, QueryFrontend
-from benchmarks.test_bench_serving import TOP_K, _best_of, serving_graph
+from benchmarks.test_bench_serving import TOP_K, serving_graph
 
 SHARDS = 4
 ROUTER_WORKERS = 4
@@ -122,25 +119,6 @@ def test_bench_frontend_zipf(benchmark, frontend_setup):
     benchmark.extra_info["qps"] = round(summary["qps"], 1)
     benchmark.extra_info["p50_ms"] = round(summary["p50_ms"], 3)
     benchmark.extra_info["p99_ms"] = round(summary["p99_ms"], 3)
-
-
-def test_frontend_qps_floor(frontend_setup):
-    """Acceptance floor: sustained Zipf throughput >= the QPS floor.
-
-    Wall-clock throughput is noisy on shared runners, so the floor can
-    be relaxed via REPRO_FRONTEND_QPS_FLOOR (the GitHub Actions job
-    sets a lower one); the local tier-1 run enforces the full 200 QPS.
-    """
-    floor = float(os.environ.get("REPRO_FRONTEND_QPS_FLOOR", "200"))
-    _engine, frontend, workload = frontend_setup
-    summaries = []
-    _best_of(lambda: summaries.append(drive_workload(frontend, workload)), 3)
-    best = max(summaries, key=lambda s: s["qps"])
-    assert best["qps"] >= floor, (
-        f"frontend sustained only {best['qps']:.0f} QPS (floor {floor:.0f}; "
-        f"p50 {best['p50_ms']:.2f} ms, p99 {best['p99_ms']:.2f} ms over "
-        f"{len(workload)} Zipf({ZIPF_A}) requests from {CLIENTS} clients)"
-    )
 
 
 def test_frontend_parity_spot_check(frontend_setup):

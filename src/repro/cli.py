@@ -173,14 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve_arg(
         "--max-batch",
         type=int,
-        help="frontend: flush a coalesced batch at this many queries "
-        "(default: REPRO_FRONTEND_MAX_BATCH or 32)",
+        help="frontend: a query dispatches at once when its (class, k) "
+        "group is idle and batches while the group is busy; flush such a "
+        "batch at this many queries (default: REPRO_FRONTEND_MAX_BATCH or 32)",
     )
     serve_arg(
         "--max-delay-ms",
         type=float,
-        help="frontend: flush a coalesced batch after its oldest query "
-        "waited this long (default: REPRO_FRONTEND_MAX_DELAY_MS or 2.0)",
+        help="frontend: longest a query may queue behind an in-flight "
+        "batch of its group, 0: never "
+        "(default: REPRO_FRONTEND_MAX_DELAY_MS or 2.0)",
     )
     serve_arg(
         "--cache-size",

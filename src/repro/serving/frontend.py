@@ -4,10 +4,12 @@ The router (:mod:`repro.serving.router`) answers *batches*; real
 traffic arrives as concurrent *single* queries.  This module closes
 that gap with three cooperating pieces:
 
-- :class:`BatchCoalescer` — holds each arriving query briefly and
-  merges concurrent ones for the same ``(class, k)`` into one dynamic
-  batch, flushed when it reaches ``max_batch`` queries or when its
-  oldest query has waited ``max_delay_ms`` — whichever comes first.
+- :class:`BatchCoalescer` — a query dispatches at once when its
+  ``(class, k)`` group is idle and batches while the group is busy:
+  arrivals behind an in-flight batch merge into one dynamic batch,
+  flushed when it reaches ``max_batch`` queries, when a batch of the
+  group completes, or when its oldest query has queued for
+  ``max_delay_ms`` — whichever comes first.
   Batches dispatch straight into the engine's ``query_many``, so a
   coalesced ranking is *bit-identical* to the direct call: batching
   changes latency shape, never results.
@@ -38,6 +40,7 @@ import threading
 import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -60,6 +63,8 @@ from repro.serving.protocol import universe_digest
 
 Ranking = list[tuple[NodeId, float]]
 DispatchFn = Callable[[str, Sequence[NodeId], "int | None"], list[Ranking]]
+#: queries coalesce only within one (class, k)
+Group = tuple[str, "int | None"]
 
 
 def _env_int(name: str, default: int) -> int:
@@ -76,10 +81,10 @@ def _env_float(name: str, default: float | None) -> float | None:
 class FrontendConfig:
     """Batching and caching knobs of one :class:`QueryFrontend`.
 
-    ``max_delay_ms`` is the *batching window*: how long the first query
-    of a batch may wait for company before the batch flushes anyway.
-    ``0`` disables coalescing-by-time (every query still piggybacks on
-    a batch already being assembled by concurrent arrivals).
+    ``max_delay_ms`` is the longest a query may queue behind an
+    in-flight batch of its ``(class, k)`` group before its own batch
+    flushes anyway; a query whose group is idle never waits.  ``0``:
+    never queue — every query dispatches at once, as a batch of one.
     ``cache_ttl`` is in seconds; ``None`` means cached rankings only
     leave by LRU eviction or swap invalidation.
     """
@@ -152,12 +157,16 @@ class _PendingBatch:
 class BatchCoalescer:
     """Merge concurrent single queries into dynamic ``query_many`` batches.
 
-    ``submit`` parks each query in the open batch of its ``(class, k)``
-    group and returns a :class:`~concurrent.futures.Future` for its
-    ranking.  A batch flushes the moment it holds ``max_batch`` queries
-    (inline, on the submitting thread) or when its first query has
-    waited ``max_delay`` seconds (a single background flusher thread
-    sleeps until the earliest deadline).  Dispatch runs on a small
+    Batch while busy, never while idle.  ``submit`` returns a
+    :class:`~concurrent.futures.Future` for the query's ranking.  A
+    query whose ``(class, k)`` group has no batch in flight dispatches
+    at once, as a batch of one.  While a batch of its group is in
+    flight, arrivals accumulate — arrival order kept — in the group's
+    open batch, which flushes at whichever comes first: it holds
+    ``max_batch`` queries, a batch of the group completes, or its first
+    query has queued for ``max_delay`` seconds (a single background
+    flusher thread sleeps until the earliest deadline; with
+    ``max_delay`` 0 nothing ever queues).  Dispatch runs on a small
     thread pool so batches for different groups overlap; a dispatch
     error fails every future of its batch with the same exception.
     """
@@ -177,7 +186,10 @@ class BatchCoalescer:
         self._lock = threading.Lock()
         # the condition wraps _lock: holding either is holding both
         self._cv = threading.Condition(self._lock)
-        self._groups: dict[tuple[str, int | None], _PendingBatch] = {}  # guarded-by: _cv
+        self._groups: dict[Group, _PendingBatch] = {}  # guarded-by: _cv
+        # batches dispatched and not yet completed, per group; a group
+        # is idle exactly when it has no entry
+        self._in_flight: dict[Group, int] = {}  # guarded-by: _cv
         self._closed = False  # guarded-by: _cv
         self._batches = 0  # guarded-by: _lock
         self._coalesced_batches = 0  # guarded-by: _lock
@@ -205,43 +217,58 @@ class BatchCoalescer:
                     class_name, k, self._clock() + self.max_delay
                 )
                 self._groups[group] = batch
-                # the flusher may be sleeping past this batch's deadline
-                self._cv.notify()
             batch.queries.append(query)
             batch.futures.append(future)
             self._submitted += 1
-            full = len(batch.queries) >= self.max_batch
-            if full:
-                del self._groups[group]
-        if full:
-            self._pool.submit(self._run_batch, batch)
+            if (
+                group not in self._in_flight
+                or len(batch.queries) >= self.max_batch
+                or not self.max_delay
+            ):
+                self._launch(group)
+            elif len(batch.queries) == 1:
+                # the flusher may be sleeping past this batch's deadline
+                self._cv.notify()
         return future
 
+    def _launch(self, group: Group) -> None:  # guarded-by-caller: _cv
+        """Move the group's open batch in flight.
+
+        The pool hand-off stays under the condition so that ``close``
+        cannot shut the pool down between the pop and the submit.
+        """
+        batch = self._groups.pop(group)
+        self._pool.submit(self._run_batch, batch)
+        self._in_flight[group] = self._in_flight.get(group, 0) + 1
+
     def _flush_loop(self) -> None:
-        while True:
-            with self._cv:
-                if self._closed:
-                    return
+        with self._cv:
+            while not self._closed:
                 now = self._clock()
                 due = [
-                    key
-                    for key, batch in self._groups.items()
+                    group
+                    for group, batch in self._groups.items()
                     if batch.deadline <= now
                 ]
-                batches = [self._groups.pop(key) for key in due]
-                if not batches:
-                    deadlines = [
-                        b.deadline for b in self._groups.values()
-                    ]
-                    timeout = min(deadlines) - now if deadlines else None
-                    self._cv.wait(timeout)
-                    continue
-            for batch in batches:
-                self._pool.submit(self._run_batch, batch)
+                for group in due:
+                    self._launch(group)
+                nearest = min(
+                    (batch.deadline for batch in self._groups.values()),
+                    default=None,
+                )
+                self._cv.wait(None if nearest is None else nearest - now)
 
     def _run_batch(self, batch: _PendingBatch) -> None:
         try:
-            results = self._dispatch(batch.class_name, batch.queries, batch.k)
+            try:
+                results = self._dispatch(
+                    batch.class_name, batch.queries, batch.k
+                )
+            finally:
+                # on every exit, and before any future resolves: a
+                # caller that has seen its outcome finds the group
+                # released, and a slot that leaked would wedge it
+                self._release(batch)
             if len(results) != len(batch.futures):
                 raise ServingError(
                     f"dispatch returned {len(results)} rankings for "
@@ -264,19 +291,20 @@ class BatchCoalescer:
         else:
             for future, ranking in zip(batch.futures, results):
                 future.set_result(ranking)
-        with self._lock:
+
+    def _release(self, batch: _PendingBatch) -> None:
+        """Count a finished dispatch; its group's open batch goes next."""
+        group = (batch.class_name, batch.k)
+        with self._cv:
             self._batches += 1
             if len(batch.queries) > 1:
                 self._coalesced_batches += 1
             self._largest_batch = max(self._largest_batch, len(batch.queries))
-
-    def flush(self) -> None:
-        """Dispatch every open batch now (testing / shutdown aid)."""
-        with self._cv:
-            batches = list(self._groups.values())
-            self._groups.clear()
-        for batch in batches:
-            self._pool.submit(self._run_batch, batch)
+            self._in_flight[group] -= 1
+            if not self._in_flight[group]:
+                del self._in_flight[group]
+            if group in self._groups:
+                self._launch(group)
 
     @property
     def stats(self) -> dict:
@@ -294,11 +322,9 @@ class BatchCoalescer:
             if self._closed:
                 return
             self._closed = True
-            batches = list(self._groups.values())
-            self._groups.clear()
+            for group in list(self._groups):
+                self._launch(group)
             self._cv.notify_all()
-        for batch in batches:
-            self._pool.submit(self._run_batch, batch)
         self._flusher.join(timeout=5.0)
         self._pool.shutdown(wait=True)
 
@@ -371,7 +397,9 @@ class QueryFrontend:
         Raises exactly what the engine's own ``query`` raises
         (:class:`~repro.exceptions.QueryError` for unrankable nodes,
         :class:`~repro.exceptions.LearningError` for unknown classes,
-        ...), and raises it *here*, before the query can join a batch.
+        ...), and raises it *here*, before the query can join a batch;
+        a batch that outlives ``request_timeout`` is a
+        :class:`~repro.exceptions.ServingError`.
         """
         self.engine._require_fresh()
         self.engine.model(class_name)
@@ -389,7 +417,11 @@ class QueryFrontend:
         if cached is not None:
             return cached
         future = self._coalescer.submit(class_name, query, k)
-        result = future.result(timeout=self.config.request_timeout)
+        timeout = self.config.request_timeout
+        try:
+            result = future.result(timeout=timeout)
+        except FutureTimeoutError:
+            raise ServingError(f"query timed out after {timeout} s") from None
         # a reload may have landed while this batch was in flight; the
         # result then belongs to an unknowable snapshot generation, so
         # it must not be memoised under the pre-reload key
@@ -510,14 +542,51 @@ def parse_listen(listen: str) -> tuple[str, int]:
     return host, int(port)
 
 
+#: largest POST body the HTTP face reads; longer ones are refused unread
+MAX_BODY_BYTES = 1 << 20
+
+
+def _parse_post_query(doc: dict) -> tuple[str, NodeId, int | None]:
+    """``(class, query, k)`` of a ``POST /query`` body, or ``ValueError``."""
+    if "class" not in doc or "query" not in doc:
+        raise ValueError("body needs 'class' and 'query'")
+    class_name, k = doc["class"], doc.get("k", 10)
+    if not isinstance(class_name, str):
+        raise ValueError(f"bad class: {class_name!r}")
+    # bool is an int: without the first test `true` would serve as k=1
+    if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
+        raise ValueError(f"bad k: {k!r}")
+    query = decode_node_id(doc["query"])
+    try:
+        hash(query)
+    except TypeError:  # a JSON object, at any depth, is no node id
+        raise ValueError(
+            f"bad query: {doc['query']!r} is not a node id"
+        ) from None
+    return class_name, query, k
+
+
 class _FrontendHandler(BaseHTTPRequestHandler):
     """One request: ``/query``, ``/reload``, ``/stats``, ``/health``."""
 
     frontend: QueryFrontend  # class attribute, bound per server
     protocol_version = "HTTP/1.1"
+    # headers and body share wfile's buffer and leave in the one flush
+    # handle_one_request does after the method returns: as two
+    # unbuffered writes the second waits out a keep-alive client's
+    # delayed ACK (~40 ms).  Nagle off, so that a response larger than
+    # the buffer, which does take several writes, never stalls either
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # the server is library code; stderr is not its log
+
+    def handle_expect_100(self) -> bool:
+        proceed = super().handle_expect_100()
+        # the client holds its body back until it reads this
+        self.wfile.flush()
+        return proceed
 
     def _send_json(self, status: int, doc: dict) -> None:
         payload = json.dumps(doc).encode("utf-8")
@@ -527,8 +596,7 @@ class _FrontendHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _read_body(self, length: int) -> dict:
         if length == 0:
             return {}
         doc = json.loads(self.rfile.read(length).decode("utf-8"))
@@ -588,27 +656,45 @@ class _FrontendHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
         url = urlsplit(self.path)
+        raw_length = self.headers.get("Content-Length") or "0"
         try:
-            doc = self._read_body()
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # refused before reading (a negative length would read to
+            # EOF, a huge one allocate it), so the body is still on the
+            # wire and the connection cannot carry another request
+            self.close_connection = True
+            if length < 0:
+                self._send_json(
+                    400, {"error": f"bad Content-Length: {raw_length!r}"}
+                )
+            else:
+                self._send_json(
+                    413,
+                    {"error": f"request body over {MAX_BODY_BYTES} bytes"},
+                )
+            return
+        try:
+            doc = self._read_body(length)
         except ValueError as exc:
             self._send_json(400, {"error": f"bad request body: {exc}"})
             return
         if url.path == "/query":
-            if "class" not in doc or "query" not in doc:
-                self._send_json(
-                    400, {"error": "body needs 'class' and 'query'"}
-                )
-                return
-            k = doc.get("k", 10)
-            if k is not None and not isinstance(k, int):
-                self._send_json(400, {"error": f"bad k: {k!r}"})
-                return
-            self._handle_query(
-                str(doc["class"]), decode_node_id(doc["query"]), k
-            )
-        elif url.path == "/reload":
             try:
-                outcome = self.frontend.reload(doc.get("snapshot"))
+                class_name, query, k = _parse_post_query(doc)
+            except ValueError as exc:
+                self._send_json(400, {"error": str(exc)})
+                return
+            self._handle_query(class_name, query, k)
+        elif url.path == "/reload":
+            snapshot = doc.get("snapshot")
+            if snapshot is not None and not isinstance(snapshot, str):
+                self._send_json(400, {"error": f"bad snapshot: {snapshot!r}"})
+                return
+            try:
+                outcome = self.frontend.reload(snapshot)
             except Exception as exc:  # noqa: BLE001 — mapped to a status
                 # Exception, not BaseException — same shutdown-signal
                 # taxonomy as _handle_query
