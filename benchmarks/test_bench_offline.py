@@ -162,6 +162,8 @@ def test_loaded_snapshot_serves_same_counts(offline_workload):
     loaded = load_index(workload["snapshot"], graph=workload["graph"])
     vectors = workload["vectors"]
     assert loaded.vectors.matched_ids == vectors.matched_ids
-    probe = sorted(vectors.nodes_with_counts())[:5]
-    for node in probe:
-        assert loaded.vectors.partners(node) == vectors.partners(node)
+    # what a reader sees of both stores: the compiled rows, all of them
+    assert (
+        loaded.vectors.compile().content_digest()
+        == vectors.compile().content_digest()
+    )

@@ -1,12 +1,14 @@
-"""Process-worker serving benchmark: supervised shard workers vs scalar.
+"""Process-worker serving benchmark: supervised shard workers vs the oracle.
 
 The process backend pays everything the thread backend does not: JSON
 framing, a Unix-socket round trip per shard group, and supervisor
 bookkeeping.  Two floors keep that overhead honest:
 
 - ``test_process_batch_speedup`` — the process-worker router (2 shards,
-  2 replicas each) must still beat the scalar reference path on the
-  batched workload by ``REPRO_PROCESS_SERVING_FLOOR`` (default 2x):
+  2 replicas each) must still beat the scalar reference ranker (now
+  the oracle in ``tests/oracles.py``: dict rows, one dense ``mgp()``
+  per candidate) on the batched workload by
+  ``REPRO_PROCESS_SERVING_FLOOR`` (default 2x):
   crossing the process boundary must not give back the compiled
   kernel's win;
 - ``test_killed_worker_loses_no_queries`` — killing one worker while
@@ -41,6 +43,7 @@ from benchmarks.test_bench_serving import (
     _rank_batch,
     serving_graph,
 )
+from tests.oracles import ScalarModel
 
 SHARDS = 2
 REPLICAS = 2
@@ -58,18 +61,16 @@ def process_setup(tmp_path_factory):
         anchor_type="user",
     )
     vectors, index = build_vectors(graph, catalog)
-    scalar = uniform_model(vectors, name="scalar")
     model = uniform_model(vectors, name="process").compile()
+    scalar = ScalarModel.like(model)
     universe = SortedUniverse(graph.nodes_of_type("user"))
     queries = list(universe)[:BATCH]
     snapshot = tmp_path_factory.mktemp("process-serving") / "snapshot"
     save_index(snapshot, vectors, catalog, graph=graph, index=index)
     backend = SubprocessBackend(snapshot, SHARDS, replicas=REPLICAS)
     router = QueryRouter(backend, workers=ROUTER_WORKERS)
-    # warm every worker's dot/universe caches and the scalar dense path
+    # warm every worker's dot/universe caches
     router.rank_many(model, queries, universe=universe, k=TOP_K)
-    for query in queries:
-        scalar.rank(query, universe=universe, k=TOP_K)
     yield scalar, model, universe, queries, backend, router
     router.close()
 

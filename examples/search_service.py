@@ -13,7 +13,7 @@ persistence workflow a production deployment would use:
    — no mining, no matching, and the format-v2 sidecar memory-mapped
    instead of decompressed — and answer queries with explanations
    (Fig. 1(b)'s "result with explanation" column), including a batched
-   pass comparing the scalar and compiled scoring paths;
+   pass whose scores are checked against pairwise ``proximity()``;
 3. *sharded tier*: re-serve the same batch through a 4-shard, 2-worker
    query router (``repro.serving``) and check it returns bit-identical
    rankings, then show how an unknown or off-anchor query is rejected
@@ -34,7 +34,6 @@ from pathlib import Path
 from repro.datasets import load_dataset
 from repro.eval.splits import split_queries
 from repro.index.parallel import IndexBuildConfig
-from repro.learning.model import ProximityModel
 from repro.learning.trainer import TrainerConfig
 from repro.mining import MinerConfig
 from repro.search import SemanticProximitySearch
@@ -84,7 +83,7 @@ def service(snapshot_dir: Path) -> None:
         f"(serving arrays: {backend})"
     )
 
-    query = sorted(engine.vectors.nodes_with_counts())[0]
+    query = engine.vectors.compile().nodes[0]  # first of the compiled universe
     for class_name in engine.classes:
         start = time.perf_counter()
         results = engine.query(class_name, query, k=3)
@@ -99,45 +98,30 @@ def service(snapshot_dir: Path) -> None:
             ]
             print(f"  {node}  pi={score:.3f}  because {', '.join(reasons)}")
 
-    batched_comparison(engine)
+    batched_pass(engine)
     sharded_tier(snapshot_dir, dataset)
 
 
-def batched_comparison(engine: SemanticProximitySearch) -> None:
-    """Serve a whole query batch on both backends and compare latency."""
+def batched_pass(engine: SemanticProximitySearch) -> None:
+    """Serve a whole query batch and cross-check it against proximity()."""
     class_name = engine.classes[0]
-    model = engine.model(class_name)
-    scalar = ProximityModel(model.weights, model.vectors, name=model.name)
     universe = engine.universe()
     queries = list(universe)[: min(32, len(universe))]
 
-    # warm both paths (dense-vector caches on the scalar side) so the
-    # printed ratio compares steady-state serving, not first-touch cost
-    engine.query_many(class_name, queries, k=5)
-    for query in queries:
-        scalar.rank(query, universe=universe, k=5)
-
+    engine.query_many(class_name, queries, k=5)  # warm the universe mask
     start = time.perf_counter()
-    compiled_rankings = engine.query_many(class_name, queries, k=5)
-    compiled_ms = (time.perf_counter() - start) * 1e3
-    start = time.perf_counter()
-    scalar_rankings = [scalar.rank(q, universe=universe, k=5) for q in queries]
-    scalar_ms = (time.perf_counter() - start) * 1e3
+    rankings = engine.query_many(class_name, queries, k=5)
+    batch_ms = (time.perf_counter() - start) * 1e3
 
-    # compare rankings tolerantly: trained float weights may differ in
-    # the last ulp between the two summation orders, which can swap
-    # members of an exact tie at the k boundary — equal score profiles
-    # is the contract here; bit-exact parity is proven by the test
-    # suite under controlled weights
-    for compiled_ranking, scalar_ranking in zip(compiled_rankings, scalar_rankings):
-        compiled_profile = [round(score, 9) for _, score in compiled_ranking]
-        scalar_profile = [round(score, 9) for _, score in scalar_ranking]
-        assert compiled_profile == scalar_profile
-    speedup = scalar_ms / compiled_ms if compiled_ms > 0 else float("inf")
+    # one read path: the ranked score, the pairwise proximity and its
+    # mirror image come off the same compiled dot arrays — exactly equal
+    for query, ranking in zip(queries, rankings):
+        for node, score in ranking:
+            assert engine.proximity(class_name, query, node) == score
+            assert engine.proximity(class_name, node, query) == score
     print(
-        f"\n[service] batched {len(queries)} queries on {class_name!r}: "
-        f"scalar {scalar_ms:.1f} ms, compiled {compiled_ms:.1f} ms "
-        f"({speedup:.1f}x), matching rankings"
+        f"\n[service] batched {len(queries)} queries on {class_name!r} in "
+        f"{batch_ms:.1f} ms; every score equals proximity() bit for bit"
     )
 
 

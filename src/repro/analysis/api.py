@@ -15,6 +15,11 @@ breaks, so the checker pins the conventions:
   parameter and the return type.  Exported classes get the same check
   on their ``__init__``.  Annotations are what make the public surface
   self-describing (and what ``mypy --strict`` enforces in CI).
+
+A second checker, ``private-ledger-read``, keeps one *internal*
+boundary: outside ``repro.index`` nothing may read
+:class:`~repro.index.vectors.MetagraphVectors`' private fields — the
+counts have one read path, ``vectors.compile()``.
 """
 
 from __future__ import annotations
@@ -186,4 +191,37 @@ class ApiHygieneChecker(Checker):
                 yield self.finding(
                     src, target,
                     f"exported `{name}` has no return annotation",
+                )
+
+
+@register
+class LedgerPrivacyChecker(Checker):
+    """Only ``repro.index`` may look inside the ``MetagraphVectors`` ledger.
+
+    Readers of the Eq. 1–2 counts go through ``vectors.compile()``; an
+    ``<expr>._field`` anywhere else (an object's own ``self._field``
+    aside) is a second read path growing back.
+    """
+
+    rule = "private-ledger-read"
+    description = (
+        "MetagraphVectors private field (_node/_pair/_matched/_compiled) "
+        "read outside repro.index; go through vectors.compile()"
+    )
+    fields = frozenset({"_node", "_pair", "_matched", "_compiled"})
+
+    def applies_to(self, src: SourceFile) -> bool:
+        return not src.module.startswith("repro.index")
+
+    def check(self, src: SourceFile) -> Iterator[Finding]:
+        for node in ast.walk(src.tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in self.fields
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            ):
+                yield self.finding(
+                    src, node,
+                    f"`{ast.unparse(node)}` reaches into the count ledger's "
+                    "private state; read counts through `vectors.compile()`",
                 )

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.graph.typed_graph import NodeId
 from repro.eval.metrics import average_precision_at_k, mean, ndcg_at_k
+from repro.learning.model import SortedUniverse
 
 Ranker = Callable[[NodeId], Sequence[NodeId]]
 Labels = Mapping[NodeId, frozenset[NodeId]]
@@ -77,6 +78,7 @@ def average_results(results: Sequence[EvalResult]) -> EvalResult:
 
 def model_ranker(model, universe: Sequence[NodeId]) -> Ranker:
     """Adapt a ProximityModel (or anything with .rank) to the harness."""
+    universe = SortedUniverse(universe)  # sorted (and masked) once, not per query
 
     def rank(query: NodeId) -> list[NodeId]:
         return [node for node, _score in model.rank(query, universe=universe)]

@@ -1,12 +1,12 @@
-"""Compiled CSR form of the Eq. 1–2 counts: the online serving backend.
+"""Compiled CSR form of the Eq. 1–2 counts: the one read path.
 
 :class:`MetagraphVectors` keeps the counts as nested dicts, which is the
-right shape for incremental construction (dual-stage training extends it
-in place) but the wrong shape for serving: scoring one candidate via
-``mgp()`` materialises two dense length-|M| vectors and runs three dense
-dot products per pair.  :class:`CompiledVectors` freezes the same counts
-into flat CSR-style numpy arrays (``indptr``/``indices``/``data`` — no
-scipy dependency):
+right shape for incremental construction (dual-stage training and the
+delta path patch it in place) and is only ever written.  Every *reader*
+of m_x / m_xy — ranking, ``proximity``, ``explain``, the trainer's
+triplet stacks, the shard tier — goes through :class:`CompiledVectors`,
+which freezes the same counts into flat CSR-style numpy arrays
+(``indptr``/``indices``/``data`` — no scipy dependency):
 
 - a node matrix of m_x rows over the *anchor universe* (every node with
   a non-zero count, sorted by ``repr`` so positions are deterministic);
@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Mapping, Set
+from collections.abc import Mapping
 
 import numpy as np
 
 from repro.exceptions import CatalogMismatchError
 from repro.graph.typed_graph import NodeId
-from repro.index.instance_index import _pair_key
 from repro.index.transform import Transform, identity
 
 
@@ -123,7 +122,6 @@ class CompiledVectors:
         cls,
         node_counts: Mapping[NodeId, Mapping[int, int]],
         pair_counts: Mapping[tuple[NodeId, NodeId], Mapping[int, int]],
-        partners: Mapping[NodeId, Set],
         catalog_size: int,
         transform: Transform = identity,
     ) -> "CompiledVectors":
@@ -142,24 +140,27 @@ class CompiledVectors:
             raise CatalogMismatchError(
                 f"pair count references node {exc.args[0]!r} with no node count"
             ) from None
-        pair_row = {key: r for r, key in enumerate(pair_keys)}
         pair_csr = _csr_from_rows([dict(pair_counts[k]) for k in pair_keys], transform)
 
+        # adjacency: every pair row is listed under both of its members
+        # (a self-pair once), each node's partners in ascending position
+        ends = np.array(
+            [canonical(key) for key in pair_keys], dtype=np.int64
+        ).reshape(-1, 2)
+        rows = np.arange(len(pair_keys), dtype=np.int64)
+        mirrored = ends[:, 0] != ends[:, 1]
+        owner = np.concatenate([ends[:, 0], ends[mirrored, 1]])
+        partner = np.concatenate([ends[:, 1], ends[mirrored, 0]])
+        order = np.lexsort((partner, owner))
         pair_ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-        partner_pos: list[int] = []
-        entry_pair: list[int] = []
-        for i, node in enumerate(nodes):
-            for p in sorted(pos[partner] for partner in partners.get(node, ())):
-                partner_pos.append(p)
-                entry_pair.append(pair_row[_pair_key(node, nodes[p])])
-            pair_ptr[i + 1] = len(partner_pos)
+        np.cumsum(np.bincount(owner, minlength=len(nodes)), out=pair_ptr[1:])
         return cls(
             nodes,
             node_csr,
             pair_csr,
             pair_ptr,
-            np.asarray(partner_pos, dtype=np.int64),
-            np.asarray(entry_pair, dtype=np.int64),
+            partner[order],
+            np.concatenate([rows, rows[mirrored]])[order],
             catalog_size,
         )
 
@@ -220,6 +221,21 @@ class CompiledVectors:
         lo, hi = self.pair_ptr[i], self.pair_ptr[i + 1]
         return self.partner_pos[lo:hi], self.entry_pair[lo:hi]
 
+    def pair_row(self, i: int | None, j: int | None) -> int | None:
+        """The m_xy row shared by the nodes at rows ``i`` and ``j``.
+
+        None when the two never co-occur in an instance (or either has
+        no row at all).  Partner positions are stored ascending, so
+        this is one binary search in ``i``'s candidate slice.
+        """
+        if i is None or j is None:
+            return None
+        partners, rows = self.candidates_of(i)
+        at = int(np.searchsorted(partners, j))
+        if at < len(partners) and partners[at] == j:
+            return int(rows[at])
+        return None
+
     # ------------------------------------------------------------------
     # the two O(nnz) passes that make serving a lookup
     # ------------------------------------------------------------------
@@ -238,20 +254,26 @@ class CompiledVectors:
         )
 
     # ------------------------------------------------------------------
-    # dense reconstruction (tests / debugging only)
+    # dense rows (explanations and the trainer's triplet stacks)
     # ------------------------------------------------------------------
-    def node_vector_dense(self, i: int) -> np.ndarray:
-        """The m_x row at position ``i`` as a dense length-|M| vector."""
+    def node_vector_dense(self, i: int | None) -> np.ndarray:
+        """The m_x row at position ``i`` as a dense length-|M| vector.
+
+        ``None`` — a node without counts, a pair that never co-occurs —
+        is the zero vector, here and in :meth:`pair_vector_dense`.
+        """
         vec = np.zeros(self.catalog_size, dtype=np.float64)
-        lo, hi = self.node_indptr[i], self.node_indptr[i + 1]
-        vec[self.node_indices[lo:hi]] = self.node_data[lo:hi]
+        if i is not None:
+            lo, hi = self.node_indptr[i], self.node_indptr[i + 1]
+            vec[self.node_indices[lo:hi]] = self.node_data[lo:hi]
         return vec
 
-    def pair_vector_dense(self, row: int) -> np.ndarray:
+    def pair_vector_dense(self, row: int | None) -> np.ndarray:
         """An m_xy row as a dense length-|M| vector."""
         vec = np.zeros(self.catalog_size, dtype=np.float64)
-        lo, hi = self.pair_indptr[row], self.pair_indptr[row + 1]
-        vec[self.pair_indices[lo:hi]] = self.pair_data[lo:hi]
+        if row is not None:
+            lo, hi = self.pair_indptr[row], self.pair_indptr[row + 1]
+            vec[self.pair_indices[lo:hi]] = self.pair_data[lo:hi]
         return vec
 
     def __repr__(self) -> str:

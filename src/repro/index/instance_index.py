@@ -189,78 +189,56 @@ def match_and_count(
 
 
 class InstanceIndex:
-    """Per-metagraph counts for a catalog, filled incrementally.
+    """Which metagraphs were matched, and their ``|I(M)|``, filled incrementally.
 
     Dual-stage training matches only a subset of the catalog; the index
     records which metagraph ids have been matched so downstream code can
-    distinguish "zero count" from "never matched".
+    distinguish "zero count" from "never matched".  The Eq. 1–2 counts
+    themselves live in one place, the
+    :class:`~repro.index.vectors.MetagraphVectors` ledger.
     """
 
     def __init__(self, catalog_size: int, anchor_type: str = "user"):
         self.catalog_size = catalog_size
         self.anchor_type = anchor_type
-        self._counts: dict[int, MetagraphCounts] = {}
+        self._totals: dict[int, int] = {}
 
     def add(self, mg_id: int, counts: MetagraphCounts) -> None:
-        """Record counts for a metagraph id."""
+        """Record a matched metagraph id and its instance total."""
         if not 0 <= mg_id < self.catalog_size:
             raise IndexError(f"metagraph id {mg_id} outside catalog of size {self.catalog_size}")
-        self._counts[mg_id] = counts
+        self._totals[mg_id] = counts.num_instances
 
     def patch(
         self, mg_id: int, retired: MetagraphCounts, added: MetagraphCounts
     ) -> None:
-        """Apply a delta to a matched metagraph's counts in place.
+        """Apply a delta to a matched metagraph's ``|I(M)|``.
 
-        Subtracts the contributions of ``retired`` instances and folds in
-        ``added`` ones, keeping the stored counters exactly what a fresh
-        :func:`match_and_count` on the mutated graph would produce
-        (zero entries are dropped; going negative means the delta is
-        wrong and raises :class:`~repro.exceptions.DeltaError`).
+        Going negative means the delta is wrong and raises
+        :class:`~repro.exceptions.DeltaError`.
         """
-        try:
-            counts = self._counts[mg_id]
-        except KeyError:
+        if mg_id not in self._totals:
             raise DeltaError(
                 f"metagraph id {mg_id} was never matched; cannot patch"
-            ) from None
-        counts.num_instances += added.num_instances - retired.num_instances
-        if counts.num_instances < 0:
+            )
+        total = self._totals[mg_id] + added.num_instances - retired.num_instances
+        if total < 0:
             raise DeltaError(
                 f"metagraph {mg_id}: retired more instances than existed"
             )
-        for counter, plus, minus in (
-            (counts.node_counts, added.node_counts, retired.node_counts),
-            (counts.pair_counts, added.pair_counts, retired.pair_counts),
-        ):
-            for key, count in plus.items():
-                counter[key] += count
-            for key, count in minus.items():
-                remaining = counter[key] - count
-                if remaining < 0:
-                    raise DeltaError(
-                        f"metagraph {mg_id}: count for {key!r} went negative"
-                    )
-                if remaining:
-                    counter[key] = remaining
-                else:
-                    del counter[key]
+        self._totals[mg_id] = total
 
     def matched_ids(self) -> frozenset[int]:
         """Ids whose instances have been computed."""
-        return frozenset(self._counts)
+        return frozenset(self._totals)
 
     def is_matched(self, mg_id: int) -> bool:
         """True iff the metagraph has been matched."""
-        return mg_id in self._counts
-
-    def counts_for(self, mg_id: int) -> MetagraphCounts:
-        """Counts for a matched metagraph id (KeyError if unmatched)."""
-        return self._counts[mg_id]
+        return mg_id in self._totals
 
     def num_instances(self, mg_id: int) -> int:
         """|I(M)| for a matched metagraph id."""
-        return self._counts[mg_id].num_instances
+        return self._totals[mg_id]
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self._totals)

@@ -168,6 +168,24 @@ def _transform_name(transform: Transform) -> str | None:
     return None
 
 
+def _checked_weights(name: str, weights: object, catalog_size: int) -> np.ndarray:
+    """One class's weight vector as float64, or :class:`SnapshotError`.
+
+    Written and restored through the same gate: a vector of the wrong
+    length scores the wrong metagraphs, and a NaN/inf one would make
+    the ranking kernel divide inf by inf.
+    """
+    vector = np.asarray(weights, dtype=np.float64)
+    if vector.ndim != 1 or len(vector) != catalog_size:
+        raise SnapshotError(
+            f"model {name!r} weights of shape {vector.shape} do not "
+            f"match catalog size {catalog_size}"
+        )
+    if not np.all(np.isfinite(vector)):
+        raise SnapshotError(f"model {name!r} weights are not finite")
+    return vector
+
+
 def save_index(
     path: str | Path,
     vectors: MetagraphVectors,
@@ -249,13 +267,9 @@ def save_index(
 
     model_names = sorted(models) if models else []
     for slot, name in enumerate(model_names):
-        weights = np.asarray(models[name], dtype=np.float64)
-        if weights.ndim != 1 or len(weights) != vectors.catalog_size:
-            raise SnapshotError(
-                f"model {name!r} weights of shape {weights.shape} do not "
-                f"match catalog size {vectors.catalog_size}"
-            )
-        arrays[f"model_{slot}"] = weights
+        arrays[f"model_{slot}"] = _checked_weights(
+            name, models[name], vectors.catalog_size
+        )
 
     catalog_json = catalog.to_json()
     npz_bytes = _deterministic_npz_bytes(arrays)
@@ -387,28 +401,20 @@ class LoadedIndex:
     compiled: CompiledVectors | None = None
 
     def instance_index(self) -> InstanceIndex:
-        """Reconstruct the per-metagraph :class:`InstanceIndex`.
+        """Reconstruct the :class:`InstanceIndex` of matched ids.
 
-        The vector store keeps counts per metagraph id, so the per-id
-        counters invert exactly; ``|I(M)|`` totals come from the
-        snapshot when it carried them (0 otherwise — totals are not
-        derivable from anchor counts alone).
+        ``|I(M)|`` totals come from the snapshot when it carried them
+        (0 otherwise — totals are not derivable from anchor counts
+        alone).
         """
         index = InstanceIndex(
             self.vectors.catalog_size, anchor_type=self.vectors.anchor_type
         )
-        per_mg: dict[int, MetagraphCounts] = {
-            mg_id: MetagraphCounts() for mg_id in self.vectors.matched_ids
-        }
-        for node, counts in self.vectors._node.items():
-            for mg_id, count in counts.items():
-                per_mg[mg_id].node_counts[node] = count
-        for pair, counts in self.vectors._pair.items():
-            for mg_id, count in counts.items():
-                per_mg[mg_id].pair_counts[pair] = count
-        for mg_id, counts in per_mg.items():
-            counts.num_instances = self.instance_totals.get(mg_id, 0)
-            index.add(mg_id, counts)
+        for mg_id in self.vectors.matched_ids:
+            index.add(
+                mg_id,
+                MetagraphCounts(num_instances=self.instance_totals.get(mg_id, 0)),
+            )
         return index
 
 
@@ -677,13 +683,10 @@ def load_index(
     pair_count = arrays["pair_count"].tolist()
     pair_left = arrays["pair_left"].tolist()
     pair_right = arrays["pair_right"].tolist()
-    partners = store._partners
     for r in range(len(pair_indptr) - 1):
         x, y = nodes[pair_left[r]], nodes[pair_right[r]]
         lo, hi = pair_indptr[r], pair_indptr[r + 1]
         store._pair[(x, y)] = dict(zip(pair_mg[lo:hi], pair_count[lo:hi]))
-        partners.setdefault(x, set()).add(y)
-        partners.setdefault(y, set()).add(x)
 
     instance_totals: dict[int, int] = {}
     if "instance_total_ids" in arrays:
@@ -700,12 +703,9 @@ def load_index(
             raise SnapshotError(
                 f"snapshot lists model {name!r} but carries no weights for it"
             )
-        weights = np.asarray(arrays[f"model_{slot}"], dtype=np.float64)
-        if len(weights) != store.catalog_size:
-            raise SnapshotError(
-                f"model {name!r} weights do not match the catalog size"
-            )
-        models[name] = weights
+        models[name] = _checked_weights(
+            name, arrays[f"model_{slot}"], store.catalog_size
+        )
 
     compiled = None
     named = manifest.get("transform")

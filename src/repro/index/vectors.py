@@ -1,18 +1,13 @@
-"""Metagraph vectors m_x and m_xy (Eq. 1–2): the proximity feature store.
+"""Metagraph vectors m_x and m_xy (Eq. 1–2): the write-side count ledger.
 
 :class:`MetagraphVectors` holds the sparse Eq. 1–2 counts for every
-anchor node and anchor pair, materialises them into dense numpy vectors
-on demand (with an optional count transform), and answers the two
-queries the learning and online phases need:
-
-- ``pair_vector(x, y)`` / ``node_vector(x)`` — the m_xy / m_x columns;
-- ``partners(x)`` — all nodes sharing at least one metagraph instance
-  with ``x``, which is exactly the candidate set with non-zero MGP
-  numerator for query ``x``.
-
-For serving, :meth:`MetagraphVectors.compile` freezes the sparse counts
-into a :class:`~repro.index.compiled.CompiledVectors` CSR snapshot that
-scores whole candidate sets in a few vectorised operations.
+anchor node and anchor pair in the shape the *writers* need: the offline
+build folds one metagraph at a time in (``add_counts``), the delta path
+patches rows in place (``patch_counts``), and persistence walks the
+dicts.  Nothing reads counts back out of it: :meth:`MetagraphVectors.compile`
+freezes them into a :class:`~repro.index.compiled.CompiledVectors` CSR
+snapshot, and that snapshot is what ranking, ``proximity``, ``explain``
+and the trainer's triplet stacks all score against.
 """
 
 from __future__ import annotations
@@ -20,15 +15,12 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterable
 
-import numpy as np
-
 from repro.exceptions import CatalogMismatchError, DeltaError, SnapshotError
 from repro.graph.typed_graph import NodeId, TypedGraph
 from repro.index.compiled import CompiledVectors
 from repro.index.instance_index import (
     InstanceIndex,
     MetagraphCounts,
-    _pair_key,
     match_and_count,
 )
 from repro.index.transform import Transform, identity
@@ -78,10 +70,7 @@ class MetagraphVectors:
         self.transform = transform
         self._node: dict[NodeId, dict[int, int]] = {}
         self._pair: dict[tuple[NodeId, NodeId], dict[int, int]] = {}
-        self._partners: dict[NodeId, set[NodeId]] = {}
         self._matched: set[int] = set()
-        self._node_cache: dict[NodeId, np.ndarray] = {}
-        self._pair_cache: dict[tuple[NodeId, NodeId], np.ndarray] = {}
         self._compiled: CompiledVectors | None = None
 
     # ------------------------------------------------------------------
@@ -98,12 +87,8 @@ class MetagraphVectors:
         self._matched.add(mg_id)
         for node, count in counts.node_counts.items():
             self._node.setdefault(node, {})[mg_id] = count
-        for (x, y), count in counts.pair_counts.items():
-            self._pair.setdefault((x, y), {})[mg_id] = count
-            self._partners.setdefault(x, set()).add(y)
-            self._partners.setdefault(y, set()).add(x)
-        self._node_cache.clear()
-        self._pair_cache.clear()
+        for pair, count in counts.pair_counts.items():
+            self._pair.setdefault(pair, {})[mg_id] = count
         self._compiled = None
 
     @property
@@ -120,121 +105,53 @@ class MetagraphVectors:
         (:mod:`repro.index.delta`): ``retired`` contributions are
         subtracted, ``added`` ones folded in, and the sparse store is
         left bit-identical to a from-scratch rebuild on the mutated
-        graph — emptied rows/pairs disappear, partner links are kept
-        exact, and the dense caches plus the compiled CSR snapshot are
-        invalidated.
+        graph — emptied rows/pairs disappear and the compiled CSR
+        snapshot is invalidated.
         """
         if mg_id not in self._matched:
             raise CatalogMismatchError(
                 f"metagraph id {mg_id} has no counts to patch"
             )
-        for node, count in added.node_counts.items():
-            row = self._node.setdefault(node, {})
-            row[mg_id] = row.get(mg_id, 0) + count
-        for node, count in retired.node_counts.items():
-            row = self._node.get(node)
-            remaining = (row or {}).get(mg_id, 0) - count
-            if remaining < 0:
-                raise DeltaError(
-                    f"metagraph {mg_id}: node count for {node!r} went negative"
-                )
-            if remaining:
-                row[mg_id] = remaining
-            else:
-                row.pop(mg_id, None)
-                if not row:
-                    del self._node[node]
-        for (x, y), count in added.pair_counts.items():
-            row = self._pair.setdefault((x, y), {})
-            row[mg_id] = row.get(mg_id, 0) + count
-            self._partners.setdefault(x, set()).add(y)
-            self._partners.setdefault(y, set()).add(x)
-        for (x, y), count in retired.pair_counts.items():
-            row = self._pair.get((x, y))
-            remaining = (row or {}).get(mg_id, 0) - count
-            if remaining < 0:
-                raise DeltaError(
-                    f"metagraph {mg_id}: pair count for {(x, y)!r} went negative"
-                )
-            if remaining:
-                row[mg_id] = remaining
-            else:
-                row.pop(mg_id, None)
-                if not row:
-                    del self._pair[(x, y)]
-                    self._drop_partner(x, y)
-                    self._drop_partner(y, x)
-        self._node_cache.clear()
-        self._pair_cache.clear()
+        for table, plus, minus, what in (
+            (self._node, added.node_counts, retired.node_counts, "node"),
+            (self._pair, added.pair_counts, retired.pair_counts, "pair"),
+        ):
+            for key, count in plus.items():
+                row = table.setdefault(key, {})
+                row[mg_id] = row.get(mg_id, 0) + count
+            for key, count in minus.items():
+                row = table.get(key)
+                remaining = (row or {}).get(mg_id, 0) - count
+                if remaining < 0:
+                    raise DeltaError(
+                        f"metagraph {mg_id}: {what} count for {key!r} went negative"
+                    )
+                if remaining:
+                    row[mg_id] = remaining
+                else:
+                    row.pop(mg_id, None)
+                    if not row:
+                        del table[key]
         self._compiled = None
-
-    def _drop_partner(self, x: NodeId, y: NodeId) -> None:
-        links = self._partners.get(x)
-        if links is None:
-            return
-        links.discard(y)
-        if not links:
-            del self._partners[x]
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def node_vector(self, x: NodeId) -> np.ndarray:
-        """m_x as a dense float vector of length |M| (Eq. 2)."""
-        cached = self._node_cache.get(x)
-        if cached is not None:
-            return cached
-        vec = np.zeros(self.catalog_size, dtype=float)
-        for mg_id, count in self._node.get(x, {}).items():
-            vec[mg_id] = self.transform(count)
-        vec.setflags(write=False)
-        self._node_cache[x] = vec
-        return vec
-
-    def pair_vector(self, x: NodeId, y: NodeId) -> np.ndarray:
-        """m_xy as a dense float vector of length |M| (Eq. 1)."""
-        key = _pair_key(x, y)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        vec = np.zeros(self.catalog_size, dtype=float)
-        for mg_id, count in self._pair.get(key, {}).items():
-            vec[mg_id] = self.transform(count)
-        vec.setflags(write=False)
-        self._pair_cache[key] = vec
-        return vec
-
-    def partners(self, x: NodeId) -> frozenset[NodeId]:
-        """Nodes co-occurring with ``x`` in at least one instance."""
-        return frozenset(self._partners.get(x, ()))
-
-    def nodes_with_counts(self) -> frozenset[NodeId]:
-        """All anchor nodes with a non-zero m_x."""
-        return frozenset(self._node)
-
-    def raw_pair_counts(self, x: NodeId, y: NodeId) -> dict[int, int]:
-        """Untransformed sparse counts for a pair (testing/debugging)."""
-        return dict(self._pair.get(_pair_key(x, y), {}))
 
     def verify_catalog(self, catalog: MetagraphCatalog) -> None:
         """Raise unless the store matches the catalog's id space."""
         catalog.verify_compatible(self.catalog_size)
 
     # ------------------------------------------------------------------
-    # serving backend
+    # the read side
     # ------------------------------------------------------------------
     def compile(self) -> CompiledVectors:
-        """Freeze the counts into the CSR serving backend (cached).
+        """Freeze the counts into the CSR snapshot readers use (cached).
 
-        The snapshot is shared by every model over this store and is
-        invalidated automatically when :meth:`add_counts` folds in new
-        metagraphs.
+        The snapshot is shared by every model and trainer over this
+        store and is invalidated automatically when :meth:`add_counts`
+        or :meth:`patch_counts` changes the counts.
         """
         if self._compiled is None:
             self._compiled = CompiledVectors.build(
                 self._node,
                 self._pair,
-                self._partners,
                 catalog_size=self.catalog_size,
                 transform=self.transform,
             )

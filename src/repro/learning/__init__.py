@@ -24,9 +24,6 @@ from repro.learning.objective import (
 from repro.learning.proximity import (
     batch_mgp,
     batch_mgp_gradient,
-    mgp,
-    mgp_from_vectors,
-    mgp_gradient_from_vectors,
 )
 from repro.learning.trainer import Trainer, TrainerConfig, TrainingRun
 
@@ -47,9 +44,6 @@ __all__ = [
     "generate_triplets",
     "log_likelihood",
     "log_likelihood_gradient",
-    "mgp",
-    "mgp_from_vectors",
-    "mgp_gradient_from_vectors",
     "multi_stage_train",
     "restrict_weights",
     "select_candidates",

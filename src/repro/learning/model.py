@@ -6,20 +6,18 @@ online phase.  Ranking a query is a lookup, not a traversal: only the
 query's *partners* (nodes sharing at least one metagraph instance) can
 have non-zero proximity, so the candidate set is tiny relative to |V|.
 
-Two scoring backends produce identical rankings (same nodes, same
-tie-break order; scores agree to within float summation order — exactly
-so for modest catalogs or dyadic-rational weights):
-
-- the *scalar* path scores each partner with a dense ``mgp()`` call —
-  simple, always available, used as the reference;
-- the *compiled* path (:meth:`ProximityModel.compile`) scores against a
-  :class:`~repro.index.compiled.CompiledVectors` CSR snapshot: the
-  ``m_x . w`` products of every node and the ``m_xy . w`` products of
-  every pair are precomputed in two O(nnz) passes when the weights are
-  attached, after which ranking is one ``batch_mgp``-style vectorised
-  pass over the candidate slice plus an ``np.argpartition`` top-k
-  (:func:`rank_candidates` — the one kernel the shard tier executes
-  too, over its :class:`~repro.serving.shards.CompiledShard` slices).
+There is one scoring path.  A model scores against the store's
+:class:`~repro.index.compiled.CompiledVectors` CSR snapshot: the
+``m_x . w`` products of every node and the ``m_xy . w`` products of
+every pair are precomputed in two O(nnz) passes when the weights meet a
+snapshot (:meth:`ProximityModel.compile`), after which ranking is one
+``batch_mgp``-style vectorised pass over the candidate slice plus an
+``np.argpartition`` top-k (:func:`rank_candidates` — the one kernel the
+shard tier executes too, over its
+:class:`~repro.serving.shards.CompiledShard` slices).  ``proximity`` and
+``explain`` read the same two dot arrays with the same arithmetic, so
+``proximity(x, y)``, ``proximity(y, x)`` and the score ``rank(x)``
+reports for ``y`` are one float, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro.exceptions import LearningError
 from repro.graph.typed_graph import NodeId
 from repro.index.compiled import CompiledVectors
 from repro.index.vectors import MetagraphVectors
-from repro.learning.proximity import mgp
 
 
 class SortedUniverse(tuple):
@@ -208,33 +205,42 @@ class ProximityModel:
                 f"weight vector of length {weights.shape} does not match "
                 f"catalog size {vectors.catalog_size}"
             )
-        if np.any(weights < 0):
-            raise LearningError("MGP weights must be non-negative (Def. 3)")
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            # NaN would slip past a bare sign test, and inf makes the
+            # kernel divide inf by inf
+            raise LearningError(
+                "MGP weights must be finite and non-negative (Def. 3)"
+            )
         # read-only: the compiled dot products are derived from the
         # weights once, so in-place mutation would desynchronise them
         weights.setflags(write=False)
         self.weights = weights
         self.vectors = vectors
         self.name = name
-        self._compiled: CompiledVectors | None = None
-        self._node_dots: np.ndarray | None = None
-        self._pair_dots: np.ndarray | None = None
+        # (snapshot, m_x . w per node, m_xy . w per pair): replaced as
+        # one reference, so a reader never pairs a snapshot with
+        # another snapshot's dots
+        self._bound: tuple = (None, None, None)
+        self.compile()
 
     # ------------------------------------------------------------------
-    # compiled serving backend
+    # the compiled snapshot every reader scores against
     # ------------------------------------------------------------------
     @property
-    def compiled(self) -> CompiledVectors | None:
-        """The attached CSR backend, or None while on the scalar path."""
-        return self._compiled
+    def compiled(self) -> CompiledVectors:
+        """The snapshot the dot products currently describe."""
+        return self._bound[0]
 
     def compile(self, compiled: CompiledVectors | None = None) -> "ProximityModel":
-        """Attach the compiled scoring backend and precompute the dots.
+        """Bring the model onto the store's current compiled snapshot.
 
         The CSR snapshot itself is shared across models (cached on the
         vector store); per-model state is just ``m_x . w`` for every
-        node and ``m_xy . w`` for every pair, each one O(nnz) pass.
-        Returns ``self`` for chaining.
+        node and ``m_xy . w`` for every pair, each one O(nnz) pass — the
+        one place they are computed, and only when the snapshot moved
+        on.  The constructor and every read call this, so calling it
+        by hand merely moves a recompute off the next query.  Returns
+        ``self`` for chaining.
         """
         if compiled is None:
             compiled = self.vectors.compile()
@@ -247,19 +253,44 @@ class ProximityModel:
                 "model's vector store; call compile() with no argument "
                 "or pass vectors.compile()"
             )
-        if compiled.catalog_size != self.vectors.catalog_size:
-            raise LearningError(
-                f"compiled backend over {compiled.catalog_size} metagraphs "
-                f"does not match catalog size {self.vectors.catalog_size}"
+        if compiled is not self._bound[0]:
+            self._bound = (
+                compiled,
+                compiled.node_dot_products(self.weights),
+                compiled.pair_dot_products(self.weights),
             )
-        self._compiled = compiled
-        self._node_dots = compiled.node_dot_products(self.weights)
-        self._pair_dots = compiled.pair_dot_products(self.weights)
         return self
 
+    def _pair_terms(
+        self, x: NodeId, y: NodeId
+    ) -> tuple[CompiledVectors, int, float, float] | None:
+        """(snapshot, m_xy row, m_xy . w, m_x . w + m_y . w) of a pair with pi > 0."""
+        if x == y:
+            return None
+        compiled, node_dots, pair_dots = self.compile()._bound
+        i, j = compiled.position(x), compiled.position(y)
+        row = compiled.pair_row(i, j)
+        if row is None:
+            return None
+        denominator = node_dots[i] + node_dots[j]
+        if denominator <= 0.0:
+            return None
+        return compiled, row, pair_dots[row], denominator
+
     def proximity(self, x: NodeId, y: NodeId) -> float:
-        """pi(x, y; w*) for any two nodes."""
-        return mgp(self.vectors, x, y, self.weights)
+        """pi(x, y; w*) for any two nodes; pi(x, x) = 1.
+
+        The same ``2 * pair_dot / (node_dot[x] + node_dot[y])`` on the
+        same dot arrays as :func:`rank_candidates`, so the value equals
+        the score ``rank(x)`` gives ``y`` exactly.
+        """
+        if x == y:
+            return 1.0
+        terms = self._pair_terms(x, y)
+        if terms is None:
+            return 0.0
+        _compiled, _row, pair_dot, denominator = terms
+        return float(2.0 * pair_dot / denominator)
 
     def rank(
         self,
@@ -274,59 +305,20 @@ class ProximityModel:
         the tail with proximity 0.  When None, only the query's partners
         are returned — every other node has proximity exactly 0.  Ties
         are broken deterministically by node repr.  The query itself is
-        excluded.  Dispatches to the compiled backend when one is
-        attached (see :meth:`compile`); both paths return identical
-        rankings.  A snapshot made stale by new counts folded into the
+        excluded.  A snapshot made stale by new counts folded into the
         vector store is recompiled transparently.
 
         ``k=0`` is a valid (empty) request; a negative ``k`` raises
         :class:`ValueError` instead of silently returning ``[]``.
         """
         require_valid_k(k)
-        if self._compiled is None:
-            return self._rank_scalar(query, universe, k)
-        if not self.vectors.is_current_snapshot(self._compiled):
-            self.compile()
+        compiled, node_dots, pair_dots = self.compile()._bound
         if universe is not None and not isinstance(universe, SortedUniverse):
             universe = SortedUniverse(universe)
-        compiled = self._compiled
         return rank_candidates(
-            compiled, self._node_dots, self._pair_dots,
+            compiled, node_dots, pair_dots,
             compiled.position(query), query, universe, k,
         )
-
-    def _rank_scalar(
-        self,
-        query: NodeId,
-        universe: Iterable[NodeId] | None,
-        k: int | None,
-    ) -> list[tuple[NodeId, float]]:
-        """Reference path: one dense mgp() call per candidate."""
-        if k is not None and k <= 0:
-            return []
-        candidates = self.vectors.partners(query)
-        if universe is None:
-            scored = [
-                (node, self.proximity(query, node))
-                for node in candidates
-                if node != query
-            ]
-        else:
-            members = universe.members() if isinstance(
-                universe, SortedUniverse
-            ) else set(universe)
-            scored = [
-                (node, self.proximity(query, node))
-                for node in candidates
-                if node != query and node in members
-            ]
-            scored.extend(
-                (node, 0.0)
-                for node in members
-                if node != query and node not in candidates
-            )
-        scored.sort(key=lambda pair: (-pair[1], repr(pair[0])))
-        return scored[:k] if k is not None else scored
 
     def explain(
         self, x: NodeId, y: NodeId, k: int = 5
@@ -339,16 +331,13 @@ class ProximityModel:
         ``2 * w[i] * m_xy[i] / (m_x . w + m_y . w)`` — the summands of
         Def. 3, so contributions add up to ``pi(x, y)``.
         """
-        if x == y:
+        terms = self._pair_terms(x, y)
+        if terms is None:
             return []
-        m_xy = self.vectors.pair_vector(x, y)
-        denominator = float(
-            self.vectors.node_vector(x) @ self.weights
-            + self.vectors.node_vector(y) @ self.weights
+        compiled, row, _pair_dot, denominator = terms
+        contributions = (
+            2.0 * self.weights * compiled.pair_vector_dense(row) / denominator
         )
-        if denominator <= 0.0:
-            return []
-        contributions = 2.0 * self.weights * m_xy / denominator
         order = np.argsort(-contributions, kind="stable")
         return [
             (int(i), float(contributions[i]))

@@ -8,8 +8,9 @@ proximity difference, and training maximises the log-likelihood (Eq. 5):
     L(w)       = sum log P(q,x,y;w)
 
 :class:`TripletMatrices` gathers the five metagraph vectors per triplet
-(m_qx, m_qy, m_q, m_x, m_y) restricted to the *active* metagraph ids, so
-likelihood and gradient evaluation are single numpy expressions.
+(m_qx, m_qy, m_q, m_x, m_y) from the store's compiled CSR rows,
+restricted to the *active* metagraph ids, so likelihood and gradient
+evaluation are single numpy expressions.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class TripletMatrices:
         if len(set(active_ids)) != len(self.active_ids):
             raise TrainingDataError("active metagraph ids contain duplicates")
         cols = self.active_ids
+        compiled = vectors.compile()
         n = len(triplets)
         d = len(cols)
         self.m_qx = np.empty((n, d))
@@ -55,11 +57,13 @@ class TripletMatrices:
                 raise TrainingDataError(
                     f"degenerate triplet {(q, x, y)!r}: nodes must be distinct"
                 )
-            self.m_qx[row] = vectors.pair_vector(q, x)[cols]
-            self.m_qy[row] = vectors.pair_vector(q, y)[cols]
-            self.m_q[row] = vectors.node_vector(q)[cols]
-            self.m_x[row] = vectors.node_vector(x)[cols]
-            self.m_y[row] = vectors.node_vector(y)[cols]
+            # a node without counts has no compiled row: all zeros
+            iq, ix, iy = (compiled.position(node) for node in (q, x, y))
+            self.m_q[row] = compiled.node_vector_dense(iq)[cols]
+            self.m_x[row] = compiled.node_vector_dense(ix)[cols]
+            self.m_y[row] = compiled.node_vector_dense(iy)[cols]
+            self.m_qx[row] = compiled.pair_vector_dense(compiled.pair_row(iq, ix))[cols]
+            self.m_qy[row] = compiled.pair_vector_dense(compiled.pair_row(iq, iy))[cols]
 
     @property
     def num_triplets(self) -> int:

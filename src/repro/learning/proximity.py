@@ -20,46 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.typed_graph import NodeId
-from repro.index.vectors import MetagraphVectors
-
-
-def mgp_from_vectors(
-    m_xy: np.ndarray, m_x: np.ndarray, m_y: np.ndarray, w: np.ndarray
-) -> float:
-    """pi(x, y; w) from raw vectors."""
-    denominator = float(m_x @ w + m_y @ w)
-    if denominator <= 0.0:
-        return 0.0
-    return 2.0 * float(m_xy @ w) / denominator
-
-
-def mgp_gradient_from_vectors(
-    m_xy: np.ndarray, m_x: np.ndarray, m_y: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """d pi(x,y;w) / d w as a vector (zero where the denominator is zero)."""
-    denominator = float(m_x @ w + m_y @ w)
-    if denominator <= 0.0:
-        return np.zeros_like(w)
-    numerator = float(m_xy @ w)
-    return (2.0 * denominator * m_xy - 2.0 * numerator * (m_x + m_y)) / (
-        denominator * denominator
-    )
-
-
-def mgp(
-    vectors: MetagraphVectors, x: NodeId, y: NodeId, w: np.ndarray
-) -> float:
-    """pi(x, y; w) against a vector store; pi(x, x) = 1."""
-    if x == y:
-        return 1.0
-    return mgp_from_vectors(
-        vectors.pair_vector(x, y),
-        vectors.node_vector(x),
-        vectors.node_vector(y),
-        w,
-    )
-
 
 def batch_mgp(
     m_xy: np.ndarray, m_x: np.ndarray, m_y: np.ndarray, w: np.ndarray

@@ -324,10 +324,8 @@ class SemanticProximitySearch:
             # format-v2 sidecar: the snapshot arrives mmap-loaded,
             # so serving starts without re-freezing the counts
             self.vectors.adopt_compiled(loaded.compiled)
-        else:
-            self.vectors.compile()
         models = {
-            name: ProximityModel(weights, self.vectors, name=name).compile()
+            name: ProximityModel(weights, self.vectors, name=name)
             for name, weights in loaded.models.items()
         }
         # one reference swap, not clear-then-refill: a concurrent query
@@ -382,7 +380,7 @@ class SemanticProximitySearch:
         every write/load instead of being remembered per path.
         """
         self._snapshot_path = path
-        self._snapshot_compiled = self.vectors._compiled
+        self._snapshot_compiled = self.vectors.compile()
         self._snapshot_digest = digest
 
     @classmethod
@@ -504,12 +502,10 @@ class SemanticProximitySearch:
                 index=self.index, on_edit=record,
             )
         finally:
-            # cached no-op when no edit touched the counts; models
-            # re-derive their dot products only against a new snapshot
-            compiled = vectors.compile()
+            # eager, so the next query pays nothing; a cached no-op
+            # when no edit touched the counts
             for model in self._models.values():
-                if model.compiled is not compiled:
-                    model.compile(compiled)
+                model.compile()
         return stats
 
     # ------------------------------------------------------------------
@@ -547,7 +543,7 @@ class SemanticProximitySearch:
             )
         trainer = Trainer(self.trainer_config)
         weights = trainer.train(triplets, vectors)
-        model = ProximityModel(weights, vectors, name=class_name).compile()
+        model = ProximityModel(weights, vectors, name=class_name)
         self._models[class_name] = model
         return model
 
@@ -662,9 +658,6 @@ class SemanticProximitySearch:
         _catalog, vectors = self._require_fresh()
         with self._serving_lock:
             compiled = vectors.compile()
-            for model in self._models.values():
-                if model.compiled is not compiled:
-                    model.compile(compiled)
             backend = self._build_backend(compiled)
             if self._router is None:
                 self._router = QueryRouter(
@@ -708,26 +701,29 @@ class SemanticProximitySearch:
 
         A snapshot whose recorded update log strictly *extends* this
         engine's (the publisher kept applying :meth:`apply_updates`
-        after our last common point) first replays the missing suffix
-        onto the live graph, so the fingerprint check still holds and
-        the universe picks up added/removed anchors.  Returns the new
-        :meth:`serving_digest`.
+        after our last common point) replays the missing suffix onto
+        the live graph once the snapshot has validated against it, so
+        the fingerprint check still holds and the universe picks up
+        added/removed anchors; a snapshot that fails validation changes
+        nothing.  Returns the new :meth:`serving_digest`.
         """
         source = Path(path)
         manifest = read_manifest(source)
         recorded_log = list(manifest.get("update_log", []))
-        if (
-            len(recorded_log) > len(self._update_log)
-            and recorded_log[: len(self._update_log)] == self._update_log
-        ):
-            suffix = recorded_log[len(self._update_log) :]
-            GraphDelta(
-                GraphEdit.from_json_dict(doc) for doc in suffix
-            ).apply_to(self.graph)
+        ours = len(self._update_log)
+        suffix = GraphDelta.from_json_list(
+            recorded_log[ours:] if recorded_log[:ours] == self._update_log else []
+        )
+        # validate before anything live moves: the suffix is replayed
+        # onto a copy first, so a rejected snapshot leaves the graph,
+        # the digest and every ranking exactly as they were
+        preview = self.graph.copy() if suffix else self.graph
+        suffix.apply_to(preview)
         loaded = load_index(
-            source, graph=self.graph, transform=self.transform, mmap=mmap
+            source, graph=preview, transform=self.transform, mmap=mmap
         )
         self._check_snapshot_compatible(loaded)
+        suffix.apply_to(self.graph)
         self._install_loaded(loaded, close_router=False)
         self._pin_snapshot(source, snapshot_digest(loaded.manifest))
         with self._serving_lock:
@@ -795,9 +791,7 @@ class SemanticProximitySearch:
         model's dot products in lock-step, mirroring
         :meth:`ProximityModel.rank`'s transparent recompile.
         """
-        compiled = self.vectors.compile()
-        if model.compiled is not compiled:
-            model.compile(compiled)
+        compiled = model.compile().compiled
         if self._router is None or self._router_compiled is not compiled:
             # double-checked under the serving lock: many query threads
             # may race one snapshot change, exactly one swaps

@@ -104,3 +104,28 @@ def test_module_without_all_not_checked(tree):
         "def run(x):\n    return x\n",
     )
     assert tree.lint(["api-hygiene"]).clean
+
+
+def test_ledger_private_read_flagged_outside_index(tree):
+    tree.write(
+        "search.py",
+        """\
+        class Engine:
+            def __init__(self, vectors):
+                self.vectors = vectors
+                self._compiled = None  # the engine's own field: fine
+
+            def pin(self):
+                self._compiled = self.vectors._compiled
+                return len(self.vectors._node), sorted(self.vectors._matched)
+
+        def partners(store, x):
+            return store._matched, store._pair
+        """,
+    )
+    # the ledger's own package walks its dicts by design
+    tree.write("index/persist.py", "def rows(vectors):\n    return vectors._node\n")
+    findings = tree.lint(["private-ledger-read"]).findings
+    assert {f.path for f in findings} == {"src/repro/search.py"}
+    assert sorted(f.line for f in findings) == [7, 8, 8, 11, 11]
+    assert all("vectors.compile()" in f.message for f in findings)

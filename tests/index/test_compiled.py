@@ -10,6 +10,7 @@ from repro.index.transform import log1p
 from repro.index.vectors import MetagraphVectors, build_vectors
 from repro.metagraph.catalog import MetagraphCatalog
 from tests.conftest import random_typed_graph
+from tests.oracles import node_vector, pair_vector, partners
 
 
 @pytest.fixture
@@ -48,20 +49,20 @@ class TestStructure:
         vectors, compiled = toy_compiled
         for i, node in enumerate(compiled.nodes):
             assert np.array_equal(
-                compiled.node_vector_dense(i), vectors.node_vector(node)
+                compiled.node_vector_dense(i), node_vector(vectors, node)
             )
 
     def test_adjacency_matches_partners(self, toy_compiled):
         vectors, compiled = toy_compiled
         for i, node in enumerate(compiled.nodes):
             positions, pair_rows = compiled.candidates_of(i)
-            partners = {compiled.nodes[p] for p in positions}
-            assert partners == set(vectors.partners(node))
+            adjacent = {compiled.nodes[p] for p in positions}
+            assert adjacent == partners(vectors, node)
             # each entry's pair row reconstructs the store's m_xy
             for p, row in zip(positions, pair_rows):
                 assert np.array_equal(
                     compiled.pair_vector_dense(int(row)),
-                    vectors.pair_vector(node, compiled.nodes[p]),
+                    pair_vector(vectors, node, compiled.nodes[p]),
                 )
 
     def test_partner_positions_ascending(self, toy_compiled):
@@ -88,13 +89,13 @@ class TestDotProducts:
         node_dots = compiled.node_dot_products(w)
         for i, node in enumerate(compiled.nodes):
             assert node_dots[i] == pytest.approx(
-                float(vectors.node_vector(node) @ w), abs=1e-12
+                float(node_vector(vectors, node) @ w), abs=1e-12
             )
         pair_dots = compiled.pair_dot_products(w)
         for i, node in enumerate(compiled.nodes):
             positions, rows = compiled.candidates_of(i)
             for p, row in zip(positions, rows):
-                expected = float(vectors.pair_vector(node, compiled.nodes[p]) @ w)
+                expected = float(pair_vector(vectors, node, compiled.nodes[p]) @ w)
                 assert pair_dots[row] == pytest.approx(expected, abs=1e-12)
 
     def test_transform_applied(self, toy_graph, toy_metagraphs):
@@ -103,7 +104,7 @@ class TestDotProducts:
         compiled = vectors.compile()
         for i, node in enumerate(compiled.nodes):
             assert np.array_equal(
-                compiled.node_vector_dense(i), vectors.node_vector(node)
+                compiled.node_vector_dense(i), node_vector(vectors, node)
             )
 
 
@@ -153,6 +154,5 @@ class TestLifecycle:
             CompiledVectors.build(
                 node_counts={"a": {0: 1}},
                 pair_counts={_pair_key("a", "ghost"): {0: 1}},
-                partners={"a": {"ghost"}, "ghost": {"a"}},
                 catalog_size=1,
             )

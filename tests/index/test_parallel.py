@@ -14,7 +14,6 @@ from tests.conftest import random_typed_graph
 def assert_stores_equal(actual, expected):
     assert actual._node == expected._node
     assert actual._pair == expected._pair
-    assert actual._partners == expected._partners
     assert actual.matched_ids == expected.matched_ids
 
 

@@ -15,6 +15,7 @@ from repro.index.vectors import (
 )
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import metapath
+from tests.oracles import node_vector, nodes_with_counts, pair_vector, partners
 
 
 @pytest.fixture
@@ -41,22 +42,22 @@ class TestPersistence:
         assert restored.matched_ids == store.matched_ids
         for user in ("Alice", "Bob", "Kate", "Jay", "Tom"):
             assert np.array_equal(
-                restored.node_vector(user), store.node_vector(user)
+                node_vector(restored, user), node_vector(store, user)
             )
         assert np.array_equal(
-            restored.pair_vector("Alice", "Bob"),
-            store.pair_vector("Alice", "Bob"),
+            pair_vector(restored, "Alice", "Bob"),
+            pair_vector(store, "Alice", "Bob"),
         )
 
     def test_partners_restored(self, store, snapshot):
         restored = load_index(snapshot).vectors
         for user in ("Alice", "Bob", "Kate"):
-            assert restored.partners(user) == store.partners(user)
+            assert partners(restored, user) == partners(store, user)
 
     def test_transform_reapplied_on_load(self, store, snapshot):
         restored = load_index(snapshot, transform=log1p).vectors
-        raw = store.pair_vector("Alice", "Bob")
-        transformed = restored.pair_vector("Alice", "Bob")
+        raw = pair_vector(store, "Alice", "Bob")
+        transformed = pair_vector(restored, "Alice", "Bob")
         nonzero = raw > 0
         assert np.allclose(transformed[nonzero], np.log1p(raw[nonzero]))
 
@@ -120,15 +121,15 @@ class TestAdversarialNodeIds:
         store = self.adversarial_store()
         path = save_index(tmp_path / "snapshot", store, self.CATALOG)
         restored = load_index(path).vectors
-        assert restored.nodes_with_counts() == store.nodes_with_counts()
+        assert nodes_with_counts(restored) == nodes_with_counts(store)
         for node in self.ADVERSARIAL_IDS:
-            assert restored.partners(node) == store.partners(node)
+            assert partners(restored, node) == partners(store, node)
             assert np.array_equal(
-                restored.node_vector(node), store.node_vector(node)
+                node_vector(restored, node), node_vector(store, node)
             )
         assert np.array_equal(
-            restored.pair_vector(("tuple", 3), (("nested", 1), "deep")),
-            store.pair_vector(("tuple", 3), (("nested", 1), "deep")),
+            pair_vector(restored, ("tuple", 3), (("nested", 1), "deep")),
+            pair_vector(store, ("tuple", 3), (("nested", 1), "deep")),
         )
 
     def test_unsupported_id_rejected_at_save_time(self, tmp_path):

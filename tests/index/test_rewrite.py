@@ -251,8 +251,8 @@ class TestRebuildGuarantee:
         )
         assert engine.index.matched_ids() == cold.index.matched_ids()
         for mg_id in engine.index.matched_ids():
-            assert engine.index.counts_for(mg_id) == cold.index.counts_for(
+            assert engine.index.num_instances(mg_id) == cold.index.num_instances(
                 mg_id
-            ), f"metagraph {mg_id} counts diverge from cold rebuild"
+            ), f"metagraph {mg_id} total diverges from cold rebuild"
         assert engine.vectors._node == cold.vectors._node
         assert engine.vectors._pair == cold.vectors._pair

@@ -11,6 +11,26 @@ from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import metapath
 
 
+def node_vector(vectors, x):
+    """m_x read the way the library reads it: off the compiled rows."""
+    compiled = vectors.compile()
+    return compiled.node_vector_dense(compiled.position(x))
+
+
+def pair_vector(vectors, x, y):
+    """m_xy off the compiled rows."""
+    compiled = vectors.compile()
+    return compiled.pair_vector_dense(
+        compiled.pair_row(compiled.position(x), compiled.position(y))
+    )
+
+
+def partners(vectors, x):
+    compiled = vectors.compile()
+    positions, _rows = compiled.candidates_of(compiled.position(x))
+    return {compiled.nodes[p] for p in positions}
+
+
 @pytest.fixture
 def toy_catalog(toy_metagraphs) -> MetagraphCatalog:
     return MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
@@ -79,7 +99,7 @@ class TestMetagraphVectors:
     def test_pair_vector_values(self, toy_graph, toy_catalog, toy_metagraphs):
         vectors, _ = build_vectors(toy_graph, toy_catalog)
         m3_id = toy_catalog.id_of(toy_metagraphs["M3"])
-        vec = vectors.pair_vector("Alice", "Bob")
+        vec = pair_vector(vectors, "Alice", "Bob")
         assert vec[m3_id] == 1.0
         m4_id = toy_catalog.id_of(toy_metagraphs["M4"])
         assert vec[m4_id] == 1.0
@@ -87,27 +107,29 @@ class TestMetagraphVectors:
     def test_pair_vector_symmetric(self, toy_graph, toy_catalog):
         vectors, _ = build_vectors(toy_graph, toy_catalog)
         assert np.array_equal(
-            vectors.pair_vector("Alice", "Bob"),
-            vectors.pair_vector("Bob", "Alice"),
+            pair_vector(vectors, "Alice", "Bob"),
+            pair_vector(vectors, "Bob", "Alice"),
         )
 
     def test_node_vector(self, toy_graph, toy_catalog, toy_metagraphs):
         vectors, _ = build_vectors(toy_graph, toy_catalog)
         m2_id = toy_catalog.id_of(toy_metagraphs["M2"])
-        assert vectors.node_vector("Kate")[m2_id] == 1.0
-        assert vectors.node_vector("Tom")[m2_id] == 0.0
+        assert node_vector(vectors, "Kate")[m2_id] == 1.0
+        assert node_vector(vectors, "Tom")[m2_id] == 0.0
 
     def test_partners(self, toy_graph, toy_catalog):
         vectors, _ = build_vectors(toy_graph, toy_catalog)
-        assert "Bob" in vectors.partners("Alice")
-        assert "Kate" in vectors.partners("Alice")  # via M2
-        assert "Tom" not in vectors.partners("Alice")
+        assert "Bob" in partners(vectors, "Alice")
+        assert "Kate" in partners(vectors, "Alice")  # via M2
+        assert "Tom" not in partners(vectors, "Alice")
 
     def test_vectors_read_only(self, toy_graph, toy_catalog):
         vectors, _ = build_vectors(toy_graph, toy_catalog)
-        vec = vectors.pair_vector("Alice", "Bob")
+        compiled = vectors.compile()
         with pytest.raises(ValueError):
-            vec[0] = 99.0
+            compiled.pair_data[0] = 99.0
+        with pytest.raises(ValueError):
+            compiled.node_data[0] = 99.0
 
     def test_incremental_build(self, toy_graph, toy_catalog):
         vectors, index = build_vectors(toy_graph, toy_catalog, mg_ids=[0, 1])
@@ -145,7 +167,7 @@ class TestMetagraphVectors:
     def test_transform_applied(self, toy_graph, toy_catalog, toy_metagraphs):
         vectors, _ = build_vectors(toy_graph, toy_catalog, transform=log1p)
         m3_id = toy_catalog.id_of(toy_metagraphs["M3"])
-        assert vectors.pair_vector("Alice", "Bob")[m3_id] == pytest.approx(
+        assert pair_vector(vectors, "Alice", "Bob")[m3_id] == pytest.approx(
             np.log1p(1)
         )
 

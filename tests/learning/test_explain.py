@@ -6,6 +6,7 @@ import pytest
 from repro.index.vectors import build_vectors
 from repro.learning.model import ProximityModel
 from repro.metagraph.catalog import MetagraphCatalog
+from tests.oracles import ScalarModel
 
 
 @pytest.fixture
@@ -21,7 +22,11 @@ class TestExplain:
         for x, y in [("Kate", "Alice"), ("Bob", "Alice"), ("Kate", "Jay")]:
             contributions = m.explain(x, y, k=10)
             total = sum(c for _i, c in contributions)
-            assert total == pytest.approx(m.proximity(x, y))
+            assert total == pytest.approx(m.proximity(x, y), abs=1e-12)
+            # and each summand is the dict-walking oracle's
+            assert dict(contributions) == pytest.approx(
+                ScalarModel.like(m).explain(x, y), abs=1e-12
+            )
 
     def test_family_pair_explained_by_family_metagraphs(self, model):
         catalog, m = model

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.index.vectors import build_vectors
-from repro.learning.proximity import (
-    batch_mgp,
-    batch_mgp_gradient,
-    mgp,
-    mgp_from_vectors,
-    mgp_gradient_from_vectors,
-)
+from repro.learning.model import ProximityModel
+from repro.learning.proximity import batch_mgp, batch_mgp_gradient
 from repro.metagraph.catalog import MetagraphCatalog
+from tests.oracles import mgp, mgp_from_vectors, mgp_gradient_from_vectors
+
+
+def both_paths(vectors, w):
+    """pi(x, y) from the dict-walking oracle and from the compiled model."""
+    model = ProximityModel(w, vectors)
+    return [lambda x, y: mgp(vectors, x, y, w), model.proximity]
 
 
 @pytest.fixture
@@ -85,7 +87,8 @@ class TestTheorem1:
 
     def test_self_proximity_via_store(self, toy_vectors):
         _catalog, vectors = toy_vectors
-        assert mgp(vectors, "Alice", "Alice", np.ones(4)) == 1.0
+        for pi in both_paths(vectors, np.ones(4)):
+            assert pi("Alice", "Alice") == 1.0
 
     def test_partial_transitivity_constructed(self):
         # classic witness: x close to y and z via the same structure
@@ -106,8 +109,9 @@ class TestToyGraphProximities:
         m4_id = catalog.id_of(fig2_metagraphs()["M4"])
         w = np.zeros(4)
         w[m4_id] = 1.0
-        assert mgp(vectors, "Bob", "Alice", w) > 0
-        assert mgp(vectors, "Bob", "Tom", w) == 0.0
+        for pi in both_paths(vectors, w):
+            assert pi("Bob", "Alice") > 0
+            assert pi("Bob", "Tom") == 0.0
 
     def test_classmate_weights(self, toy_vectors):
         catalog, vectors = toy_vectors
@@ -116,9 +120,10 @@ class TestToyGraphProximities:
         m1_id = catalog.id_of(fig2_metagraphs()["M1"])
         w = np.zeros(4)
         w[m1_id] = 1.0
-        assert mgp(vectors, "Bob", "Tom", w) > 0
-        assert mgp(vectors, "Kate", "Jay", w) > 0
-        assert mgp(vectors, "Bob", "Alice", w) == 0.0
+        for pi in both_paths(vectors, w):
+            assert pi("Bob", "Tom") > 0
+            assert pi("Kate", "Jay") > 0
+            assert pi("Bob", "Alice") == 0.0
 
 
 class TestGradients:

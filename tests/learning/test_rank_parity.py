@@ -1,7 +1,8 @@
-"""Compiled-vs-scalar ranking parity, and the universe-restriction fix.
+"""Compiled-vs-oracle ranking parity, and the universe-restriction fix.
 
-The compiled CSR path must be bit-for-bit rank-identical to the scalar
-reference path: same nodes, same tie-break order, scores within 1e-12.
+The compiled CSR path — the only one in ``src/`` — must be rank-identical
+to the scalar reference kept in :mod:`tests.oracles`: same nodes, same
+tie-break order, scores within 1e-12.
 Parity is exercised on randomized synthetic graphs across weight
 regimes, including tie-heavy weight vectors where many candidates share
 the exact same proximity.
@@ -15,6 +16,7 @@ from repro.learning.model import ProximityModel, SortedUniverse, uniform_model
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import metapath
 from tests.conftest import random_typed_graph
+from tests.oracles import ScalarModel, partners
 
 
 def _random_setup(seed: int):
@@ -58,7 +60,7 @@ class TestParity:
     def test_randomized_graphs(self, seed, regime):
         vectors, users = _random_setup(seed)
         weights = WEIGHT_REGIMES[regime]
-        scalar_model = ProximityModel(weights, vectors)
+        scalar_model = ScalarModel(weights, vectors)
         compiled_model = ProximityModel(weights, vectors).compile()
         universes = [None, users, users[::2], SortedUniverse(users)]
         for query in users[:5]:
@@ -72,7 +74,7 @@ class TestParity:
         vectors, users = _random_setup(7)
         rng = np.random.default_rng(7)
         weights = rng.uniform(0.0, 1.0, 3)
-        scalar_model = ProximityModel(weights, vectors)
+        scalar_model = ScalarModel(weights, vectors)
         compiled_model = ProximityModel(weights, vectors).compile()
         for query in users[:6]:
             assert_rank_parity(scalar_model, compiled_model, query, users, 10)
@@ -82,7 +84,7 @@ class TestParity:
         vectors, _ = build_vectors(toy_graph, catalog)
         users = ["Alice", "Bob", "Jay", "Kate", "Tom"]
         for weights in ([0.9, 0, 0, 0], [0, 0.6, 0.4, 0], [0, 0, 0, 0.8]):
-            scalar_model = ProximityModel(np.array(weights, float), vectors)
+            scalar_model = ScalarModel(np.array(weights, float), vectors)
             compiled_model = ProximityModel(np.array(weights, float), vectors)
             compiled_model.compile()
             for query in users:
@@ -94,12 +96,12 @@ class TestParity:
     def test_query_without_counts(self, toy_graph, toy_metagraphs):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
         vectors, _ = build_vectors(toy_graph, catalog)
-        model = uniform_model(vectors)
-        compiled_model = uniform_model(vectors).compile()
+        compiled_model = uniform_model(vectors)
+        model = ScalarModel.like(compiled_model)
         # "Zoe" has no metagraph counts at all
         universe = ["Alice", "Bob", "Zoe"]
         assert_rank_parity(model, compiled_model, "Zoe", universe, None)
-        assert model.rank("Zoe", universe=universe) == [
+        assert compiled_model.rank("Zoe", universe=universe) == [
             ("Alice", 0.0),
             ("Bob", 0.0),
         ]
@@ -110,8 +112,8 @@ class TestParity:
         # backends, same behaviour)
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
         vectors, _ = build_vectors(toy_graph, catalog)
-        scalar_model = uniform_model(vectors)
         compiled_model = uniform_model(vectors).compile()
+        scalar_model = ScalarModel.like(compiled_model)
         users = ["Alice", "Bob", "Kate"]
         assert scalar_model.rank("Kate", universe=users, k=0) == []
         assert compiled_model.rank("Kate", universe=users, k=0) == []
@@ -138,12 +140,10 @@ class TestParity:
         for mg_id in (1, 2, 3):
             vectors.add_counts(mg_id, match_and_count(toy_graph, mgs[mg_id]))
         after = model.rank("Kate")
-        scalar_after = ProximityModel(model.weights, vectors).rank("Kate")
+        scalar_after = ScalarModel.like(model).rank("Kate")
         assert after == scalar_after
         assert after != before
-        assert dict(after)["Alice"] == pytest.approx(
-            model.proximity("Kate", "Alice")
-        )
+        assert dict(after)["Alice"] == model.proximity("Kate", "Alice")
 
     def test_stale_explicit_snapshot_rejected(self, toy_graph, toy_metagraphs):
         from repro.exceptions import LearningError
@@ -164,7 +164,7 @@ class TestParity:
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
         vectors, _ = build_vectors(toy_graph, catalog)
         weights = np.zeros(4)
-        scalar_model = ProximityModel(weights, vectors)
+        scalar_model = ScalarModel(weights, vectors)
         compiled_model = ProximityModel(weights, vectors).compile()
         users = ["Alice", "Bob", "Jay", "Kate", "Tom"]
         for query in users:
@@ -183,7 +183,7 @@ class TestUniverseRestriction:
     def test_scalar_path_filters(self, toy_model):
         # Kate's partners include Alice and Jay; restrict them away
         universe = ["Kate", "Bob", "Tom"]
-        result = toy_model.rank("Kate", universe=universe)
+        result = ScalarModel.like(toy_model).rank("Kate", universe=universe)
         assert {node for node, _ in result} == {"Bob", "Tom"}
 
     def test_compiled_path_filters(self, toy_model):
@@ -200,8 +200,8 @@ class TestUniverseRestriction:
 
     def test_no_universe_returns_partners_only(self, toy_model):
         result = toy_model.rank("Kate")
-        assert {node for node, _ in result} <= set(
-            toy_model.vectors.partners("Kate")
+        assert {node for node, _ in result} <= partners(
+            toy_model.vectors, "Kate"
         )
 
 

@@ -20,6 +20,7 @@ from repro.learning.objective import (
 )
 from repro.learning.trainer import Trainer, TrainerConfig
 from repro.metagraph.catalog import MetagraphCatalog
+from tests.oracles import triplet_rows
 
 USERS = ["Alice", "Bob", "Kate", "Jay", "Tom"]
 
@@ -82,6 +83,33 @@ class TestTripletMatrices:
         _catalog, vectors = toy_setup
         with pytest.raises(TrainingDataError):
             TripletMatrices(FAMILY_TRIPLETS, vectors, [0, 0])
+
+    @pytest.mark.parametrize(
+        "matched, active",
+        [
+            (None, [0, 1, 2, 3]),  # the full store
+            (None, [1, 3]),
+            # a partial store, as dual-stage's seed stage trains on
+            ([0, 2], [0, 2]),
+            ([0, 2], [2]),
+        ],
+    )
+    def test_compiled_rows_equal_dict_rows(
+        self, toy_graph, toy_metagraphs, matched, active
+    ):
+        catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
+        vectors, _ = build_vectors(toy_graph, catalog, mg_ids=matched)
+        # "Zoe" has no counts at all: every stack gets a zero row for her
+        triplets = FAMILY_TRIPLETS + CLASSMATE_TRIPLETS + [
+            ("Bob", "Alice", "Zoe"),
+            ("Zoe", "Bob", "Alice"),
+        ]
+        matrices = TripletMatrices(triplets, vectors, active)
+        for name, expected in triplet_rows(triplets, vectors, active).items():
+            stack = getattr(matrices, name)
+            assert stack.dtype == expected.dtype
+            assert np.array_equal(stack, expected), name
+        assert not matrices.m_y[-2].any() and not matrices.m_qx[-1].any()
 
     def test_expand(self, toy_setup):
         _catalog, vectors = toy_setup
@@ -236,8 +264,11 @@ class TestProximityModel:
 
     def test_negative_weights_rejected(self, toy_setup):
         _catalog, vectors = toy_setup
-        with pytest.raises(LearningError):
-            ProximityModel(np.array([-1.0, 0, 0, 0]), vectors)
+        # NaN passes a bare `weights < 0` test and inf makes the
+        # kernel divide inf by inf: neither is a weight vector
+        for bad in ([-1.0, 0, 0, 0], [np.nan, 1.0, 0, 0], [np.inf, 1.0, 0, 0]):
+            with pytest.raises(LearningError):
+                ProximityModel(np.array(bad), vectors)
 
     def test_wrong_length_rejected(self, toy_setup):
         _catalog, vectors = toy_setup
@@ -260,6 +291,36 @@ class TestProximityModel:
         loaded = load_index(tmp_path / "s")
         assert np.array_equal(loaded.models["c"], model.weights)
 
+    def test_non_finite_weights_never_persist(self, toy_setup, tmp_path):
+        import json
+
+        from repro.exceptions import SnapshotError
+        from repro.index import persist
+
+        catalog, vectors = toy_setup
+        for bad in (np.array([np.nan, 1.0, 0, 0]), np.array([np.inf, 1.0, 0, 0])):
+            with pytest.raises(SnapshotError, match="not finite"):
+                persist.save_index(
+                    tmp_path / "refused", vectors, catalog, models={"c": bad}
+                )
+        # a snapshot that carries one anyway (written by other means,
+        # digests consistent) is refused on the way in too
+        target = persist.save_index(
+            tmp_path / "s", vectors, catalog, models={"c": np.ones(4)}
+        )
+        with np.load(target / persist.ARRAYS_FILE) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays["model_0"] = np.array([np.inf, 1.0, 0.0, 0.0])
+        blob = persist._deterministic_npz_bytes(arrays)
+        (target / persist.ARRAYS_FILE).write_bytes(blob)
+        manifest = json.loads((target / persist.MANIFEST_FILE).read_text())
+        manifest["arrays_sha256"] = persist._sha256(blob)
+        del manifest["manifest_sha256"]
+        manifest["manifest_sha256"] = persist._manifest_digest(manifest)
+        (target / persist.MANIFEST_FILE).write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="not finite"):
+            persist.load_index(target)
+
     def test_uniform_model(self, toy_setup):
         _catalog, vectors = toy_setup
         model = uniform_model(vectors)
@@ -276,3 +337,70 @@ class TestProximityModel:
         restricted = restrict_weights(w, [1])
         assert list(restricted) == [0.0, 0.6, 0.0]
         assert list(w) == [0.5, 0.6, 0.7]  # original untouched
+
+
+class TestPinnedWeights:
+    """Trained weights, pinned to the bytes the dict-backed store produced.
+
+    The trainer's triplet stacks now come from compiled CSR rows; the
+    values are the same ``transform(count)`` float64s, so gradient
+    ascent must land on the identical vector.  Digests were computed at
+    the commit before the dict vectors were deleted.
+    """
+
+    TOY = {
+        "classmates": "41e57a811ac9776a5931d1ac2f1f354df344c042329b13e20b4b516db8b78410",
+        "close friends": "2aaa85682f3960580ee218acd787a01541935d7ce01cd255143af188300329f9",
+        "family": "c2678240d4475ab3b5f7904bbe2a167b44f4282b8ac4cf80b7e7b87ee210b2b5",
+    }
+    QUICK_LINKEDIN = {
+        "college": "01a565e5cd527579bb8487f6fb69f15ee5f13f0bcff5b06637a0148cd1ea641a",
+        "coworker": "6234231fb909fb322302874ca351cd17de9ca318994329edc515470a41756af7",
+    }
+
+    @staticmethod
+    def digests(engine, dataset, num_examples):
+        import hashlib
+
+        return {
+            name: hashlib.sha256(
+                engine.fit(
+                    name,
+                    labels=dataset.class_labels(name),
+                    num_examples=num_examples,
+                ).weights.tobytes()
+            ).hexdigest()
+            for name in sorted(dataset.classes)
+        }
+
+    def test_toy(self):
+        from repro import SemanticProximitySearch
+        from repro.datasets.toy import toy_dataset, toy_metagraphs
+
+        dataset = toy_dataset()
+        engine = SemanticProximitySearch(
+            dataset.graph,
+            trainer_config=TrainerConfig(restarts=2, max_iterations=300, seed=0),
+        )
+        engine.prepare(
+            catalog=MetagraphCatalog(toy_metagraphs().values(), anchor_type="user")
+        )
+        assert self.digests(engine, dataset, 40) == self.TOY
+
+    def test_quick_linkedin(self):
+        from repro import SemanticProximitySearch
+        from repro.datasets import load_dataset
+        from repro.experiments.config import QUICK_CONFIG as cfg
+
+        dataset = load_dataset("linkedin", scale=cfg.scale)
+        engine = SemanticProximitySearch(
+            dataset.graph,
+            miner_config=cfg.miner_config("linkedin"),
+            trainer_config=TrainerConfig(
+                restarts=cfg.trainer_restarts,
+                max_iterations=cfg.trainer_max_iterations,
+                seed=0,
+            ),
+        )
+        engine.prepare()
+        assert self.digests(engine, dataset, 50) == self.QUICK_LINKEDIN

@@ -199,4 +199,4 @@ class TestLabeledDatasetParity:
         assert vectors._pair == reference_vectors._pair
         assert index.matched_ids() == reference_index.matched_ids()
         for mg_id in index.matched_ids():
-            assert index.counts_for(mg_id) == reference_index.counts_for(mg_id)
+            assert index.num_instances(mg_id) == reference_index.num_instances(mg_id)

@@ -157,3 +157,63 @@ class TestFacadeSharding:
         assert sharded.query_many("circle", queries, k=5) == flat.query_many(
             "circle", queries, k=5
         )
+
+
+class TestOneScore:
+    """``proximity`` is the score ``rank`` reports — one float, to the bit.
+
+    Every reader scores off the same compiled dot arrays with the same
+    arithmetic, so the pairwise value, its mirror image and the ranked
+    score cannot drift apart, sharded or not, before or after updates.
+    Random (non-dyadic) weights over a mined catalog make any second
+    summation order visible in the last bits.
+    """
+
+    @pytest.fixture(scope="class")
+    def snapshot(self, tmp_path_factory):
+        import numpy as np
+
+        from repro.datasets import load_dataset
+        from repro.index import save_index
+
+        dataset = load_dataset("linkedin", scale="tiny")
+        spx = SemanticProximitySearch(
+            dataset.graph, miner_config=MinerConfig(max_nodes=4, min_support=3)
+        )
+        spx.prepare()
+        weights = np.random.default_rng(0).uniform(0.05, 1.0, len(spx.catalog))
+        target = tmp_path_factory.mktemp("one-score") / "snap"
+        save_index(
+            target, spx.vectors, spx.catalog, graph=dataset.graph,
+            index=spx.index, models={"random": weights},
+        )
+        return target, dataset.graph
+
+    @staticmethod
+    def assert_one_score(engine):
+        compared = 0
+        for query in engine.universe():
+            ranking = engine.query("random", query, k=None)
+            for node, score in ranking:
+                assert engine.proximity("random", query, node) == score
+                assert engine.proximity("random", node, query) == score
+            compared += sum(score > 0.0 for _node, score in ranking)
+        assert compared > 100  # the property was exercised on real scores
+
+    @pytest.mark.parametrize("num_shards", (1, 3))
+    def test_proximity_is_the_rank_score(self, snapshot, num_shards):
+        target, graph = snapshot
+        with SemanticProximitySearch.from_index(
+            target, graph.copy(), shards=num_shards, serving_workers=2
+        ) as engine:
+            self.assert_one_score(engine)
+            user = engine.universe()[0]
+            attribute = sorted(engine.graph.neighbors(user), key=repr)[0]
+            stats = engine.apply_updates(
+                GraphDelta()
+                .remove_edge(user, attribute)
+                .add_node("one-score-newcomer", "user")
+                .add_edge("one-score-newcomer", attribute)
+            )
+            assert stats.edits_applied == 3
+            self.assert_one_score(engine)

@@ -10,6 +10,8 @@ updates.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.datasets.toy import toy_dataset, toy_metagraphs
@@ -209,11 +211,15 @@ class TestRouterBehaviour:
     def test_uncompiled_model_rejected(self, toy_setup):
         from repro.exceptions import LearningError
 
+        # every model is compiled against *its store's* snapshot; one
+        # that is not on the router's snapshot must not be scored with
+        # the router's shard arrays
         compiled, model, universe = toy_setup
-        scalar = uniform_model(model.vectors)
+        foreign = uniform_model(copy.deepcopy(model.vectors))
+        assert foreign.compiled is not compiled
         with QueryRouter(in_process(compiled, 2)) as router:
             with pytest.raises(LearningError):
-                router.rank_many(scalar, ["Bob"], universe=universe, k=3)
+                router.rank_many(foreign, ["Bob"], universe=universe, k=3)
 
     def test_empty_batch(self, toy_setup):
         compiled, model, universe = toy_setup

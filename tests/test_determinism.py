@@ -37,15 +37,8 @@ catalog = mine_catalog(ds.graph, MinerConfig(max_nodes=3, min_support=3))
 catalog_digest = hashlib.md5(catalog.to_json().encode()).hexdigest()
 
 vectors, _ = build_vectors(ds.graph, catalog)
-pairs = sorted(
-    (repr(x), repr(y))
-    for x in list(ds.universe)[:6]
-    for y in list(ds.universe)[:6]
-    if repr(x) < repr(y)
-)
-vec_digest = hashlib.md5(b"".join(
-    vectors.pair_vector(x, y).tobytes() for x, y in pairs
-)).hexdigest()
+# every m_x / m_xy row, in the form every reader sees them
+vec_digest = vectors.compile().content_digest()
 
 triplets = generate_triplets(
     ds.queries("college")[:8], labels, ds.universe, 50, seed=0

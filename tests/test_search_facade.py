@@ -7,10 +7,10 @@ from repro.datasets.toy import toy_dataset, toy_metagraphs
 from repro.exceptions import LearningError, StaleIndexError
 from repro.index.delta import GraphDelta
 from repro.index.vectors import build_vectors
-from repro.learning.model import ProximityModel
 from repro.learning.trainer import TrainerConfig
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.mining import MinerConfig
+from tests.oracles import ScalarModel
 
 
 @pytest.fixture(scope="module")
@@ -145,10 +145,9 @@ class TestCompiledServing:
             labels=ds.class_labels("family"),
             num_examples=40,
         )
-        assert model.compiled is not None
-        # never compile()d: the scalar reference path
-        reference = ProximityModel(model.weights, spx.vectors)
-        assert reference.compiled is None
+        assert model.compiled is spx.vectors.compile()
+        # the scalar reference: dict rows, one dense mgp() per candidate
+        reference = ScalarModel.like(model)
         for query in spx.universe():
             assert spx.query("family", query, k=3) == reference.rank(
                 query, universe=spx.universe(), k=3
@@ -205,7 +204,7 @@ class TestDynamicUpdates:
         spx.apply_updates(GraphDelta().remove_edge("Kate", "Music"))
         model = spx.model("family")
         compiled = model.rank("Bob", universe=spx.universe(), k=5)
-        scalar = model._rank_scalar("Bob", spx.universe(), 5)
+        scalar = ScalarModel.like(model).rank("Bob", spx.universe(), 5)
         assert compiled == scalar
 
     def test_universe_tracks_anchor_mutations(self, fresh_engine):
@@ -310,6 +309,45 @@ class TestDynamicUpdates:
         # deltas as authoritative totals
         restored.save_index(target)
         assert SemanticProximitySearch.from_index(target, twin).index is None
+
+    def test_rejected_reload_leaves_engine_untouched(self, fresh_engine, tmp_path):
+        # regression: the snapshot's update-log suffix used to be
+        # replayed onto the live graph *before* the snapshot validated,
+        # so a corrupt snapshot bumped graph.version and every later
+        # query raised StaleIndexError forever
+        from repro.exceptions import SnapshotError
+        from repro.index.persist import ARRAYS_FILE
+
+        spx, ds = fresh_engine
+        spx.fit("family", labels=ds.class_labels("family"), num_examples=40)
+        publisher = SemanticProximitySearch.from_index(
+            spx.save_index(tmp_path / "base"), spx.graph.copy()
+        )
+        publisher.apply_updates(GraphDelta().remove_edge("Kate", "Music"))
+        published = publisher.save_index(tmp_path / "published")
+        arrays = published / ARRAYS_FILE
+        good = arrays.read_bytes()
+        arrays.write_bytes(good[:100] + bytes([good[100] ^ 0xFF]) + good[101:])
+
+        def state():
+            return (
+                spx.graph.version,
+                spx.graph.has_edge("Kate", "Music"),
+                spx.serving_digest(),
+                spx.query_many("family", list(spx.universe()), k=None),
+            )
+
+        before = state()
+        with pytest.raises(SnapshotError):
+            spx.reload_index(published)
+        assert state() == before
+        # the same snapshot, undamaged, still reloads — suffix and all
+        arrays.write_bytes(good)
+        assert spx.reload_index(published) == publisher.serving_digest()
+        assert not spx.graph.has_edge("Kate", "Music")
+        assert spx.query("family", "Kate", k=None) == publisher.query(
+            "family", "Kate", k=None
+        )
 
     def test_update_log_survives_snapshot_roundtrip(self, fresh_engine, tmp_path):
         spx, ds = fresh_engine
