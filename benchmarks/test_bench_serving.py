@@ -13,25 +13,17 @@ one; that the kernel returns the reference rankings is the parity
 suite's job (``tests/learning/test_rank_parity.py``,
 ``tests/serving/test_shards.py``), spot-checked on this graph by
 ``test_bench_backends_agree`` against the oracle in ``tests/oracles.py``.
-
-One wall-clock floor remains:
-
-- ``test_mmap_coldstart_speedup`` — cold-starting a serving worker
-  from the format-v2 mmap sidecar must beat the npz path (decompress +
-  dict replay + compile) by ``REPRO_MMAP_COLDSTART_FLOOR`` (default
-  2x).
+No wall-clock floor is asserted here.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 
 import pytest
 
 from repro.graph.typed_graph import TypedGraph
-from repro.index.persist import load_compiled, load_index, save_index
 from repro.index.vectors import build_vectors
 from repro.learning.model import ProximityModel, SortedUniverse, uniform_model
 from repro.metagraph.catalog import MetagraphCatalog
@@ -136,49 +128,6 @@ def test_sharded_results_bit_identical(serving_setup, sharded_setup):
     sharded = router.rank_many(model, queries, universe=universe, k=TOP_K)
     unsharded = [model.rank(q, universe=universe, k=TOP_K) for q in queries]
     assert sharded == unsharded
-
-
-@pytest.fixture(scope="module")
-def serving_snapshot(tmp_path_factory):
-    graph = serving_graph()
-    catalog = MetagraphCatalog(
-        [
-            metapath("user", t, "user", name=f"P-{t}")
-            for t in ("school", "employer", "hobby")
-        ],
-        anchor_type="user",
-    )
-    vectors, index = build_vectors(graph, catalog)
-    target = tmp_path_factory.mktemp("serving") / "snapshot"
-    save_index(target, vectors, catalog, graph=graph, index=index)
-    return target
-
-
-def test_mmap_coldstart_speedup(serving_snapshot):
-    """Acceptance floor: mmap sidecar cold start >= 2x over the npz path.
-
-    The npz leg is what a pre-v2 worker did at boot: decompress
-    ``arrays.npz``, replay the counts into dicts, re-freeze them into
-    the CSR backend.  The mmap leg opens the format-v2 sidecar with
-    ``mmap_mode="r"``.  Relax via REPRO_MMAP_COLDSTART_FLOOR on noisy
-    runners.
-    """
-    floor = float(os.environ.get("REPRO_MMAP_COLDSTART_FLOOR", "2"))
-
-    def npz_cold_start():
-        return load_index(serving_snapshot, mmap=False).vectors.compile()
-
-    def mmap_cold_start():
-        return load_compiled(serving_snapshot)
-
-    assert npz_cold_start().nnz == mmap_cold_start().nnz
-    npz_s = _best_of(npz_cold_start, 3)
-    mmap_s = _best_of(mmap_cold_start, 3)
-    speedup = npz_s / mmap_s
-    assert speedup >= floor, (
-        f"mmap cold start only {speedup:.1f}x faster (floor {floor}x; "
-        f"npz {npz_s * 1e3:.1f} ms, mmap {mmap_s * 1e3:.1f} ms)"
-    )
 
 
 def test_bench_backends_agree(serving_setup):

@@ -7,11 +7,12 @@ persistence workflow a production deployment would use:
 
 1. *build job*: run the offline phase on a worker pool, train every
    semantic class, and persist ONE versioned snapshot directory
-   (``manifest.json`` + ``catalog.json`` + ``arrays.npz``) via
-   ``engine.save_index()``;
+   (``manifest.json`` + the catalog + the integer counts under
+   ``compiled/``) via ``engine.save_index()``;
 2. *service*: cold-start with ``SemanticProximitySearch.from_index()``
-   — no mining, no matching, and the format-v2 sidecar memory-mapped
-   instead of decompressed — and answer queries with explanations
+   — no mining, no matching, and the count arrays memory-mapped, their
+   floats derived through the manifest's value table — and answer
+   queries with explanations
    (Fig. 1(b)'s "result with explanation" column), including a batched
    pass whose scores are checked against pairwise ``proximity()``;
 3. *sharded tier*: re-serve the same batch through a 4-shard, 2-worker

@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_arg(
         "--mmap",
         action="store_true",
-        help="memory-map the --snapshot's compiled sidecar instead of "
+        help="memory-map the --snapshot's compiled arrays instead of "
         "loading a copy (near-zero cold start; pages shared across "
         "co-hosted processes)",
     )
@@ -270,7 +270,7 @@ def run_serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
         return 2
     if args.mmap and args.snapshot is None:
         print(
-            "--mmap memory-maps a snapshot's compiled sidecar; it "
+            "--mmap memory-maps a snapshot's compiled arrays; it "
             "requires --snapshot",
             file=sys.stderr,
         )
@@ -342,7 +342,7 @@ def run_serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
         backend = "compiled"
     if args.snapshot is not None:
         # cold start: no mining, no matching — the snapshot's counts
-        # (and, with --mmap, its memory-mapped compiled sidecar) back
+        # (with --mmap, its compiled arrays memory-mapped) back
         # serving directly
         try:
             engine = SemanticProximitySearch.from_index(
@@ -576,7 +576,6 @@ def run_index_update(args) -> int:
     """The ``index update`` verb: delta-maintain a snapshot in place."""
     import json
     import random
-    import shutil
     from pathlib import Path
 
     from repro.datasets import load_dataset
@@ -596,19 +595,17 @@ def run_index_update(args) -> int:
         return 1
     # `index build` records its base dataset/scale in the manifest; the
     # flags only need repeating when that provenance is absent
-    recorded = manifest.get("extra", {})
+    recorded = manifest["extra"]
     dataset_name = args.dataset or recorded.get("dataset") or "linkedin"
     scale = args.scale or recorded.get("scale") or "tiny"
     dataset = load_dataset(dataset_name, scale=scale)
     graph = dataset.graph
     try:
-        replayed = GraphDelta.from_json_list(manifest.get("update_log", []))
+        replayed = GraphDelta.from_json_list(manifest["update_log"])
         # reconstruct the graph the snapshot describes: base dataset
         # graph + the snapshot's recorded update log
         replayed.apply_to(graph)
-        # mmap=False: the update path patches the raw counts and
-        # re-derives the sidecar on save, so opening the mmap arrays
-        # would only hold file handles into the directory being swapped
+        # mmap=False: the snapshot is rewritten in place below
         loaded = load_index(args.path, graph=graph, mmap=False)
     except ReproError as exc:
         print(f"[index] cannot update {args.path}: {exc}", file=sys.stderr)
@@ -661,26 +658,19 @@ def run_index_update(args) -> int:
         print(f"[index] update failed: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - start
-    # write the new snapshot next to the old one and swap directories,
-    # so a crash mid-rewrite never leaves the only copy half-written
-    target = Path(args.path)
-    staging = target.with_name(target.name + ".updating")
-    backup = target.with_name(target.name + ".bak")
-    shutil.rmtree(staging, ignore_errors=True)
+    update_log = manifest["update_log"] + applied_log
+    # save_index commits by replacing the manifest last, so a crash
+    # mid-rewrite leaves the previous snapshot loadable
     save_index(
-        staging,
+        args.path,
         loaded.vectors,
         loaded.catalog,
         graph=graph,
         index=instance_index,
         models=loaded.models,
         extra=recorded or None,
-        update_log=manifest.get("update_log", []) + applied_log,
+        update_log=update_log,
     )
-    shutil.rmtree(backup, ignore_errors=True)
-    target.rename(backup)
-    staging.rename(target)
-    shutil.rmtree(backup)
     print(
         f"[index] applied {stats.edits_applied} edit(s) "
         f"({stats.edits_noop} no-ops) in {elapsed * 1e3:.1f} ms: "
@@ -688,8 +678,8 @@ def run_index_update(args) -> int:
         f"across {len(stats.metagraphs_touched)} metagraph(s)"
     )
     print(
-        f"[index] snapshot at {target} rewritten: update log now "
-        f"{len(manifest.get('update_log', [])) + len(applied_log)} edit(s), "
+        f"[index] snapshot at {args.path} rewritten: update log now "
+        f"{len(update_log)} edit(s), "
         "graph fingerprint re-stamped"
     )
     return 0
@@ -706,47 +696,24 @@ def run_index(argv: list[str]) -> int:
     if args.action == "update":
         return run_index_update(args)
     if args.action == "info":
-        from repro.index import load_compiled
-
         try:
-            # mmap=False: info is the verification tool, so skip the
-            # mmap fast path and hash the sidecar in full below instead
-            # of opening it twice
+            # mmap=False: info is the verification tool; every member is
+            # read and hashed in full
             loaded = load_index(args.path, mmap=False)
         except SnapshotError as exc:
             print(f"[index] invalid snapshot at {args.path}: {exc}", file=sys.stderr)
             return 1
-        # the sidecar is derived data — its loss degrades the mmap fast
-        # path (load_index falls back to the counts), it does not
-        # invalidate the snapshot, so report it rather than failing
-        sidecar = sidecar_problem = None
-        if loaded.manifest.get("compiled_arrays"):
-            try:
-                sidecar = load_compiled(
-                    args.path, manifest=loaded.manifest, mmap=False
-                )
-            except SnapshotError as exc:
-                sidecar_problem = str(exc)
-        manifest = loaded.manifest
-        stats = manifest["stats"]
+        manifest, compiled = loaded.manifest, loaded.compiled
         print(f"[index] snapshot at {args.path} (verified)")
         print(f"  format version : {manifest['format_version']}")
-        if sidecar is not None:
-            print(
-                f"  mmap sidecar   : {len(manifest['compiled_arrays'])} "
-                f"members, {sidecar.num_nodes} nodes, {sidecar.nnz} "
-                "nonzeros (digests verified)"
-            )
-        elif sidecar_problem is not None:
-            print(
-                "  mmap sidecar   : UNUSABLE — serving falls back to the "
-                f"counts ({sidecar_problem})"
-            )
-        else:
-            print("  mmap sidecar   : (none — format v1 snapshot)")
+        print(
+            f"  payload        : {len(manifest['compiled_arrays'])} members, "
+            f"{len(manifest['value_table']['counts'])} distinct counts "
+            "(digests verified)"
+        )
         print(f"  anchor type    : {manifest['anchor_type']}")
-        schema = manifest.get("schema")
-        if schema:
+        schema = manifest["schema"]
+        if schema and schema.get("edge_kinds"):
             print(
                 "  schema         : edge kinds on, types "
                 f"{', '.join(schema.get('types', []))}"
@@ -759,15 +726,14 @@ def run_index(argv: list[str]) -> int:
             print("  schema         : plain (unlabeled, undirected)")
         print(f"  metagraphs     : {manifest['catalog_size']}")
         print(
-            f"  counts         : {stats['num_nodes']} nodes, "
-            f"{stats['num_pairs']} pairs, "
-            f"{stats['node_nnz'] + stats['pair_nnz']} nonzeros"
+            f"  counts         : {compiled.num_nodes} nodes, "
+            f"{compiled.num_pairs} pairs, {compiled.nnz} nonzeros"
         )
         print(f"  transform      : {manifest['transform']}")
         print(f"  graph          : {manifest['graph_fingerprint']}")
         print(f"  catalog sha256 : {manifest['catalog_sha256']}")
-        print(f"  classes        : {manifest['models'] or '(none fitted)'}")
-        for key, value in sorted(manifest.get("extra", {}).items()):
+        print(f"  classes        : {sorted(manifest['models']) or '(none fitted)'}")
+        for key, value in sorted(manifest["extra"].items()):
             print(f"  {key:<15}: {value}")
         return 0
 

@@ -1,34 +1,50 @@
-"""Versioned on-disk snapshots of the offline index.
+"""Content-addressed on-disk snapshots of the offline index.
 
 The offline phase (mine → match → Eq. 1–2 counting) is by far the most
 expensive part of the pipeline, yet its product — the sparse counts —
 is tiny.  A snapshot freezes everything a cold-starting service needs
 into one directory:
 
-- ``manifest.json`` — format version, catalog/graph fingerprints, the
-  node-id table, array checksums, per-class model names;
-- ``catalog.json`` — the metagraph catalog (its own JSON format);
-- ``arrays.npz`` — CSR-style count arrays and model weight vectors,
-  compressed;
-- ``compiled/`` (format v2) — the serving-tier sidecar: each
-  :class:`~repro.index.compiled.CompiledVectors` array as a raw,
-  64-byte-aligned ``.npy`` member that :func:`load_compiled` opens with
-  ``mmap_mode="r"``, so a cold serving worker maps the snapshot pages
-  instead of decompressing ``arrays.npz`` and replaying the counts into
-  dicts.  Several workers on one host share the mapped pages.
+- ``manifest.json`` — the root of trust: format version, catalog and
+  graph fingerprints, the graph schema, the node-id table, matched ids,
+  ``|I(M)|`` totals, the fitted per-class weight vectors, the *value
+  table* (every distinct count next to its transformed float) and the
+  size and sha256 of every payload member;
+- ``catalog-<sha12>.json`` — the metagraph catalog (its own JSON format);
+- ``compiled/<member>-<sha12>.npy`` — the counts, stored once, in the
+  :class:`~repro.index.compiled.CompiledVectors` CSR layout: its
+  structure arrays plus int64 ``node_count`` / ``pair_count`` in the
+  same row order, each a raw 64-byte-aligned ``.npy`` file that
+  :func:`load_compiled` opens with ``mmap_mode="r"``, so co-hosted
+  serving workers share the mapped pages.
 
-Loading validates before trusting: a wrong format version, a tampered
-or truncated arrays file, a catalog that no longer hashes to the
-manifest's digest, or a graph whose fingerprint differs from the one
-the index was built on all raise :class:`~repro.exceptions.SnapshotError`
-(staleness as the :class:`~repro.exceptions.StaleSnapshotError`
-subclass) instead of silently serving wrong rankings.
+The integer counts are the only copy of the data; the float view every
+reader scores against is derived when the snapshot is loaded, by one
+lookup through the value table (:func:`_float_view`).
+:func:`load_compiled` uses the recorded table, so a shard worker never
+needs the transform callable; :func:`load_index` builds the table with
+its own transform — the same Python function on the same integers as
+:meth:`MetagraphVectors.compile`, hence the same bits — and rebuilds the
+count ledger from the same arrays.
+
+Every file but the manifest carries its content digest in its name and
+is written first; the manifest is written to a temporary file and
+renamed into place, which is the commit.  An interrupted re-save leaves
+the previous snapshot loadable, and files the new manifest no longer
+names are removed only after the commit.
+
+Loading validates before trusting: a manifest of another format version,
+a malformed or tampered manifest, a missing or corrupt member, a catalog
+that no longer hashes to the manifest's digest, or a graph whose
+fingerprint differs from the one the index was built on all raise
+:class:`~repro.exceptions.SnapshotError` (staleness as the
+:class:`~repro.exceptions.StaleSnapshotError` subclass) instead of
+silently serving wrong rankings.
 
 Snapshots are byte-deterministic: every JSON key and array row is
-written in sorted order and the zip members carry a fixed timestamp, so
-two builds of the same counts — sequential or parallel, any
-``PYTHONHASHSEED`` — produce identical files.  The determinism suite
-relies on this to prove the parallel builder exact.
+written in sorted order, so two builds of the same counts — sequential
+or parallel, any ``PYTHONHASHSEED`` — produce identical files.  The
+determinism suite relies on this to prove the parallel builder exact.
 """
 
 from __future__ import annotations
@@ -36,9 +52,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import shutil
-import warnings
-import zipfile
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,35 +65,48 @@ from repro.exceptions import (
     StaleSnapshotError,
 )
 from repro.graph.typed_graph import TypedGraph
-from repro.index.compiled import CompiledVectors
-from repro.index.instance_index import InstanceIndex, MetagraphCounts
+from repro.index.compiled import CompiledVectors, csr_row_index
+from repro.index.instance_index import InstanceIndex, MetagraphCounts, _pair_key
 from repro.index.transform import TRANSFORMS, Transform
 from repro.index.vectors import MetagraphVectors, decode_node_id, encode_node_id
 from repro.metagraph.catalog import MetagraphCatalog
 
-FORMAT_VERSION = 2
-# snapshots of edge-kinded graphs bump to format 3 and carry a "schema"
-# manifest block; plain graphs keep writing format 2 so their snapshot
-# bytes are unchanged by the schema feature existing
-KINDED_FORMAT_VERSION = 3
-# format 1 snapshots (no compiled sidecar) still load; the sidecar fast
-# path is simply unavailable for them
-SUPPORTED_FORMAT_VERSIONS = frozenset({1, FORMAT_VERSION, KINDED_FORMAT_VERSION})
+# versions 1-3 kept the counts in a compressed archive (2 and 3 next to
+# a second, transformed float copy); they are rejected with a "rebuild"
+# message, which prepare(cache_dir=...) answers by rebuilding
+FORMAT_VERSION = 4
 MANIFEST_FILE = "manifest.json"
-CATALOG_FILE = "catalog.json"
-ARRAYS_FILE = "arrays.npz"
 COMPILED_DIR = "compiled"
 
-# the CompiledVectors constructor arrays, in sidecar member order
-_COMPILED_MEMBERS = (
-    "node_indptr", "node_indices", "node_data",
-    "pair_indptr", "pair_indices", "pair_data",
+# the payload members: CompiledVectors' structure arrays plus the
+# integer counts its float data is derived from
+_MEMBERS = (
+    "node_indptr", "node_indices", "node_count",
+    "pair_indptr", "pair_indices", "pair_count",
     "pair_ptr", "partner_pos", "entry_pair",
 )
 
-# fixed member timestamp (the zip epoch) so snapshot bytes never depend
-# on the wall clock
-_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
+# what every manifest must carry, key by key: a JSON type, or a nested
+# object of the same form
+_MANIFEST_SHAPE = {
+    "format_version": int,
+    "manifest_sha256": str,
+    "catalog_size": int,
+    "anchor_type": str,
+    "transform": (str, type(None)),
+    "catalog_sha256": str,
+    "graph_fingerprint": (str, type(None)),
+    "schema": (dict, type(None)),
+    "nodes": list,
+    "matched_ids": list,
+    "instance_totals": (list, type(None)),
+    "models": dict,
+    "value_table": {"counts": list, "floats": list},
+    "compiled_arrays": {name: {"bytes": int, "sha256": str} for name in _MEMBERS},
+    "extra": dict,
+    "update_log": list,
+}
+_ABSENT = object()
 
 
 # ----------------------------------------------------------------------
@@ -129,9 +156,9 @@ def _manifest_digest(manifest: dict) -> str:
     """Digest of every manifest field except the digest itself.
 
     The manifest is the snapshot's root of trust (node-id table, model
-    list, recorded hashes), so it needs its own integrity check: JSON
-    that parses fine after a bit flip inside a node id would otherwise
-    attach every count row to the wrong node.
+    weights, value table, recorded hashes), so it needs its own
+    integrity check: JSON that parses fine after a bit flip inside a
+    node id would otherwise attach every count row to the wrong node.
     """
     core = {k: v for k, v in manifest.items() if k != "manifest_sha256"}
     return _sha256(
@@ -140,22 +167,44 @@ def _manifest_digest(manifest: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# deterministic npz
+# the payload layout, shared by save and load
 # ----------------------------------------------------------------------
-def _deterministic_npz_bytes(arrays: dict[str, np.ndarray]) -> bytes:
-    """``np.savez_compressed`` without its wall-clock zip timestamps."""
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w", compression=zipfile.ZIP_DEFLATED) as archive:
-        for name in sorted(arrays):
-            payload = io.BytesIO()
-            np.lib.format.write_array(
-                payload, np.ascontiguousarray(arrays[name]), allow_pickle=False
-            )
-            info = zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_EPOCH)
-            info.compress_type = zipfile.ZIP_DEFLATED
-            info.external_attr = 0o644 << 16
-            archive.writestr(info, payload.getvalue())
-    return buffer.getvalue()
+def _content_name(stem: str, sha256: str, suffix: str) -> str:
+    """A payload file's name, suffixed with its content digest.
+
+    The digest in the *name* is what keeps a manifest from pairing up
+    with files of another save without hashing on the mmap fast path:
+    its recorded digests resolve to names only its own save wrote.
+    """
+    return f"{stem}-{sha256[:12]}{suffix}"
+
+
+def _pair_keys(compiled: CompiledVectors) -> list[tuple]:
+    """The ledger key of every pair row, in row order.
+
+    The adjacency lists each pair row under both of its ends (a self
+    pair once); the entries owned by the smaller end name every row
+    exactly once, so one vectorised pass finds both ends without
+    turning either adjacency array into Python objects.  Keys take the
+    orientation the counting code gives them (``_pair_key``), which is
+    not position order — ``repr`` puts 10 before 9.
+    """
+    owner = csr_row_index(compiled.pair_ptr)
+    first = owner <= compiled.partner_pos
+    rows = compiled.entry_pair[first]
+    left = np.empty(len(rows), dtype=np.int64)
+    right = np.empty(len(rows), dtype=np.int64)
+    left[rows] = owner[first]
+    right[rows] = compiled.partner_pos[first]
+    nodes = compiled.nodes
+    return [
+        _pair_key(nodes[a], nodes[b]) for a, b in zip(left.tolist(), right.tolist())
+    ]
+
+
+def _float_view(counts: np.ndarray, distinct: np.ndarray, floats: np.ndarray) -> np.ndarray:
+    """The transformed float of every count, through the value table."""
+    return floats[np.searchsorted(distinct, counts)]
 
 
 # ----------------------------------------------------------------------
@@ -186,6 +235,25 @@ def _checked_weights(name: str, weights: object, catalog_size: int) -> np.ndarra
     return vector
 
 
+def _npy_bytes(array: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.lib.format.write_array(
+        buffer, np.ascontiguousarray(array), allow_pickle=False
+    )
+    return buffer.getvalue()
+
+
+def _write_atomic(path: Path, payload: bytes) -> None:
+    """Write through a temporary file and a rename, never in place.
+
+    A reader that has the old file memory-mapped keeps its pages, and a
+    crash mid-write never truncates a file some manifest still names.
+    """
+    staging = path.with_name(path.name + ".tmp")
+    staging.write_bytes(payload)
+    os.replace(staging, path)
+
+
 def save_index(
     path: str | Path,
     vectors: MetagraphVectors,
@@ -196,10 +264,10 @@ def save_index(
     extra: dict | None = None,
     update_log: list[dict] | None = None,
 ) -> Path:
-    """Write a versioned snapshot directory; returns its path.
+    """Write a snapshot directory; returns its path.
 
-    ``graph`` pins the snapshot to one graph via its fingerprint —
-    always pass it when available, it is what makes staleness
+    ``graph`` pins the snapshot to one graph via its fingerprint and
+    schema — always pass it when available, it is what makes staleness
     detectable.  ``index`` contributes the per-metagraph ``|I(M)|``
     totals, ``models`` the fitted per-class weight vectors, and
     ``extra`` is free-form JSON provenance (dataset name, mining knobs,
@@ -207,181 +275,93 @@ def save_index(
     records the :class:`~repro.index.delta.GraphEdit` JSON documents
     applied since the original build; together with the base graph it
     reconstructs the (fingerprinted) graph this snapshot describes —
-    see ``repro index update``.
+    see ``repro index update``.  Re-saving into a snapshot directory
+    replaces it atomically: the old one stays loadable until the new
+    manifest is in place.
     """
     vectors.verify_catalog(catalog)
-    target = Path(path)
-    target.mkdir(parents=True, exist_ok=True)
-
-    node_counts = vectors._node
-    pair_counts = vectors._pair
-    nodes = sorted(
-        set(node_counts) | {n for pair in pair_counts for n in pair}, key=repr
+    compiled = vectors.compile()
+    arrays = {
+        name: getattr(compiled, name)
+        for name in _MEMBERS
+        if name not in ("node_count", "pair_count")
+    }
+    # the ledger read in compiled row order: the integer count behind
+    # every float the compiled arrays hold
+    arrays["node_count"] = np.asarray(
+        [c for node in compiled.nodes for _, c in sorted(vectors._node[node].items())],
+        dtype=np.int64,
     )
-    position = {node: i for i, node in enumerate(nodes)}
-
-    arrays: dict[str, np.ndarray] = {}
-    arrays["matched_ids"] = np.asarray(sorted(vectors.matched_ids), dtype=np.int64)
-
-    node_indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-    node_mg: list[int] = []
-    node_count: list[int] = []
-    for i, node in enumerate(nodes):
-        for mg_id, count in sorted(node_counts.get(node, {}).items()):
-            node_mg.append(mg_id)
-            node_count.append(count)
-        node_indptr[i + 1] = len(node_mg)
-    arrays["node_indptr"] = node_indptr
-    arrays["node_mg"] = np.asarray(node_mg, dtype=np.int64)
-    arrays["node_count"] = np.asarray(node_count, dtype=np.int64)
-
-    pair_keys = sorted(
-        pair_counts, key=lambda pair: (position[pair[0]], position[pair[1]])
+    arrays["pair_count"] = np.asarray(
+        [c for key in _pair_keys(compiled) for _, c in sorted(vectors._pair[key].items())],
+        dtype=np.int64,
     )
-    pair_indptr = np.zeros(len(pair_keys) + 1, dtype=np.int64)
-    pair_mg: list[int] = []
-    pair_count: list[int] = []
-    for r, key in enumerate(pair_keys):
-        for mg_id, count in sorted(pair_counts[key].items()):
-            pair_mg.append(mg_id)
-            pair_count.append(count)
-        pair_indptr[r + 1] = len(pair_mg)
-    arrays["pair_indptr"] = pair_indptr
-    arrays["pair_mg"] = np.asarray(pair_mg, dtype=np.int64)
-    arrays["pair_count"] = np.asarray(pair_count, dtype=np.int64)
-    arrays["pair_left"] = np.asarray(
-        [position[x] for x, _ in pair_keys], dtype=np.int64
-    )
-    arrays["pair_right"] = np.asarray(
-        [position[y] for _, y in pair_keys], dtype=np.int64
-    )
-
-    if index is not None:
-        arrays["instance_totals"] = np.asarray(
-            [index.num_instances(mg_id) for mg_id in sorted(index.matched_ids())],
-            dtype=np.int64,
-        )
-        arrays["instance_total_ids"] = np.asarray(
-            sorted(index.matched_ids()), dtype=np.int64
-        )
-
-    model_names = sorted(models) if models else []
-    for slot, name in enumerate(model_names):
-        arrays[f"model_{slot}"] = _checked_weights(
-            name, models[name], vectors.catalog_size
-        )
-
-    catalog_json = catalog.to_json()
-    npz_bytes = _deterministic_npz_bytes(arrays)
-    compiled_members, compiled_staging = _stage_compiled_sidecar(
-        target, vectors, nodes
-    )
-    # kinded graphs bump the format and record their schema (types and
-    # observed edge rules) so `repro index info` can print it and loads
-    # against a schema-mismatched graph fail fast; plain graphs write
-    # neither, keeping their snapshot bytes identical to format 2
-    kinded = graph is not None and graph.has_kinds
+    distinct = np.unique(
+        np.concatenate([arrays["node_count"], arrays["pair_count"]])
+    ).tolist()
+    payloads = {name: _npy_bytes(arrays[name]) for name in _MEMBERS}
+    catalog_json = catalog.to_json().encode("utf-8")
     manifest = {
-        "format_version": KINDED_FORMAT_VERSION if kinded else FORMAT_VERSION,
-        "compiled_arrays": compiled_members,
+        "format_version": FORMAT_VERSION,
         "catalog_size": vectors.catalog_size,
         "anchor_type": vectors.anchor_type,
         "transform": _transform_name(vectors.transform),
-        "catalog_sha256": _sha256(catalog_json.encode("utf-8")),
-        "arrays_sha256": _sha256(npz_bytes),
+        "catalog_sha256": _sha256(catalog_json),
         "graph_fingerprint": graph_fingerprint(graph) if graph is not None else None,
-        "nodes": [encode_node_id(node) for node in nodes],
-        "models": model_names,
-        "extra": extra or {},
-        "update_log": list(update_log or []),
-        "stats": {
-            "num_nodes": len(nodes),
-            "num_pairs": len(pair_keys),
-            "node_nnz": len(node_mg),
-            "pair_nnz": len(pair_mg),
-            "matched": len(vectors.matched_ids),
-        },
-    }
-    if kinded:
-        manifest["schema"] = {
-            "edge_kinds": True,
+        # the realised schema (types and observed edge rules) lets
+        # `repro index info` print it and loads against a graph that
+        # disagrees on edge kinds fail fast
+        "schema": None if graph is None else {
+            "edge_kinds": graph.has_kinds,
             "types": sorted(graph.types),
             "edge_rules": sorted(
                 [a, b, kind.label, 1 if kind.directed else 0]
                 for a, b, kind in graph.observed_edge_rules()
             ),
-        }
+        },
+        "nodes": [encode_node_id(node) for node in compiled.nodes],
+        "matched_ids": sorted(vectors.matched_ids),
+        "instance_totals": None if index is None else [
+            [mg_id, index.num_instances(mg_id)] for mg_id in sorted(index.matched_ids())
+        ],
+        "models": {
+            name: _checked_weights(name, weights, vectors.catalog_size).tolist()
+            for name, weights in sorted((models or {}).items())
+        },
+        "value_table": {
+            "counts": distinct,
+            "floats": np.asarray(
+                [vectors.transform(count) for count in distinct], dtype=np.float64
+            ).tolist(),
+        },
+        "compiled_arrays": {
+            name: {"bytes": len(payload), "sha256": _sha256(payload)}
+            for name, payload in payloads.items()
+        },
+        "extra": extra or {},
+        "update_log": list(update_log or []),
+    }
     manifest["manifest_sha256"] = _manifest_digest(manifest)
-    (target / CATALOG_FILE).write_text(catalog_json, encoding="utf-8")
-    (target / ARRAYS_FILE).write_bytes(npz_bytes)
-    (target / MANIFEST_FILE).write_text(
-        json.dumps(manifest, sort_keys=True, indent=1), encoding="utf-8"
+
+    files = {
+        Path(_content_name("catalog", manifest["catalog_sha256"], ".json")): catalog_json
+    }
+    for name, payload in payloads.items():
+        digest = manifest["compiled_arrays"][name]["sha256"]
+        files[Path(COMPILED_DIR, _content_name(name, digest, ".npy"))] = payload
+    target = Path(path)
+    (target / COMPILED_DIR).mkdir(parents=True, exist_ok=True)
+    for name, payload in files.items():
+        _write_atomic(target / name, payload)
+    # replacing the manifest is the commit
+    _write_atomic(
+        target / MANIFEST_FILE,
+        json.dumps(manifest, sort_keys=True, indent=1).encode("utf-8"),
     )
-    _install_compiled_sidecar(target, compiled_staging)
+    for stale in [*target.glob("catalog*"), *(target / COMPILED_DIR).iterdir()]:
+        if stale.relative_to(target) not in files:
+            stale.unlink()
     return target
-
-
-def _member_filename(name: str, sha256: str) -> str:
-    """Sidecar member filename, suffixed with its content digest.
-
-    The digest in the *name* is what makes a stale sidecar detectable
-    without hashing on the mmap fast path: after an interrupted re-save
-    (manifest and ``compiled/`` from different builds, possibly with
-    identical byte sizes) the manifest's recorded digest resolves to a
-    filename that does not exist, and loading falls back to compiling
-    from the fully-verified counts instead of silently serving the
-    wrong build's arrays.
-    """
-    return f"{name}-{sha256[:12]}.npy"
-
-
-def _stage_compiled_sidecar(
-    target: Path, vectors: MetagraphVectors, nodes: list
-) -> tuple[dict, Path]:
-    """Write the format-v2 mmap sidecar into a staging directory.
-
-    Each :class:`CompiledVectors` array becomes one raw ``.npy`` file
-    (``np.save``'s layout pads the header to a 64-byte boundary, so the
-    data region is alignment-friendly for mmap) named by
-    :func:`_member_filename`.  The returned manifest record carries
-    per-member byte sizes (checked cheaply on every mmap load) and
-    sha256 digests (part of the filename; hashed in full on verifying
-    loads).  Members are staged next to the final ``compiled/``
-    directory and swapped in by :func:`_install_compiled_sidecar` only
-    after the manifest is on disk, so a crash mid-save never leaves a
-    half-written sidecar as the directory's only copy.
-    """
-    compiled = vectors.compile()
-    if list(compiled.nodes) != nodes:
-        # cannot happen for a consistent store (a pair member without a
-        # node row fails compile() first), but never let a divergent
-        # sidecar attach count rows to the wrong node ids
-        raise SnapshotError(
-            "compiled snapshot universe does not match the count arrays"
-        )
-    staging = target / (COMPILED_DIR + ".staging")
-    shutil.rmtree(staging, ignore_errors=True)
-    staging.mkdir()
-    members: dict[str, dict] = {}
-    for name in _COMPILED_MEMBERS:
-        buffer = io.BytesIO()
-        np.lib.format.write_array(
-            buffer,
-            np.ascontiguousarray(getattr(compiled, name)),
-            allow_pickle=False,
-        )
-        payload = buffer.getvalue()
-        digest = _sha256(payload)
-        (staging / _member_filename(name, digest)).write_bytes(payload)
-        members[name] = {"bytes": len(payload), "sha256": digest}
-    return members, staging
-
-
-def _install_compiled_sidecar(target: Path, staging: Path) -> None:
-    """Swap the staged sidecar into place as ``compiled/``."""
-    final = target / COMPILED_DIR
-    shutil.rmtree(final, ignore_errors=True)
-    staging.rename(final)
 
 
 # ----------------------------------------------------------------------
@@ -396,9 +376,13 @@ class LoadedIndex:
     models: dict[str, np.ndarray]
     manifest: dict
     instance_totals: dict[int, int]
-    # the mmap-loaded serving snapshot when the snapshot carries a
-    # format-v2 sidecar (None for v1 snapshots or mmap=False loads)
-    compiled: CompiledVectors | None = None
+    # the serving view of the counts, floats derived with the loading
+    # transform (structure arrays memory-mapped on mmap=True loads)
+    compiled: CompiledVectors
+    # whether that transform reproduces the manifest's value table bit
+    # for bit — i.e. whether shard workers opening this directory with
+    # load_compiled (recorded table) score with the very same floats
+    floats_as_recorded: bool
 
     def instance_index(self) -> InstanceIndex:
         """Reconstruct the :class:`InstanceIndex` of matched ids.
@@ -421,11 +405,11 @@ class LoadedIndex:
 def snapshot_digest(path_or_manifest: str | Path | dict) -> str:
     """One content id for a whole snapshot: its manifest's self-digest.
 
-    The manifest digests every artefact it describes (arrays, catalog,
-    sidecar members, node table, models, update log), so this single
-    hash changes whenever anything served from the snapshot could — the
-    serving tier keys its result cache on it.  Accepts a snapshot
-    directory or an already-read manifest.
+    The manifest digests every artefact it describes (catalog, payload
+    members, value table, node table, models, update log), so this
+    single hash changes whenever anything served from the snapshot
+    could — the serving tier keys its result cache on it.  Accepts a
+    snapshot directory or an already-read manifest.
     """
     manifest = (
         path_or_manifest
@@ -438,8 +422,23 @@ def snapshot_digest(path_or_manifest: str | Path | dict) -> str:
     return digest
 
 
+def _malformed(doc: object, shape: object, where: str = "") -> list[str]:
+    """The paths in ``doc`` that lack or mistype what ``shape`` requires."""
+    if not isinstance(shape, dict):
+        return [] if isinstance(doc, shape) else [where]
+    if not isinstance(doc, dict):
+        return [where]
+    return [
+        bad
+        for key, inner in shape.items()
+        for bad in _malformed(
+            doc.get(key, _ABSENT), inner, f"{where}.{key}" if where else key
+        )
+    ]
+
+
 def read_manifest(path: str | Path) -> dict:
-    """Parse and version-check a snapshot manifest."""
+    """Parse, version-check and shape-check a snapshot manifest."""
     manifest_path = Path(path) / MANIFEST_FILE
     if not manifest_path.is_file():
         raise SnapshotError(f"no index snapshot at {Path(path)!s} (missing manifest)")
@@ -447,19 +446,100 @@ def read_manifest(path: str | Path) -> dict:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise SnapshotError(f"unreadable snapshot manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise SnapshotError("snapshot manifest is not a JSON object")
     version = manifest.get("format_version")
-    if version not in SUPPORTED_FORMAT_VERSIONS:
+    if version != FORMAT_VERSION:
         raise SnapshotError(
-            f"snapshot format version {version!r} is not supported "
-            f"(this build reads versions "
-            f"{sorted(SUPPORTED_FORMAT_VERSIONS)})"
+            f"snapshot format version {version!r} is not supported (this "
+            f"build reads version {FORMAT_VERSION}); rebuild the index"
         )
     if manifest.get("manifest_sha256") != _manifest_digest(manifest):
         raise SnapshotError(
             "snapshot manifest does not match its own digest "
             "(corrupt or tampered snapshot)"
         )
+    malformed = _malformed(manifest, _MANIFEST_SHAPE)
+    if malformed:
+        raise SnapshotError(
+            f"snapshot manifest lacks or mistypes {', '.join(malformed)}"
+        )
     return manifest
+
+
+def _read_payload(
+    source: Path, manifest: dict, mmap: bool, verify: bool
+) -> dict[str, np.ndarray]:
+    """Open every payload member, checked against the manifest.
+
+    Names and byte sizes are always checked; ``verify`` also streams
+    each file through sha256 (from disk, never through a mapping).
+    """
+    arrays: dict[str, np.ndarray] = {}
+    for name in _MEMBERS:
+        recorded = manifest["compiled_arrays"][name]
+        filename = _content_name(name, recorded["sha256"], ".npy")
+        member_path = source / COMPILED_DIR / filename
+        if not member_path.is_file():
+            # also what a manifest paired with another save's files
+            # looks like: the digest-suffixed names never agree
+            raise SnapshotError(f"snapshot is missing {filename}")
+        size = member_path.stat().st_size
+        if size != recorded["bytes"]:
+            raise SnapshotError(
+                f"snapshot member {filename} is {size} bytes, manifest "
+                f"records {recorded['bytes']} (corrupt or tampered snapshot)"
+            )
+        if verify:
+            digest = hashlib.sha256()
+            with member_path.open("rb") as handle:
+                while block := handle.read(1 << 20):
+                    digest.update(block)
+            if digest.hexdigest() != recorded["sha256"]:
+                raise SnapshotError(
+                    f"snapshot member {filename} does not match the "
+                    "manifest digest (corrupt or tampered snapshot)"
+                )
+        try:
+            arrays[name] = np.load(
+                member_path, mmap_mode="r" if mmap else None, allow_pickle=False
+            )
+        except (ValueError, OSError) as exc:
+            raise SnapshotError(
+                f"unreadable snapshot member {filename}: {exc}"
+            ) from exc
+    return arrays
+
+
+def _compiled_view(
+    manifest: dict, arrays: dict[str, np.ndarray], floats: object
+) -> CompiledVectors:
+    """The serving view of a payload, with ``floats`` as the table's values."""
+    try:
+        distinct = np.asarray(manifest["value_table"]["counts"], dtype=np.int64)
+        floats = np.asarray(floats, dtype=np.float64)
+        nodes = tuple(decode_node_id(doc) for doc in manifest["nodes"])
+        if len(nodes) + 1 != len(arrays["node_indptr"]):
+            raise ValueError("node table and node arrays disagree in length")
+        return CompiledVectors(
+            nodes,
+            (
+                arrays["node_indptr"],
+                arrays["node_indices"],
+                _float_view(arrays["node_count"], distinct, floats),
+            ),
+            (
+                arrays["pair_indptr"],
+                arrays["pair_indices"],
+                _float_view(arrays["pair_count"], distinct, floats),
+            ),
+            arrays["pair_ptr"],
+            arrays["partner_pos"],
+            arrays["entry_pair"],
+            catalog_size=manifest["catalog_size"],
+        )
+    except (TypeError, ValueError, IndexError, CatalogMismatchError) as exc:
+        raise SnapshotError(f"snapshot arrays are inconsistent: {exc}") from exc
 
 
 def load_compiled(
@@ -467,82 +547,26 @@ def load_compiled(
     manifest: dict | None = None,
     mmap: bool = True,
 ) -> CompiledVectors:
-    """Open a snapshot's format-v2 sidecar as a serving-ready backend.
+    """Open a snapshot's payload as a serving-ready backend.
 
     This is the cold-start fast path: with ``mmap=True`` (default) the
     CSR arrays are memory-mapped read-only — no decompression, no dict
-    replay, near-zero copy — and only per-member file sizes are checked
+    replay — and only per-member names and file sizes are checked
     (mapped pages cannot be hashed without reading them all, which
     would defeat the point).  ``mmap=False`` reads the members into
     memory and verifies their sha256 digests against the manifest; use
     it when integrity matters more than start-up latency.
 
-    The returned snapshot carries the transform the snapshot was saved
-    with, already applied.  Raises :class:`SnapshotError` for v1
-    snapshots (no sidecar) and for missing, resized, or (verifying
+    The floats come from the manifest's recorded value table, so no
+    transform callable is needed — custom transforms serve too.
+    Raises :class:`SnapshotError` for missing, resized, or (verifying
     loads) corrupted members.
     """
     source = Path(path)
     if manifest is None:
         manifest = read_manifest(source)
-    members = manifest.get("compiled_arrays")
-    if not members:
-        raise SnapshotError(
-            f"snapshot at {source!s} has no compiled sidecar (format "
-            f"version {manifest.get('format_version')!r}); re-save it to "
-            "enable mmap serving"
-        )
-    arrays: dict[str, np.ndarray] = {}
-    for name in _COMPILED_MEMBERS:
-        recorded = members.get(name)
-        if recorded is None:
-            raise SnapshotError(f"snapshot sidecar is missing member {name}")
-        filename = _member_filename(name, recorded["sha256"])
-        member_path = source / COMPILED_DIR / filename
-        if not member_path.is_file():
-            # also the interrupted-re-save signature: a manifest and a
-            # sidecar from different builds never agree on the
-            # digest-suffixed filenames
-            raise SnapshotError(f"snapshot sidecar is missing {filename}")
-        size = member_path.stat().st_size
-        if size != recorded["bytes"]:
-            raise SnapshotError(
-                f"snapshot sidecar member {filename} is {size} bytes, "
-                f"manifest records {recorded['bytes']} (corrupt or "
-                "tampered snapshot)"
-            )
-        if not mmap:
-            payload = member_path.read_bytes()
-            if _sha256(payload) != recorded["sha256"]:
-                raise SnapshotError(
-                    f"snapshot sidecar member {filename} does not match "
-                    "the manifest digest (corrupt or tampered snapshot)"
-                )
-        try:
-            arrays[name] = np.load(
-                member_path,
-                mmap_mode="r" if mmap else None,
-                allow_pickle=False,
-            )
-        except (ValueError, OSError) as exc:
-            raise SnapshotError(
-                f"unreadable snapshot sidecar member {filename}: {exc}"
-            ) from exc
-    nodes = tuple(decode_node_id(doc) for doc in manifest["nodes"])
-    try:
-        return CompiledVectors(
-            nodes,
-            (arrays["node_indptr"], arrays["node_indices"], arrays["node_data"]),
-            (arrays["pair_indptr"], arrays["pair_indices"], arrays["pair_data"]),
-            arrays["pair_ptr"],
-            arrays["partner_pos"],
-            arrays["entry_pair"],
-            catalog_size=manifest["catalog_size"],
-        )
-    except (ValueError, IndexError, CatalogMismatchError) as exc:
-        raise SnapshotError(
-            f"snapshot sidecar arrays are inconsistent: {exc}"
-        ) from exc
+    arrays = _read_payload(source, manifest, mmap=mmap, verify=not mmap)
+    return _compiled_view(manifest, arrays, manifest["value_table"]["floats"])
 
 
 def load_compiled_shard(
@@ -552,9 +576,9 @@ def load_compiled_shard(
     manifest: dict | None = None,
     mmap: bool = True,
 ):
-    """Open one node-range shard of a snapshot's format-v2 sidecar.
+    """Open one node-range shard of a snapshot's payload.
 
-    The standalone shard worker's cold-start path: the sidecar arrays
+    The standalone shard worker's cold-start path: the payload arrays
     are opened ``mmap_mode="r"`` (validated exactly like
     :func:`load_compiled`) and only shard ``shard_id``'s row range —
     plus the halo of partner rows its candidate lists reference — is
@@ -574,6 +598,16 @@ def load_compiled_shard(
     return extract_shard(compiled, shard_id, num_shards)
 
 
+def _ledger_rows(
+    indptr: np.ndarray, indices: np.ndarray, counts: np.ndarray
+) -> list[dict[int, int]]:
+    """CSR rows of integer counts in ledger form, ``{mg_id: count}``."""
+    bounds, mg_ids, values = indptr.tolist(), indices.tolist(), counts.tolist()
+    return [
+        dict(zip(mg_ids[lo:hi], values[lo:hi])) for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
 def load_index(
     path: str | Path,
     graph: TypedGraph | None = None,
@@ -585,25 +619,21 @@ def load_index(
     ``graph``, when given, must fingerprint to the graph the snapshot
     was built on (:class:`StaleSnapshotError` otherwise).  ``transform``
     overrides the manifest's named transform; it is required when the
-    snapshot was built with a custom (unnamed) one.
+    snapshot was built with a custom (unnamed) one.  The value table is
+    rebuilt with it, so an override serves its own floats.
 
-    With ``mmap=True`` (default) a format-v2 compiled sidecar is opened
-    memory-mapped and returned as :attr:`LoadedIndex.compiled`, letting
-    serving adopt it instead of re-freezing the counts.  The sidecar is
-    only trusted when the manifest names the transform being used — a
-    custom ``transform=`` override falls back to compiling from the raw
-    counts.
+    Every member is hashed in full (the count ledger is rebuilt from
+    them); with ``mmap=True`` (default) the structure arrays of
+    :attr:`LoadedIndex.compiled` stay memory-mapped.
     """
     source = Path(path)
     manifest = read_manifest(source)
 
     if graph is not None:
-        schema = manifest.get("schema") or {}
-        recorded_kinds = bool(schema.get("edge_kinds", False))
-        if (
-            manifest.get("graph_fingerprint") is not None
-            and graph.has_kinds != recorded_kinds
-        ):
+        # every snapshot saved with a graph records its schema
+        schema = manifest["schema"]
+        recorded_kinds = bool(schema and schema.get("edge_kinds"))
+        if schema is not None and graph.has_kinds != recorded_kinds:
             # a schema-flag mismatch is a structural error, not mere
             # staleness: the graph and the snapshot disagree on whether
             # edges carry kinds at all
@@ -613,7 +643,7 @@ def load_index(
                 f"the graph {'has' if graph.has_kinds else 'has no'} "
                 "edge kinds"
             )
-        recorded = manifest.get("graph_fingerprint")
+        recorded = manifest["graph_fingerprint"]
         current = graph_fingerprint(graph)
         if recorded != current:
             raise StaleSnapshotError(
@@ -622,117 +652,64 @@ def load_index(
                 f"{current[:12]}…); rebuild the index"
             )
 
-    catalog_path = source / CATALOG_FILE
-    arrays_path = source / ARRAYS_FILE
-    for required in (catalog_path, arrays_path):
-        if not required.is_file():
-            raise SnapshotError(f"snapshot is missing {required.name}")
-    catalog_json = catalog_path.read_text(encoding="utf-8")
-    if _sha256(catalog_json.encode("utf-8")) != manifest.get("catalog_sha256"):
+    catalog_path = source / _content_name("catalog", manifest["catalog_sha256"], ".json")
+    if not catalog_path.is_file():
+        raise SnapshotError(f"snapshot is missing {catalog_path.name}")
+    catalog_json = catalog_path.read_bytes()
+    if _sha256(catalog_json) != manifest["catalog_sha256"]:
         raise SnapshotError(
-            "snapshot catalog.json does not match the manifest digest "
-            "(corrupt or tampered snapshot)"
-        )
-    npz_bytes = arrays_path.read_bytes()
-    if _sha256(npz_bytes) != manifest.get("arrays_sha256"):
-        raise SnapshotError(
-            "snapshot arrays.npz does not match the manifest digest "
-            "(corrupt or tampered snapshot)"
+            f"snapshot {catalog_path.name} does not match the manifest "
+            "digest (corrupt or tampered snapshot)"
         )
 
     if transform is None:
-        name = manifest.get("transform")
-        if name is None:
+        transform = TRANSFORMS.get(manifest["transform"])
+        if transform is None:
             raise SnapshotError(
                 "snapshot was built with a custom transform; pass the same "
                 "transform= to load it"
             )
-        transform = TRANSFORMS[name]
 
-    catalog = MetagraphCatalog.from_json(catalog_json)
-    try:
-        with np.load(io.BytesIO(npz_bytes), allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-    except (ValueError, OSError, zipfile.BadZipFile) as exc:
-        raise SnapshotError(f"unreadable snapshot arrays: {exc}") from exc
-
-    nodes = [decode_node_id(doc) for doc in manifest["nodes"]]
+    catalog = MetagraphCatalog.from_json(catalog_json.decode("utf-8"))
     store = MetagraphVectors(
         manifest["catalog_size"],
         anchor_type=manifest["anchor_type"],
         transform=transform,
     )
     store.verify_catalog(catalog)
-    store._matched = set(int(i) for i in arrays["matched_ids"])
-
-    # cold-start latency is the point of a snapshot, so the row loops
-    # run over plain python lists — per-element numpy indexing is an
-    # order of magnitude slower at this shape
-    node_indptr = arrays["node_indptr"].tolist()
-    node_mg = arrays["node_mg"].tolist()
-    node_count = arrays["node_count"].tolist()
-    if len(node_indptr) != len(nodes) + 1:
-        raise SnapshotError("node table and node arrays disagree in length")
-    for i, node in enumerate(nodes):
-        lo, hi = node_indptr[i], node_indptr[i + 1]
-        if lo < hi:
-            store._node[node] = dict(zip(node_mg[lo:hi], node_count[lo:hi]))
-
-    pair_indptr = arrays["pair_indptr"].tolist()
-    pair_mg = arrays["pair_mg"].tolist()
-    pair_count = arrays["pair_count"].tolist()
-    pair_left = arrays["pair_left"].tolist()
-    pair_right = arrays["pair_right"].tolist()
-    for r in range(len(pair_indptr) - 1):
-        x, y = nodes[pair_left[r]], nodes[pair_right[r]]
-        lo, hi = pair_indptr[r], pair_indptr[r + 1]
-        store._pair[(x, y)] = dict(zip(pair_mg[lo:hi], pair_count[lo:hi]))
-
-    instance_totals: dict[int, int] = {}
-    if "instance_total_ids" in arrays:
-        instance_totals = {
-            int(mg_id): int(total)
-            for mg_id, total in zip(
-                arrays["instance_total_ids"], arrays["instance_totals"]
-            )
-        }
-
-    models: dict[str, np.ndarray] = {}
-    for slot, name in enumerate(manifest.get("models", [])):
-        if f"model_{slot}" not in arrays:
-            raise SnapshotError(
-                f"snapshot lists model {name!r} but carries no weights for it"
-            )
-        models[name] = _checked_weights(
-            name, arrays[f"model_{slot}"], store.catalog_size
+    arrays = _read_payload(source, manifest, mmap=mmap, verify=True)
+    floats = np.asarray(
+        [transform(count) for count in manifest["value_table"]["counts"]],
+        dtype=np.float64,
+    )
+    compiled = _compiled_view(manifest, arrays, floats)
+    store._node = dict(
+        zip(
+            compiled.nodes,
+            _ledger_rows(
+                compiled.node_indptr, compiled.node_indices, arrays["node_count"]
+            ),
         )
-
-    compiled = None
-    named = manifest.get("transform")
-    if (
-        mmap
-        and manifest.get("compiled_arrays")
-        and named is not None
-        and transform is TRANSFORMS.get(named)
-    ):
-        try:
-            compiled = load_compiled(source, manifest=manifest, mmap=True)
-        except SnapshotError as exc:
-            # the sidecar is derived data — the verified counts above
-            # remain the source of truth, so a missing or damaged
-            # sidecar (interrupted re-save, manual deletion) costs the
-            # fast path, not the snapshot
-            warnings.warn(
-                f"ignoring unusable compiled sidecar at {source!s} "
-                f"(serving will re-compile from the counts): {exc}",
-                stacklevel=2,
-            )
-
+    )
+    store._pair = dict(
+        zip(
+            _pair_keys(compiled),
+            _ledger_rows(
+                compiled.pair_indptr, compiled.pair_indices, arrays["pair_count"]
+            ),
+        )
+    )
+    store._matched = set(manifest["matched_ids"])
+    recorded_floats = np.asarray(manifest["value_table"]["floats"], dtype=np.float64)
     return LoadedIndex(
         catalog=catalog,
         vectors=store,
-        models=models,
+        models={
+            name: _checked_weights(name, weights, store.catalog_size)
+            for name, weights in manifest["models"].items()
+        },
         manifest=manifest,
-        instance_totals=instance_totals,
+        instance_totals=dict(manifest["instance_totals"] or []),
         compiled=compiled,
+        floats_as_recorded=floats.tobytes() == recorded_floats.tobytes(),
     )

@@ -161,11 +161,11 @@ class MetagraphVectors:
         """Install a pre-built snapshot (e.g. mmap-loaded) as current.
 
         The cold-start counterpart of :meth:`compile`: a snapshot
-        restored straight from a format-v2 sidecar
-        (:func:`~repro.index.persist.load_compiled`) serves without the
-        CSR rebuild.  The caller vouches that the snapshot describes
-        this store's counts — snapshot loading does so via the manifest
-        digests.  Subsequent mutations invalidate it as usual.
+        restored from disk (:func:`~repro.index.persist.load_index`)
+        serves without the CSR rebuild.  The caller vouches that the
+        snapshot describes this store's counts — snapshot loading does
+        so via the manifest digests.  Subsequent mutations invalidate it
+        as usual.
         """
         if compiled.catalog_size != self.catalog_size:
             raise CatalogMismatchError(

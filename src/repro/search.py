@@ -111,7 +111,7 @@ class SemanticProximitySearch:
     serving_backend:
         Where shard scoring runs: ``"thread"`` (default) keeps every
         shard in this process; ``"process"`` supervises standalone
-        shard-worker processes that mmap their slice from a format-v2
+        shard-worker processes that mmap their slice from an on-disk
         snapshot and answer over the serving wire protocol — rankings
         stay bit-identical.
     replicas:
@@ -222,16 +222,12 @@ class SemanticProximitySearch:
                 )
                 self._check_snapshot_compatible(loaded)
                 if catalog is not None:
-                    if catalog_fingerprint(catalog) != loaded.manifest.get(
-                        "catalog_sha256"
-                    ):
+                    if catalog_fingerprint(catalog) != loaded.manifest["catalog_sha256"]:
                         raise SnapshotError(
                             "snapshot catalog differs from the provided catalog"
                         )
                 else:
-                    recorded_knobs = loaded.manifest.get("extra", {}).get(
-                        "miner_config"
-                    )
+                    recorded_knobs = loaded.manifest["extra"].get("miner_config")
                     if (
                         recorded_knobs is not None
                         and recorded_knobs != self.miner_config.to_json_dict()
@@ -284,15 +280,17 @@ class SemanticProximitySearch:
                 f"snapshot anchors {loaded.vectors.anchor_type!r}, engine "
                 f"anchors {self.anchor_type!r}"
             )
-        recorded = loaded.manifest.get("transform")
+        recorded = loaded.manifest["transform"]
         current = next(
             (name for name, fn in TRANSFORMS.items() if fn is self.transform),
             None,
         )
-        if recorded != current:
+        # every custom transform records the name None: its value table
+        # is what tells two of them apart
+        if recorded != current or not loaded.floats_as_recorded:
             raise SnapshotError(
-                f"snapshot counts use transform {recorded!r}, engine uses "
-                f"{current!r}"
+                f"snapshot counts use transform {recorded!r}, which does "
+                f"not match the engine's {current!r}"
             )
 
     def _install_loaded(
@@ -310,7 +308,7 @@ class SemanticProximitySearch:
         self.catalog = loaded.catalog
         self.vectors = loaded.vectors
         self._catalog_from_mining = (
-            loaded.manifest.get("extra", {}).get("miner_config") is not None
+            loaded.manifest["extra"].get("miner_config") is not None
         )
         # a snapshot saved without per-metagraph |I(M)| totals cannot
         # back an InstanceIndex: reconstruction would start every total
@@ -319,11 +317,10 @@ class SemanticProximitySearch:
         self.index = loaded.instance_index() if loaded.instance_totals else None
         self._universe = None
         self._index_graph_version = self.graph.version
-        self._update_log = list(loaded.manifest.get("update_log", []))
-        if loaded.compiled is not None:
-            # format-v2 sidecar: the snapshot arrives mmap-loaded,
-            # so serving starts without re-freezing the counts
-            self.vectors.adopt_compiled(loaded.compiled)
+        self._update_log = list(loaded.manifest["update_log"])
+        # the snapshot arrives compiled (memory-mapped on mmap loads),
+        # so serving starts without re-freezing the counts
+        self.vectors.adopt_compiled(loaded.compiled)
         models = {
             name: ProximityModel(weights, self.vectors, name=name)
             for name, weights in loaded.models.items()
@@ -403,14 +400,15 @@ class SemanticProximitySearch:
         ``transform`` is only needed when the snapshot was built with a
         custom (unnamed) count transform.
 
-        With ``mmap=True`` (default) a format-v2 snapshot's compiled
-        sidecar is memory-mapped and adopted as the serving backend —
-        near-zero copy, shared between worker processes on one host —
-        instead of re-freezing the counts.  ``shards``/
-        ``serving_workers``/``serving_backend``/``replicas`` configure
-        the sharded serving tier exactly as in the constructor; with
-        ``serving_backend="process"`` the shard workers mmap this very
-        snapshot, no re-save needed.
+        With ``mmap=True`` (default) the snapshot's CSR arrays are
+        memory-mapped and adopted as the serving backend — shared
+        between worker processes on one host — instead of re-freezing
+        the counts.  ``shards``/``serving_workers``/``serving_backend``/
+        ``replicas`` configure the sharded serving tier exactly as in
+        the constructor; with ``serving_backend="process"`` the shard
+        workers mmap this very snapshot, no re-save needed — unless a
+        ``transform`` override changes the floats, in which case the
+        engine saves its own copy for them.
         """
         loaded = load_index(path, graph=graph, transform=transform, mmap=mmap)
         engine = cls(
@@ -424,8 +422,9 @@ class SemanticProximitySearch:
             replicas=replicas,
         )
         engine._install_loaded(loaded)
-        if loaded.compiled is not None:
-            # process workers can mmap the very snapshot we loaded from
+        if loaded.floats_as_recorded:
+            # process workers can mmap the very snapshot we loaded from:
+            # its recorded value table gives them the floats we rank with
             engine._pin_snapshot(Path(path), snapshot_digest(loaded.manifest))
         return engine
 
@@ -607,7 +606,7 @@ class SemanticProximitySearch:
         self.close()
 
     def _process_snapshot(self, compiled) -> Path:
-        """An on-disk format-v2 snapshot of ``compiled``, saving if needed.
+        """An on-disk snapshot of ``compiled``, saving if needed.
 
         Process shard workers mmap their slice from disk, so serving a
         snapshot that only exists in memory (fresh ``prepare()``, or
@@ -692,7 +691,7 @@ class SemanticProximitySearch:
 
         The serving-tier counterpart of :meth:`from_index`: the
         snapshot is validated and loaded *while the current router
-        keeps answering*, the artefacts (counts, compiled sidecar,
+        keeps answering*, the artefacts (counts, compiled arrays,
         fitted classes) are adopted, and the router swaps onto the new
         snapshot via :meth:`QueryRouter.swap` — in-flight batches drain
         on the old backend, new batches take the new one, and nothing
@@ -709,7 +708,7 @@ class SemanticProximitySearch:
         """
         source = Path(path)
         manifest = read_manifest(source)
-        recorded_log = list(manifest.get("update_log", []))
+        recorded_log = list(manifest["update_log"])
         ours = len(self._update_log)
         suffix = GraphDelta.from_json_list(
             recorded_log[ours:] if recorded_log[:ours] == self._update_log else []

@@ -10,7 +10,7 @@ each shard's arithmetic runs is this module's seam:
 - :class:`SubprocessBackend` — a supervisor over standalone shard
   worker processes (:mod:`repro.serving.worker`): it spawns
   ``num_shards x replicas`` workers that mmap their slice from the
-  snapshot's format-v2 sidecar, speaks the
+  snapshot's compiled arrays, speaks the
   :mod:`~repro.serving.protocol` frames to them over Unix sockets,
   fails a shard's request over to the next replica when a worker dies
   (restarting the dead one in the background), and keeps retrying
@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.exceptions import LearningError, ServingError
 from repro.graph.typed_graph import NodeId
-from repro.index.persist import load_compiled, read_manifest
+from repro.index.persist import load_compiled
 from repro.learning.model import ProximityModel, SortedUniverse
 from repro.serving.protocol import (
     ScoreRequest,
@@ -235,8 +235,8 @@ class _WorkerHandle:
 class SubprocessBackend(ShardBackend):
     """Supervise shard worker processes and speak the wire protocol.
 
-    ``snapshot_path`` must hold a format-v2 snapshot (the workers mmap
-    its compiled sidecar).  ``replicas`` workers serve each shard;
+    ``snapshot_path`` must hold a snapshot (the workers mmap their
+    slice of its arrays).  ``replicas`` workers serve each shard;
     requests go to the first live replica and fail over in replica
     order, restarting dead workers as they are discovered, until
     ``deadline`` seconds have elapsed — only then does a shard request
@@ -303,17 +303,10 @@ class SubprocessBackend(ShardBackend):
             raise ServingError("backend already closed; build a new one")
         if self._started:
             return
-        manifest = read_manifest(self.snapshot_path)
-        if not manifest.get("compiled_arrays"):
-            raise ServingError(
-                f"snapshot at {self.snapshot_path} has no format-v2 "
-                "compiled sidecar; process workers mmap their slice from "
-                "it — re-save the snapshot first"
-            )
-        # the supervisor's routing table is the same mmap'd sidecar the
+        # the supervisor's routing table is the same mmap'd snapshot the
         # workers slice, so router and fleet agree on positions by
         # construction
-        compiled = load_compiled(self.snapshot_path, manifest=manifest)
+        compiled = load_compiled(self.snapshot_path)
         self._nodes = compiled.nodes
         self._pos = {node: i for i, node in enumerate(compiled.nodes)}
         self._bounds = np.asarray(

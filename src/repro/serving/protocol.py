@@ -240,7 +240,7 @@ def score_group_on_shard(
     Every query is checked against the shard's own node table first: a
     position outside the owned range, or one whose resident node is not
     the node the router sent, means the router and this shard disagree
-    on the snapshot (e.g. a worker still serving a pre-swap sidecar) —
+    on the snapshot (e.g. a worker still serving a pre-swap snapshot) —
     that surfaces as :class:`~repro.exceptions.QueryError` with one
     message, raised by this same function on either side of the
     transport seam, instead of a silently wrong ranking.

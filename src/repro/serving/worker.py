@@ -5,9 +5,9 @@ turns one :class:`~repro.serving.shards.CompiledShard` into a serving
 process:
 
 1. *cold start* — the worker mmaps its slice straight out of the
-   snapshot's format-v2 sidecar
-   (:func:`~repro.index.persist.load_compiled_shard`): no decompression,
-   no dict replay, and co-hosted workers share the mapped pages;
+   snapshot's arrays (:func:`~repro.index.persist.load_compiled_shard`):
+   no dict replay, no transform callable, and co-hosted workers share
+   the mapped pages;
 2. *serve* — length-prefixed JSON frames
    (:mod:`~repro.serving.protocol`) over a Unix domain socket
    (``--socket``) or TCP (``--host``/``--port``), one handler thread
@@ -48,12 +48,12 @@ def build_worker_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro shard-worker",
         description=(
-            "Serve one node-range shard of a format-v2 index snapshot "
+            "Serve one node-range shard of an index snapshot "
             "over a Unix or TCP socket (length-prefixed JSON frames)."
         ),
     )
     parser.add_argument(
-        "--snapshot", required=True, help="snapshot directory (format v2)"
+        "--snapshot", required=True, help="snapshot directory"
     )
     parser.add_argument(
         "--shard", type=int, required=True, help="shard id in [0, num-shards)"
@@ -84,7 +84,7 @@ def build_worker_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-mmap",
         action="store_true",
-        help="read and digest-verify the sidecar instead of mmapping it",
+        help="read and digest-verify the snapshot instead of mmapping it",
     )
     return parser
 

@@ -205,7 +205,7 @@ class TestServe:
 
 class TestIndexBuild:
     def test_printed_size_is_bytes_on_disk(self, tmp_path, capsys):
-        # the compiled/ sidecar's members count, not its directory entry
+        # the compiled/ directory's members count, not its directory entry
         import re
 
         from repro.cli import main

@@ -141,7 +141,7 @@ class TestLifecycle:
         vectors, compiled = toy_compiled
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
         save_index(tmp_path / "snapshot", vectors, catalog)
-        # mmap=False: recompile from the restored counts, not the sidecar
+        # recompile from the restored count ledger, not the loaded view
         reloaded = load_index(tmp_path / "snapshot", mmap=False).vectors
         recompiled = reloaded.compile()
         assert recompiled.nodes == compiled.nodes

@@ -1,26 +1,29 @@
 """Snapshot persistence: roundtrip fidelity and rejection paths."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
 from repro.exceptions import SnapshotError, StaleSnapshotError
 from repro.graph.typed_graph import TypedGraph
+from repro.index.delta import GraphDelta
 from repro.index.persist import (
-    ARRAYS_FILE,
-    CATALOG_FILE,
     FORMAT_VERSION,
     MANIFEST_FILE,
-    SUPPORTED_FORMAT_VERSIONS,
+    _manifest_digest,
     graph_fingerprint,
+    load_compiled,
     load_index,
     save_index,
     snapshot_digest,
 )
-from repro.index.transform import log1p
+from repro.index.transform import identity, log1p, sqrt
 from repro.index.vectors import build_vectors
 from repro.metagraph.catalog import MetagraphCatalog
+from repro.metagraph.metagraph import metapath
 from repro.mining import MinerConfig
 from repro.search import SemanticProximitySearch
 from tests.oracles import node_vector, pair_vector, partners
@@ -30,6 +33,20 @@ CLASS_LABELS = {
     "Jay": frozenset({"Kate"}),
     "Bob": frozenset({"Tom"}),
 }
+
+# users whose ids stress the snapshot's node table and pair-key order:
+# repr order puts 10 before 9, and mixed types only compare by repr
+ADVERSARIAL_USERS = ["u|0", ("u", 1), (("deep",), 2), 3]
+STORE_USERS = {
+    "int-9-10": [9, 10, 2],
+    "mixed": [3, "a", ("t", 1), "10"],
+    "adversarial": ADVERSARIAL_USERS,
+    "no-counts": ["lonely"],
+}
+
+
+def doubled(count: float) -> float:
+    return 2.0 * count
 
 
 @pytest.fixture
@@ -47,6 +64,28 @@ def snapshot_dir(offline, tmp_path):
     return path
 
 
+def user_school_store(users):
+    """A one-metapath store over ``users`` who all share two schools."""
+    graph = TypedGraph(name="users")
+    for uid in users:
+        graph.add_node(uid, "user")
+    for school in (("s", 0), "s|1"):
+        graph.add_node(school, "school")
+        if len(users) > 1:
+            for uid in users:
+                graph.add_edge(uid, school)
+    catalog = MetagraphCatalog(
+        [metapath("user", "school", "user")], anchor_type="user"
+    )
+    vectors, index = build_vectors(graph, catalog)
+    return graph, catalog, vectors, index
+
+
+def member(snapshot: Path, name: str) -> Path:
+    """The digest-suffixed file of one payload member."""
+    return next((snapshot / "compiled").glob(f"{name}-*.npy"))
+
+
 class TestRoundTrip:
     def test_counts_survive(self, offline, snapshot_dir):
         graph, _catalog, vectors, _index = offline
@@ -61,6 +100,50 @@ class TestRoundTrip:
             pair_vector(vectors, "Kate", "Jay"),
         )
         assert loaded.vectors.matched_ids == vectors.matched_ids
+
+    @pytest.mark.parametrize("store", sorted(STORE_USERS))
+    def test_ledger_round_trips_dict_for_dict(self, store, tmp_path):
+        graph, catalog, vectors, index = user_school_store(STORE_USERS[store])
+        path = save_index(tmp_path / "s", vectors, catalog, graph=graph, index=index)
+        for mmap in (True, False):
+            loaded = load_index(path, graph=graph, mmap=mmap)
+            # equal dicts with equal tuple keys: orientation included
+            assert loaded.vectors._node == vectors._node
+            assert loaded.vectors._pair == vectors._pair
+            assert loaded.vectors.matched_ids == vectors.matched_ids
+            assert loaded.instance_index().matched_ids() == index.matched_ids()
+        if store == "no-counts":
+            assert vectors.matched_ids and not vectors._node
+
+    @pytest.mark.parametrize(
+        "built, loaded_with",
+        [
+            (identity, None),
+            (log1p, None),
+            (sqrt, None),
+            (doubled, doubled),
+            (identity, log1p),  # a transform= override
+        ],
+        ids=["identity", "log1p", "sqrt", "custom", "override"],
+    )
+    def test_float_view_bit_identical_to_compile(
+        self, toy_graph, toy_metagraphs, tmp_path, built, loaded_with
+    ):
+        catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
+        vectors, _ = build_vectors(toy_graph, catalog, transform=built)
+        path = save_index(tmp_path / "s", vectors, catalog, graph=toy_graph)
+        loaded = load_index(path, transform=loaded_with)
+        reference, _ = build_vectors(
+            toy_graph, catalog, transform=loaded_with or built
+        )
+        expected = reference.compile()
+        for view in (loaded.compiled, loaded.vectors.compile()):
+            assert view.node_data.tobytes() == expected.node_data.tobytes()
+            assert view.pair_data.tobytes() == expected.pair_data.tobytes()
+            assert view.content_digest() == expected.content_digest()
+        # the recorded table (what shard workers use) holds the saved floats
+        assert load_compiled(path).content_digest() == vectors.compile().content_digest()
+        assert loaded.floats_as_recorded == (loaded_with in (None, built))
 
     def test_instance_index_reconstructed(self, offline, snapshot_dir):
         graph, _catalog, _vectors, index = offline
@@ -116,9 +199,6 @@ class TestRoundTrip:
     def test_custom_transform_must_be_passed(
         self, toy_graph, toy_metagraphs, tmp_path
     ):
-        def doubled(count: float) -> float:
-            return 2.0 * count
-
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
         vectors, _ = build_vectors(toy_graph, catalog, transform=doubled)
         path = save_index(tmp_path / "s", vectors, catalog, graph=toy_graph)
@@ -129,6 +209,40 @@ class TestRoundTrip:
             node_vector(loaded.vectors, "Kate"), node_vector(vectors, "Kate")
         )
 
+    def test_interrupted_resave_keeps_previous_snapshot(
+        self, offline, snapshot_dir, monkeypatch
+    ):
+        # the manifest write dies halfway through a re-save of other
+        # counts: the directory must still load as the previous snapshot
+        graph, catalog, vectors, _index = offline
+        before = snapshot_digest(snapshot_dir)
+        smaller = graph.copy()
+        smaller.remove_edge("Kate", "Music")
+        other, other_index = build_vectors(smaller, catalog)
+
+        def torn(write):
+            def wrapper(path, data, *args, **kwargs):
+                if path.name.startswith(MANIFEST_FILE):
+                    write(path, data[: len(data) // 2], *args, **kwargs)
+                    raise OSError("disk full")
+                return write(path, data, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Path, "write_text", torn(Path.write_text))
+        monkeypatch.setattr(Path, "write_bytes", torn(Path.write_bytes))
+        with pytest.raises(OSError, match="disk full"):
+            save_index(snapshot_dir, other, catalog, graph=smaller, index=other_index)
+        monkeypatch.undo()
+        loaded = load_index(snapshot_dir, graph=graph)
+        assert snapshot_digest(loaded.manifest) == before
+        assert loaded.vectors._pair == vectors._pair
+        # and the next save goes through, leaving only what it names:
+        # the manifest, the catalog and the nine payload members
+        save_index(snapshot_dir, other, catalog, graph=smaller, index=other_index)
+        assert load_index(snapshot_dir, graph=smaller).vectors._pair == other._pair
+        assert len(list(snapshot_dir.rglob("*.*"))) == 11
+
 
 class TestRejection:
     def test_missing_snapshot(self, tmp_path):
@@ -138,37 +252,54 @@ class TestRejection:
     def test_version_mismatch(self, snapshot_dir):
         manifest_path = snapshot_dir / MANIFEST_FILE
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = max(SUPPORTED_FORMAT_VERSIONS) + 1
+        manifest["format_version"] = FORMAT_VERSION + 1
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="format version"):
             load_index(snapshot_dir)
 
     def test_corrupt_arrays(self, snapshot_dir):
-        arrays_path = snapshot_dir / ARRAYS_FILE
+        arrays_path = member(snapshot_dir, "node_count")
         blob = bytearray(arrays_path.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
+        blob[-1] ^= 0xFF
         arrays_path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match="arrays.npz"):
+        with pytest.raises(SnapshotError, match="node_count.*digest"):
             load_index(snapshot_dir)
 
     def test_truncated_arrays(self, snapshot_dir):
-        arrays_path = snapshot_dir / ARRAYS_FILE
+        arrays_path = member(snapshot_dir, "pair_count")
         arrays_path.write_bytes(arrays_path.read_bytes()[:64])
         with pytest.raises(SnapshotError):
             load_index(snapshot_dir)
 
     def test_tampered_catalog(self, snapshot_dir):
-        catalog_path = snapshot_dir / CATALOG_FILE
+        catalog_path = next(snapshot_dir.glob("catalog-*.json"))
         doc = json.loads(catalog_path.read_text())
         doc["metagraphs"] = doc["metagraphs"][:-1]
         catalog_path.write_text(json.dumps(doc))
-        with pytest.raises(SnapshotError, match="catalog.json"):
+        with pytest.raises(SnapshotError, match="catalog-.*digest"):
             load_index(snapshot_dir)
 
     def test_unreadable_manifest(self, snapshot_dir):
         (snapshot_dir / MANIFEST_FILE).write_text("{not json")
         with pytest.raises(SnapshotError, match="unreadable"):
             load_index(snapshot_dir)
+
+    @pytest.mark.parametrize("doc", ["[]", "null", "3", "no-nodes"])
+    def test_malformed_manifest(self, snapshot_dir, doc, capsys):
+        manifest_path = snapshot_dir / MANIFEST_FILE
+        if doc == "no-nodes":
+            # well-formed JSON object, self-digest intact, a key missing
+            manifest = json.loads(manifest_path.read_text())
+            del manifest["nodes"]
+            manifest["manifest_sha256"] = _manifest_digest(manifest)
+            doc = json.dumps(manifest)
+        manifest_path.write_text(doc)
+        for load in (load_index, load_compiled):
+            with pytest.raises(SnapshotError):
+                load(snapshot_dir)
+        assert cli_main(["index", "info", str(snapshot_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[index] invalid snapshot") and err.count("\n") == 1
 
     def test_tampered_manifest_node_table(self, snapshot_dir):
         """The manifest is the root of trust — it carries its own digest."""
@@ -195,22 +326,10 @@ class TestRejection:
             load_index(snapshot_dir, graph=other)
 
     def test_snapshot_round_trips_adversarial_node_ids(self, tmp_path):
-        graph = TypedGraph(name="adversarial")
-        users = ["u|0", ("u", 1), (("deep",), 2), 3]
-        for uid in users:
-            graph.add_node(uid, "user")
-        graph.add_node(("s", 0), "school")
-        for uid in users:
-            graph.add_edge(uid, ("s", 0))
-        from repro.metagraph.metagraph import metapath
-
-        catalog = MetagraphCatalog(
-            [metapath("user", "school", "user")], anchor_type="user"
-        )
-        vectors, index = build_vectors(graph, catalog)
+        graph, catalog, vectors, index = user_school_store(ADVERSARIAL_USERS)
         path = save_index(tmp_path / "s", vectors, catalog, graph=graph, index=index)
         loaded = load_index(path, graph=graph)
-        for uid in users:
+        for uid in ADVERSARIAL_USERS:
             assert partners(loaded.vectors, uid) == partners(vectors, uid)
 
     def test_fingerprint_sensitive_to_edges_only_changes(self, toy_graph):
@@ -242,6 +361,27 @@ class TestFacadeRoundTrip:
         )
         assert cold.query("classmate", "Kate", k=3) == engine.query(
             "classmate", "Kate", k=3
+        )
+
+    def test_apply_updates_after_from_index_matches_rebuild(
+        self, engine, toy_graph, tmp_path
+    ):
+        path = engine.save_index(tmp_path / "snap")
+        warm = SemanticProximitySearch.from_index(path, toy_graph.copy())
+        warm.apply_updates(
+            GraphDelta()
+            .remove_edge("Kate", "Music")
+            .add_node("Mia", "user")
+            .add_edge("Mia", "College A")
+        )
+        cold = SemanticProximitySearch(warm.graph.copy()).prepare(
+            catalog=engine.catalog
+        )
+        assert warm.vectors._node == cold.vectors._node
+        assert warm.vectors._pair == cold.vectors._pair
+        assert (
+            warm.vectors.compile().content_digest()
+            == cold.vectors.compile().content_digest()
         )
 
     def test_serving_digest_follows_resave_to_same_directory(

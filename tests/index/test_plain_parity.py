@@ -3,14 +3,16 @@
 The kind axis must be invisible to plain graphs: with ``edge_kinds``
 off, every dataset keeps producing **byte-identical snapshots** and
 **bit-identical rankings** — across every matcher engine and worker
-count.  The digests below were produced by the pre-kind codebase on the
-toy dataset with the exact recipe encoded here; any drift in graph
-storage, canonical forms, matching, vector packing, or the persist
-format shows up as a digest mismatch.
+count.  The ranking digest was produced by the pre-kind codebase on the
+toy dataset with the exact recipe encoded here; the manifest digest was
+re-pinned once, when the snapshot layout became one content-addressed
+payload (format 4).  Any drift in graph storage, canonical forms,
+matching, vector packing, or the persist format shows up as a digest
+mismatch.
 
 If a change legitimately alters the snapshot layout (a deliberate
-format bump for *plain* graphs), regenerate both constants and say so
-in the commit — this test exists to make that an explicit decision.
+format bump), regenerate the manifest constant and say so in the
+commit — this test exists to make that an explicit decision.
 """
 
 import hashlib
@@ -25,7 +27,7 @@ from repro.mining import MinerConfig
 from repro.search import SemanticProximitySearch
 
 GOLDEN_MANIFEST_SHA = (
-    "71a44e7567234b1075d18f39d7abcfd16e22dbc9abd7aea35efc357aae4f839c"
+    "a69e0190aa2c93cb8dae94c6084bc37c5fe25674bf22dc27fa91f698b9459713"
 )
 GOLDEN_RANKING_DIGEST = (
     "a87c9156f1efb39737c357aa7b3d392985ee357965cd4f5e1604330d29f2c76e"
@@ -69,7 +71,7 @@ class TestPlainSnapshotParity:
         assert manifest["manifest_sha256"] == GOLDEN_MANIFEST_SHA, (
             f"plain snapshot drifted (matcher={matcher}, workers={workers})"
         )
-        assert "schema" not in manifest
+        assert manifest["schema"]["edge_kinds"] is False
 
     def test_rankings_pinned(self):
         dataset, engine = build_engine()

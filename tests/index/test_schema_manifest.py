@@ -1,11 +1,11 @@
-"""Snapshot schema recording: compat flag, format bump, mismatch errors.
+"""Snapshot schema recording: compat flag, one format, mismatch errors.
 
-Kinded graphs bump the snapshot format to v3 and record the realised
-schema (types + edge rules) in the manifest; plain graphs keep writing
-byte-compatible v2 manifests with no schema block at all.  Loading a
-snapshot against a graph that disagrees on the edge-kind flag raises
-:class:`SchemaError` — a structural error, not staleness — and
-``repro index info`` surfaces the recorded schema to operators.
+Every snapshot saved with a graph records the realised schema (edge-kind
+flag, types, edge rules) in its manifest, under the one format version
+plain and kinded graphs share.  Loading a snapshot against a graph that
+disagrees on the edge-kind flag raises :class:`SchemaError` — a
+structural error, not staleness — and ``repro index info`` surfaces the
+recorded schema to operators.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.graph.typed_graph import EdgeKind, TypedGraph
 from repro.index.parallel import IndexBuildConfig, build_index
 from repro.index.persist import (
     FORMAT_VERSION,
-    KINDED_FORMAT_VERSION,
     load_index,
     read_manifest,
     save_index,
@@ -63,11 +62,11 @@ PLAIN_PATTERN = Metagraph(["user", "school", "user"], [(0, 1), (2, 1)])
 
 
 class TestManifestSchema:
-    def test_kinded_snapshot_bumps_format_and_records_schema(self, tmp_path):
+    def test_kinded_snapshot_records_schema(self, tmp_path):
         graph = kinded_graph()
         path = snapshot_for(graph, "mol", KINDED_PATTERN, tmp_path / "k")
         manifest = read_manifest(path)
-        assert manifest["format_version"] == KINDED_FORMAT_VERSION
+        assert manifest["format_version"] == FORMAT_VERSION
         schema = manifest["schema"]
         assert schema["edge_kinds"] is True
         assert schema["types"] == ["mol", "rxn"]
@@ -76,11 +75,15 @@ class TestManifestSchema:
         # kinded fingerprints carry 4-entry edges
         assert manifest["graph_fingerprint"] is not None
 
-    def test_plain_snapshot_keeps_v2_and_no_schema_block(self, tmp_path):
+    def test_plain_snapshot_records_plain_schema(self, tmp_path):
         path = snapshot_for(plain_graph(), "user", PLAIN_PATTERN, tmp_path / "p")
         manifest = read_manifest(path)
         assert manifest["format_version"] == FORMAT_VERSION
-        assert "schema" not in manifest
+        assert manifest["schema"] == {
+            "edge_kinds": False,
+            "types": ["school", "user"],
+            "edge_rules": [["school", "user", "", 0]],
+        }
 
     def test_round_trip_with_matching_graph(self, tmp_path):
         graph = kinded_graph()
@@ -113,7 +116,7 @@ class TestIndexInfoCLI:
         assert "schema         : edge kinds on, types mol, rxn" in out
         assert "mol -> rxn [in]" in out
         assert "rxn -> mol [out]" in out
-        assert f"format version : {KINDED_FORMAT_VERSION}" in out
+        assert f"format version : {FORMAT_VERSION}" in out
 
     def test_info_reports_plain_schema(self, tmp_path, capsys):
         path = snapshot_for(

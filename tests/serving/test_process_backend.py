@@ -281,6 +281,43 @@ class TestFacadeProcessServing:
             flat.close()
             engine.close()
 
+    @pytest.mark.parametrize("override", (False, True), ids=("recorded", "override"))
+    def test_custom_transform_snapshot_serves_identically(self, tmp_path, override):
+        # workers get no transform callable: their floats come from the
+        # value table the manifest records, which must hold the same bits
+        def cube_root(count: float) -> float:
+            return float(count) ** (1 / 3)
+
+        def halved(count: float) -> float:
+            return count / 2
+
+        engine, ds = toy_engine(transform=cube_root)
+        engine.fit("family", labels=ds.class_labels("family"), num_examples=40)
+        target = engine.save_index(tmp_path / "snap")
+        loaded_with = halved if override else cube_root
+        flat = SemanticProximitySearch.from_index(
+            target, engine.graph, transform=loaded_with
+        )
+        proc = SemanticProximitySearch.from_index(
+            target, engine.graph, transform=loaded_with, shards=2,
+            serving_backend="process",
+        )
+        try:
+            queries = list(engine.universe())
+            served = proc.query_many("family", queries, k=4)
+            assert served == flat.query_many("family", queries, k=4)
+            if override:
+                # the recorded floats are not the engine's: the workers
+                # serve an engine-owned copy instead of the user's
+                assert proc._snapshot_path != target
+            else:
+                assert proc._snapshot_path == target
+                assert served == engine.query_many("family", queries, k=4)
+        finally:
+            proc.close()
+            flat.close()
+            engine.close()
+
     def test_unknown_serving_backend_rejected(self):
         from repro.datasets.toy import toy_dataset
 

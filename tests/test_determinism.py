@@ -110,9 +110,11 @@ def test_parallel_build_snapshot_is_byte_identical(tmp_path):
         target = tmp_path / f"workers{workers}"
         save_index(target, vectors, catalog, graph=dataset.graph, index=index)
         snapshots[workers] = {
-            name: (target / name).read_bytes()
-            for name in ("manifest.json", "catalog.json", "arrays.npz")
+            path.relative_to(target).as_posix(): path.read_bytes()
+            for path in sorted(target.rglob("*"))
+            if path.is_file()
         }
+    assert snapshots[1].keys() == snapshots[4].keys()
     for name in snapshots[1]:
         assert snapshots[1][name] == snapshots[4][name], (
             f"{name} differs between sequential and 4-worker builds"

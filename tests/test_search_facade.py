@@ -316,7 +316,6 @@ class TestDynamicUpdates:
         # so a corrupt snapshot bumped graph.version and every later
         # query raised StaleIndexError forever
         from repro.exceptions import SnapshotError
-        from repro.index.persist import ARRAYS_FILE
 
         spx, ds = fresh_engine
         spx.fit("family", labels=ds.class_labels("family"), num_examples=40)
@@ -325,7 +324,7 @@ class TestDynamicUpdates:
         )
         publisher.apply_updates(GraphDelta().remove_edge("Kate", "Music"))
         published = publisher.save_index(tmp_path / "published")
-        arrays = published / ARRAYS_FILE
+        arrays = next((published / "compiled").glob("pair_count-*.npy"))
         good = arrays.read_bytes()
         arrays.write_bytes(good[:100] + bytes([good[100] ^ 0xFF]) + good[101:])
 
