@@ -24,7 +24,10 @@ re-lays the same graph into flat numpy arrays so the compiled engine
 :func:`csr_view` caches the view on the graph object and rebuilds it
 when :attr:`TypedGraph.version` moves, so the offline build pays one
 O(V + E) layout pass per graph version however many patterns it
-matches.
+matches.  An edge edit need not pay even that: :func:`patch_csr_view`
+turns the cached view into the next version's with one sorted insert or
+delete per endpoint row (:meth:`CSRGraph.toggled_edge`).  Node edits
+renumber the dense ids, so they still lay the view out in full.
 """
 
 from __future__ import annotations
@@ -181,6 +184,91 @@ class CSRGraph:
         built._id_of = id_of
         return built
 
+    def toggled_edge(
+        self, graph: TypedGraph, u: NodeId, v: NodeId
+    ) -> "CSRGraph | None":
+        """The view of ``graph`` one edge edit after this one, or None.
+
+        ``graph`` is this view's graph after exactly one
+        ``add_edge(u, v)`` or ``remove_edge(u, v)``; which one is read
+        off ``graph``.  Each endpoint row gets one sorted insert or
+        delete, and every derived array is shifted or counted by one, so
+        the result is array-identical to :meth:`from_graph` at a
+        fraction of its cost.  ``id_of`` is shared, since the node set
+        did not change.  None when the edit changes the set of edge
+        signatures (a new signature, the last edge of one, or edge kinds
+        appearing or vanishing): such a view is laid out in full.
+        """
+        if graph.has_kinds != self.has_kinds:
+            return None
+        step = 1 if graph.has_edge(u, v) else -1
+        # the two adjacency entries (row, neighbour), in row order
+        (a, node_a), (b, node_b) = sorted(
+            ((self.id_of[u], u), (self.id_of[v], v)), key=lambda end: end[0]
+        )
+        ta = self._type_index[graph.node_type(node_a)]
+        tb = self._type_index[graph.node_type(node_b)]
+        at = np.asarray(
+            [
+                self.indptr[a] + np.searchsorted(self.neighbors(a), b),
+                self.indptr[b] + np.searchsorted(self.neighbors(b), a),
+            ],
+            dtype=np.int64,
+        )
+        edge_sig = self.edge_sig
+        sigs = np.zeros(2, dtype=np.int64)
+        if edge_sig is not None:
+            if step > 0:
+                label, rel = graph.edge_signature(node_a, node_b)
+                code_a, code_b = self.sig_id(label, rel), self.sig_id(label, -rel)
+                if code_a is None or code_b is None:
+                    return None
+                sigs[:] = (code_a, code_b)
+                edge_sig = np.insert(edge_sig, at, sigs.astype(edge_sig.dtype))
+            else:
+                sigs[:] = edge_sig[at]
+                edge_sig = np.delete(edge_sig, at)
+                if not np.isin(sigs, edge_sig).all():
+                    return None
+        if step > 0:
+            indices = np.insert(self.indices, at, np.asarray([b, a], dtype=self.indices.dtype))
+        else:
+            indices = np.delete(self.indices, at)
+
+        indptr = self.indptr.copy()
+        type_ptr = self.type_ptr.copy()
+        for row in (a, b):
+            indptr[row + 1 :] += step
+            type_ptr[row + 1 :] += step
+        type_ptr[a, tb + 1 :] += step
+        type_ptr[b, ta + 1 :] += step
+        profiles = self.profiles.copy()
+        profiles[a, tb] += step
+        profiles[b, ta] += step
+        edge_type_counts = self.edge_type_counts.copy()
+        edge_type_counts[min(ta, tb), max(ta, tb)] += step
+        sig_profiles = self.sig_profiles
+        if sig_profiles is not None:
+            sig_profiles = sig_profiles.copy()
+            sig_profiles[a, tb * self.num_sigs + sigs[0]] += step
+            sig_profiles[b, ta * self.num_sigs + sigs[1]] += step
+        patched = CSRGraph(
+            version=graph.version,
+            type_names=self.type_names,
+            type_start=self.type_start,
+            node_ids=self.node_ids,
+            indptr=indptr,
+            indices=indices,
+            type_ptr=type_ptr,
+            profiles=profiles,
+            edge_type_counts=edge_type_counts,
+            sig_names=self.sig_names,
+            edge_sig=edge_sig,
+            sig_profiles=sig_profiles,
+        )
+        patched._id_of = self.id_of
+        return patched
+
     # ------------------------------------------------------------------
     # pickling: ship arrays, rebuild the id dict lazily on the far side
     # ------------------------------------------------------------------
@@ -323,3 +411,21 @@ def csr_view(graph: TypedGraph) -> CSRGraph:
         cached = CSRGraph.from_graph(graph)
         setattr(graph, _CACHE_ATTR, cached)
     return cached
+
+
+def patch_csr_view(graph: TypedGraph, u: NodeId, v: NodeId) -> None:
+    """Carry the cached view across the edge edit ``graph`` just made.
+
+    Call right after one ``graph.add_edge(u, v, ...)`` or
+    ``graph.remove_edge(u, v)``.  When the cached view is the one of the
+    version just before, it is replaced by :meth:`CSRGraph.toggled_edge`
+    for the current version.  Otherwise (no view cached, more edits
+    since, or a change to the edge-signature set) nothing happens, and
+    :func:`csr_view` lays the next view out in full as usual.
+    """
+    cached: CSRGraph | None = getattr(graph, _CACHE_ATTR, None)
+    if cached is None or cached.version != graph.version - 1:
+        return
+    patched = cached.toggled_edge(graph, u, v)
+    if patched is not None:
+        setattr(graph, _CACHE_ATTR, patched)

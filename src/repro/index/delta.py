@@ -20,19 +20,20 @@ mutation.  This module keeps the Eq. 1–2 counts exact under edits
    nodes, restricted to the affected region.  For an edge edit the two
    endpoints must map onto *adjacent* pattern nodes when the edge is
    present and non-adjacent ones when it is absent, which cuts the pin
-   pairs to a handful per pattern.  The compiled kernel's CSR view is
-   relaid once per graph version, so one edit pays at most one O(V+E)
-   layout pass amortised over the whole catalog's pre- *and* the next
-   edit's post-enumeration — cheap next to matching, but on graphs
-   where a relayout would dominate the localized search, patching the
-   CSR arrays incrementally is the obvious next step.
+   pairs to a handful per pattern.  An edge edit patches the compiled
+   kernel's cached CSR view in place of a relayout
+   (:func:`~repro.graph.csr.patch_csr_view`: one sorted insert or
+   delete per endpoint row); a node edit renumbers the dense ids, so
+   the next enumeration lays the view out in full.
 3. **Count patching** — retired instances are enumerated on the
    pre-edit graph and subtracted, new ones on the post-edit graph and
    folded in (:meth:`MetagraphVectors.patch_counts`,
    :meth:`InstanceIndex.patch`).  The result is bit-identical to a
    from-scratch rebuild on the mutated graph — the property suite in
    ``tests/index/test_delta.py`` asserts exactly that over randomized
-   edit sequences.
+   edit sequences.  The ledger records the rows it patched, so the
+   next :meth:`MetagraphVectors.compile` splices just those rows into
+   the last compiled snapshot.
 
 Edits are described by :class:`GraphEdit` values collected in a
 :class:`GraphDelta`; :func:`apply_delta` applies them to the graph and
@@ -48,6 +49,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from repro.exceptions import DeltaError, EdgeError
+from repro.graph.csr import patch_csr_view
 from repro.graph.typed_graph import PLAIN, EdgeKind, NodeId, TypedGraph
 from repro.index.instance_index import (
     InstanceIndex,
@@ -421,8 +423,11 @@ def apply_delta(
     Mutates ``graph``, ``vectors`` and (when given) ``index`` together,
     edit by edit, so the counts always describe the graph exactly —
     bit-identical to ``build_vectors`` on the resulting graph.  The
-    compiled CSR snapshot of ``vectors`` is invalidated; recompile (or
-    let :meth:`ProximityModel.rank` do it lazily) after the batch.
+    compiled CSR snapshot of ``vectors`` goes stale and becomes the
+    base the next :meth:`MetagraphVectors.compile` splices the patched
+    rows into (call it after the batch, or let
+    :meth:`ProximityModel.rank` do it lazily).  Edge edits carry the
+    graph's cached CSR view along instead of dropping it.
 
     ``on_edit`` is invoked after each *effective* edit commits (graph
     mutated, counts patched; no-ops are skipped) — the checkpoint
@@ -471,6 +476,7 @@ def apply_delta(
                 graph, catalog, mg_ids, edit.u, edit.v, False, radius
             )
             graph.add_edge(edit.u, edit.v, edit.kind)
+            patch_csr_view(graph, edit.u, edit.v)
             post = _enumerate_for_edge(
                 graph, catalog, mg_ids, edit.u, edit.v, True, radius
             )
@@ -479,6 +485,7 @@ def apply_delta(
                 graph, catalog, mg_ids, edit.u, edit.v, True, radius
             )
             graph.remove_edge(edit.u, edit.v)
+            patch_csr_view(graph, edit.u, edit.v)
             post = _enumerate_for_edge(
                 graph, catalog, mg_ids, edit.u, edit.v, False, radius
             )

@@ -65,7 +65,7 @@ from repro.exceptions import (
     StaleSnapshotError,
 )
 from repro.graph.typed_graph import TypedGraph
-from repro.index.compiled import CompiledVectors, csr_row_index
+from repro.index.compiled import CompiledVectors
 from repro.index.instance_index import InstanceIndex, MetagraphCounts, _pair_key
 from repro.index.transform import TRANSFORMS, Transform
 from repro.index.vectors import MetagraphVectors, decode_node_id, encode_node_id
@@ -182,20 +182,11 @@ def _content_name(stem: str, sha256: str, suffix: str) -> str:
 def _pair_keys(compiled: CompiledVectors) -> list[tuple]:
     """The ledger key of every pair row, in row order.
 
-    The adjacency lists each pair row under both of its ends (a self
-    pair once); the entries owned by the smaller end name every row
-    exactly once, so one vectorised pass finds both ends without
-    turning either adjacency array into Python objects.  Keys take the
-    orientation the counting code gives them (``_pair_key``), which is
-    not position order — ``repr`` puts 10 before 9.
+    Keys take the orientation the counting code gives them
+    (``_pair_key``), which is not position order — ``repr`` puts 10
+    before 9.
     """
-    owner = csr_row_index(compiled.pair_ptr)
-    first = owner <= compiled.partner_pos
-    rows = compiled.entry_pair[first]
-    left = np.empty(len(rows), dtype=np.int64)
-    right = np.empty(len(rows), dtype=np.int64)
-    left[rows] = owner[first]
-    right[rows] = compiled.partner_pos[first]
+    left, right = compiled.pair_ends()
     nodes = compiled.nodes
     return [
         _pair_key(nodes[a], nodes[b]) for a, b in zip(left.tolist(), right.tolist())

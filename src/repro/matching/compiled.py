@@ -29,10 +29,9 @@ The engine is instance-set-identical to ``SymISO`` (the cross-matcher
 parity suite pins this), which makes the Eq. 1–2
 :class:`~repro.index.instance_index.MetagraphCounts` bit-identical.
 
-:func:`compiled_pinned_embeddings` is the localized-re-matching
-counterpart of :func:`repro.matching.partition.pinned_embeddings`:
-pins become singleton candidate arrays and the affected region becomes
-per-type candidate masks.
+:func:`compiled_pinned_embeddings` is the localized re-matching of the
+delta path (:mod:`repro.index.delta`): pins become singleton candidate
+arrays and the affected region becomes per-type candidate masks.
 """
 
 from __future__ import annotations
@@ -394,9 +393,12 @@ def compiled_pinned_embeddings(
     pins: Mapping[int, NodeId],
     region: Mapping[str, Set] | None = None,
 ) -> Iterator[Embedding]:
-    """Compiled drop-in for :func:`repro.matching.partition.pinned_embeddings`.
+    """Embeddings mapping each pinned pattern node to its pinned graph node.
 
-    Pins become singleton candidate arrays and the affected region
+    ``pins`` (``{pattern_node: graph_node}``, non-empty) root the search
+    at the first pin, in :func:`~repro.matching.partition.rooted_order`;
+    a pin whose graph node is absent or of the wrong type yields no
+    embeddings.  Pins become singleton candidate arrays and the affected region
     becomes per-type dense-id masks for every unpinned pattern node
     (types missing from the mapping admit no candidates).  Symmetry
     breaking is disabled: pins restrict pattern nodes asymmetrically, so

@@ -112,9 +112,10 @@ def connected_order_from(
     """Grow a connected order from ``start``, rarest-type-first.
 
     The shared skeleton of :func:`rarest_type_order` (which picks the
-    globally rarest start) and the pinned-root orders of
-    :func:`repro.matching.partition.rooted_order` (where the caller
-    dictates the start).
+    globally rarest start) and :func:`repro.matching.partition.rooted_order`,
+    the order of the delta path's pinned searches
+    (:func:`repro.matching.compiled.compiled_pinned_embeddings`), where
+    the caller dictates the start.
     """
     rarity = _rarity_key(graph, metagraph)
     order = [start]

@@ -431,17 +431,19 @@ class SemanticProximitySearch:
     def universe(self) -> SortedUniverse:
         """The anchor universe sorted by repr, computed once and cached.
 
-        Invalidated automatically whenever the graph mutates (tracked by
+        Re-checked whenever the graph mutates (tracked by
         :attr:`TypedGraph.version`), so added or removed anchor nodes
-        are always reflected — no ``prepare()`` required.
+        are always reflected — no ``prepare()`` required.  An edit that
+        leaves the anchor set as it was (an edge edit) keeps the sorted
+        universe and the candidate masks cached on it.
         """
         if (
             self._universe is None
             or self._universe_version != self.graph.version
         ):
-            self._universe = SortedUniverse(
-                self.graph.nodes_of_type(self.anchor_type)
-            )
+            members = self.graph.nodes_of_type(self.anchor_type)
+            if self._universe is None or members != self._universe.members():
+                self._universe = SortedUniverse(members)
             self._universe_version = self.graph.version
         return self._universe
 

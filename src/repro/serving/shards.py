@@ -20,6 +20,12 @@ shard's per-row dot products are bit-identical to the unsharded
 snapshot's, so sharded rankings merge bit-identically to the
 single-process compiled path (proven by tests/serving/test_shards.py).
 
+Slicing is one cheap vectorised pass per shard: the referenced nodes
+and pair rows are picked with boolean masks over the universe, and a
+``cumsum`` of each mask gives every picked row its local id — no set
+operations, no sorting.  It is O(nnz), so the router simply re-slices
+every shard when an update changes the snapshot.
+
 A shard deliberately quacks like a ``CompiledVectors`` where the
 scoring code cares (``nodes``, ``num_nodes``, ``node_dot_products``,
 ``pair_dot_products``, ``candidates_of``), so
@@ -33,27 +39,24 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.typed_graph import NodeId
-from repro.index.compiled import CompiledVectors, csr_dot_products, csr_row_index
+from repro.index.compiled import (
+    CompiledVectors,
+    csr_dot_products,
+    csr_row_index,
+    take_csr_rows,
+)
 
 
-def _take_csr_rows(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gather whole CSR rows (nonzero order preserved) into a new CSR."""
-    rows = np.asarray(rows, dtype=np.int64)
-    counts = indptr[rows + 1] - indptr[rows]
-    out_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out_indptr[1:])
-    total = int(out_indptr[-1])
-    # source position of each gathered nonzero: its row start plus its
-    # offset within the row
-    positions = np.repeat(indptr[rows], counts) + (
-        np.arange(total, dtype=np.int64) - np.repeat(out_indptr[:-1], counts)
-    )
-    return out_indptr, np.asarray(indices[positions]), np.asarray(data[positions])
+def _ranked(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The set positions of ``mask``, and every position's rank among them.
+
+    ``rank[i]`` is the number of set positions before ``i``: the local
+    id of a set position ``i`` once the set positions are numbered in
+    ascending order.
+    """
+    rank = np.cumsum(mask, dtype=np.int64)
+    rank -= mask
+    return np.flatnonzero(mask).astype(np.int64, copy=False), rank
 
 
 class CompiledShard:
@@ -185,35 +188,29 @@ def _slice_shard(
     pair_global = compiled.entry_pair[a:b]
     cand_ptr = np.asarray(compiled.pair_ptr[lo : hi + 1] - a, dtype=np.int64)
 
-    # referenced rows: the owned range plus the halo of partners
-    # (union1d returns them sorted, so local order preserves the
-    # global — i.e. repr — order the tie-break relies on)
-    local_nodes = np.union1d(
-        np.arange(lo, hi, dtype=np.int64), cand_global
-    ).astype(np.int64)
-    cand_local = np.searchsorted(local_nodes, cand_global).astype(np.int64)
-    own_offset = int(np.searchsorted(local_nodes, lo))
+    # referenced rows: the owned range plus the halo of partners, in
+    # ascending global — i.e. repr — order, which the tie-break relies
+    # on; a referenced row's local id is its rank among them
+    referenced = np.zeros(compiled.num_nodes, dtype=bool)
+    referenced[lo:hi] = True
+    referenced[cand_global] = True
+    local_nodes, local_of = _ranked(referenced)
+    cand_local = local_of[cand_global]
+    own_offset = int(np.count_nonzero(referenced[:lo]))
 
-    pair_rows = np.unique(pair_global).astype(np.int64)
-    cand_pair = np.searchsorted(pair_rows, pair_global).astype(np.int64)
+    touched = np.zeros(compiled.num_pairs, dtype=bool)
+    touched[pair_global] = True
+    pair_rows, pair_of = _ranked(touched)
+    cand_pair = pair_of[pair_global]
 
-    node_csr = _take_csr_rows(
-        compiled.node_indptr,
-        compiled.node_indices,
-        compiled.node_data,
-        local_nodes,
-    )
-    pair_csr = _take_csr_rows(
-        compiled.pair_indptr,
-        compiled.pair_indices,
-        compiled.pair_data,
-        pair_rows,
-    )
+    node_csr = take_csr_rows(compiled.node_csr, local_nodes)
+    pair_csr = take_csr_rows(compiled.pair_csr, pair_rows)
+    nodes = compiled.nodes
     return CompiledShard(
         shard_id,
         lo,
         hi,
-        tuple(compiled.nodes[i] for i in local_nodes),
+        tuple([nodes[i] for i in local_nodes.tolist()]),
         own_offset,
         node_csr,
         pair_csr,

@@ -4,8 +4,9 @@ The compiled matcher trusts the CSR view completely, so these tests pin
 (1) that the arrays encode exactly the TypedGraph they were built from,
 (2) that the cached view rebuilds precisely when the graph's mutation
 version moves — including through ``apply_updates`` edit batches — and
-never serves stale adjacency, and (3) that pickling round-trips the
-compact array form the parallel workers receive.
+never serves stale adjacency, (3) that an edge edit's patched view is
+field-for-field the view a full relayout gives, and (4) that pickling
+round-trips the compact array form the parallel workers receive.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.csr import CSRGraph, csr_view
-from repro.graph.typed_graph import TypedGraph
+from repro.graph.csr import CSRGraph, csr_view, patch_csr_view
+from repro.graph.typed_graph import PLAIN, EdgeKind, TypedGraph
 from tests.conftest import random_typed_graph
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
@@ -50,6 +52,94 @@ def assert_csr_matches_graph(csr: CSRGraph, graph: TypedGraph) -> None:
                 graph.neighbors_of_type(node, name)
             )
             assert csr.profiles[dense, code] == graph.typed_degree(node, name)
+
+
+VIEW_FIELDS = (
+    "version", "type_names", "type_start", "node_ids", "indptr", "indices",
+    "type_ptr", "profiles", "edge_type_counts", "sig_names", "edge_sig",
+    "sig_profiles",
+)
+
+
+def assert_same_view(got: CSRGraph, want: CSRGraph) -> None:
+    """Field by field, arrays with their dtypes."""
+    for name in VIEW_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), name
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+def toggle_and_check(graph: TypedGraph, u, v, kind=PLAIN) -> bool:
+    """Flip edge (u, v) as ``apply_delta`` does; True iff the view was patched."""
+    csr_view(graph)
+    if graph.has_edge(u, v):
+        graph.remove_edge(u, v)
+    else:
+        graph.add_edge(u, v, kind)
+    patch_csr_view(graph, u, v)
+    patched = getattr(graph, "_csr_view_cache").version == graph.version
+    assert_same_view(csr_view(graph), CSRGraph.from_graph(graph))
+    return patched
+
+
+class TestPatchedView:
+    """An edge edit carries the cached view along, array-identical to a relayout."""
+
+    @given(SEEDS)
+    @settings(max_examples=15, deadline=None)
+    def test_plain_edge_toggles(self, seed):
+        rng = random.Random(seed)
+        graph = random_typed_graph(seed, num_users=8, num_attrs_per_type=3)
+        nodes = sorted(graph.nodes(), key=repr)
+        for _ in range(12):
+            u, v = rng.sample(nodes, 2)
+            assert toggle_and_check(graph, u, v)
+
+    def test_kinded_reactions_toggles(self):
+        from repro.datasets.reactions import generate_reactions
+
+        graph = generate_reactions(scale="tiny").graph
+        assert graph.has_kinds
+        rng = random.Random(3)
+        patched = 0
+        for u, v, kind in rng.sample(sorted(graph.edges_with_kinds(), key=repr), 12):
+            patched += toggle_and_check(graph, u, v)  # remove
+            patched += toggle_and_check(graph, u, v, kind)  # re-add, same kind
+        assert patched > 0
+
+    def test_new_signature_lays_out_in_full(self):
+        from repro.datasets.reactions import generate_reactions
+
+        graph = generate_reactions(scale="tiny").graph
+        u, v = next(
+            (a, b)
+            for a in sorted(graph.nodes(), key=repr)
+            for b in sorted(graph.nodes(), key=repr)
+            if a != b and not graph.has_edge(a, b)
+        )
+        # a label the view has no signature code for, and then its removal
+        # (the last edge of that signature): both change sig_names
+        assert not toggle_and_check(graph, u, v, EdgeKind("novel", True))
+        assert not toggle_and_check(graph, u, v)
+
+    def test_first_and_last_kinded_edge_lay_out_in_full(self, toy_graph):
+        u, v = "Kate", "Bob"
+        assert not toy_graph.has_edge(u, v)
+        assert not toggle_and_check(toy_graph, u, v, EdgeKind("knows", False))
+        assert not toggle_and_check(toy_graph, u, v)
+        assert toggle_and_check(toy_graph, u, v)  # plain again: patched
+
+    def test_stale_cache_is_left_alone(self, toy_graph):
+        csr_view(toy_graph)
+        toy_graph.add_node("Zoe", "user")
+        toy_graph.add_edge("Zoe", "Kate")
+        # two mutations since the cached view: no patch, full relayout
+        patch_csr_view(toy_graph, "Zoe", "Kate")
+        assert getattr(toy_graph, "_csr_view_cache").version != toy_graph.version
+        assert_same_view(csr_view(toy_graph), CSRGraph.from_graph(toy_graph))
 
 
 class TestLayout:
@@ -164,6 +254,35 @@ class TestViewCacheUnderApplyUpdates:
         fresh, _ = build_vectors(graph, catalog)
         assert vectors._node == fresh._node
         assert vectors._pair == fresh._pair
+
+    @given(SEEDS)
+    @settings(max_examples=10, deadline=None)
+    def test_edge_edits_patch_the_view(self, seed):
+        """Every edge edit of ``apply_delta`` patches the view it found."""
+        from repro.index.delta import GraphDelta, apply_delta
+        from repro.index.vectors import build_vectors
+        from repro.metagraph.catalog import MetagraphCatalog
+        from repro.metagraph.metagraph import metapath
+
+        rng = random.Random(seed)
+        graph = random_typed_graph(seed, num_users=6, num_attrs_per_type=2)
+        catalog = MetagraphCatalog(
+            [metapath("user", "school", "user"), metapath("user", "hobby", "user")],
+            anchor_type="user",
+        )
+        vectors, _ = build_vectors(graph, catalog)
+        for _ in range(6):
+            edges = sorted(graph.edges(), key=repr)
+            if not edges:
+                return
+            u, v = rng.choice(edges)
+            for delta in (GraphDelta().remove_edge(u, v), GraphDelta().add_edge(u, v)):
+                before = csr_view(graph)
+                apply_delta(graph, catalog, vectors, delta)
+                # laid out by nobody: the cached view was carried across
+                assert getattr(graph, "_csr_view_cache").version == graph.version
+                assert csr_view(graph).id_of is before.id_of
+                assert_same_view(csr_view(graph), CSRGraph.from_graph(graph))
 
     def test_direct_mutation_never_serves_stale_adjacency(self, toy_graph):
         before = csr_view(toy_graph)

@@ -23,10 +23,10 @@ from repro.matching import (
     make_matcher,
 )
 from repro.matching.compiled import compiled_embedding_matrix, compiled_order
-from repro.matching.partition import pinned_embeddings
 from repro.metagraph.metagraph import Metagraph, metapath
 from tests.conftest import random_typed_graph
 from tests.matching.test_cross_matcher_parity import random_pattern
+from tests.oracles import pinned_embeddings
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 

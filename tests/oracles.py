@@ -5,10 +5,12 @@ through the compiled CSR snapshot (:mod:`repro.index.compiled`).  The
 code it replaced lives on here as the oracle: dense m_x / m_xy vectors
 walked straight out of the :class:`MetagraphVectors` ledger's dicts,
 Def. 3 as three dense dot products per pair, and the scalar ranker that
-scores one candidate at a time.  Nothing under ``src/`` may import this
-module; tests reach into the ledger's private dicts on purpose (the
-``private-ledger-read`` lint rule keeps the package itself from doing
-so).
+scores one candidate at a time.  The same goes for the pure-Python
+pinned enumeration the delta path's compiled one replaced, and for the
+set-operation shard slicing the mask-based one replaced.  Nothing under
+``src/`` may import this module; tests reach into the ledger's private
+dicts on purpose (the ``private-ledger-read`` lint rule keeps the
+package itself from doing so).
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 
 from repro.index.instance_index import _pair_key
 from repro.learning.model import require_valid_k
+from repro.matching.backtracking import backtrack_embeddings
+from repro.matching.partition import rooted_order
 
 
 # ----------------------------------------------------------------------
@@ -158,3 +162,74 @@ class ScalarModel:
             )
         scored.sort(key=lambda pair: (-pair[1], repr(pair[0])))
         return scored[:k] if k is not None else scored
+
+
+# ----------------------------------------------------------------------
+# pure-Python pinned enumeration (the delta path's compiled one replaced it)
+# ----------------------------------------------------------------------
+def pinned_embeddings(graph, metagraph, pins, region=None):
+    """Embeddings mapping each pinned pattern node to its pinned graph node.
+
+    The backtracking reference for
+    :func:`repro.matching.compiled.compiled_pinned_embeddings`: the
+    search is rooted at the first pin; a pin whose graph node is absent
+    or of the wrong type yields nothing; ``region`` restricts every
+    unpinned pattern node per type (types missing from it admit no
+    candidates).
+    """
+    if not pins:
+        raise ValueError("pinned_embeddings needs at least one pin")
+    for pattern_node, graph_node in pins.items():
+        if (
+            graph_node not in graph
+            or graph.node_type(graph_node) != metagraph.node_type(pattern_node)
+        ):
+            return
+    pool = {pattern_node: {graph_node} for pattern_node, graph_node in pins.items()}
+    if region is not None:
+        for u in metagraph.nodes():
+            if u not in pool:
+                pool[u] = set(region.get(metagraph.node_type(u), ()))
+    order = rooted_order(graph, metagraph, next(iter(pins)))
+    yield from backtrack_embeddings(graph, metagraph, order, candidate_pool=pool)
+
+
+# ----------------------------------------------------------------------
+# set-operation shard slicing (the mask-based one replaced it)
+# ----------------------------------------------------------------------
+def _take_rows(indptr, indices, data, rows):
+    counts = indptr[rows + 1] - indptr[rows]
+    out_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out_indptr[1:])
+    positions = np.repeat(indptr[rows], counts) + (
+        np.arange(int(out_indptr[-1]), dtype=np.int64) - np.repeat(out_indptr[:-1], counts)
+    )
+    return out_indptr, np.asarray(indices[positions]), np.asarray(data[positions])
+
+
+def reference_shard(compiled, lo, hi) -> dict:
+    """Every array of the shard owning rows ``[lo, hi)``, by ``union1d``/``unique``."""
+    a, b = int(compiled.pair_ptr[lo]), int(compiled.pair_ptr[hi])
+    cand_global = compiled.partner_pos[a:b]
+    pair_global = compiled.entry_pair[a:b]
+    local_nodes = np.union1d(np.arange(lo, hi, dtype=np.int64), cand_global).astype(np.int64)
+    pair_rows = np.unique(pair_global).astype(np.int64)
+    node_indptr, node_indices, node_data = _take_rows(
+        compiled.node_indptr, compiled.node_indices, compiled.node_data, local_nodes
+    )
+    pair_indptr, pair_indices, pair_data = _take_rows(
+        compiled.pair_indptr, compiled.pair_indices, compiled.pair_data, pair_rows
+    )
+    return {
+        "nodes": tuple(compiled.nodes[i] for i in local_nodes),
+        "own_offset": int(np.searchsorted(local_nodes, lo)),
+        "node_indptr": node_indptr,
+        "node_indices": node_indices,
+        "node_data": node_data,
+        "pair_indptr": pair_indptr,
+        "pair_indices": pair_indices,
+        "pair_data": pair_data,
+        "cand_ptr": np.asarray(compiled.pair_ptr[lo : hi + 1] - a, dtype=np.int64),
+        "cand_local": np.searchsorted(local_nodes, cand_global).astype(np.int64),
+        "cand_pair": np.searchsorted(pair_rows, pair_global).astype(np.int64),
+    }

@@ -13,6 +13,7 @@ import pytest
 from repro import SemanticProximitySearch
 from repro.datasets.toy import toy_dataset, toy_metagraphs
 from repro.index.delta import GraphDelta
+from repro.learning.model import ProximityModel
 from repro.learning.trainer import TrainerConfig
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.mining import MinerConfig
@@ -81,6 +82,40 @@ class TestFacadeSharding:
         assert sharded.query_many("classmates", queries, k=4) == (
             baseline.query_many("classmates", queries, k=4)
         )
+
+    @pytest.mark.parametrize("num_shards", (2, 3))
+    def test_updated_engine_serves_like_a_cold_one(self, num_shards):
+        """After ``apply_updates`` (spliced counts, patched CSR view,
+        re-sliced shards) the sharded thread backend ranks bit for bit
+        like an engine prepared from scratch on the edited graph."""
+        graph = random_typed_graph(seed=5, num_users=30)
+        live = SemanticProximitySearch(graph, shards=num_shards, serving_workers=2)
+        live.prepare(catalog=synthetic_catalog())
+        live.fit("circle", triplets=[("u0", "u1", "u2"), ("u3", "u4", "u5")])
+        queries = sorted(live.universe(), key=repr)
+        live.query_many("circle", queries, k=5)  # router up on the old snapshot
+        before = live.vectors.compile()
+        users = sorted(graph.nodes_of_type("user"), key=repr)
+        schools = sorted(graph.nodes_of_type("school"), key=repr)
+        delta = GraphDelta()
+        for u, v in sorted(graph.edges(), key=repr)[:4]:
+            delta.remove_edge(u, v)
+        delta.add_node("newcomer", "user").add_edge("newcomer", schools[0])
+        delta.remove_node(users[-1])
+        live.apply_updates(delta)
+        cold = SemanticProximitySearch(graph.copy())
+        cold.prepare(catalog=synthetic_catalog())
+        cold._models["circle"] = ProximityModel(
+            live.model("circle").weights, cold.vectors, name="circle"
+        )
+        assert live.vectors._compiled is not before  # spliced, then served
+        queries = sorted(cold.universe(), key=repr)
+        for k in (None, 5):
+            served = live.query_many("circle", queries, k=k)
+            expected = cold.query_many("circle", queries, k=k)
+            assert [[(n, s.hex()) for n, s in r] for r in served] == [
+                [(n, s.hex()) for n, s in r] for r in expected
+            ]
 
     def test_router_rebuilt_after_updates(self):
         sharded, ds = toy_engine(shards=3)

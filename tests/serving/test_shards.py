@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 
+import numpy as np
 import pytest
 
 from repro.datasets.toy import toy_dataset, toy_metagraphs
@@ -27,6 +28,7 @@ from repro.serving import (
     shard_ranges,
 )
 from tests.conftest import random_typed_graph
+from tests.oracles import reference_shard
 
 SHARD_COUNTS = (1, 2, 3, 5, 16)
 
@@ -107,6 +109,24 @@ class TestPartitionInvariants:
                 # bit-identical, not approximately equal: rows are
                 # sliced intact so the summation order is unchanged
                 assert local[local_row] == full_node[global_pos]
+
+    @pytest.mark.parametrize("setup", ["toy_setup", "synthetic_setup"])
+    @pytest.mark.parametrize("num_shards", (1, 2, 3, 4, 5, "more than nodes"))
+    def test_masks_slice_like_set_operations(self, request, setup, num_shards):
+        """The mask/rank slicing equals the union1d/unique/searchsorted one."""
+        compiled, _model, _universe = request.getfixturevalue(setup)
+        if num_shards == "more than nodes":
+            num_shards = compiled.num_nodes + 3
+        for shard in partition_compiled(compiled, num_shards):
+            want = reference_shard(compiled, shard.lo, shard.hi)
+            assert shard.nodes == want.pop("nodes")
+            assert shard.own_offset == want.pop("own_offset")
+            for name, array in want.items():
+                got = getattr(shard, name)
+                assert got.dtype == array.dtype, name
+                assert np.array_equal(got, array), name
+            if shard.num_owned:
+                assert shard.nodes[shard.own_offset] == compiled.nodes[shard.lo]
 
     def test_shard_arrays_are_read_only(self, toy_setup):
         compiled, _model, _universe = toy_setup
