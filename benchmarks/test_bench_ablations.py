@@ -13,7 +13,7 @@
 import pytest
 
 from repro.index.transform import identity, log1p
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.matching import SymISOMatcher, backtrack_embeddings
 from repro.matching.base import deduplicate_instances
 from repro.matching.ordering import estimated_cost_order, rarest_type_order
@@ -84,7 +84,7 @@ class TestTransformAblation:
         seed_ids = list(catalog.metapath_ids())
 
         def build():
-            vectors, _index = build_vectors(
+            vectors, _index = build_index(
                 graph, catalog, mg_ids=seed_ids, transform=transform
             )
             return vectors

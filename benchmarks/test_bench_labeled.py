@@ -20,7 +20,7 @@ import pytest
 
 from repro.datasets import generate_reactions
 from repro.graph.typed_graph import TypedGraph
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph
 from repro.mining import MinerConfig, mine_catalog
@@ -63,7 +63,7 @@ def timed_builds(graph: TypedGraph, catalog: MetagraphCatalog) -> tuple[float, l
     results = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        results.append(build_vectors(graph, catalog))
+        results.append(build_index(graph, catalog))
         seconds.append(time.perf_counter() - start)
     seconds.sort()
     return seconds[len(seconds) // 2], results
@@ -95,7 +95,7 @@ def labeled_workload():
 def test_bench_labeled_build(benchmark, labeled_workload):
     """Benchmark a full kinded index build on the reactions graph."""
     workload = labeled_workload
-    benchmark(build_vectors, workload["graph"], workload["catalog"])
+    benchmark(build_index, workload["graph"], workload["catalog"])
 
 
 def test_labeled_per_pattern_speedup(labeled_workload):

@@ -1,8 +1,9 @@
 """Matching-kernel benchmarks: the compiled CSR engine vs pure Python.
 
 One offline build (matching + Eq. 1–2 counting for the whole catalog)
-runs through the pure-Python ``SymISO`` reference and one through the
-compiled integer-CSR kernel — the default engine.  How much faster the
+runs through the compiled integer-CSR kernel, and the pure-Python
+``SymISO`` engine counts the same catalog through the streamed
+reference (:func:`tests.oracles.reference_counts`).  How much faster the
 kernel is depends on the machine, so the number lives in the repo
 benchmark (``bench/``: ``matching.match_s``, ``index.build_index_s``)
 instead of a wall-clock assertion here.
@@ -18,11 +19,14 @@ import random
 
 import pytest
 
+from repro.graph.csr import csr_view
 from repro.graph.typed_graph import TypedGraph
-from repro.index.vectors import build_vectors
+from repro.index.instance_index import compiled_match_and_count
+from repro.index.parallel import build_index
 from repro.matching import SymISOMatcher
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph, metapath
+from tests.oracles import ledger_column, reference_counts
 
 NUM_USERS = 600
 GROUP_SIZE = 30
@@ -74,45 +78,43 @@ def matching_catalog() -> MetagraphCatalog:
 
 @pytest.fixture(scope="module")
 def matching_workload():
-    """One pure-Python build and one compiled build of the same catalog."""
+    """Pure-Python reference counts and one compiled build of the same catalog."""
     graph = matching_graph()
     catalog = matching_catalog()
-    reference_vectors, reference_index = build_vectors(
-        graph, catalog, matcher=SymISOMatcher()
-    )
-    compiled_vectors, compiled_index = build_vectors(graph, catalog)
+    reference = {
+        mg_id: reference_counts(
+            graph, catalog[mg_id], catalog.anchor_type, SymISOMatcher()
+        )
+        for mg_id in catalog.ids()
+    }
+    compiled_vectors, compiled_index = build_index(graph, catalog)
     return {
         "graph": graph,
         "catalog": catalog,
-        "reference_index": reference_index,
+        "reference": reference,
         "compiled_index": compiled_index,
-        "reference_vectors": reference_vectors,
         "compiled_vectors": compiled_vectors,
     }
 
 
 def test_bench_compiled_metagraph_match(benchmark, matching_workload):
-    """Benchmark one square pattern end to end through the default kernel."""
-    from repro.index.instance_index import match_and_count
-
+    """Benchmark one square pattern end to end through the build's kernel."""
     workload = matching_workload
     catalog = workload["catalog"]
     square_id = next(
         mg_id for mg_id in catalog.ids() if catalog[mg_id].name == "S-school-employer"
     )
-    benchmark(match_and_count, workload["graph"], catalog[square_id])
+    benchmark(
+        compiled_match_and_count, csr_view(workload["graph"]), catalog[square_id]
+    )
 
 
 def test_compiled_counts_bit_identical(matching_workload):
     """The compiled build counts exactly what the reference counts."""
     workload = matching_workload
-    reference, compiled = workload["reference_index"], workload["compiled_index"]
-    assert reference.matched_ids() == compiled.matched_ids()
-    for mg_id in reference.matched_ids():
-        assert reference.num_instances(mg_id) == compiled.num_instances(mg_id)
-    assert (
-        workload["reference_vectors"]._node == workload["compiled_vectors"]._node
-    )
-    assert (
-        workload["reference_vectors"]._pair == workload["compiled_vectors"]._pair
-    )
+    vectors, index = workload["compiled_vectors"], workload["compiled_index"]
+    assert index.matched_ids() == frozenset(workload["reference"])
+    for mg_id, reference in workload["reference"].items():
+        assert index.num_instances(mg_id) == reference.num_instances
+        assert ledger_column(vectors._node, mg_id) == dict(reference.node_counts)
+        assert ledger_column(vectors._pair, mg_id) == dict(reference.pair_counts)

@@ -25,7 +25,6 @@ import pytest
 from repro.graph.typed_graph import TypedGraph
 from repro.index.parallel import IndexBuildConfig, build_index
 from repro.index.persist import load_index, save_index
-from repro.index.vectors import build_vectors
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph, metapath
 
@@ -101,7 +100,7 @@ def offline_workload(tmp_path_factory):
     graph = offline_graph()
     catalog = offline_catalog()
     start = time.perf_counter()
-    vectors, index = build_vectors(graph, catalog)
+    vectors, index = build_index(graph, catalog)
     sequential_seconds = time.perf_counter() - start
     snapshot = tmp_path_factory.mktemp("offline") / "snapshot"
     save_index(snapshot, vectors, catalog, graph=graph, index=index)

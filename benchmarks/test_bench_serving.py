@@ -24,7 +24,7 @@ import time
 import pytest
 
 from repro.graph.typed_graph import TypedGraph
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.model import ProximityModel, SortedUniverse, uniform_model
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import metapath
@@ -68,7 +68,7 @@ def serving_setup():
         ],
         anchor_type="user",
     )
-    vectors, _ = build_vectors(graph, catalog)
+    vectors, _ = build_index(graph, catalog)
     compiled = uniform_model(vectors, name="compiled").compile()
     universe = SortedUniverse(graph.nodes_of_type("user"))
     queries = list(universe)[:BATCH]

@@ -26,7 +26,7 @@ import os
 import pytest
 
 from repro.index.persist import save_index
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.model import SortedUniverse, uniform_model
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import metapath
@@ -60,7 +60,7 @@ def process_setup(tmp_path_factory):
         ],
         anchor_type="user",
     )
-    vectors, index = build_vectors(graph, catalog)
+    vectors, index = build_index(graph, catalog)
     model = uniform_model(vectors, name="process").compile()
     scalar = ScalarModel.like(model)
     universe = SortedUniverse(graph.nodes_of_type("user"))

@@ -30,7 +30,7 @@ from repro.datasets.synthetic import (
 from repro.eval.harness import evaluate_ranker, model_ranker
 from repro.eval.splits import split_queries
 from repro.graph.builder import GraphBuilder
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.examples import generate_triplets
 from repro.learning.model import ProximityModel
 from repro.learning.trainer import Trainer, TrainerConfig
@@ -86,7 +86,7 @@ def main() -> None:
         anchor_type="paper",
     )
     print(f"Catalog: {catalog}")
-    vectors, _index = build_vectors(dataset.graph, catalog)
+    vectors, _index = build_index(dataset.graph, catalog)
     trainer = Trainer(TrainerConfig(restarts=3, max_iterations=400, seed=0))
 
     for context in dataset.classes:

@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.datasets.toy import toy_graph, toy_metagraphs
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.model import ProximityModel
 from repro.metagraph.catalog import MetagraphCatalog
 
@@ -28,7 +28,7 @@ def main() -> None:
     print(f"Catalog: {catalog}\n")
 
     # Offline phase: match every metagraph and index the vectors.
-    vectors, index = build_vectors(graph, catalog)
+    vectors, index = build_index(graph, catalog)
     for mg_id in catalog.ids():
         print(
             f"  {catalog[mg_id].name}: {index.num_instances(mg_id)} instances"

@@ -32,6 +32,7 @@ from repro.analysis.core import Checker, Finding, SourceFile, register
 #: packages whose iteration order reaches results/merges
 UNORDERED_SCOPE = (
     "repro.index",
+    "repro.learning",
     "repro.matching",
     "repro.metagraph",
     "repro.serving",

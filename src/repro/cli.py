@@ -83,13 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--splits", type=int, default=None, help="number of query splits"
     )
     parser.add_argument("--seed", type=int, default=None, help="global seed")
-    parser.add_argument(
-        "--matcher",
-        choices=_matcher_names(),
-        default=None,
-        help="matching engine for the offline build (default: compiled; "
-        "every engine produces identical counts)",
-    )
     # serve-only options default to None sentinels (resolved by
     # run_serve) so main() can reject any explicit use — even of a
     # default value — on non-serve experiments; declaring through
@@ -206,12 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _matcher_names() -> list[str]:
-    from repro.matching import MATCHERS
-
-    return sorted(MATCHERS)
-
-
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Resolve CLI flags into an ExperimentConfig."""
     config = QUICK_CONFIG if args.quick else ExperimentConfig()
@@ -222,8 +209,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         overrides["num_splits"] = args.splits
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.matcher is not None:
-        overrides["matcher"] = args.matcher
     return dataclasses.replace(config, **overrides) if overrides else config
 
 
@@ -367,9 +352,7 @@ def run_serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
             trainer_config=trainer_config,
             **tier,
         ).prepare(
-            build_config=IndexBuildConfig(
-                workers=config.index_workers, matcher=config.matcher
-            )
+            build_config=IndexBuildConfig(workers=config.index_workers)
         )
     with engine:
         return _serve_engine(
@@ -511,13 +494,6 @@ def build_index_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="matching worker processes (default: 1 = sequential)",
-    )
-    build.add_argument(
-        "--matcher",
-        choices=_matcher_names(),
-        default="compiled",
-        help="matching engine (default: compiled; counts are identical "
-        "for every engine, only speed differs)",
     )
     build.add_argument(
         "--max-nodes", type=int, default=4, help="largest mined pattern size"
@@ -753,12 +729,12 @@ def run_index(argv: list[str]) -> int:
     vectors, index = build_index(
         dataset.graph,
         catalog,
-        config=IndexBuildConfig(workers=args.workers, matcher=args.matcher),
+        config=IndexBuildConfig(workers=args.workers),
     )
     matching_s = time.perf_counter() - start
     print(
         f"[index] matched {len(index)} metagraphs in {matching_s:.1f}s "
-        f"({args.workers} worker(s), {args.matcher} matcher)"
+        f"({args.workers} worker(s))"
     )
     target = save_index(
         args.out,
@@ -770,7 +746,6 @@ def run_index(argv: list[str]) -> int:
             "dataset": args.dataset,
             "scale": args.scale,
             "workers": args.workers,
-            "matcher": args.matcher,
             "miner_config": miner_config.to_json_dict(),
         },
     )

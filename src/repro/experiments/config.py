@@ -38,9 +38,6 @@ class ExperimentConfig:
     # offline index build: worker processes for the matching phase
     # (1 = sequential reference path; results are identical either way)
     index_workers: int = 1
-    # matching engine for the offline build (see repro.matching.MATCHERS;
-    # every engine produces bit-identical counts — this picks speed only)
-    matcher: str = "compiled"
     # Fig. 8 / Fig. 10 candidate sweeps, per dataset
     candidate_sweep: dict[str, tuple[int, ...]] = field(
         default_factory=lambda: {

@@ -75,10 +75,7 @@ class OfflineRunner:
         vectors, index = build_index(
             dataset.graph,
             catalog,
-            config=IndexBuildConfig(
-                workers=self.config.index_workers,
-                matcher=self.config.matcher,
-            ),
+            config=IndexBuildConfig(workers=self.config.index_workers),
             on_metagraph=lambda mg_id, sec: per_mg.__setitem__(mg_id, sec),
         )
         matching_seconds = time.perf_counter() - start

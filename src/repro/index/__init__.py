@@ -9,11 +9,7 @@ from repro.index.delta import (
     apply_delta,
     catalog_radius,
 )
-from repro.index.instance_index import (
-    InstanceIndex,
-    MetagraphCounts,
-    match_and_count,
-)
+from repro.index.instance_index import InstanceIndex, MetagraphCounts
 from repro.index.parallel import IndexBuildConfig, build_index
 from repro.index.persist import (
     FORMAT_VERSION,
@@ -37,7 +33,6 @@ from repro.index.transform import (
 )
 from repro.index.vectors import (
     MetagraphVectors,
-    build_vectors,
     decode_node_id,
     encode_node_id,
 )
@@ -60,7 +55,6 @@ __all__ = [
     "affected_region",
     "apply_delta",
     "build_index",
-    "build_vectors",
     "catalog_fingerprint",
     "catalog_radius",
     "decode_node_id",
@@ -71,7 +65,6 @@ __all__ = [
     "load_compiled",
     "load_index",
     "log1p",
-    "match_and_count",
     "read_manifest",
     "save_index",
     "snapshot_digest",

@@ -422,7 +422,7 @@ def apply_delta(
 
     Mutates ``graph``, ``vectors`` and (when given) ``index`` together,
     edit by edit, so the counts always describe the graph exactly —
-    bit-identical to ``build_vectors`` on the resulting graph.  The
+    bit-identical to ``build_index`` on the resulting graph.  The
     compiled CSR snapshot of ``vectors`` goes stale and becomes the
     base the next :meth:`MetagraphVectors.compile` splices the patched
     rows into (call it after the batch, or let

@@ -14,6 +14,14 @@ embedding; they are independent of which embedding is used because the
 set of symmetric pattern-node pairs is invariant under automorphisms
 (conjugating the witness involution by an automorphism gives another
 involutive automorphism).
+
+Two entry points produce the counts.  The offline build
+(:func:`~repro.index.parallel.build_index`) counts a whole metagraph
+with :func:`compiled_match_and_count`, straight from the compiled
+kernel's integer arrays.  The delta path (:mod:`repro.index.delta`)
+folds the instance streams of its localized re-matching with
+:func:`count_instances_into`.  Both give the same counts for the same
+instances.
 """
 
 from __future__ import annotations
@@ -26,9 +34,9 @@ import numpy as np
 
 from repro.exceptions import DeltaError
 from repro.graph.csr import CSRGraph
-from repro.graph.typed_graph import NodeId, TypedGraph
-from repro.matching.base import Instance, MatcherProtocol, deduplicate_instances
-from repro.matching.compiled import CompiledMatcher, compiled_embedding_matrix
+from repro.graph.typed_graph import NodeId
+from repro.matching.base import Instance
+from repro.matching.compiled import compiled_embedding_matrix
 from repro.metagraph.metagraph import Metagraph
 from repro.metagraph.symmetry import anchor_symmetric_pairs
 
@@ -152,38 +160,6 @@ def compiled_match_and_count(
             node_ids[c]: count
             for c, count in zip(uniq_nodes.tolist(), node_tallies.tolist())
         }
-    )
-    return counts
-
-
-def match_and_count(
-    graph: TypedGraph | None,
-    metagraph: Metagraph,
-    anchor_type: str = "user",
-    matcher: MatcherProtocol | None = None,
-) -> MetagraphCounts:
-    """Match a metagraph and accumulate its Eq. 1–2 counts.
-
-    The default engine is the compiled integer-CSR kernel, counted
-    through its array fast path.  Any other
-    :class:`~repro.matching.base.MatcherProtocol` engine streams
-    deduplicated embeddings through the reference path instead; the two
-    paths are bit-identical (the cross-matcher parity suite pins it).
-    ``graph`` may be ``None`` only for a :class:`CompiledMatcher` bound
-    to CSR arrays (the parallel builder's workers hold no graph).
-    """
-    engine = matcher if matcher is not None else CompiledMatcher()
-    if isinstance(engine, CompiledMatcher):
-        return compiled_match_and_count(
-            engine.csr_for(graph), metagraph, anchor_type
-        )
-    assert graph is not None, "only a CSR-bound CompiledMatcher matches without a graph"
-    sym_pairs = anchor_symmetric_pairs(metagraph, anchor_type)
-    counts = MetagraphCounts()
-    count_instances_into(
-        counts,
-        deduplicate_instances(engine.find_embeddings(graph, metagraph)),
-        sym_pairs,
     )
     return counts
 

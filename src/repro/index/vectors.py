@@ -14,21 +14,15 @@ the compile after a delta splices only the touched rows into it.
 
 from __future__ import annotations
 
-import time
-from collections.abc import Callable, Hashable, Iterable, Mapping
+from collections.abc import Hashable, Mapping
 from itertools import chain
 from typing import TypeVar
 
 from repro.exceptions import CatalogMismatchError, DeltaError, SnapshotError
-from repro.graph.typed_graph import NodeId, TypedGraph
+from repro.graph.typed_graph import NodeId
 from repro.index.compiled import CompiledVectors
-from repro.index.instance_index import (
-    InstanceIndex,
-    MetagraphCounts,
-    match_and_count,
-)
+from repro.index.instance_index import MetagraphCounts
 from repro.index.transform import Transform, identity
-from repro.matching.base import MatcherProtocol
 from repro.metagraph.catalog import MetagraphCatalog
 
 
@@ -274,53 +268,3 @@ class MetagraphVectors:
         """
         return compiled is self._compiled
 
-
-def build_vectors(
-    graph: TypedGraph,
-    catalog: MetagraphCatalog,
-    mg_ids: Iterable[int] | None = None,
-    matcher: MatcherProtocol | None = None,
-    transform: Transform = identity,
-    index: InstanceIndex | None = None,
-    vectors: MetagraphVectors | None = None,
-    on_metagraph: Callable[[int, float], None] | None = None,
-) -> tuple[MetagraphVectors, InstanceIndex]:
-    """Match metagraphs and build/extend the vector store.
-
-    Parameters
-    ----------
-    mg_ids:
-        Which catalog ids to match (default: all).  Dual-stage training
-        calls this twice — first with the seed ids, later with the
-        selected candidates — passing the same ``vectors``/``index`` to
-        extend them in place.
-    matcher:
-        Matching engine (default: the compiled integer-CSR kernel,
-        counted through its array fast path).  Every engine yields
-        bit-identical counts; the choice is purely about speed.
-    on_metagraph:
-        Optional callback ``(mg_id, seconds)`` invoked after each
-        metagraph is matched; the experiment harness uses it to record
-        per-metagraph matching cost (Table III, Fig. 8, Fig. 11).
-    """
-    store = vectors if vectors is not None else MetagraphVectors(
-        len(catalog), anchor_type=catalog.anchor_type, transform=transform
-    )
-    store.verify_catalog(catalog)
-    idx = index if index is not None else InstanceIndex(
-        len(catalog), anchor_type=catalog.anchor_type
-    )
-    ids = list(mg_ids) if mg_ids is not None else list(catalog.ids())
-    for mg_id in ids:
-        if idx.is_matched(mg_id):
-            continue
-        start = time.perf_counter()
-        counts = match_and_count(
-            graph, catalog[mg_id], anchor_type=catalog.anchor_type, matcher=matcher
-        )
-        elapsed = time.perf_counter() - start
-        idx.add(mg_id, counts)
-        store.add_counts(mg_id, counts)
-        if on_metagraph is not None:
-            on_metagraph(mg_id, elapsed)
-    return store, idx

@@ -18,6 +18,11 @@ Dual-stage training therefore:
 ``reverse=True`` gives RCH, the Fig. 10 control that picks the *least*
 promising candidates.  :func:`multi_stage_train` generalises to
 progressive candidate batches with a caller-supplied stopping test.
+
+Both stages are ordinary offline builds: each calls
+:func:`~repro.index.parallel.build_index` with the stage's ids and the
+store the previous stage filled, so the seed and candidate counts come
+from the same compiled kernel and fold as a full build's.
 """
 
 from __future__ import annotations
@@ -31,11 +36,11 @@ import numpy as np
 from repro.exceptions import LearningError
 from repro.graph.typed_graph import TypedGraph
 from repro.index.instance_index import InstanceIndex
+from repro.index.parallel import build_index
 from repro.index.transform import Transform, identity
-from repro.index.vectors import MetagraphVectors, build_vectors
+from repro.index.vectors import MetagraphVectors
 from repro.learning.objective import Triplet
 from repro.learning.trainer import Trainer
-from repro.matching.base import MatcherProtocol
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.similarity import structural_similarity
 
@@ -103,7 +108,6 @@ def dual_stage_train(
     triplets: Sequence[Triplet],
     num_candidates: int,
     trainer: Trainer | None = None,
-    matcher: MatcherProtocol | None = None,
     transform: Transform = identity,
     reverse_heuristic: bool = False,
 ) -> DualStageResult:
@@ -120,11 +124,10 @@ def dual_stage_train(
     def on_metagraph(_mg_id: int, seconds: float) -> None:
         match_time[0] += seconds
 
-    vectors, index = build_vectors(
+    vectors, index = build_index(
         graph,
         catalog,
         mg_ids=seed_ids,
-        matcher=matcher,
         transform=transform,
         on_metagraph=on_metagraph,
     )
@@ -137,17 +140,14 @@ def dual_stage_train(
     scores = candidate_heuristic_scores(catalog, seed_ids, w0)
     candidates = select_candidates(scores, num_candidates, reverse=reverse_heuristic)
     match_time[0] = 0.0
-    if candidates:
-        build_vectors(
-            graph,
-            catalog,
-            mg_ids=candidates,
-            matcher=matcher,
-            transform=transform,
-            vectors=vectors,
-            index=index,
-            on_metagraph=on_metagraph,
-        )
+    build_index(
+        graph,
+        catalog,
+        mg_ids=candidates,
+        vectors=vectors,
+        index=index,
+        on_metagraph=on_metagraph,
+    )
     candidate_match_seconds = match_time[0]
     active = sorted(set(seed_ids) | set(candidates))
     train_start = time.perf_counter()
@@ -176,7 +176,6 @@ def multi_stage_train(
     max_stages: int,
     stop: Callable[[np.ndarray, int], bool],
     trainer: Trainer | None = None,
-    matcher: MatcherProtocol | None = None,
     transform: Transform = identity,
 ) -> DualStageResult:
     """The multi-stage generalisation (Sect. III-C, last paragraph).
@@ -197,8 +196,8 @@ def multi_stage_train(
     def on_metagraph(_mg_id: int, seconds: float) -> None:
         match_time[0] += seconds
 
-    vectors, index = build_vectors(
-        graph, catalog, mg_ids=seed_ids, matcher=matcher,
+    vectors, index = build_index(
+        graph, catalog, mg_ids=seed_ids,
         transform=transform, on_metagraph=on_metagraph,
     )
     seed_match_seconds = match_time[0]
@@ -217,10 +216,9 @@ def multi_stage_train(
         batch = select_candidates(scores, batch_size)
         if not batch:
             break
-        build_vectors(
-            graph, catalog, mg_ids=batch, matcher=matcher,
-            transform=transform, vectors=vectors, index=index,
-            on_metagraph=on_metagraph,
+        build_index(
+            graph, catalog, mg_ids=batch,
+            vectors=vectors, index=index, on_metagraph=on_metagraph,
         )
         active = sorted(set(active) | set(batch))
         all_candidates.extend(batch)

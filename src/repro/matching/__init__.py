@@ -1,6 +1,5 @@
 """Subgraph matching engines for metagraphs (Sect. IV)."""
 
-from repro.exceptions import MatchingError
 from repro.matching.backtracking import backtrack_embeddings
 from repro.matching.base import (
     Embedding,
@@ -33,28 +32,6 @@ ALL_ENGINES = {
 }
 """Factory registry used by Fig. 11 and the engine-agreement tests."""
 
-MATCHERS = {
-    "compiled": CompiledMatcher,
-    "symiso": lambda: SymISOMatcher(),
-    "symiso-r": lambda: SymISOMatcher(random_order=True, seed=7),
-    "boostiso": BoostISOMatcher,
-    "turboiso": TurboISOMatcher,
-    "quicksi": QuickSIMatcher,
-}
-"""Config/CLI matcher names (``--matcher``) to engine factories."""
-
-
-def make_matcher(name: str) -> MatcherProtocol:
-    """Instantiate a matching engine from its config/CLI name."""
-    try:
-        factory = MATCHERS[name.lower()]
-    except KeyError:
-        raise MatchingError(
-            f"unknown matcher {name!r}; expected one of {sorted(MATCHERS)}"
-        ) from None
-    return factory()
-
-
 __all__ = [
     "ALL_ENGINES",
     "BoostISOMatcher",
@@ -62,7 +39,6 @@ __all__ = [
     "Embedding",
     "GraphCardinalities",
     "Instance",
-    "MATCHERS",
     "MatcherProtocol",
     "QuickSIMatcher",
     "SymISOMatcher",
@@ -75,7 +51,6 @@ __all__ = [
     "estimated_cost_order",
     "find_instances",
     "is_valid_embedding",
-    "make_matcher",
     "random_connected_order",
     "rarest_type_order",
 ]

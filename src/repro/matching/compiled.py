@@ -354,27 +354,18 @@ def compiled_embedding_matrix(csr: CSRGraph, metagraph: Metagraph) -> np.ndarray
 class CompiledMatcher:
     """The compiled integer-CSR matching engine.
 
-    Parameters
-    ----------
-    csr:
-        Optional prebuilt :class:`CSRGraph` to match against — the
-        parallel builder's workers receive the compact arrays instead of
-        a re-pickled :class:`TypedGraph` and bind them here.  When
-        unset, ``find_embeddings`` derives (and caches) the view from
-        the graph it is handed via :func:`~repro.graph.csr.csr_view`.
+    ``find_embeddings`` derives (and caches) the graph's
+    :class:`~repro.graph.csr.CSRGraph` view via
+    :func:`~repro.graph.csr.csr_view` and streams embeddings out of the
+    kernel.  The offline build skips the stream altogether: it counts
+    each metagraph straight off the embedding matrix
+    (:func:`~repro.index.instance_index.compiled_match_and_count`).
     """
 
     name = "Compiled"
 
-    def __init__(self, csr: CSRGraph | None = None):
-        self._csr = csr
-
-    def csr_for(self, graph: TypedGraph | None) -> CSRGraph:
-        """The CSR view this matcher matches ``graph`` against."""
-        return self._csr if self._csr is not None else csr_view(graph)
-
     def find_embeddings(
-        self, graph: TypedGraph | None, metagraph: Metagraph
+        self, graph: TypedGraph, metagraph: Metagraph
     ) -> Iterator[Embedding]:
         """Yield embeddings covering every instance of the metagraph.
 
@@ -382,7 +373,7 @@ class CompiledMatcher:
         construction; remaining duplicates fall to the shared
         instance-level deduplication, exactly like SymISO.
         """
-        csr = self.csr_for(graph)
+        csr = csr_view(graph)
         order = compiled_order(csr, metagraph)
         yield from _embeddings_from_csr(csr, metagraph, order)
 

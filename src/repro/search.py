@@ -74,7 +74,7 @@ from repro.index.persist import (
     snapshot_digest,
 )
 from repro.index.transform import TRANSFORMS, Transform, identity
-from repro.index.vectors import MetagraphVectors, build_vectors
+from repro.index.vectors import MetagraphVectors
 from repro.learning.examples import generate_triplets
 from repro.learning.model import ProximityModel, SortedUniverse, require_valid_k
 from repro.learning.objective import Triplet

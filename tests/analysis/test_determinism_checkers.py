@@ -46,6 +46,20 @@ def test_set_typed_name_tracked_through_assignment(tree):
     assert "unordered-iter" in tree.rules_fired(["unordered-iter"])
 
 
+def test_set_iteration_in_learning_flagged(tree):
+    # stage schedules decide which metagraph ids the offline build
+    # matches, so candidate order must not come from a set
+    tree.write(
+        "learning/stages.py",
+        """\
+        def next_batch(scores, matched):
+            pending = set(scores)
+            return [mg_id for mg_id in pending if mg_id not in matched]
+        """,
+    )
+    assert "unordered-iter" in tree.rules_fired(["unordered-iter"])
+
+
 def test_list_of_set_flagged(tree):
     tree.write(
         "serving/merge.py",

@@ -14,7 +14,7 @@ from repro.baselines.simrank import SimRank
 from repro.baselines.srw import SRWModel
 from repro.datasets import load_dataset
 from repro.exceptions import LearningError, ReproError, TrainingDataError
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.trainer import Trainer, TrainerConfig
 from repro.metagraph.catalog import MetagraphCatalog
 
@@ -193,7 +193,7 @@ class TestMGPVariants:
 
         graph = build_toy_graph()
         catalog = MetagraphCatalog(fig2_metagraphs().values(), anchor_type="user")
-        vectors, _ = build_vectors(graph, catalog)
+        vectors, _ = build_index(graph, catalog)
         return graph, catalog, vectors
 
     def test_mpp_uses_only_metapaths(self, setup):
@@ -215,7 +215,7 @@ class TestMGPVariants:
         _graph, _full_catalog, _vectors = setup
         from tests.conftest import build_toy_graph
 
-        vectors, _ = build_vectors(build_toy_graph(), catalog)
+        vectors, _ = build_index(build_toy_graph(), catalog)
         with pytest.raises(LearningError):
             train_mpp(catalog, vectors, [("Bob", "Alice", "Tom")])
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.baselines.pathsim import pathsim_model, select_pathsim
 from repro.exceptions import LearningError
-from repro.index.vectors import MetagraphVectors, build_vectors
+from repro.index.parallel import build_index
+from repro.index.vectors import MetagraphVectors
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import metapath
 
@@ -14,7 +15,7 @@ USERS = ["Alice", "Bob", "Kate", "Jay", "Tom"]
 @pytest.fixture
 def setup(toy_graph, toy_metagraphs):
     catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-    vectors, _ = build_vectors(toy_graph, catalog)
+    vectors, _ = build_index(toy_graph, catalog)
     return catalog, vectors
 
 

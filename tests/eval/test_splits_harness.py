@@ -106,12 +106,12 @@ class TestModelRanker:
     def test_adapts_proximity_model(self, toy_graph, toy_metagraphs):
         import numpy as np
 
-        from repro.index.vectors import build_vectors
+        from repro.index.parallel import build_index
         from repro.learning.model import ProximityModel
         from repro.metagraph.catalog import MetagraphCatalog
 
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog)
+        vectors, _ = build_index(toy_graph, catalog)
         model = ProximityModel(np.ones(4), vectors)
         users = ["Alice", "Bob", "Kate", "Jay", "Tom"]
         ranker = model_ranker(model, users)

@@ -9,7 +9,7 @@ from repro.experiments.common import (
     splits_for,
     triplets_for_split,
 )
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.metagraph.catalog import MetagraphCatalog
 
 
@@ -17,7 +17,7 @@ from repro.metagraph.catalog import MetagraphCatalog
 def setup():
     ds = toy_dataset()
     catalog = MetagraphCatalog(toy_metagraphs().values(), anchor_type="user")
-    vectors, _ = build_vectors(ds.graph, catalog)
+    vectors, _ = build_index(ds.graph, catalog)
     return ds, catalog, vectors
 
 

@@ -341,7 +341,7 @@ class TestIndexUpdate:
         from repro.cli import main
         from repro.datasets import load_dataset
         from repro.index import save_index
-        from repro.index.vectors import build_vectors
+        from repro.index.parallel import build_index
         from repro.mining import MinerConfig, mine_catalog
 
         ds = load_dataset("linkedin", scale="tiny")
@@ -350,7 +350,7 @@ class TestIndexUpdate:
             MinerConfig(max_nodes=3, min_support=3),
             anchor_type=ds.anchor_type,
         )
-        vectors, _index = build_vectors(ds.graph, catalog)
+        vectors, _index = build_index(ds.graph, catalog)
         target = tmp_path / "no-totals"
         save_index(target, vectors, catalog, graph=ds.graph)
         assert (

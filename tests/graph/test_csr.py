@@ -224,7 +224,7 @@ class TestViewCacheUnderApplyUpdates:
     @settings(max_examples=10, deadline=None)
     def test_view_rebuilds_through_apply_updates(self, seed):
         from repro.index.delta import GraphDelta, apply_delta
-        from repro.index.vectors import build_vectors
+        from repro.index.parallel import build_index
         from repro.metagraph.catalog import MetagraphCatalog
         from repro.metagraph.metagraph import metapath
 
@@ -234,7 +234,7 @@ class TestViewCacheUnderApplyUpdates:
             [metapath("user", "school", "user"), metapath("user", "hobby", "user")],
             anchor_type="user",
         )
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         before = csr_view(graph)
         edges = sorted(graph.edges(), key=repr)
         if not edges:
@@ -251,7 +251,7 @@ class TestViewCacheUnderApplyUpdates:
         assert after is not before  # two version bumps happened
         assert_csr_matches_graph(after, graph)
         # and the maintained counts still match a fresh compiled build
-        fresh, _ = build_vectors(graph, catalog)
+        fresh, _ = build_index(graph, catalog)
         assert vectors._node == fresh._node
         assert vectors._pair == fresh._pair
 
@@ -260,7 +260,7 @@ class TestViewCacheUnderApplyUpdates:
     def test_edge_edits_patch_the_view(self, seed):
         """Every edge edit of ``apply_delta`` patches the view it found."""
         from repro.index.delta import GraphDelta, apply_delta
-        from repro.index.vectors import build_vectors
+        from repro.index.parallel import build_index
         from repro.metagraph.catalog import MetagraphCatalog
         from repro.metagraph.metagraph import metapath
 
@@ -270,7 +270,7 @@ class TestViewCacheUnderApplyUpdates:
             [metapath("user", "school", "user"), metapath("user", "hobby", "user")],
             anchor_type="user",
         )
-        vectors, _ = build_vectors(graph, catalog)
+        vectors, _ = build_index(graph, catalog)
         for _ in range(6):
             edges = sorted(graph.edges(), key=repr)
             if not edges:

@@ -7,7 +7,8 @@ from repro.exceptions import CatalogMismatchError
 from repro.index.compiled import CompiledVectors
 from repro.index.instance_index import _pair_key
 from repro.index.transform import log1p
-from repro.index.vectors import MetagraphVectors, build_vectors
+from repro.index.parallel import build_index
+from repro.index.vectors import MetagraphVectors
 from repro.metagraph.catalog import MetagraphCatalog
 from tests.conftest import random_typed_graph
 from tests.oracles import node_vector, pair_vector, partners
@@ -16,7 +17,7 @@ from tests.oracles import node_vector, pair_vector, partners
 @pytest.fixture
 def toy_compiled(toy_graph, toy_metagraphs):
     catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-    vectors, _ = build_vectors(toy_graph, catalog)
+    vectors, _ = build_index(toy_graph, catalog)
     return vectors, vectors.compile()
 
 
@@ -82,7 +83,7 @@ class TestDotProducts:
             [metapath("user", t, "user", name=t) for t in ("school", "hobby")],
             anchor_type="user",
         )
-        vectors, _ = build_vectors(graph, catalog)
+        vectors, _ = build_index(graph, catalog)
         compiled = vectors.compile()
         rng = np.random.default_rng(seed)
         w = rng.uniform(0.0, 2.0, size=len(catalog))
@@ -100,7 +101,7 @@ class TestDotProducts:
 
     def test_transform_applied(self, toy_graph, toy_metagraphs):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog, transform=log1p)
+        vectors, _ = build_index(toy_graph, catalog, transform=log1p)
         compiled = vectors.compile()
         for i, node in enumerate(compiled.nodes):
             assert np.array_equal(
@@ -114,14 +115,15 @@ class TestLifecycle:
         assert vectors.compile() is compiled
 
     def test_add_counts_invalidates(self, toy_graph, toy_metagraphs):
-        from repro.index.instance_index import match_and_count
+        from repro.graph.csr import csr_view
+        from repro.index.instance_index import compiled_match_and_count
 
         mgs = list(toy_metagraphs.values())
         catalog = MetagraphCatalog(mgs, anchor_type="user")
         vectors = MetagraphVectors(len(catalog), anchor_type="user")
-        vectors.add_counts(0, match_and_count(toy_graph, mgs[0]))
+        vectors.add_counts(0, compiled_match_and_count(csr_view(toy_graph), mgs[0]))
         first = vectors.compile()
-        vectors.add_counts(1, match_and_count(toy_graph, mgs[1]))
+        vectors.add_counts(1, compiled_match_and_count(csr_view(toy_graph), mgs[1]))
         second = vectors.compile()
         assert second is not first
         assert second.nnz >= first.nnz

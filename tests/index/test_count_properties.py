@@ -6,13 +6,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.instance_index import match_and_count
-from repro.index.vectors import build_vectors
+from repro.graph.csr import csr_view
+from repro.index.instance_index import compiled_match_and_count
+from repro.index.parallel import build_index
 from repro.learning.model import ProximityModel, uniform_model
 from repro.matching import QuickSIMatcher, SymISOMatcher, find_instances
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph, metapath
 from tests.conftest import random_typed_graph
+from tests.oracles import reference_counts
 
 PATTERNS = [
     metapath("user", "school", "user"),
@@ -32,7 +34,7 @@ class TestCountInvariants:
         """Eq. 1 <= Eq. 2: m_xy[i] <= min(m_x[i], m_y[i])."""
         graph = random_typed_graph(seed, num_users=10, num_attrs_per_type=3)
         for pattern in PATTERNS:
-            counts = match_and_count(graph, pattern)
+            counts = compiled_match_and_count(csr_view(graph), pattern)
             for (x, y), c in counts.pair_counts.items():
                 assert c <= counts.node_counts[x]
                 assert c <= counts.node_counts[y]
@@ -43,18 +45,20 @@ class TestCountInvariants:
         """Eq. 1-2 counts must not depend on the matching engine."""
         graph = random_typed_graph(seed, num_users=9, num_attrs_per_type=3)
         for pattern in PATTERNS:
-            a = match_and_count(graph, pattern, matcher=SymISOMatcher())
-            b = match_and_count(graph, pattern, matcher=QuickSIMatcher())
-            assert a.num_instances == b.num_instances
-            assert a.pair_counts == b.pair_counts
-            assert a.node_counts == b.node_counts
+            a = reference_counts(graph, pattern, "user", SymISOMatcher())
+            b = reference_counts(graph, pattern, "user", QuickSIMatcher())
+            c = compiled_match_and_count(csr_view(graph), pattern)
+            for counts in (b, c):
+                assert a.num_instances == counts.num_instances
+                assert a.pair_counts == counts.pair_counts
+                assert a.node_counts == counts.node_counts
 
     @given(st.integers(0, 2000))
     @settings(max_examples=15, deadline=None)
     def test_node_count_at_most_instances(self, seed):
         graph = random_typed_graph(seed, num_users=9, num_attrs_per_type=3)
         for pattern in PATTERNS:
-            counts = match_and_count(graph, pattern)
+            counts = compiled_match_and_count(csr_view(graph), pattern)
             for node, c in counts.node_counts.items():
                 assert 1 <= c <= counts.num_instances
 
@@ -63,7 +67,7 @@ class TestCountInvariants:
     def test_instances_count_matches_find_instances(self, seed):
         graph = random_typed_graph(seed, num_users=8, num_attrs_per_type=3)
         for pattern in PATTERNS:
-            counts = match_and_count(graph, pattern)
+            counts = compiled_match_and_count(csr_view(graph), pattern)
             instances = find_instances(SymISOMatcher(), graph, pattern)
             assert counts.num_instances == len(instances)
 
@@ -74,7 +78,7 @@ class TestModelProperties:
     def test_rank_sorted_by_proximity(self, seed):
         graph = random_typed_graph(seed, num_users=10, num_attrs_per_type=3)
         catalog = MetagraphCatalog(PATTERNS, anchor_type="user")
-        vectors, _ = build_vectors(graph, catalog)
+        vectors, _ = build_index(graph, catalog)
         model = uniform_model(vectors)
         users = sorted(graph.nodes_of_type("user"))
         for query in users[:3]:
@@ -90,7 +94,7 @@ class TestModelProperties:
         """Theorem 1 symmetry holds end-to-end through the index."""
         graph = random_typed_graph(seed, num_users=8, num_attrs_per_type=3)
         catalog = MetagraphCatalog(PATTERNS, anchor_type="user")
-        vectors, _ = build_vectors(graph, catalog)
+        vectors, _ = build_index(graph, catalog)
         rng = np.random.default_rng(seed)
         weights = rng.uniform(0, 1, len(catalog))
         model = ProximityModel(weights, vectors)

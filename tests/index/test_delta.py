@@ -2,7 +2,7 @@
 
 The anchor invariant: after any sequence of edits, the delta-maintained
 :class:`MetagraphVectors` and :class:`InstanceIndex` must be
-*bit-identical* to a from-scratch ``build_vectors`` on the mutated
+*bit-identical* to a from-scratch ``build_index`` on the mutated
 graph — same sparse count dicts, same partner sets, same per-metagraph
 instance totals — and the compiled snapshot spliced from the
 pre-delta one must equal a cold compile array for array, dtypes
@@ -32,7 +32,7 @@ from repro.index.delta import (
     pattern_diameter,
 )
 from repro.index.instance_index import MetagraphCounts
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph, metapath
 from tests.oracles import nodes_with_counts, partners
@@ -112,7 +112,7 @@ def assert_same_compiled(got, want) -> None:
 
 def assert_matches_fresh_build(graph, catalog, vectors, index) -> None:
     """The bit-identity oracle: delta state == from-scratch rebuild."""
-    fresh_vectors, fresh_index = build_vectors(graph, catalog)
+    fresh_vectors, fresh_index = build_index(graph, catalog)
     assert vectors._matched == fresh_vectors._matched
     assert vectors._node == fresh_vectors._node
     assert vectors._pair == fresh_vectors._pair
@@ -157,7 +157,7 @@ class TestRandomizedSequences:
     @pytest.mark.parametrize("seed", range(6))
     def test_bit_identical_to_rebuild(self, catalog, seed):
         graph = make_graph(seed)
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         delta = random_delta(graph, random.Random(seed + 100))
         stats = apply_spliced(graph, catalog, vectors, delta, index)
         assert stats.edits_applied == len(delta)
@@ -166,7 +166,7 @@ class TestRandomizedSequences:
     @pytest.mark.parametrize("seed", range(3))
     def test_consecutive_batches_compose(self, catalog, seed):
         graph = make_graph(seed, users=14, groups=4)
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         rng = random.Random(seed + 500)
         for _ in range(3):
             apply_spliced(graph, catalog, vectors, random_delta(graph, rng), index)
@@ -176,7 +176,7 @@ class TestRandomizedSequences:
     def test_batches_without_a_compile_between_compose(self, catalog, seed):
         """Dirty rows accumulate over several deltas into one splice."""
         graph = make_graph(seed, users=14, groups=4)
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         vectors.compile()
         rng = random.Random(seed + 700)
         for _ in range(3):
@@ -187,14 +187,14 @@ class TestRandomizedSequences:
 class TestSingleEdits:
     def test_remove_edge(self, catalog):
         graph = make_graph(1)
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         u, v = next(iter(graph.edges()))
         apply_spliced(graph, catalog, vectors, GraphDelta().remove_edge(u, v), index)
         assert_matches_fresh_build(graph, catalog, vectors, index)
 
     def test_add_edge_between_users(self, catalog):
         graph = make_graph(2)
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         users = sorted(n for n in graph.nodes() if graph.node_type(n) == "user")
         pair = next(
             (a, b)
@@ -207,7 +207,7 @@ class TestSingleEdits:
 
     def test_remove_node_retires_all_its_instances(self, catalog):
         graph = make_graph(3)
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         victim = "u0"
         assert victim in vectors.compile().nodes
         stats = apply_spliced(
@@ -221,7 +221,7 @@ class TestSingleEdits:
 
     def test_isolated_add_node_changes_nothing(self, catalog):
         graph = make_graph(4)
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         before = vectors.compile()
         stats = apply_delta(
             graph,
@@ -237,8 +237,8 @@ class TestSingleEdits:
     def test_remove_then_readd_node_restores_counts(self, catalog):
         """Satellite: re-adding a node with its edges rematches exactly."""
         graph = make_graph(5)
-        vectors, index = build_vectors(graph, catalog)
-        reference, _ = build_vectors(graph.copy(), catalog)
+        vectors, index = build_index(graph, catalog)
+        reference, _ = build_index(graph.copy(), catalog)
         victim = "u1"
         incident = [(victim, nbr) for nbr in sorted(graph.neighbors(victim), key=repr)]
         node_type = graph.node_type(victim)
@@ -255,7 +255,7 @@ class TestSingleEdits:
     def test_partners_consistent_after_patching(self, catalog):
         """Satellite: the compiled adjacency mirrors the pair store after every patch."""
         graph = make_graph(6)
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         rng = random.Random(9)
         for u, v in rng.sample(sorted(graph.edges(), key=repr), 6):
             apply_delta(
@@ -287,7 +287,7 @@ class TestUniverseChanges:
 
     def test_user_gains_its_first_count(self, catalog):
         graph = make_graph(10)
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         apply_spliced(
             graph, catalog, vectors, GraphDelta().add_node("newbie", "user"), index
         )
@@ -300,7 +300,7 @@ class TestUniverseChanges:
 
     def test_user_loses_its_last_count(self, catalog):
         graph = make_graph(11)
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         loner = "u3"
         keep, *rest = sorted(graph.neighbors(loner), key=repr)
         prune = GraphDelta()
@@ -316,7 +316,7 @@ class TestUniverseChanges:
 
     def test_node_leaves_and_reenters_in_one_splice(self, catalog):
         graph = make_graph(12)
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         vectors.compile()
         incident = sorted(graph.neighbors("u2"), key=repr)
         apply_delta(graph, catalog, vectors, GraphDelta().remove_node("u2"), index=index)
@@ -331,7 +331,7 @@ class TestUniverseChanges:
     def test_adversarial_ids(self, catalog, kind, seed):
         ids = ADVERSARIAL_IDS[kind]
         graph = make_graph(seed, ids=ids)
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         rng = random.Random(seed)
         for step in range(4):
             delta = GraphDelta()
@@ -357,13 +357,13 @@ def test_concurrent_compiles_after_a_delta_agree(catalog):
     edited = make_graph(13)
     delta = random_delta(edited, random.Random(13))
     delta.apply_to(edited)
-    expected = build_vectors(edited, catalog)[0].compile()
+    expected = build_index(edited, catalog)[0].compile()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             graph = make_graph(13)
-            vectors, index = build_vectors(graph, catalog)
+            vectors, index = build_index(graph, catalog)
             apply_spliced(graph, catalog, vectors, delta, index)
             results: list = []
             threads = [
@@ -410,7 +410,7 @@ class TestToggles:
                 Metagraph(["user", a, b, "user"], [(0, 1), (0, 2), (3, 1), (3, 2)])
             )
         catalog = MetagraphCatalog(members, anchor_type="user")
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         original = vectors.compile()
         for u, v in random.Random(1).sample(sorted(graph.edges(), key=repr), 5):
             apply_spliced(graph, catalog, vectors, GraphDelta().remove_edge(u, v), index)
@@ -422,7 +422,7 @@ class TestToggles:
 class TestNoOpsAndValidation:
     def test_noop_edits_are_counted_not_applied(self, catalog):
         graph = make_graph(7)
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         u, v = next(iter(graph.edges()))
         before_version = graph.version
         stats = apply_delta(
@@ -449,14 +449,14 @@ class TestNoOpsAndValidation:
         self, catalog, delta, error
     ):
         graph = make_graph(8)
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         with pytest.raises(error):
             apply_delta(graph, catalog, vectors, delta, index=index)
         assert_matches_fresh_build(graph, catalog, vectors, index)
 
     def test_remove_absent_edge_raises_edge_error(self, catalog):
         graph = make_graph(8)
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         users = sorted(n for n in graph.nodes() if graph.node_type(n) == "user")
         pair = next(
             (a, b)
@@ -471,7 +471,7 @@ class TestNoOpsAndValidation:
 
     def test_patch_going_negative_raises(self, catalog):
         graph = make_graph(8)
-        vectors, _ = build_vectors(graph, catalog)
+        vectors, _ = build_index(graph, catalog)
         bogus = MetagraphCounts(num_instances=10 ** 6)
         bogus.node_counts["u0"] = 10 ** 6
         with pytest.raises(DeltaError):
@@ -481,7 +481,7 @@ class TestNoOpsAndValidation:
         """A patch that would go negative leaves ledger and snapshot as they were,
         even when it also adds rows it listed first."""
         graph = make_graph(8)
-        vectors, index = build_vectors(graph, catalog)
+        vectors, index = build_index(graph, catalog)
         before = vectors.compile()
         node_rows, pair_rows = repr(vectors._node), repr(vectors._pair)
         added = MetagraphCounts(num_instances=1)

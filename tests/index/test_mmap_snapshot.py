@@ -22,7 +22,7 @@ from repro.index.persist import (
     save_index,
 )
 from repro.index.transform import sqrt
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.metagraph.catalog import MetagraphCatalog
 
 # every array a CompiledVectors serves from: the stored structure
@@ -43,7 +43,7 @@ def member_path(target: Path, name: str) -> Path:
 def snapshot(tmp_path):
     ds = toy_dataset()
     catalog = MetagraphCatalog(toy_metagraphs().values(), anchor_type="user")
-    vectors, index = build_vectors(ds.graph, catalog)
+    vectors, index = build_index(ds.graph, catalog)
     target = tmp_path / "snap"
     save_index(target, vectors, catalog, graph=ds.graph, index=index)
     return target, ds, vectors
@@ -212,7 +212,7 @@ class TestTransformGuard:
         catalog = MetagraphCatalog(
             toy_metagraphs().values(), anchor_type="user"
         )
-        vectors, index = build_vectors(ds.graph, catalog, transform=sqrt)
+        vectors, index = build_index(ds.graph, catalog, transform=sqrt)
         target = tmp_path / "snap"
         save_index(target, vectors, catalog, graph=ds.graph, index=index)
 
@@ -221,7 +221,7 @@ class TestTransformGuard:
 
         loaded = load_index(target, graph=ds.graph, transform=doubled_sqrt)
         assert not loaded.floats_as_recorded
-        reference, _ = build_vectors(ds.graph, catalog, transform=doubled_sqrt)
+        reference, _ = build_index(ds.graph, catalog, transform=doubled_sqrt)
         assert loaded.compiled.content_digest() == reference.compile().content_digest()
         # the engine serves its own floats, so process workers get an
         # engine-owned copy rather than the recorded table
@@ -243,7 +243,7 @@ class TestDeterminism:
         )
         payloads = []
         for run in range(2):
-            vectors, index = build_vectors(ds.graph, catalog)
+            vectors, index = build_index(ds.graph, catalog)
             target = tmp_path / f"snap{run}"
             save_index(target, vectors, catalog, graph=ds.graph, index=index)
             payloads.append(

@@ -21,7 +21,7 @@ from repro.index.persist import (
     snapshot_digest,
 )
 from repro.index.transform import identity, log1p, sqrt
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import metapath
 from repro.mining import MinerConfig
@@ -52,7 +52,7 @@ def doubled(count: float) -> float:
 @pytest.fixture
 def offline(toy_graph, toy_metagraphs):
     catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-    vectors, index = build_vectors(toy_graph, catalog)
+    vectors, index = build_index(toy_graph, catalog)
     return toy_graph, catalog, vectors, index
 
 
@@ -77,7 +77,7 @@ def user_school_store(users):
     catalog = MetagraphCatalog(
         [metapath("user", "school", "user")], anchor_type="user"
     )
-    vectors, index = build_vectors(graph, catalog)
+    vectors, index = build_index(graph, catalog)
     return graph, catalog, vectors, index
 
 
@@ -130,10 +130,10 @@ class TestRoundTrip:
         self, toy_graph, toy_metagraphs, tmp_path, built, loaded_with
     ):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog, transform=built)
+        vectors, _ = build_index(toy_graph, catalog, transform=built)
         path = save_index(tmp_path / "s", vectors, catalog, graph=toy_graph)
         loaded = load_index(path, transform=loaded_with)
-        reference, _ = build_vectors(
+        reference, _ = build_index(
             toy_graph, catalog, transform=loaded_with or built
         )
         expected = reference.compile()
@@ -187,7 +187,7 @@ class TestRoundTrip:
 
     def test_named_transform_restored(self, toy_graph, toy_metagraphs, tmp_path):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, index = build_vectors(toy_graph, catalog, transform=log1p)
+        vectors, index = build_index(toy_graph, catalog, transform=log1p)
         path = save_index(tmp_path / "s", vectors, catalog, graph=toy_graph)
         loaded = load_index(path)
         assert loaded.vectors.transform is log1p
@@ -200,7 +200,7 @@ class TestRoundTrip:
         self, toy_graph, toy_metagraphs, tmp_path
     ):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog, transform=doubled)
+        vectors, _ = build_index(toy_graph, catalog, transform=doubled)
         path = save_index(tmp_path / "s", vectors, catalog, graph=toy_graph)
         with pytest.raises(SnapshotError, match="custom transform"):
             load_index(path)
@@ -218,7 +218,7 @@ class TestRoundTrip:
         before = snapshot_digest(snapshot_dir)
         smaller = graph.copy()
         smaller.remove_edge("Kate", "Music")
-        other, other_index = build_vectors(smaller, catalog)
+        other, other_index = build_index(smaller, catalog)
 
         def torn(write):
             def wrapper(path, data, *args, **kwargs):

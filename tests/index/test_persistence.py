@@ -5,11 +5,11 @@ import pytest
 
 from repro.exceptions import SnapshotError
 from repro.graph.typed_graph import TypedGraph
+from repro.index.parallel import build_index
 from repro.index.persist import load_index, save_index
 from repro.index.transform import log1p
 from repro.index.vectors import (
     MetagraphVectors,
-    build_vectors,
     decode_node_id,
     encode_node_id,
 )
@@ -25,7 +25,7 @@ def catalog(toy_metagraphs):
 
 @pytest.fixture
 def store(toy_graph, catalog):
-    vectors, _ = build_vectors(toy_graph, catalog)
+    vectors, _ = build_index(toy_graph, catalog)
     return vectors
 
 
@@ -106,7 +106,7 @@ class TestAdversarialNodeIds:
         for uid in self.ADVERSARIAL_IDS:
             graph.add_edge(uid, ("attr", 0))
             graph.add_edge(uid, "school|B")
-        vectors, _ = build_vectors(graph, self.CATALOG)
+        vectors, _ = build_index(graph, self.CATALOG)
         return vectors
 
     def test_codec_round_trips_every_id(self):

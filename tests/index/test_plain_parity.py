@@ -2,8 +2,8 @@
 
 The kind axis must be invisible to plain graphs: with ``edge_kinds``
 off, every dataset keeps producing **byte-identical snapshots** and
-**bit-identical rankings** — across every matcher engine and worker
-count.  The ranking digest was produced by the pre-kind codebase on the
+**bit-identical rankings** — for every worker count, with every
+matcher engine's reference counts equal to the build's.  The ranking digest was produced by the pre-kind codebase on the
 toy dataset with the exact recipe encoded here; the manifest digest was
 re-pinned once, when the snapshot layout became one content-addressed
 payload (format 4).  Any drift in graph storage, canonical forms,
@@ -23,8 +23,10 @@ import pytest
 from repro.datasets.toy import toy_dataset
 from repro.index.parallel import IndexBuildConfig
 from repro.index.persist import read_manifest
+from repro.matching import ALL_ENGINES
 from repro.mining import MinerConfig
 from repro.search import SemanticProximitySearch
+from tests.oracles import assert_counts_match_engine
 
 GOLDEN_MANIFEST_SHA = (
     "a69e0190aa2c93cb8dae94c6084bc37c5fe25674bf22dc27fa91f698b9459713"
@@ -33,17 +35,20 @@ GOLDEN_RANKING_DIGEST = (
     "a87c9156f1efb39737c357aa7b3d392985ee357965cd4f5e1604330d29f2c76e"
 )
 
-ENGINES = ("compiled", "symiso", "symiso-r", "quicksi", "turboiso", "boostiso")
+ENGINES = {name.lower(): factory for name, factory in ALL_ENGINES.items()}
 
 
-def build_engine(workers: int = 1, matcher: str = "compiled"):
+def build_engine(workers: int = 1, counted_by: str = "compiled"):
+    """Prepare the toy engine; its counts must equal ``counted_by``'s."""
     dataset = toy_dataset()
     engine = SemanticProximitySearch(
         dataset.graph,
         miner_config=MinerConfig(max_nodes=4, min_support=1),
     )
-    engine.prepare(
-        build_config=IndexBuildConfig(workers=workers, matcher=matcher)
+    engine.prepare(build_config=IndexBuildConfig(workers=workers))
+    assert_counts_match_engine(
+        engine.vectors, engine.index, dataset.graph, engine.catalog,
+        ENGINES[counted_by](),
     )
     return dataset, engine
 
@@ -62,14 +67,14 @@ def ranking_digest(dataset, engine) -> str:
 
 
 class TestPlainSnapshotParity:
-    @pytest.mark.parametrize("matcher", ENGINES)
+    @pytest.mark.parametrize("counted_by", ENGINES)
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_snapshot_bytes_pinned(self, tmp_path, matcher, workers):
-        _, engine = build_engine(workers=workers, matcher=matcher)
+    def test_snapshot_bytes_pinned(self, tmp_path, counted_by, workers):
+        _, engine = build_engine(workers=workers, counted_by=counted_by)
         path = engine.save_index(tmp_path / "snap")
         manifest = read_manifest(path)
         assert manifest["manifest_sha256"] == GOLDEN_MANIFEST_SHA, (
-            f"plain snapshot drifted (matcher={matcher}, workers={workers})"
+            f"plain snapshot drifted (workers={workers})"
         )
         assert manifest["schema"]["edge_kinds"] is False
 
@@ -77,7 +82,7 @@ class TestPlainSnapshotParity:
         dataset, engine = build_engine()
         assert ranking_digest(dataset, engine) == GOLDEN_RANKING_DIGEST
 
-    @pytest.mark.parametrize("matcher", ["symiso", "turboiso"])
-    def test_rankings_engine_invariant(self, matcher):
-        dataset, engine = build_engine(workers=4, matcher=matcher)
+    @pytest.mark.parametrize("counted_by", ["symiso", "turboiso"])
+    def test_rankings_engine_invariant(self, counted_by):
+        dataset, engine = build_engine(workers=4, counted_by=counted_by)
         assert ranking_digest(dataset, engine) == GOLDEN_RANKING_DIGEST

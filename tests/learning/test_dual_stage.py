@@ -1,5 +1,7 @@
 """Tests for dual-stage training (Alg. 1) and the candidate heuristic."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,60 @@ class TestMultiStage:
             stop=lambda _w, _s: False, trainer=FAST_TRAINER,
         )
         assert set(result.matched_ids) == set(catalog.ids())
+
+
+def _sha256(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+class TestPinnedStagedOutputs:
+    """Every number the staged trainers produce on ``linkedin_setup``.
+
+    Each stage extends one store through the offline builder; the
+    digests pin that matching a subset of ids, stage by stage, gives the
+    same weights however the builder orders or batches the work.
+    """
+
+    SEED_WEIGHTS = "d12aeae94aacf42beb35a5fb53626edf372564db271e49281a888dcee1148561"
+
+    @pytest.mark.parametrize(
+        ("reverse", "weights", "candidates", "matched"),
+        [
+            (
+                False,
+                "4d386f9e14586783b8bcd36947d0d4c14a11862d955244ac489bbee9d6aeba53",
+                (3, 6, 7, 4, 5),
+                (0, 1, 2, 3, 4, 5, 6, 7),
+            ),
+            (
+                True,
+                "64dd66d8b349bdf3d377155a4ace87f03d2b1ad5150d2ac2d77debabf79fc6e6",
+                (8, 5, 4, 7, 6),
+                (0, 1, 2, 4, 5, 6, 7, 8),
+            ),
+        ],
+        ids=["CH", "RCH"],
+    )
+    def test_dual_stage(self, linkedin_setup, reverse, weights, candidates, matched):
+        ds, catalog, triplets = linkedin_setup
+        result = dual_stage_train(
+            ds.graph, catalog, triplets, num_candidates=5,
+            trainer=FAST_TRAINER, reverse_heuristic=reverse,
+        )
+        assert _sha256(result.weights) == weights
+        assert _sha256(result.seed_weights) == self.SEED_WEIGHTS
+        assert result.candidate_ids == candidates
+        assert result.matched_ids == matched
+
+    def test_multi_stage(self, linkedin_setup):
+        ds, catalog, triplets = linkedin_setup
+        result = multi_stage_train(
+            ds.graph, catalog, triplets, batch_size=2, max_stages=3,
+            stop=lambda _w, _s: False, trainer=FAST_TRAINER,
+        )
+        assert _sha256(result.weights) == (
+            "4d386f9e14586783b8bcd36947d0d4c14a11862d955244ac489bbee9d6aeba53"
+        )
+        assert _sha256(result.seed_weights) == self.SEED_WEIGHTS
+        assert result.candidate_ids == (3, 6, 7, 4, 5, 8)
+        assert result.matched_ids == tuple(range(9))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.model import ProximityModel
 from repro.metagraph.catalog import MetagraphCatalog
 from tests.oracles import ScalarModel
@@ -12,7 +12,7 @@ from tests.oracles import ScalarModel
 @pytest.fixture
 def model(toy_graph, toy_metagraphs):
     catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-    vectors, _ = build_vectors(toy_graph, catalog)
+    vectors, _ = build_index(toy_graph, catalog)
     return catalog, ProximityModel(np.ones(4), vectors)
 
 
@@ -58,7 +58,7 @@ class TestExplain:
 
     def test_zero_weight_excluded(self, toy_graph, toy_metagraphs):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog)
+        vectors, _ = build_index(toy_graph, catalog)
         m4_only = np.zeros(4)
         m4_only[catalog.id_of(toy_metagraphs["M4"])] = 1.0
         model = ProximityModel(m4_only, vectors)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.model import ProximityModel
 from repro.learning.proximity import batch_mgp, batch_mgp_gradient
 from repro.metagraph.catalog import MetagraphCatalog
@@ -21,7 +21,7 @@ def both_paths(vectors, w):
 @pytest.fixture
 def toy_vectors(toy_graph, toy_metagraphs):
     catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-    vectors, _ = build_vectors(toy_graph, catalog)
+    vectors, _ = build_index(toy_graph, catalog)
     return catalog, vectors
 
 

@@ -11,7 +11,7 @@ the exact same proximity.
 import numpy as np
 import pytest
 
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.model import ProximityModel, SortedUniverse, uniform_model
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import metapath
@@ -28,7 +28,7 @@ def _random_setup(seed: int):
         ],
         anchor_type="user",
     )
-    vectors, _ = build_vectors(graph, catalog)
+    vectors, _ = build_index(graph, catalog)
     users = sorted(graph.nodes_of_type("user"), key=repr)
     return vectors, users
 
@@ -81,7 +81,7 @@ class TestParity:
 
     def test_toy_graph_all_classes(self, toy_graph, toy_metagraphs):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog)
+        vectors, _ = build_index(toy_graph, catalog)
         users = ["Alice", "Bob", "Jay", "Kate", "Tom"]
         for weights in ([0.9, 0, 0, 0], [0, 0.6, 0.4, 0], [0, 0, 0, 0.8]):
             scalar_model = ScalarModel(np.array(weights, float), vectors)
@@ -95,7 +95,7 @@ class TestParity:
 
     def test_query_without_counts(self, toy_graph, toy_metagraphs):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog)
+        vectors, _ = build_index(toy_graph, catalog)
         compiled_model = uniform_model(vectors)
         model = ScalarModel.like(compiled_model)
         # "Zoe" has no metagraph counts at all
@@ -111,7 +111,7 @@ class TestParity:
         # bug and must raise instead of silently returning [] (both
         # backends, same behaviour)
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog)
+        vectors, _ = build_index(toy_graph, catalog)
         compiled_model = uniform_model(vectors).compile()
         scalar_model = ScalarModel.like(compiled_model)
         users = ["Alice", "Bob", "Kate"]
@@ -126,19 +126,20 @@ class TestParity:
     def test_stale_snapshot_recompiled_after_new_counts(
         self, toy_graph, toy_metagraphs
     ):
-        from repro.index.instance_index import match_and_count
+        from repro.graph.csr import csr_view
+        from repro.index.instance_index import compiled_match_and_count
         from repro.index.vectors import MetagraphVectors
 
         mgs = list(toy_metagraphs.values())
         catalog = MetagraphCatalog(mgs, anchor_type="user")
         vectors = MetagraphVectors(len(catalog), anchor_type="user")
-        vectors.add_counts(0, match_and_count(toy_graph, mgs[0]))
+        vectors.add_counts(0, compiled_match_and_count(csr_view(toy_graph), mgs[0]))
         model = uniform_model(vectors).compile()
         before = model.rank("Kate")
         # folding in more metagraphs must invalidate the model's snapshot:
         # ranking, proximity and the scalar reference stay consistent
         for mg_id in (1, 2, 3):
-            vectors.add_counts(mg_id, match_and_count(toy_graph, mgs[mg_id]))
+            vectors.add_counts(mg_id, compiled_match_and_count(csr_view(toy_graph), mgs[mg_id]))
         after = model.rank("Kate")
         scalar_after = ScalarModel.like(model).rank("Kate")
         assert after == scalar_after
@@ -147,14 +148,15 @@ class TestParity:
 
     def test_stale_explicit_snapshot_rejected(self, toy_graph, toy_metagraphs):
         from repro.exceptions import LearningError
-        from repro.index.instance_index import match_and_count
+        from repro.graph.csr import csr_view
+        from repro.index.instance_index import compiled_match_and_count
         from repro.index.vectors import MetagraphVectors
 
         mgs = list(toy_metagraphs.values())
         store = MetagraphVectors(len(mgs), anchor_type="user")
-        store.add_counts(0, match_and_count(toy_graph, mgs[0]))
+        store.add_counts(0, compiled_match_and_count(csr_view(toy_graph), mgs[0]))
         stale = store.compile()
-        store.add_counts(1, match_and_count(toy_graph, mgs[1]))
+        store.add_counts(1, compiled_match_and_count(csr_view(toy_graph), mgs[1]))
         with pytest.raises(LearningError):
             uniform_model(store).compile(stale)
         # the store's current snapshot is accepted
@@ -162,7 +164,7 @@ class TestParity:
 
     def test_all_zero_weights(self, toy_graph, toy_metagraphs):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog)
+        vectors, _ = build_index(toy_graph, catalog)
         weights = np.zeros(4)
         scalar_model = ScalarModel(weights, vectors)
         compiled_model = ProximityModel(weights, vectors).compile()
@@ -177,7 +179,7 @@ class TestUniverseRestriction:
     @pytest.fixture
     def toy_model(self, toy_graph, toy_metagraphs):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog)
+        vectors, _ = build_index(toy_graph, catalog)
         return uniform_model(vectors)
 
     def test_scalar_path_filters(self, toy_model):
@@ -216,7 +218,7 @@ class TestSortedUniverse:
         import gc
 
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog)
+        vectors, _ = build_index(toy_graph, catalog)
         universe = SortedUniverse(["Alice", "Bob", "Kate"])
         snapshot = vectors.compile()
         universe.mask_over(snapshot)
@@ -229,7 +231,7 @@ class TestSortedUniverse:
 
     def test_model_weights_frozen_after_init(self, toy_graph, toy_metagraphs):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog)
+        vectors, _ = build_index(toy_graph, catalog)
         source = np.ones(4)
         model = ProximityModel(source, vectors).compile()
         with pytest.raises(ValueError):
@@ -243,7 +245,7 @@ class TestSortedUniverse:
 
     def test_equivalent_to_raw_iterable(self, toy_graph, toy_metagraphs):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog)
+        vectors, _ = build_index(toy_graph, catalog)
         model = uniform_model(vectors).compile()
         users = ["Alice", "Bob", "Jay", "Kate", "Tom"]
         assert model.rank("Kate", universe=users, k=4) == model.rank(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.trainer import Trainer, TrainerConfig
 from repro.metagraph.catalog import MetagraphCatalog
 
@@ -11,7 +11,7 @@ from repro.metagraph.catalog import MetagraphCatalog
 @pytest.fixture
 def vectors(toy_graph, toy_metagraphs):
     catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-    store, _ = build_vectors(toy_graph, catalog)
+    store, _ = build_index(toy_graph, catalog)
     return store
 
 TRIPLETS = [("Bob", "Alice", "Tom"), ("Alice", "Bob", "Kate")]

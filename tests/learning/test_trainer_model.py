@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import LearningError, TrainingDataError
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.examples import generate_triplets
 from repro.learning.model import (
     ProximityModel,
@@ -28,7 +28,7 @@ USERS = ["Alice", "Bob", "Kate", "Jay", "Tom"]
 @pytest.fixture
 def toy_setup(toy_graph, toy_metagraphs):
     catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-    vectors, _ = build_vectors(toy_graph, catalog)
+    vectors, _ = build_index(toy_graph, catalog)
     return catalog, vectors
 
 
@@ -98,7 +98,7 @@ class TestTripletMatrices:
         self, toy_graph, toy_metagraphs, matched, active
     ):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog, mg_ids=matched)
+        vectors, _ = build_index(toy_graph, catalog, mg_ids=matched)
         # "Zoe" has no counts at all: every stack gets a zero row for her
         triplets = FAMILY_TRIPLETS + CLASSMATE_TRIPLETS + [
             ("Bob", "Alice", "Zoe"),

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,35 +14,19 @@ from repro.exceptions import MatchingError
 from repro.graph.csr import csr_view
 from repro.matching import (
     CompiledMatcher,
-    MATCHERS,
+    QuickSIMatcher,
     SymISOMatcher,
     compiled_pinned_embeddings,
     deduplicate_instances,
     find_instances,
-    make_matcher,
 )
 from repro.matching.compiled import compiled_embedding_matrix, compiled_order
-from repro.metagraph.metagraph import Metagraph, metapath
+from repro.metagraph.metagraph import metapath
 from tests.conftest import random_typed_graph
 from tests.matching.test_cross_matcher_parity import random_pattern
 from tests.oracles import pinned_embeddings
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
-
-
-class TestMakeMatcher:
-    def test_every_registered_name_instantiates(self):
-        for name in MATCHERS:
-            engine = make_matcher(name)
-            assert hasattr(engine, "find_embeddings")
-
-    def test_default_registry_contains_compiled(self):
-        assert isinstance(make_matcher("compiled"), CompiledMatcher)
-        assert make_matcher("COMPILED").name == "Compiled"  # case-insensitive
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(MatchingError, match="unknown matcher"):
-            make_matcher("vf17")
 
 
 class TestPinnedParity:
@@ -122,7 +105,7 @@ class TestSymmetryCut:
         m1 = toy_metagraphs["M1"]
         compiled = sum(1 for _ in CompiledMatcher().find_embeddings(toy_graph, m1))
         plain = sum(
-            1 for _ in MATCHERS["quicksi"]().find_embeddings(toy_graph, m1)
+            1 for _ in QuickSIMatcher().find_embeddings(toy_graph, m1)
         )
         assert compiled == 2  # one per instance
         assert plain == 4  # |Aut(M1)| = 2 embeddings per instance
@@ -174,22 +157,3 @@ class TestEmbeddingMatrix:
             for u in order:
                 assert not bound or m.neighbors(u) & bound
                 bound.add(u)
-
-
-class TestWorkerStyleCSRBinding:
-    def test_matcher_bound_to_shipped_csr_needs_no_graph(self, toy_graph, toy_metagraphs):
-        import pickle
-
-        shipped = pickle.loads(pickle.dumps(csr_view(toy_graph)))
-        matcher = CompiledMatcher(csr=shipped)
-        instances = {
-            inst.nodes
-            for inst in deduplicate_instances(
-                matcher.find_embeddings(None, toy_metagraphs["M1"])
-            )
-        }
-        reference = {
-            inst.nodes
-            for inst in find_instances(SymISOMatcher(), toy_graph, toy_metagraphs["M1"])
-        }
-        assert instances == reference

@@ -5,7 +5,8 @@ disagreement would silently corrupt the Eq. 1–2 counts.  This suite
 pins the contract on randomized small typed graphs: for any pattern,
 ``backtracking`` (under several node orders), ``QuickSI``, ``TurboISO``,
 ``BoostISO`` and ``SymISO``/``SymISO-R`` must produce identical
-deduplicated instance sets.
+deduplicated instance sets, and the offline builder's compiled counts
+must equal each engine's streamed Eq. 1–2 reference counts.
 
 Generators are seeded (Hypothesis drives the seed, the graphs and
 patterns come from deterministic ``random.Random`` streams), so every
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.typed_graph import TypedGraph
+from repro.index.parallel import build_index
 from repro.matching import (
     ALL_ENGINES,
     backtrack_embeddings,
@@ -26,8 +28,10 @@ from repro.matching import (
     find_instances,
 )
 from repro.matching.ordering import random_connected_order, rarest_type_order
+from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph
 from tests.conftest import random_typed_graph
+from tests.oracles import assert_counts_match_engine
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
@@ -103,6 +107,14 @@ def all_instance_sets(graph, metagraph, rng):
     return result
 
 
+def assert_builder_matches_engines(graph, catalog):
+    """``build_index``'s store equals every engine's reference counts."""
+    vectors, index = build_index(graph, catalog)
+    assert index.matched_ids() == frozenset(catalog.ids())
+    for factory in ALL_ENGINES.values():
+        assert_counts_match_engine(vectors, index, graph, catalog, factory())
+
+
 def assert_parity(graph, metagraph, rng):
     by_engine = all_instance_sets(graph, metagraph, rng)
     reference_name = "backtracking/rarest"
@@ -133,7 +145,9 @@ class TestCrossMatcherParity:
             edge_prob=0.4,
             user_edge_prob=0.2,
         )
-        assert_parity(graph, random_pattern(rng), rng)
+        pattern = random_pattern(rng)
+        assert_parity(graph, pattern, rng)
+        assert_builder_matches_engines(graph, MetagraphCatalog([pattern]))
 
     @given(SEEDS)
     @settings(max_examples=25, deadline=None)
@@ -141,7 +155,9 @@ class TestCrossMatcherParity:
         """Mixed-type node ids force the repr-ordering fallbacks."""
         rng = random.Random(seed)
         graph = adversarial_id_graph(seed)
-        assert_parity(graph, random_pattern(rng), rng)
+        pattern = random_pattern(rng)
+        assert_parity(graph, pattern, rng)
+        assert_builder_matches_engines(graph, MetagraphCatalog([pattern]))
 
     def test_engines_agree_on_toy_metagraphs(self, toy_graph, toy_metagraphs):
         rng = random.Random(0)
@@ -150,20 +166,19 @@ class TestCrossMatcherParity:
 
 
 class TestCompiledCountsParity:
-    """The compiled kernel's counting fast path vs the streamed reference.
+    """The offline builder's compiled counts vs every engine's stream.
 
-    ``CompiledMatcher`` is the engine the offline build now defaults to
-    and :func:`match_and_count` routes it through the integer fast path,
-    so this pins the acceptance contract directly: bit-identical
-    :class:`MetagraphCounts` to ``SymISO`` across every metagraph of
+    :func:`build_index` counts each metagraph straight off the compiled
+    kernel's embedding matrix, so this pins the acceptance contract
+    directly: its store holds bit-identical
+    :class:`MetagraphCounts` to every engine's streamed reference
+    (:func:`tests.oracles.reference_counts`) across every metagraph of
     every dataset's mined catalog.
     """
 
     @pytest.mark.parametrize("dataset_name", ["linkedin", "facebook"])
     def test_compiled_counts_match_symiso_on_mined_catalogs(self, dataset_name):
         from repro.datasets import load_dataset
-        from repro.index.instance_index import match_and_count
-        from repro.matching import CompiledMatcher, SymISOMatcher
         from repro.mining import MinerConfig, mine_catalog
 
         dataset = load_dataset(dataset_name, scale="tiny")
@@ -173,32 +188,8 @@ class TestCompiledCountsParity:
             anchor_type=dataset.anchor_type,
         )
         assert len(catalog) > 0
-        for mg_id in catalog.ids():
-            reference = match_and_count(
-                dataset.graph,
-                catalog[mg_id],
-                anchor_type=catalog.anchor_type,
-                matcher=SymISOMatcher(),
-            )
-            compiled = match_and_count(
-                dataset.graph,
-                catalog[mg_id],
-                anchor_type=catalog.anchor_type,
-                matcher=CompiledMatcher(),
-            )
-            assert compiled.num_instances == reference.num_instances, mg_id
-            assert compiled.node_counts == reference.node_counts, mg_id
-            assert compiled.pair_counts == reference.pair_counts, mg_id
+        assert_builder_matches_engines(dataset.graph, catalog)
 
     def test_compiled_counts_match_on_toy_catalog(self, toy_graph, toy_metagraphs):
-        from repro.index.instance_index import match_and_count
-        from repro.matching import CompiledMatcher, SymISOMatcher
-
-        for metagraph in toy_metagraphs.values():
-            reference = match_and_count(
-                toy_graph, metagraph, matcher=SymISOMatcher()
-            )
-            compiled = match_and_count(
-                toy_graph, metagraph, matcher=CompiledMatcher()
-            )
-            assert compiled == reference
+        catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
+        assert_builder_matches_engines(toy_graph, catalog)

@@ -8,10 +8,11 @@ graphs.  This suite extends the cross-matcher parity contract to:
 
 - randomized graphs mixing plain, labeled-undirected, and directed
   edge kinds (Hypothesis-driven seeds, replayable);
-- the reactions dataset's mined kind-aware catalog (SymISO vs
-  Compiled counts, the acceptance gate);
-- full index builds with workers in {1, 4} and both engines, which
-  must produce bit-identical Eq. 1-2 count stores.
+- the reactions dataset's mined kind-aware catalog (the builder's
+  compiled counts vs every engine's streamed reference counts, the
+  acceptance gate);
+- full index builds with workers in {1, 4}, which must produce
+  bit-identical Eq. 1-2 count stores equal to every engine's counts.
 """
 
 import random
@@ -22,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.datasets import load_dataset
 from repro.graph.typed_graph import PLAIN, EdgeKind, TypedGraph
-from repro.index.instance_index import match_and_count
 from repro.index.parallel import IndexBuildConfig, build_index
 from repro.matching import (
     ALL_ENGINES,
@@ -31,8 +31,10 @@ from repro.matching import (
     find_instances,
 )
 from repro.matching.ordering import rarest_type_order
+from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph
 from repro.mining import MinerConfig, mine_catalog
+from tests.oracles import assert_counts_match_engine
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
@@ -128,6 +130,10 @@ class TestKindedEngineParity:
                 f"missing={len(reference - instances)}, "
                 f"extra={len(instances - reference)}"
             )
+        catalog = MetagraphCatalog([metagraph])
+        vectors, index = build_index(graph, catalog)
+        for factory in ALL_ENGINES.values():
+            assert_counts_match_engine(vectors, index, graph, catalog, factory())
 
     @given(SEEDS)
     @settings(max_examples=20, deadline=None)
@@ -156,47 +162,36 @@ def reactions_catalog():
 
 
 class TestLabeledDatasetParity:
-    """The acceptance gate: SymISO vs Compiled on the reactions catalog."""
+    """The acceptance gate: the builder vs every engine on the reactions catalog."""
 
     def test_symiso_compiled_counts_match_on_reactions(self):
-        from repro.matching import CompiledMatcher, SymISOMatcher
-
         dataset, catalog = reactions_catalog()
         assert len(catalog) > 0, "reactions catalog must be non-empty"
         assert dataset.graph.has_kinds
-        for mg_id in catalog.ids():
-            reference = match_and_count(
-                dataset.graph,
-                catalog[mg_id],
-                anchor_type=catalog.anchor_type,
-                matcher=SymISOMatcher(),
+        vectors, index = build_index(dataset.graph, catalog)
+        assert index.matched_ids() == frozenset(catalog.ids())
+        for factory in ALL_ENGINES.values():
+            assert_counts_match_engine(
+                vectors, index, dataset.graph, catalog, factory()
             )
-            compiled = match_and_count(
-                dataset.graph,
-                catalog[mg_id],
-                anchor_type=catalog.anchor_type,
-                matcher=CompiledMatcher(),
-            )
-            assert compiled.num_instances == reference.num_instances, mg_id
-            assert compiled.node_counts == reference.node_counts, mg_id
-            assert compiled.pair_counts == reference.pair_counts, mg_id
 
-    @pytest.mark.parametrize("matcher", ["symiso", "compiled"])
+    @pytest.mark.parametrize("engine", sorted(ALL_ENGINES))
     @pytest.mark.parametrize("workers", [1, 4])
     def test_index_builds_bit_identical_across_engines_and_workers(
-        self, matcher, workers
+        self, engine, workers
     ):
         dataset, catalog = reactions_catalog()
         reference_vectors, reference_index = build_index(
             dataset.graph, catalog, config=IndexBuildConfig(workers=1)
         )
         vectors, index = build_index(
-            dataset.graph,
-            catalog,
-            config=IndexBuildConfig(workers=workers, matcher=matcher),
+            dataset.graph, catalog, config=IndexBuildConfig(workers=workers)
         )
         assert vectors._node == reference_vectors._node
         assert vectors._pair == reference_vectors._pair
         assert index.matched_ids() == reference_index.matched_ids()
         for mg_id in index.matched_ids():
             assert index.num_instances(mg_id) == reference_index.num_instances(mg_id)
+        assert_counts_match_engine(
+            vectors, index, dataset.graph, catalog, ALL_ENGINES[engine]()
+        )

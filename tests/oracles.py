@@ -5,22 +5,29 @@ through the compiled CSR snapshot (:mod:`repro.index.compiled`).  The
 code it replaced lives on here as the oracle: dense m_x / m_xy vectors
 walked straight out of the :class:`MetagraphVectors` ledger's dicts,
 Def. 3 as three dense dot products per pair, and the scalar ranker that
-scores one candidate at a time.  The same goes for the pure-Python
-pinned enumeration the delta path's compiled one replaced, and for the
-set-operation shard slicing the mask-based one replaced.  Nothing under
-``src/`` may import this module; tests reach into the ledger's private
-dicts on purpose (the ``private-ledger-read`` lint rule keeps the
-package itself from doing so).
+scores one candidate at a time.  The same goes for the engine-generic
+Eq. 1–2 counting the offline builder's compiled kernel replaced, the
+pure-Python pinned enumeration the delta path's compiled one replaced,
+and the set-operation shard slicing the mask-based one replaced.
+Nothing under ``src/`` may import this module; tests reach into the
+ledger's private dicts on purpose (the ``private-ledger-read`` lint
+rule keeps the package itself from doing so).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.index.instance_index import _pair_key
+from repro.index.instance_index import (
+    MetagraphCounts,
+    _pair_key,
+    count_instances_into,
+)
 from repro.learning.model import require_valid_k
 from repro.matching.backtracking import backtrack_embeddings
+from repro.matching.base import deduplicate_instances
 from repro.matching.partition import rooted_order
+from repro.metagraph.symmetry import anchor_symmetric_pairs
 
 
 # ----------------------------------------------------------------------
@@ -162,6 +169,41 @@ class ScalarModel:
             )
         scored.sort(key=lambda pair: (-pair[1], repr(pair[0])))
         return scored[:k] if k is not None else scored
+
+
+# ----------------------------------------------------------------------
+# engine-generic counting (the builder's compiled kernel replaced it)
+# ----------------------------------------------------------------------
+def reference_counts(graph, metagraph, anchor_type, engine) -> MetagraphCounts:
+    """Eq. 1–2 counts from ``engine``'s deduplicated embedding stream."""
+    counts = MetagraphCounts()
+    count_instances_into(
+        counts,
+        deduplicate_instances(engine.find_embeddings(graph, metagraph)),
+        anchor_symmetric_pairs(metagraph, anchor_type),
+    )
+    return counts
+
+
+def ledger_column(table, mg_id) -> dict:
+    """One metagraph's counts out of a ledger dict (``_node`` or ``_pair``)."""
+    return {key: row[mg_id] for key, row in table.items() if mg_id in row}
+
+
+def assert_counts_match_engine(vectors, index, graph, catalog, engine) -> None:
+    """The built store and index hold exactly ``engine``'s reference counts."""
+    matched = index.matched_ids()
+    assert vectors.matched_ids == matched
+    for mg_id in sorted(matched):
+        reference = reference_counts(
+            graph, catalog[mg_id], catalog.anchor_type, engine
+        )
+        where = (engine.name, mg_id)
+        assert index.num_instances(mg_id) == reference.num_instances, where
+        node = ledger_column(vectors._node, mg_id)
+        assert node == dict(reference.node_counts), where
+        pair = ledger_column(vectors._pair, mg_id)
+        assert pair == dict(reference.pair_counts), where
 
 
 # ----------------------------------------------------------------------

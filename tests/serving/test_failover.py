@@ -23,7 +23,7 @@ import pytest
 
 from repro.exceptions import ServingError
 from repro.index.persist import save_index
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.model import SortedUniverse, uniform_model
 from repro.serving import (
     InProcessBackend,
@@ -43,7 +43,7 @@ SHARD_COUNTS = (1, 2, 3, 5, 16)
 def served(tmp_path_factory):
     graph = random_typed_graph(seed=7, num_users=40)
     catalog = synthetic_catalog()
-    vectors, _ = build_vectors(graph, catalog)
+    vectors, _ = build_index(graph, catalog)
     model = uniform_model(vectors).compile()
     universe = SortedUniverse(graph.nodes_of_type("user"))
     snapshot = tmp_path_factory.mktemp("failover") / "snapshot"

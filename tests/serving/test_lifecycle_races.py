@@ -34,7 +34,7 @@ import pytest
 
 from repro.exceptions import ServingError
 from repro.index.persist import save_index
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.model import SortedUniverse, uniform_model
 from repro.serving import (
     InProcessBackend,
@@ -57,7 +57,7 @@ from tests.serving.test_shards import synthetic_catalog
 def corpus():
     graph = random_typed_graph(seed=13, num_users=30)
     catalog = synthetic_catalog()
-    vectors, _ = build_vectors(graph, catalog)
+    vectors, _ = build_index(graph, catalog)
     model = uniform_model(vectors).compile()
     universe = SortedUniverse(graph.nodes_of_type("user"))
     return vectors.compile(), model, universe
@@ -68,7 +68,7 @@ def served(tmp_path_factory, corpus):
     compiled, _model, _universe = corpus
     graph = random_typed_graph(seed=13, num_users=30)
     catalog = synthetic_catalog()
-    vectors, _ = build_vectors(graph, catalog)
+    vectors, _ = build_index(graph, catalog)
     snapshot = tmp_path_factory.mktemp("races") / "snapshot"
     save_index(snapshot, vectors, catalog, graph=graph)
     return snapshot

@@ -15,7 +15,7 @@ import pytest
 from repro import SemanticProximitySearch
 from repro.exceptions import QueryError, ServingError
 from repro.index.persist import save_index
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.model import ProximityModel, SortedUniverse, uniform_model
 from repro.serving import (
     InProcessBackend,
@@ -35,7 +35,7 @@ K_VALUES = (None, 0, 1, 2, 3, 5, 16)
 def served(tmp_path_factory):
     graph = random_typed_graph(seed=7, num_users=40)
     catalog = synthetic_catalog()
-    vectors, _ = build_vectors(graph, catalog)
+    vectors, _ = build_index(graph, catalog)
     model = uniform_model(vectors).compile()
     universe = SortedUniverse(graph.nodes_of_type("user"))
     snapshot = tmp_path_factory.mktemp("process-backend") / "snapshot"

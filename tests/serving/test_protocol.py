@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import QueryError, ServingError
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.model import SortedUniverse, uniform_model
 from repro.serving import ShardExecutor, partition_compiled, recv_frame, send_frame
 from repro.serving.protocol import (
@@ -38,7 +38,7 @@ from tests.serving.test_shards import synthetic_catalog
 @pytest.fixture(scope="module")
 def compiled_setup():
     graph = random_typed_graph(seed=7, num_users=40)
-    vectors, _ = build_vectors(graph, synthetic_catalog())
+    vectors, _ = build_index(graph, synthetic_catalog())
     model = uniform_model(vectors).compile()
     universe = SortedUniverse(graph.nodes_of_type("user"))
     return vectors.compile(), model, universe

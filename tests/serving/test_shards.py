@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.toy import toy_dataset, toy_metagraphs
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.model import SortedUniverse, uniform_model
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import metapath
@@ -51,7 +51,7 @@ def synthetic_catalog() -> MetagraphCatalog:
 def toy_setup():
     ds = toy_dataset()
     catalog = MetagraphCatalog(toy_metagraphs().values(), anchor_type="user")
-    vectors, _ = build_vectors(ds.graph, catalog)
+    vectors, _ = build_index(ds.graph, catalog)
     model = uniform_model(vectors).compile()
     universe = SortedUniverse(ds.graph.nodes_of_type("user"))
     return vectors.compile(), model, universe
@@ -60,7 +60,7 @@ def toy_setup():
 @pytest.fixture(scope="module")
 def synthetic_setup():
     graph = random_typed_graph(seed=7, num_users=40)
-    vectors, _ = build_vectors(graph, synthetic_catalog())
+    vectors, _ = build_index(graph, synthetic_catalog())
     model = uniform_model(vectors).compile()
     universe = SortedUniverse(graph.nodes_of_type("user"))
     return vectors.compile(), model, universe
@@ -168,7 +168,7 @@ class TestParity:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_synthetic_full_parity(self, num_shards, seed):
         graph = random_typed_graph(seed=seed, num_users=30)
-        vectors, _ = build_vectors(graph, synthetic_catalog())
+        vectors, _ = build_index(graph, synthetic_catalog())
         model = uniform_model(vectors).compile()
         compiled = vectors.compile()
         universe = SortedUniverse(graph.nodes_of_type("user"))

@@ -23,7 +23,7 @@ import hashlib, json
 import numpy as np
 from repro.datasets import load_dataset
 from repro.mining import MinerConfig, mine_catalog
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.examples import generate_triplets
 from repro.learning.trainer import Trainer, TrainerConfig
 
@@ -36,7 +36,7 @@ label_digest = hashlib.md5(repr(sorted(
 catalog = mine_catalog(ds.graph, MinerConfig(max_nodes=3, min_support=3))
 catalog_digest = hashlib.md5(catalog.to_json().encode()).hexdigest()
 
-vectors, _ = build_vectors(ds.graph, catalog)
+vectors, _ = build_index(ds.graph, catalog)
 # every m_x / m_xy row, in the form every reader sees them
 vec_digest = vectors.compile().content_digest()
 

@@ -17,7 +17,9 @@ from repro.exceptions import (
     ReproError,
     TrainingDataError,
 )
-from repro.index.vectors import MetagraphVectors, build_vectors
+from repro.index.instance_index import InstanceIndex
+from repro.index.parallel import build_index
+from repro.index.vectors import MetagraphVectors
 from repro.learning.model import ProximityModel
 from repro.learning.trainer import Trainer
 from repro.metagraph.catalog import MetagraphCatalog
@@ -45,20 +47,20 @@ class TestExceptionHierarchy:
 class TestCatalogMismatches:
     def test_vectors_reject_foreign_catalog(self, toy_graph, toy_metagraphs):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog)
+        vectors, _ = build_index(toy_graph, catalog)
         smaller = catalog.subset([0, 1])
         with pytest.raises(CatalogMismatchError):
             vectors.verify_catalog(smaller)
 
-    def test_build_vectors_rejects_stale_store(self, toy_graph, toy_metagraphs):
+    def test_build_index_rejects_stale_store(self, toy_graph, toy_metagraphs):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
         stale = MetagraphVectors(catalog_size=2)
-        with pytest.raises(CatalogMismatchError):
-            build_vectors(toy_graph, catalog, vectors=stale)
+        with pytest.raises(CatalogMismatchError, match="built against 2"):
+            build_index(toy_graph, catalog, vectors=stale, index=InstanceIndex(2))
 
     def test_model_rejects_mismatched_weights(self, toy_graph, toy_metagraphs):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog)
+        vectors, _ = build_index(toy_graph, catalog)
         with pytest.raises(LearningError):
             ProximityModel(np.ones(99), vectors)
 
@@ -83,14 +85,14 @@ class TestTrainingAbuse:
         # unknown nodes are not an error (vectors are simply zero), but
         # training on only-unknown nodes must still converge harmlessly
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog)
+        vectors, _ = build_index(toy_graph, catalog)
         ghost_triplets = [("ghost1", "ghost2", "ghost3")] * 4
         weights = Trainer().train(ghost_triplets, vectors)
         assert np.all(weights >= 0)
 
     def test_empty_triplets(self, toy_graph, toy_metagraphs):
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
-        vectors, _ = build_vectors(toy_graph, catalog)
+        vectors, _ = build_index(toy_graph, catalog)
         with pytest.raises(TrainingDataError):
             Trainer().train([], vectors)
 

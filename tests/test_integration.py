@@ -12,7 +12,7 @@ from repro.datasets import load_dataset
 from repro.eval.harness import evaluate_ranker, model_ranker
 from repro.eval.splits import split_queries
 from repro.index.persist import load_index, save_index
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.dual_stage import dual_stage_train
 from repro.learning.examples import generate_triplets
 from repro.learning.model import ProximityModel
@@ -27,7 +27,7 @@ TRAINER = Trainer(TrainerConfig(restarts=3, max_iterations=400, seed=0))
 def linkedin():
     dataset = load_dataset("linkedin", scale="tiny")
     catalog = mine_catalog(dataset.graph, MinerConfig(max_nodes=4, min_support=3))
-    vectors, index = build_vectors(dataset.graph, catalog)
+    vectors, index = build_index(dataset.graph, catalog)
     return dataset, catalog, vectors, index
 
 
@@ -35,7 +35,7 @@ def linkedin():
 def facebook():
     dataset = load_dataset("facebook", scale="tiny")
     catalog = mine_catalog(dataset.graph, MinerConfig(max_nodes=4, min_support=3))
-    vectors, index = build_vectors(dataset.graph, catalog)
+    vectors, index = build_index(dataset.graph, catalog)
     return dataset, catalog, vectors, index
 
 

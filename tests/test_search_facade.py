@@ -6,7 +6,7 @@ from repro import SemanticProximitySearch
 from repro.datasets.toy import toy_dataset, toy_metagraphs
 from repro.exceptions import LearningError, StaleIndexError
 from repro.index.delta import GraphDelta
-from repro.index.vectors import build_vectors
+from repro.index.parallel import build_index
 from repro.learning.trainer import TrainerConfig
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.mining import MinerConfig
@@ -179,7 +179,7 @@ class TestDynamicUpdates:
         )
         stats = spx.apply_updates(delta)
         assert stats.edits_applied == 4
-        fresh, _idx = build_vectors(spx.graph, spx.catalog)
+        fresh, _idx = build_index(spx.graph, spx.catalog)
         assert spx.vectors._node == fresh._node
         assert spx.vectors._pair == fresh._pair
 
@@ -285,7 +285,7 @@ class TestDynamicUpdates:
         assert not spx.graph.has_edge("Kate", "Music")
         assert spx.graph.has_edge("Alice", "Music")
         assert len(spx._update_log) == 1
-        fresh, _idx = build_vectors(spx.graph, spx.catalog)
+        fresh, _idx = build_index(spx.graph, spx.catalog)
         assert spx.vectors._pair == fresh._pair
 
     def test_updates_on_totals_free_snapshot(self, fresh_engine, tmp_path):
