@@ -19,7 +19,6 @@ No wall-clock floor is asserted here.
 from __future__ import annotations
 
 import random
-import time
 
 import pytest
 
@@ -90,15 +89,6 @@ def test_bench_compiled_single_query(benchmark, serving_setup):
 def test_bench_compiled_batch(benchmark, serving_setup):
     compiled, universe, queries = serving_setup
     benchmark(_rank_batch, compiled, universe, queries)
-
-
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 @pytest.fixture(scope="module")

@@ -1,27 +1,23 @@
-"""Process-worker serving benchmark: supervised shard workers vs the oracle.
+"""Process-worker serving benchmark: supervised shard workers.
 
 The process backend pays everything the thread backend does not: JSON
 framing, a Unix-socket round trip per shard group, and supervisor
-bookkeeping.  Two floors keep that overhead honest:
+bookkeeping.  The benchmark times the process-worker router (2 shards,
+2 replicas each) on the batched workload; no wall-clock floor is
+asserted (``bench/``'s ``lib_batch_process`` workload measures it).
+Two deterministic checks ride along:
 
-- ``test_process_batch_speedup`` — the process-worker router (2 shards,
-  2 replicas each) must still beat the scalar reference ranker (now
-  the oracle in ``tests/oracles.py``: dict rows, one dense ``mgp()``
-  per candidate) on the batched workload by
-  ``REPRO_PROCESS_SERVING_FLOOR`` (default 2x):
-  crossing the process boundary must not give back the compiled
-  kernel's win;
+- ``test_process_results_bit_identical`` — the process tier merges to
+  the in-process sharded rankings;
 - ``test_killed_worker_loses_no_queries`` — killing one worker while
   the benchmark workload runs loses no queries and changes no bits:
   the surviving replica serves the identical rankings.
 
-Both compare against the same serving-scale graph as
-``test_bench_serving.py`` (600 users, batch of 64, top-10).
+Both run on the same serving-scale graph as ``test_bench_serving.py``
+(600 users, batch of 64, top-10).
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -36,14 +32,7 @@ from repro.serving import (
     ShardedVectors,
     SubprocessBackend,
 )
-from benchmarks.test_bench_serving import (
-    BATCH,
-    TOP_K,
-    _best_of,
-    _rank_batch,
-    serving_graph,
-)
-from tests.oracles import ScalarModel
+from benchmarks.test_bench_serving import BATCH, TOP_K, serving_graph
 
 SHARDS = 2
 REPLICAS = 2
@@ -62,7 +51,6 @@ def process_setup(tmp_path_factory):
     )
     vectors, index = build_index(graph, catalog)
     model = uniform_model(vectors, name="process").compile()
-    scalar = ScalarModel.like(model)
     universe = SortedUniverse(graph.nodes_of_type("user"))
     queries = list(universe)[:BATCH]
     snapshot = tmp_path_factory.mktemp("process-serving") / "snapshot"
@@ -71,40 +59,18 @@ def process_setup(tmp_path_factory):
     router = QueryRouter(backend, workers=ROUTER_WORKERS)
     # warm every worker's dot/universe caches
     router.rank_many(model, queries, universe=universe, k=TOP_K)
-    yield scalar, model, universe, queries, backend, router
+    yield model, universe, queries, backend, router
     router.close()
 
 
 def test_bench_process_batch(benchmark, process_setup):
-    _scalar, model, universe, queries, _backend, router = process_setup
+    model, universe, queries, _backend, router = process_setup
     benchmark(router.rank_many, model, queries, universe=universe, k=TOP_K)
-
-
-def test_process_batch_speedup(process_setup):
-    """Acceptance floor: process-worker batched serving >= 2x over scalar.
-
-    Wall-clock ratios are noisy on shared runners, so the floor can be
-    relaxed via REPRO_PROCESS_SERVING_FLOOR (the GitHub Actions job
-    sets a lower one); the local tier-1 run enforces the full 2x.
-    """
-    floor = float(os.environ.get("REPRO_PROCESS_SERVING_FLOOR", "2"))
-    scalar, model, universe, queries, _backend, router = process_setup
-    scalar_s = _best_of(lambda: _rank_batch(scalar, universe, queries), 5)
-    process_s = _best_of(
-        lambda: router.rank_many(model, queries, universe=universe, k=TOP_K),
-        5,
-    )
-    speedup = scalar_s / process_s
-    assert speedup >= floor, (
-        f"process-worker batched path only {speedup:.1f}x faster (floor "
-        f"{floor}x; scalar {scalar_s * 1e3:.1f} ms, process "
-        f"{process_s * 1e3:.1f} ms)"
-    )
 
 
 def test_process_results_bit_identical(process_setup):
     """The process tier must merge to the in-process sharded rankings."""
-    _scalar, model, universe, queries, _backend, router = process_setup
+    model, universe, queries, _backend, router = process_setup
     compiled = model.vectors.compile()
     with QueryRouter(
         InProcessBackend(ShardedVectors.partition(compiled, SHARDS)),
@@ -123,7 +89,7 @@ def test_killed_worker_loses_no_queries(process_setup):
     batch replays; every batch must come back complete and bit-identical
     to the healthy run served before the kills.
     """
-    _scalar, model, universe, queries, backend, router = process_setup
+    model, universe, queries, backend, router = process_setup
     healthy = router.rank_many(model, queries, universe=universe, k=TOP_K)
     assert len(healthy) == len(queries)
     for shard_id in range(SHARDS):

@@ -1,4 +1,4 @@
-"""Instance indexing, metagraph vectors (Eq. 1–2), and persistence."""
+"""Metagraph vectors (Eq. 1–2), the instance index, and persistence."""
 
 from repro.index.compiled import CompiledVectors
 from repro.index.delta import (

@@ -13,21 +13,25 @@ mutation.  This module keeps the Eq. 1–2 counts exact under edits
    edit.
 2. **Localized re-matching** — instead of re-running matching over the
    whole graph,
-   :func:`repro.matching.compiled.compiled_pinned_embeddings` (the
-   compiled kernel with pins as singleton candidate arrays and the
-   affected region as per-type candidate masks) enumerates only
-   embeddings that pin the edited endpoints onto compatible pattern
-   nodes, restricted to the affected region.  For an edge edit the two
-   endpoints must map onto *adjacent* pattern nodes when the edge is
-   present and non-adjacent ones when it is absent, which cuts the pin
-   pairs to a handful per pattern.  An edge edit patches the compiled
-   kernel's cached CSR view in place of a relayout
+   :func:`repro.matching.compiled.compiled_pinned_matrix` (the compiled
+   kernel with pins as singleton candidate arrays and the affected
+   region as per-type candidate masks) enumerates only embeddings that
+   pin the edited endpoints onto compatible pattern nodes, restricted
+   to the affected region, as a dense-id matrix.  For an edge edit the
+   two endpoints must map onto *adjacent* pattern nodes when the edge
+   is present and non-adjacent ones when it is absent, which cuts the
+   pin pairs to a handful per pattern.  An edge edit patches the
+   compiled kernel's cached CSR view in place of a relayout
    (:func:`~repro.graph.csr.patch_csr_view`: one sorted insert or
    delete per endpoint row); a node edit renumbers the dense ids, so
    the next enumeration lays the view out in full.
-3. **Count patching** — retired instances are enumerated on the
-   pre-edit graph and subtracted, new ones on the post-edit graph and
-   folded in (:meth:`MetagraphVectors.patch_counts`,
+3. **Count patching** — per metagraph, the pinned matrices of every
+   admissible pin set are concatenated and counted once by the offline
+   build's counter
+   (:func:`~repro.index.instance_index.count_embeddings`), on the view
+   they were enumerated on: retired instances on the pre-edit graph,
+   new ones on the post-edit graph.  The retired counts are subtracted
+   and the new ones folded in (:meth:`MetagraphVectors.patch_counts`,
    :meth:`InstanceIndex.patch`).  The result is bit-identical to a
    from-scratch rebuild on the mutated graph — the property suite in
    ``tests/index/test_delta.py`` asserts exactly that over randomized
@@ -46,23 +50,23 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+
+import numpy as np
 
 from repro.exceptions import DeltaError, EdgeError
-from repro.graph.csr import patch_csr_view
+from repro.graph.csr import csr_view, patch_csr_view
 from repro.graph.typed_graph import PLAIN, EdgeKind, NodeId, TypedGraph
 from repro.index.instance_index import (
     InstanceIndex,
     MetagraphCounts,
-    count_instances_into,
+    count_embeddings,
 )
 from repro.index.vectors import (
     MetagraphVectors,
     decode_node_id,
     encode_node_id,
 )
-from repro.matching.base import Instance, deduplicate_instances
-from repro.matching.compiled import compiled_pinned_embeddings as pinned_embeddings
+from repro.matching.compiled import compiled_pinned_matrix
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph
 from repro.metagraph.symmetry import anchor_symmetric_pairs
@@ -291,46 +295,40 @@ def affected_region(
 
 
 # ----------------------------------------------------------------------
-# localized instance enumeration
+# localized re-matching, counted
 # ----------------------------------------------------------------------
-def _instances_containing_node(
+def _count_pinned(
     graph: TypedGraph,
-    metagraph: Metagraph,
-    node: NodeId,
-    region: dict[str, set[NodeId]],
-) -> list[Instance]:
-    """All current instances of ``metagraph`` whose node set has ``node``."""
-    node_type = graph.node_type(node)
-    streams = (
-        pinned_embeddings(graph, metagraph, {p: node}, region=region)
-        for p in metagraph.nodes_of_type(node_type)
-    )
-    return list(deduplicate_instances(chain.from_iterable(streams)))
+    catalog: MetagraphCatalog,
+    mg_ids: Sequence[int],
+    seeds: list[NodeId],
+    pin_sets: Callable[[Metagraph], Iterable[dict[int, NodeId]]],
+    radius: int,
+) -> dict[int, MetagraphCounts]:
+    """Eq. 1–2 counts of the instances some pin set reaches, per metagraph.
 
-
-def _instances_containing_edge(
-    graph: TypedGraph,
-    metagraph: Metagraph,
-    u: NodeId,
-    v: NodeId,
-    adjacent: bool,
-    region: dict[str, set[NodeId]],
-) -> list[Instance]:
-    """Instances containing both ``u`` and ``v``.
-
-    Under induced semantics the pattern nodes they map onto are adjacent
-    exactly when ``(u, v)`` is a graph edge, so ``adjacent`` selects the
-    admissible pin pairs: pattern edges when the edge is present,
-    non-edges when absent.
+    Per metagraph, the pinned matrices of every pin set are concatenated
+    and counted once, so an instance two pin sets reach counts once.
+    They are counted on the CSR view they were enumerated on: a node
+    edit renumbers dense ids, so counts are decoded before the graph
+    mutates.  Metagraphs no pin set reaches are left out.
     """
-    type_u, type_v = graph.node_type(u), graph.node_type(v)
-    streams = (
-        pinned_embeddings(graph, metagraph, {p_u: u, p_v: v}, region=region)
-        for p_u in metagraph.nodes_of_type(type_u)
-        for p_v in metagraph.nodes_of_type(type_v)
-        if p_u != p_v and metagraph.has_edge(p_u, p_v) == adjacent
-    )
-    return list(deduplicate_instances(chain.from_iterable(streams)))
+    region = affected_region(graph, seeds, radius)
+    found: dict[int, MetagraphCounts] = {}
+    for mg_id in mg_ids:
+        metagraph = catalog[mg_id]
+        matrices = [
+            compiled_pinned_matrix(graph, metagraph, pins, region)
+            for pins in pin_sets(metagraph)
+        ]
+        rows = [matrix for matrix in matrices if matrix.shape[0]]
+        if rows:
+            found[mg_id] = count_embeddings(
+                csr_view(graph),
+                np.concatenate(rows),
+                anchor_symmetric_pairs(metagraph, catalog.anchor_type),
+            )
+    return found
 
 
 def _enumerate_for_node(
@@ -339,14 +337,17 @@ def _enumerate_for_node(
     mg_ids: Sequence[int],
     node: NodeId,
     radius: int,
-) -> dict[int, list[Instance]]:
-    region = affected_region(graph, [node], radius)
-    found: dict[int, list[Instance]] = {}
-    for mg_id in mg_ids:
-        instances = _instances_containing_node(graph, catalog[mg_id], node, region)
-        if instances:
-            found[mg_id] = instances
-    return found
+) -> dict[int, MetagraphCounts]:
+    """Counts of the current instances whose node set has ``node``."""
+    node_type = graph.node_type(node)
+    return _count_pinned(
+        graph,
+        catalog,
+        mg_ids,
+        [node],
+        lambda metagraph: ({p: node} for p in metagraph.nodes_of_type(node_type)),
+        radius,
+    )
 
 
 def _enumerate_for_edge(
@@ -357,16 +358,23 @@ def _enumerate_for_edge(
     v: NodeId,
     adjacent: bool,
     radius: int,
-) -> dict[int, list[Instance]]:
-    region = affected_region(graph, [u, v], radius)
-    found: dict[int, list[Instance]] = {}
-    for mg_id in mg_ids:
-        instances = _instances_containing_edge(
-            graph, catalog[mg_id], u, v, adjacent, region
-        )
-        if instances:
-            found[mg_id] = instances
-    return found
+) -> dict[int, MetagraphCounts]:
+    """Counts of the current instances containing both ``u`` and ``v``.
+
+    Under induced semantics the pattern nodes they map onto are adjacent
+    exactly when ``(u, v)`` is a graph edge, so ``adjacent`` selects the
+    admissible pin pairs: pattern edges when the edge is present,
+    non-edges when absent.
+    """
+    type_u, type_v = graph.node_type(u), graph.node_type(v)
+
+    def pin_pairs(metagraph: Metagraph) -> Iterator[dict[int, NodeId]]:
+        for p_u in metagraph.nodes_of_type(type_u):
+            for p_v in metagraph.nodes_of_type(type_v):
+                if p_u != p_v and metagraph.has_edge(p_u, p_v) == adjacent:
+                    yield {p_u: u, p_v: v}
+
+    return _count_pinned(graph, catalog, mg_ids, [u, v], pin_pairs, radius)
 
 
 # ----------------------------------------------------------------------
@@ -437,32 +445,23 @@ def apply_delta(
     nothing.
 
     Only metagraphs already matched into ``vectors`` are maintained;
-    ids never matched (e.g. dual-stage leftovers) stay unmatched.
+    ids never matched (e.g. dual-stage leftovers) stay unmatched.  An
+    ``index`` that records other matched ids than ``vectors`` raises
+    :class:`~repro.exceptions.CatalogMismatchError` before the first
+    edit.
     """
     start = time.perf_counter()
-    vectors.verify_catalog(catalog)
+    vectors.verify_catalog(catalog, index)
     edits = list(delta)
     mg_ids = sorted(vectors.matched_ids)
-    # symmetric anchor pairs are only needed for metagraphs an edit
-    # actually touches; computing them lazily keeps small batches from
-    # paying an O(|catalog|) setup per call
-    sym_pairs: dict[int, frozenset[tuple[int, int]]] = {}
-
-    def sym_pairs_of(mg_id: int) -> frozenset[tuple[int, int]]:
-        pairs = sym_pairs.get(mg_id)
-        if pairs is None:
-            pairs = anchor_symmetric_pairs(catalog[mg_id], catalog.anchor_type)
-            sym_pairs[mg_id] = pairs
-        return pairs
-
     radius = catalog_radius(catalog)
     stats = DeltaStats()
     for edit in edits:
         if not _validate(graph, edit):
             stats.edits_noop += 1
             continue
-        pre: dict[int, list[Instance]] = {}
-        post: dict[int, list[Instance]] = {}
+        pre: dict[int, MetagraphCounts] = {}
+        post: dict[int, MetagraphCounts] = {}
         if edit.op == "add_node":
             graph.add_node(edit.u, edit.node_type)
             post = _enumerate_for_node(graph, catalog, mg_ids, edit.u, radius)
@@ -491,11 +490,8 @@ def apply_delta(
             )
         stats.edits_applied += 1
         for mg_id in sorted(set(pre) | set(post)):
-            pairs = sym_pairs_of(mg_id)
-            retired = MetagraphCounts()
-            count_instances_into(retired, pre.get(mg_id, ()), pairs)
-            added = MetagraphCounts()
-            count_instances_into(added, post.get(mg_id, ()), pairs)
+            retired = pre.get(mg_id) or MetagraphCounts()
+            added = post.get(mg_id) or MetagraphCounts()
             vectors.patch_counts(mg_id, retired, added)
             if index is not None:
                 index.patch(mg_id, retired, added)

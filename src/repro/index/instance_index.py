@@ -1,4 +1,4 @@
-"""Instance counting for metagraph vectors (offline subproblem 2).
+"""Eq. 1–2 instance counting for metagraph vectors (offline subproblem 2).
 
 For each metagraph we need, per Eq. 1–2:
 
@@ -15,19 +15,18 @@ set of symmetric pattern-node pairs is invariant under automorphisms
 (conjugating the witness involution by an automorphism gives another
 involutive automorphism).
 
-Two entry points produce the counts.  The offline build
-(:func:`~repro.index.parallel.build_index`) counts a whole metagraph
-with :func:`compiled_match_and_count`, straight from the compiled
-kernel's integer arrays.  The delta path (:mod:`repro.index.delta`)
-folds the instance streams of its localized re-matching with
-:func:`count_instances_into`.  Both give the same counts for the same
-instances.
+One function produces the counts: :func:`count_embeddings` turns an
+embedding matrix of the compiled kernel into :class:`MetagraphCounts`.
+The offline build (:func:`~repro.index.parallel.build_index`) feeds it
+a whole metagraph's matrix through :func:`compiled_match_and_count`;
+the delta path (:mod:`repro.index.delta`) feeds it the concatenated
+pinned matrices of its localized re-matching.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,6 @@ import numpy as np
 from repro.exceptions import DeltaError
 from repro.graph.csr import CSRGraph
 from repro.graph.typed_graph import NodeId
-from repro.matching.base import Instance
 from repro.matching.compiled import compiled_embedding_matrix
 from repro.metagraph.metagraph import Metagraph
 from repro.metagraph.symmetry import anchor_symmetric_pairs
@@ -59,67 +57,32 @@ class MetagraphCounts:
     pair_counts: Counter = field(default_factory=Counter)
 
 
-def instance_anchor_pairs(
-    instance: Instance, sym_pairs: Sequence[tuple[int, int]]
-) -> set[Pair]:
-    """The distinct symmetric anchor pairs one instance realises.
-
-    Derived from the instance's witness embedding; invariant under the
-    witness choice because the symmetric pattern-node pairs are closed
-    under automorphisms.
-    """
-    emb = instance.embedding  # indexed by pattern node (0..n-1)
-    return {_pair_key(emb[u], emb[v]) for u, v in sym_pairs}
-
-
-def count_instances_into(
-    counts: MetagraphCounts,
-    instances: Iterable[Instance],
-    sym_pairs: Sequence[tuple[int, int]],
-) -> None:
-    """Fold a stream of instances into ``counts`` per Eq. 1–2."""
-    if not sym_pairs:
-        # No symmetric anchor pair: the metagraph cannot contribute to
-        # anchor-anchor proximity (Eq. 1 is empty) — only |I(M)| counts.
-        for _ in instances:
-            counts.num_instances += 1
-        return
-    for instance in instances:
-        counts.num_instances += 1
-        pairs_here = instance_anchor_pairs(instance, sym_pairs)
-        nodes_here = {n for pair in pairs_here for n in pair}
-        for pair in pairs_here:
-            counts.pair_counts[pair] += 1
-        # repro-lint: ignore[unordered-iter] -- commutative `+= 1` fold; the Counter value per node is order-independent
-        for node in nodes_here:
-            counts.node_counts[node] += 1
-
-
-def compiled_match_and_count(
-    csr: CSRGraph, metagraph: Metagraph, anchor_type: str = "user"
+def count_embeddings(
+    csr: CSRGraph,
+    embeddings: np.ndarray,
+    sym_pairs: Collection[tuple[int, int]],
 ) -> MetagraphCounts:
-    """Eq. 1–2 counts straight from the compiled kernel's integer arrays.
+    """Eq. 1–2 counts of an ``(N, n)`` dense-id embedding matrix.
 
-    The whole per-embedding Python pipeline (dict embeddings →
-    ``Instance`` objects → Counter updates keyed on arbitrary node ids)
-    collapses into array ops: instances deduplicate as sorted integer
-    rows under one ``np.unique``, symmetric anchor pairs are encoded as
+    ``embeddings`` holds one embedding per row (column ``u`` is the
+    image of pattern node ``u``, in ``csr``'s dense ids); rows may
+    repeat instances.  Instances deduplicate as sorted integer rows
+    under one ``np.unique``, symmetric anchor pairs are encoded as
     single integers and tallied by a second ``np.unique``, and original
-    node ids are decoded once per *unique* pair instead of once per
-    embedding.  The result is bit-identical to the streamed path: the
-    pair set of an instance does not depend on which witness embedding
-    ``np.unique`` happens to keep (symmetric pattern-node pairs are
-    closed under automorphisms — see the module docstring).
+    node ids are decoded once per *unique* pair or node.  The pair set
+    of an instance does not depend on which witness row ``np.unique``
+    keeps (symmetric pattern-node pairs are closed under automorphisms
+    — see the module docstring).
     """
     counts = MetagraphCounts()
-    embeddings = compiled_embedding_matrix(csr, metagraph)
     if embeddings.shape[0] == 0:
         return counts
     keys = np.sort(embeddings, axis=1)
     _, first = np.unique(keys, axis=0, return_index=True)
     counts.num_instances = int(first.size)
-    sym_pairs = sorted(anchor_symmetric_pairs(metagraph, anchor_type))
     if not sym_pairs:
+        # No symmetric anchor pair: the metagraph cannot contribute to
+        # anchor-anchor proximity (Eq. 1 is empty) — only |I(M)| counts.
         return counts
     witnesses = embeddings[first]
     node_ids = csr.node_ids
@@ -130,10 +93,10 @@ def compiled_match_and_count(
     # lexsort over (instance, code) instead (1-D ops stay fast).
     stride = max(csr.num_nodes, 1)
     code_cols = []
-    for u, v in sym_pairs:
+    for u, v in sorted(sym_pairs):
         a, b = witnesses[:, u], witnesses[:, v]
         code_cols.append(np.minimum(a, b) * stride + np.maximum(a, b))
-    rows = np.repeat(np.arange(first.size), len(sym_pairs))
+    rows = np.repeat(np.arange(first.size), len(code_cols))
     code = np.stack(code_cols, axis=1).ravel()
     order = np.lexsort((code, rows))
     rows, code = rows[order], code[order]
@@ -162,6 +125,17 @@ def compiled_match_and_count(
         }
     )
     return counts
+
+
+def compiled_match_and_count(
+    csr: CSRGraph, metagraph: Metagraph, anchor_type: str = "user"
+) -> MetagraphCounts:
+    """Eq. 1–2 counts of one metagraph over the whole graph (offline build)."""
+    return count_embeddings(
+        csr,
+        compiled_embedding_matrix(csr, metagraph),
+        anchor_symmetric_pairs(metagraph, anchor_type),
+    )
 
 
 class InstanceIndex:

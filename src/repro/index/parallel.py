@@ -157,13 +157,7 @@ def build_index(
         raise CatalogMismatchError(
             "pass an existing vectors store and instance index together, or neither"
         )
-    vectors.verify_catalog(catalog)
-    catalog.verify_compatible(index.catalog_size)
-    if vectors.matched_ids != index.matched_ids():
-        raise CatalogMismatchError(
-            f"vectors hold metagraphs {sorted(vectors.matched_ids)} but the "
-            f"index records {sorted(index.matched_ids())}"
-        )
+    vectors.verify_catalog(catalog, index)
     todo = _ids_to_match(catalog, mg_ids, vectors.matched_ids)
     if not todo:
         return vectors, index

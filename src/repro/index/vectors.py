@@ -21,7 +21,7 @@ from typing import TypeVar
 from repro.exceptions import CatalogMismatchError, DeltaError, SnapshotError
 from repro.graph.typed_graph import NodeId
 from repro.index.compiled import CompiledVectors
-from repro.index.instance_index import MetagraphCounts
+from repro.index.instance_index import InstanceIndex, MetagraphCounts
 from repro.index.transform import Transform, identity
 from repro.metagraph.catalog import MetagraphCatalog
 
@@ -204,9 +204,20 @@ class MetagraphVectors:
             self._pair, mg_id, pair_values, None if pending is None else pending[2]
         )
 
-    def verify_catalog(self, catalog: MetagraphCatalog) -> None:
-        """Raise unless the store matches the catalog's id space."""
+    def verify_catalog(
+        self, catalog: MetagraphCatalog, index: InstanceIndex | None = None
+    ) -> None:
+        """Raise unless the store (and ``index``, with the same matched
+        ids) matches the catalog's id space."""
         catalog.verify_compatible(self.catalog_size)
+        if index is None:
+            return
+        catalog.verify_compatible(index.catalog_size)
+        if self.matched_ids != index.matched_ids():
+            raise CatalogMismatchError(
+                f"vectors hold metagraphs {sorted(self.matched_ids)} but the "
+                f"index records {sorted(index.matched_ids())}"
+            )
 
     # ------------------------------------------------------------------
     # the read side

@@ -11,7 +11,7 @@ from repro.matching.base import (
     is_valid_embedding,
 )
 from repro.matching.boostiso import BoostISOMatcher
-from repro.matching.compiled import CompiledMatcher, compiled_pinned_embeddings
+from repro.matching.compiled import CompiledMatcher
 from repro.matching.ordering import (
     GraphCardinalities,
     estimated_cost_order,
@@ -45,7 +45,6 @@ __all__ = [
     "TurboISOMatcher",
     "backtrack_embeddings",
     "candidate_regions",
-    "compiled_pinned_embeddings",
     "count_instances",
     "deduplicate_instances",
     "estimated_cost_order",

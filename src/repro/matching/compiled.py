@@ -29,8 +29,13 @@ The engine is instance-set-identical to ``SymISO`` (the cross-matcher
 parity suite pins this), which makes the Eq. 1–2
 :class:`~repro.index.instance_index.MetagraphCounts` bit-identical.
 
-:func:`compiled_pinned_embeddings` is the localized re-matching of the
-delta path (:mod:`repro.index.delta`): pins become singleton candidate
+One assembler, :func:`_embedding_matrix`, stacks the kernel's batches
+into an ``(N, n)`` dense-id matrix, and the Eq. 1–2 counter
+(:func:`repro.index.instance_index.count_embeddings`) reads only that
+matrix.  Two forms feed it: :func:`compiled_embedding_matrix`, the
+whole-graph enumeration of the offline build, and
+:func:`compiled_pinned_matrix`, the localized re-matching of the delta
+path (:mod:`repro.index.delta`), where pins become singleton candidate
 arrays and the affected region becomes per-type candidate masks.
 """
 
@@ -46,6 +51,7 @@ from repro.graph.typed_graph import NodeId, TypedGraph
 from repro.matching.backtracking import _prefix_structure
 from repro.matching.base import Embedding
 from repro.matching.ordering import estimated_cost_order
+from repro.matching.partition import rooted_order
 from repro.metagraph.decomposition import decompose
 from repro.metagraph.metagraph import Metagraph
 
@@ -321,22 +327,25 @@ def _embeddings_from_csr(
             yield embedding
 
 
-def compiled_embedding_matrix(csr: CSRGraph, metagraph: Metagraph) -> np.ndarray:
-    """Every (remaining) embedding as one ``(N, n)`` dense-id matrix.
+def _embedding_matrix(
+    csr: CSRGraph,
+    metagraph: Metagraph,
+    order: Sequence[int],
+    pool: Mapping[int, np.ndarray] | None = None,
+    break_symmetry: bool = True,
+) -> np.ndarray:
+    """Stack :func:`_assignment_batches` into one ``(N, n)`` dense-id matrix.
 
-    Column ``u`` holds the image of pattern node ``u``.  This is the
-    array-level entry point of the offline counting fast path
-    (:func:`repro.index.instance_index.compiled_match_and_count`):
-    instance deduplication and Eq. 1–2 counting become ``np.unique``
-    calls over integer rows instead of per-embedding Python objects.
-    The matrix is materialised in full — at 8 bytes per cell a million
-    4-node embeddings cost ~32 MB, far below the per-object cost of the
-    equivalent ``Instance`` stream.
+    Column ``u`` holds the image of pattern node ``u``.  The matrix is
+    materialised in full — at 8 bytes per cell a million 4-node
+    embeddings cost ~32 MB, far below the per-object cost of the
+    equivalent dict / ``Instance`` stream.
     """
-    order = compiled_order(csr, metagraph)
     n = metagraph.size
     blocks: list[np.ndarray] = []
-    for prefix, tail in _assignment_batches(csr, metagraph, order):
+    for prefix, tail in _assignment_batches(
+        csr, metagraph, order, pool=pool, break_symmetry=break_symmetry
+    ):
         block = np.empty((tail.size, n), dtype=np.int64)
         for j in range(n - 1):
             block[:, j] = prefix[j]
@@ -349,6 +358,70 @@ def compiled_embedding_matrix(csr: CSRGraph, metagraph: Metagraph) -> np.ndarray
     for position, u in enumerate(order):
         inverse[u] = position
     return stacked[:, inverse]
+
+
+def compiled_embedding_matrix(csr: CSRGraph, metagraph: Metagraph) -> np.ndarray:
+    """Every (remaining) embedding as one ``(N, n)`` dense-id matrix.
+
+    This is the array-level entry point of the offline build
+    (:func:`repro.index.instance_index.compiled_match_and_count`):
+    instance deduplication and Eq. 1–2 counting become ``np.unique``
+    calls over integer rows instead of per-embedding Python objects.
+    """
+    return _embedding_matrix(csr, metagraph, compiled_order(csr, metagraph))
+
+
+def compiled_pinned_matrix(
+    graph: TypedGraph,
+    metagraph: Metagraph,
+    pins: Mapping[int, NodeId],
+    region: Mapping[str, Set] | None = None,
+) -> np.ndarray:
+    """Embeddings mapping each pinned pattern node to its pinned graph node.
+
+    Returns the same ``(N, n)`` matrix as :func:`compiled_embedding_matrix`,
+    in the dense ids of ``csr_view(graph)``.  ``pins``
+    (``{pattern_node: graph_node}``, non-empty, pattern nodes in
+    ``0..n-1``) root the search at the first pin, in
+    :func:`~repro.matching.partition.rooted_order`; a pin whose graph
+    node is absent or of the wrong type yields no rows.  Pins become
+    singleton candidate arrays and the affected region becomes per-type
+    dense-id masks for every unpinned pattern node (types missing from
+    the mapping admit no candidates).  Symmetry breaking is disabled:
+    pins restrict pattern nodes asymmetrically, so dropping an embedding
+    in favour of its automorphic partner could drop it out of the pinned
+    result entirely.
+    """
+    if not pins:
+        raise MatchingError("compiled_pinned_matrix needs at least one pin")
+    outside = [p for p in pins if p not in range(metagraph.size)]
+    if outside:
+        raise MatchingError(
+            f"pins {outside!r} outside pattern 0..{metagraph.size - 1}"
+        )
+    csr = csr_view(graph)
+    pool: dict[int, np.ndarray] = {}
+    for pattern_node, graph_node in pins.items():
+        dense = csr.id_of.get(graph_node)
+        if (
+            dense is None
+            or graph.node_type(graph_node) != metagraph.node_type(pattern_node)
+        ):
+            return np.empty((0, metagraph.size), dtype=np.int64)
+        pool[pattern_node] = np.asarray([dense], dtype=csr.indices.dtype)
+    if region is not None:
+        encoded: dict[str, np.ndarray] = {}
+        for u in metagraph.nodes():
+            if u in pool:
+                continue
+            node_type = metagraph.node_type(u)
+            cached = encoded.get(node_type)
+            if cached is None:
+                cached = csr.encode(region.get(node_type, ()))
+                encoded[node_type] = cached
+            pool[u] = cached
+    order = rooted_order(graph, metagraph, next(iter(pins)))
+    return _embedding_matrix(csr, metagraph, order, pool, break_symmetry=False)
 
 
 class CompiledMatcher:
@@ -377,62 +450,3 @@ class CompiledMatcher:
         order = compiled_order(csr, metagraph)
         yield from _embeddings_from_csr(csr, metagraph, order)
 
-
-def compiled_pinned_embeddings(
-    graph: TypedGraph,
-    metagraph: Metagraph,
-    pins: Mapping[int, NodeId],
-    region: Mapping[str, Set] | None = None,
-) -> Iterator[Embedding]:
-    """Embeddings mapping each pinned pattern node to its pinned graph node.
-
-    ``pins`` (``{pattern_node: graph_node}``, non-empty) root the search
-    at the first pin, in :func:`~repro.matching.partition.rooted_order`;
-    a pin whose graph node is absent or of the wrong type yields no
-    embeddings.  Pins become singleton candidate arrays and the affected region
-    becomes per-type dense-id masks for every unpinned pattern node
-    (types missing from the mapping admit no candidates).  Symmetry
-    breaking is disabled: pins restrict pattern nodes asymmetrically, so
-    dropping an embedding in favour of its automorphic partner could
-    drop it out of the pinned stream entirely.
-    """
-    if not pins:
-        # raised eagerly (this is not the generator) so the error points
-        # at the caller that built the empty pins, not at first iteration
-        raise MatchingError("compiled_pinned_embeddings needs at least one pin")
-    return _compiled_pinned(graph, metagraph, pins, region)
-
-
-def _compiled_pinned(
-    graph: TypedGraph,
-    metagraph: Metagraph,
-    pins: Mapping[int, NodeId],
-    region: Mapping[str, Set] | None,
-) -> Iterator[Embedding]:
-    from repro.matching.partition import rooted_order
-
-    csr = csr_view(graph)
-    pool: dict[int, np.ndarray] = {}
-    for pattern_node, graph_node in pins.items():
-        dense = csr.id_of.get(graph_node)
-        if (
-            dense is None
-            or graph.node_type(graph_node) != metagraph.node_type(pattern_node)
-        ):
-            return
-        pool[pattern_node] = np.asarray([dense], dtype=csr.indices.dtype)
-    if region is not None:
-        encoded: dict[str, np.ndarray] = {}
-        for u in metagraph.nodes():
-            if u in pool:
-                continue
-            node_type = metagraph.node_type(u)
-            cached = encoded.get(node_type)
-            if cached is None:
-                cached = csr.encode(region.get(node_type, ()))
-                encoded[node_type] = cached
-            pool[u] = cached
-    order = rooted_order(graph, metagraph, next(iter(pins)))
-    yield from _embeddings_from_csr(
-        csr, metagraph, order, pool=pool, break_symmetry=False
-    )

@@ -114,7 +114,7 @@ def connected_order_from(
     The shared skeleton of :func:`rarest_type_order` (which picks the
     globally rarest start) and :func:`repro.matching.partition.rooted_order`,
     the order of the delta path's pinned searches
-    (:func:`repro.matching.compiled.compiled_pinned_embeddings`), where
+    (:func:`repro.matching.compiled.compiled_pinned_matrix`), where
     the caller dictates the start.
     """
     rarity = _rarity_key(graph, metagraph)

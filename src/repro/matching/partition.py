@@ -1,13 +1,14 @@
 """Root-restricted matching orders for localized (pinned) enumeration.
 
 Every embedding maps the search root to exactly one graph node, so
-restricting the root's candidates restricts the embedding stream
+restricting the root's candidates restricts the embeddings found
 exactly.  That powers *localized* re-matching for incremental index
 maintenance (:mod:`repro.index.delta`):
-:func:`~repro.matching.compiled.compiled_pinned_embeddings` fixes one or
+:func:`~repro.matching.compiled.compiled_pinned_matrix` fixes one or
 two pattern nodes to concrete graph nodes (the endpoints of a mutation)
 and searches in the order :func:`rooted_order` grows from the first
-pin, so the whole search is anchored on its singleton candidate set.
+pin, so the whole search is anchored on its singleton candidate set;
+the result is an embedding matrix, counted like the offline build's.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Compiled-engine specifics the generic engine suites don't reach:
-pinned/localized streams, the symmetry cut, and the embedding-matrix
+pinned/localized matrices, the symmetry cut, and the embedding-matrix
 entry point."""
 
 from __future__ import annotations
@@ -16,11 +16,14 @@ from repro.matching import (
     CompiledMatcher,
     QuickSIMatcher,
     SymISOMatcher,
-    compiled_pinned_embeddings,
     deduplicate_instances,
     find_instances,
 )
-from repro.matching.compiled import compiled_embedding_matrix, compiled_order
+from repro.matching.compiled import (
+    compiled_embedding_matrix,
+    compiled_order,
+    compiled_pinned_matrix,
+)
 from repro.metagraph.metagraph import metapath
 from tests.conftest import random_typed_graph
 from tests.matching.test_cross_matcher_parity import random_pattern
@@ -29,8 +32,23 @@ from tests.oracles import pinned_embeddings
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
 
+def decoded_instances(graph, matrix) -> set[frozenset]:
+    """The instance node sets of a dense-id embedding matrix."""
+    node_ids = csr_view(graph).node_ids
+    return {frozenset(node_ids[v] for v in row) for row in matrix.tolist()}
+
+
+def reference_instances(graph, metagraph, pins, region=None) -> set[frozenset]:
+    return {
+        inst.nodes
+        for inst in deduplicate_instances(
+            pinned_embeddings(graph, metagraph, pins, region=region)
+        )
+    }
+
+
 class TestPinnedParity:
-    """Compiled pinned streams == pure-Python pinned streams, instance-wise."""
+    """Compiled pinned matrices == pure-Python pinned streams, instance-wise."""
 
     @given(SEEDS)
     @settings(max_examples=25, deadline=None)
@@ -43,19 +61,11 @@ class TestPinnedParity:
         if not users or not anchors:
             return
         pins = {anchors[0]: rng.choice(users)}
-        reference = {
-            inst.nodes
-            for inst in deduplicate_instances(
-                pinned_embeddings(graph, metagraph, pins)
-            )
-        }
-        compiled = {
-            inst.nodes
-            for inst in deduplicate_instances(
-                compiled_pinned_embeddings(graph, metagraph, pins)
-            )
-        }
-        assert compiled == reference
+        matrix = compiled_pinned_matrix(graph, metagraph, pins)
+        assert matrix.shape[1] == metagraph.size
+        assert decoded_instances(graph, matrix) == reference_instances(
+            graph, metagraph, pins
+        )
 
     @given(SEEDS)
     @settings(max_examples=25, deadline=None)
@@ -72,31 +82,42 @@ class TestPinnedParity:
         pin_node = rng.choice(users)
         region = affected_region(graph, [pin_node], radius=2)
         pins = {anchors[0]: pin_node}
-        reference = {
-            inst.nodes
-            for inst in deduplicate_instances(
-                pinned_embeddings(graph, metagraph, pins, region=region)
-            )
-        }
-        compiled = {
-            inst.nodes
-            for inst in deduplicate_instances(
-                compiled_pinned_embeddings(graph, metagraph, pins, region=region)
-            )
-        }
-        assert compiled == reference
+        matrix = compiled_pinned_matrix(graph, metagraph, pins, region=region)
+        assert decoded_instances(graph, matrix) == reference_instances(
+            graph, metagraph, pins, region=region
+        )
+
+    def test_pinned_columns_are_pattern_nodes(self, toy_graph):
+        m = metapath("user", "school", "user")
+        matrix = compiled_pinned_matrix(toy_graph, m, {2: "Kate"})
+        node_ids = csr_view(toy_graph).node_ids
+        assert matrix.shape[0] > 0
+        assert {node_ids[v] for v in matrix[:, 2].tolist()} == {"Kate"}
+        for v in matrix[:, 1].tolist():
+            assert toy_graph.node_type(node_ids[v]) == "school"
 
     def test_empty_pins_raise_eagerly(self, toy_graph):
         with pytest.raises(MatchingError, match="at least one pin"):
-            compiled_pinned_embeddings(toy_graph, metapath("user"), {})
+            compiled_pinned_matrix(toy_graph, metapath("user"), {})
+
+    @pytest.mark.parametrize("pattern_node", [3, 7, -1])
+    def test_pin_outside_pattern_raises(self, toy_graph, pattern_node):
+        m = metapath("user", "school", "user")
+        with pytest.raises(MatchingError, match="outside pattern 0..2"):
+            compiled_pinned_matrix(toy_graph, m, {pattern_node: "Kate"})
+
+    def test_pin_outside_pattern_raises_beside_a_valid_pin(self, toy_graph):
+        m = metapath("user", "school", "user")
+        with pytest.raises(MatchingError, match="outside pattern"):
+            compiled_pinned_matrix(toy_graph, m, {0: "Kate", -1: "Jay"})
 
     def test_wrong_type_pin_yields_nothing(self, toy_graph):
         m = metapath("user", "school", "user")
-        assert list(compiled_pinned_embeddings(toy_graph, m, {0: "College A"})) == []
+        assert compiled_pinned_matrix(toy_graph, m, {0: "College A"}).shape == (0, 3)
 
     def test_absent_pin_yields_nothing(self, toy_graph):
         m = metapath("user", "school", "user")
-        assert list(compiled_pinned_embeddings(toy_graph, m, {0: "Nobody"})) == []
+        assert compiled_pinned_matrix(toy_graph, m, {0: "Nobody"}).shape == (0, 3)
 
 
 class TestSymmetryCut:

@@ -5,10 +5,11 @@ through the compiled CSR snapshot (:mod:`repro.index.compiled`).  The
 code it replaced lives on here as the oracle: dense m_x / m_xy vectors
 walked straight out of the :class:`MetagraphVectors` ledger's dicts,
 Def. 3 as three dense dot products per pair, and the scalar ranker that
-scores one candidate at a time.  The same goes for the engine-generic
-Eq. 1–2 counting the offline builder's compiled kernel replaced, the
-pure-Python pinned enumeration the delta path's compiled one replaced,
-and the set-operation shard slicing the mask-based one replaced.
+scores one candidate at a time.  The same goes for the streamed
+``Instance`` counter and the engine-generic Eq. 1–2 counting that the
+compiled kernel's embedding-matrix counter replaced, the pure-Python
+pinned enumeration the delta path's compiled one replaced, and the
+set-operation shard slicing the mask-based one replaced.
 Nothing under ``src/`` may import this module; tests reach into the
 ledger's private dicts on purpose (the ``private-ledger-read`` lint
 rule keeps the package itself from doing so).
@@ -18,11 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.index.instance_index import (
-    MetagraphCounts,
-    _pair_key,
-    count_instances_into,
-)
+from repro.index.instance_index import MetagraphCounts, _pair_key
 from repro.learning.model import require_valid_k
 from repro.matching.backtracking import backtrack_embeddings
 from repro.matching.base import deduplicate_instances
@@ -172,8 +169,39 @@ class ScalarModel:
 
 
 # ----------------------------------------------------------------------
-# engine-generic counting (the builder's compiled kernel replaced it)
+# the streamed Instance counter and engine-generic counting (the
+# compiled kernel's embedding-matrix counter replaced both)
 # ----------------------------------------------------------------------
+def instance_anchor_pairs(instance, sym_pairs) -> set:
+    """The distinct symmetric anchor pairs one instance realises.
+
+    Derived from the instance's witness embedding; invariant under the
+    witness choice because the symmetric pattern-node pairs are closed
+    under automorphisms.
+    """
+    emb = instance.embedding  # indexed by pattern node (0..n-1)
+    return {_pair_key(emb[u], emb[v]) for u, v in sym_pairs}
+
+
+def count_instances_into(counts, instances, sym_pairs) -> None:
+    """Fold a stream of instances into ``counts`` per Eq. 1–2."""
+    if not sym_pairs:
+        # No symmetric anchor pair: the metagraph cannot contribute to
+        # anchor-anchor proximity (Eq. 1 is empty) — only |I(M)| counts.
+        for _ in instances:
+            counts.num_instances += 1
+        return
+    for instance in instances:
+        counts.num_instances += 1
+        pairs_here = instance_anchor_pairs(instance, sym_pairs)
+        nodes_here = {n for pair in pairs_here for n in pair}
+        for pair in pairs_here:
+            counts.pair_counts[pair] += 1
+        # repro-lint: ignore[unordered-iter] -- commutative `+= 1` fold; the Counter value per node is order-independent
+        for node in nodes_here:
+            counts.node_counts[node] += 1
+
+
 def reference_counts(graph, metagraph, anchor_type, engine) -> MetagraphCounts:
     """Eq. 1–2 counts from ``engine``'s deduplicated embedding stream."""
     counts = MetagraphCounts()
@@ -213,7 +241,7 @@ def pinned_embeddings(graph, metagraph, pins, region=None):
     """Embeddings mapping each pinned pattern node to its pinned graph node.
 
     The backtracking reference for
-    :func:`repro.matching.compiled.compiled_pinned_embeddings`: the
+    :func:`repro.matching.compiled.compiled_pinned_matrix`: the
     search is rooted at the first pin; a pin whose graph node is absent
     or of the wrong type yields nothing; ``region`` restricts every
     unpinned pattern node per type (types missing from it admit no
