@@ -35,6 +35,7 @@ UNORDERED_SCOPE = (
     "repro.learning",
     "repro.matching",
     "repro.metagraph",
+    "repro.mining",
     "repro.serving",
 )
 

@@ -716,9 +716,15 @@ def run_index(argv: list[str]) -> int:
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
+    try:
+        miner_config = MinerConfig(
+            max_nodes=args.max_nodes, min_support=args.min_support
+        )
+    except ValueError as exc:
+        print(f"[index] invalid miner settings: {exc}", file=sys.stderr)
+        return 2
     dataset = load_dataset(args.dataset, scale=args.scale)
     print(f"[index] building over {dataset.graph!r}")
-    miner_config = MinerConfig(max_nodes=args.max_nodes, min_support=args.min_support)
     start = time.perf_counter()
     catalog = mine_catalog(
         dataset.graph, miner_config, anchor_type=dataset.anchor_type

@@ -66,10 +66,14 @@ def count_embeddings(
 
     ``embeddings`` holds one embedding per row (column ``u`` is the
     image of pattern node ``u``, in ``csr``'s dense ids); rows may
-    repeat instances.  Instances deduplicate as sorted integer rows
-    under one ``np.unique``, symmetric anchor pairs are encoded as
-    single integers and tallied by a second ``np.unique``, and original
-    node ids are decoded once per *unique* pair or node.  The pair set
+    repeat instances.  The offline build's matrix already holds one row
+    per instance (the kernel's symmetry breaking is complete); the
+    pinned matrices of the delta path do repeat them.  So instances
+    still deduplicate as sorted integer rows under one ``np.unique``
+    (for the pinned path, and as a safety net for the offline one),
+    symmetric anchor pairs are encoded as single integers and tallied
+    by a second ``np.unique``, and original node ids are decoded once
+    per *unique* pair or node.  The pair set
     of an instance does not depend on which witness row ``np.unique``
     keeps (symmetric pattern-node pairs are closed under automorphisms
     — see the module docstring).

@@ -17,13 +17,15 @@ that inner loop.  :class:`CompiledMatcher` runs the same search over
 - the backtracking itself is **iterative** (an explicit stack of
   candidate arrays), so deep patterns never touch Python's recursion
   machinery;
-- **symmetry breaking** reuses SymISO's idea at array level: for a
-  symmetric pattern, one twin pair ``(r, sigma(r))`` of the witness
-  involution is ordered (``image[r] < image[sigma(r)]``) by slicing the
-  sorted candidate array once — half the embeddings never get
-  enumerated, and the skipped ones are automorphic images of kept ones,
-  so every *instance* is still produced (the contract of
-  :class:`~repro.matching.base.MatcherProtocol`).
+- **symmetry breaking** is complete: the stabiliser-chain conditions
+  of :func:`~repro.metagraph.symmetry.symmetry_conditions` (Grochow &
+  Kellis) order the images of automorphic pattern nodes.  Each
+  condition is checked at the later of its two order positions, and all
+  conditions at one position cut the sorted candidate array to one
+  slice.  Under induced semantics (Def. 2) two embeddings of the same
+  instance differ by an automorphism, so every *instance* is produced
+  exactly once (the contract of
+  :class:`~repro.matching.base.MatcherProtocol` asks for at least once).
 
 The engine is instance-set-identical to ``SymISO`` (the cross-matcher
 parity suite pins this), which makes the Eq. 1–2
@@ -48,12 +50,12 @@ import numpy as np
 from repro.exceptions import MatchingError
 from repro.graph.csr import CSRGraph, csr_view
 from repro.graph.typed_graph import NodeId, TypedGraph
-from repro.matching.backtracking import _prefix_structure
+from repro.matching.backtracking import _condition_bounds, _prefix_structure
 from repro.matching.base import Embedding
 from repro.matching.ordering import estimated_cost_order
 from repro.matching.partition import rooted_order
-from repro.metagraph.decomposition import decompose
 from repro.metagraph.metagraph import Metagraph
+from repro.metagraph.symmetry import symmetry_conditions
 
 
 def _contains_sorted(haystack: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -78,31 +80,6 @@ def compiled_order(csr: CSRGraph, metagraph: Metagraph) -> list[int]:
     rescan per pattern.
     """
     return estimated_cost_order(None, metagraph, csr.cardinalities())
-
-
-def _symmetry_cut(
-    metagraph: Metagraph, order: Sequence[int]
-) -> tuple[int, int, bool] | None:
-    """One twin pair's ordering constraint, as (cut_pos, partner_pos, keep_greater).
-
-    For a symmetric pattern the witness involution ``sigma`` swaps the
-    first twin family's representative node ``r`` with ``sigma(r)``;
-    requiring ``image[r] < image[sigma(r)]`` keeps exactly one of each
-    pair ``{phi, phi . sigma}`` — same node set, so no instance is lost.
-    Only one family is constrained: a second simultaneous constraint
-    under the *same* involution could exclude both members of a pair.
-    """
-    decomp = decompose(metagraph)
-    if not decomp.families:
-        return None
-    family = decomp.families[0]
-    r = decomp.components[family.representative][0]
-    s = decomp.sigma[r]
-    position = {u: i for i, u in enumerate(order)}
-    pr, ps = position[r], position[s]
-    if pr < ps:
-        return ps, pr, True  # at s's turn keep candidates > image[r]
-    return pr, ps, False  # at r's turn keep candidates < image[s]
 
 
 def _base_candidates(
@@ -177,9 +154,10 @@ def _assignment_batches(
     one Python object at a time.
 
     ``pool`` maps pattern nodes to sorted dense-id candidate arrays
-    (pins, regions).  ``break_symmetry`` must be off whenever a
-    pool restricts nodes asymmetrically — a pin could then exclude an
-    embedding whose kept automorphic partner the pool rejects.
+    (pins, regions).  ``break_symmetry`` keeps one embedding per
+    instance; it must be off whenever a pool restricts nodes
+    asymmetrically — a pin could then exclude an embedding whose kept
+    automorphic partner the pool rejects.
     """
     n = metagraph.size
     if metagraph.has_kinds and not csr.has_kinds:
@@ -200,7 +178,10 @@ def _assignment_batches(
         yield (), base[0]
         return
     neighbors_at, nonneighbors_at = _prefix_structure(metagraph, order)
-    cut = _symmetry_cut(metagraph, order) if break_symmetry else None
+    lower_at, upper_at = _condition_bounds(
+        symmetry_conditions(metagraph) if break_symmetry else (), order
+    )
+    bounded_at = [bool(lo or hi) for lo, hi in zip(lower_at, upper_at)]
     # per position: the signature code each matched-neighbour slice must
     # carry, aligned with neighbors_at[i] (kinded graphs only)
     sig_code_at: list[list[int | None]] = []
@@ -226,6 +207,20 @@ def _assignment_batches(
 
     empty = np.empty(0, dtype=csr.indices.dtype)
 
+    def bounded(i: int, cand: np.ndarray) -> np.ndarray:
+        # the symmetry conditions checked at position i: one slice of
+        # the sorted candidates between the largest lower bound and the
+        # smallest upper bound (sliced first, so every later filter
+        # runs on the slice)
+        start, stop = 0, cand.size
+        if lower_at[i]:
+            lo = max(assignment[j] for j in lower_at[i])
+            start = int(cand.searchsorted(lo, side="right"))
+        if upper_at[i]:
+            hi = min(assignment[j] for j in upper_at[i])
+            stop = int(cand.searchsorted(hi, side="left"))
+        return cand[start:stop]
+
     def candidates(i: int) -> np.ndarray:
         code = tcodes[order[i]]
         nbr_positions = neighbors_at[i]
@@ -244,31 +239,28 @@ def _assignment_batches(
                     csr.typed_neighbors(assignment[j], code)
                     for j in nbr_positions
                 ]
-            if len(slices) == 1:
-                cand = slices[0]
-            else:
+            k_min = 0
+            if len(slices) > 1:
                 k_min = min(range(len(slices)), key=lambda k: slices[k].size)
-                cand = slices[k_min]
-                for k, other in enumerate(slices):
-                    if k == k_min or cand.size == 0:
-                        continue
-                    cand = cand[_contains_sorted(other, cand)]
+            cand = slices[k_min]
+            if bounded_at[i]:
+                cand = bounded(i, cand)
+            for k, other in enumerate(slices):
+                if k == k_min or cand.size == 0:
+                    continue
+                cand = cand[_contains_sorted(other, cand)]
             if cand.size and not base_full[order[i]]:
                 cand = cand[_contains_sorted(base[order[i]], cand)]
         else:
             cand = base[order[i]]
+            if bounded_at[i]:
+                cand = bounded(i, cand)
         for j in nonneighbors_at[i]:
             if cand.size == 0:
                 break
             adjacent = csr.typed_neighbors(assignment[j], code)
             if adjacent.size:
                 cand = cand[~_contains_sorted(adjacent, cand)]
-        if cut is not None and i == cut[0] and cand.size:
-            bound = assignment[cut[1]]
-            if cut[2]:
-                cand = cand[cand.searchsorted(bound, side="right") :]
-            else:
-                cand = cand[: cand.searchsorted(bound, side="left")]
         return cand
 
     depth = 0
@@ -361,12 +353,13 @@ def _embedding_matrix(
 
 
 def compiled_embedding_matrix(csr: CSRGraph, metagraph: Metagraph) -> np.ndarray:
-    """Every (remaining) embedding as one ``(N, n)`` dense-id matrix.
+    """One embedding per instance, as one ``(N, n)`` dense-id matrix.
 
     This is the array-level entry point of the offline build
     (:func:`repro.index.instance_index.compiled_match_and_count`):
-    instance deduplication and Eq. 1–2 counting become ``np.unique``
-    calls over integer rows instead of per-embedding Python objects.
+    Eq. 1–2 counting becomes ``np.unique`` calls over integer rows
+    instead of per-embedding Python objects.  Symmetry breaking is
+    complete, so ``N`` is the instance count |I(M)|.
     """
     return _embedding_matrix(csr, metagraph, compiled_order(csr, metagraph))
 
@@ -440,11 +433,10 @@ class CompiledMatcher:
     def find_embeddings(
         self, graph: TypedGraph, metagraph: Metagraph
     ) -> Iterator[Embedding]:
-        """Yield embeddings covering every instance of the metagraph.
+        """Yield one embedding per instance of the metagraph, exactly once.
 
-        Automorphic images under the broken twin pair are skipped by
-        construction; remaining duplicates fall to the shared
-        instance-level deduplication, exactly like SymISO.
+        The symmetry-breaking conditions skip every automorphic image of
+        a kept embedding by construction, so no instance repeats.
         """
         csr = csr_view(graph)
         order = compiled_order(csr, metagraph)

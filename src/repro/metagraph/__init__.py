@@ -17,6 +17,7 @@ from repro.metagraph.symmetry import (
     orbits,
     symmetric_pairs,
     symmetric_partners,
+    symmetry_conditions,
 )
 
 __all__ = [
@@ -40,4 +41,5 @@ __all__ = [
     "structural_similarity",
     "symmetric_pairs",
     "symmetric_partners",
+    "symmetry_conditions",
 ]

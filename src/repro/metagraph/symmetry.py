@@ -1,4 +1,6 @@
-"""Metagraph symmetry (Def. 1): automorphisms, symmetric pairs, orbits.
+"""Metagraph symmetry (Def. 1): automorphisms, symmetric pairs, orbits,
+and the symmetry-breaking conditions the matching kernel and the miner
+enumerate under.
 
 Def. 1 declares a metagraph *symmetric* when a non-empty set Ψ of
 disjoint node pairs can be exchanged simultaneously without changing the
@@ -168,6 +170,31 @@ def orbits(metagraph: Metagraph) -> tuple[frozenset[int], ...]:
     return tuple(
         sorted((frozenset(g) for g in groups.values()), key=min)
     )
+
+
+def symmetry_conditions(metagraph: Metagraph) -> list[tuple[int, int]]:
+    """Symmetry-breaking conditions ``(v, w)``: require ``image[v] < image[w]``.
+
+    Grochow & Kellis' stabiliser chain (RECOMB 2007): starting from the
+    full automorphism group, pick the node ``v`` with the largest orbit
+    (ties to the smallest id), demand that ``v`` take the smallest image
+    in its orbit, restrict the group to ``v``'s stabiliser, and repeat
+    until only the identity is left.  For every injective ranking of
+    the images, exactly one automorphism ``sigma`` makes
+    ``image . sigma`` satisfy all conditions, so an enumeration under
+    them keeps one embedding per orbit of Aut(M) — one per instance
+    under induced semantics (Def. 2).
+    """
+    group = automorphisms(metagraph)
+    conditions: list[tuple[int, int]] = []
+    while len(group) > 1:
+        orbit_of = [
+            sorted({sigma[u] for sigma in group}) for u in metagraph.nodes()
+        ]
+        v = max(metagraph.nodes(), key=lambda u: (len(orbit_of[u]), -u))
+        conditions.extend((v, w) for w in orbit_of[v] if w != v)
+        group = tuple(sigma for sigma in group if sigma[v] == v)
+    return conditions
 
 
 def anchor_symmetric_pairs(metagraph: Metagraph, anchor_type: str) -> frozenset[tuple[int, int]]:

@@ -69,6 +69,14 @@ def _closing_entries(
             yield (u, v, kind)
 
 
+def check_size_bounds(max_nodes: int, max_edges: int | None) -> None:
+    """Reject pattern-size bounds that no pattern with an edge can meet."""
+    if max_nodes < 2:
+        raise ValueError(f"max_nodes must be >= 2, got {max_nodes}")
+    if max_edges is not None and max_edges < 1:
+        raise ValueError(f"max_edges must be None or >= 1, got {max_edges}")
+
+
 def single_edge_patterns(rules: Iterable[RuleLike]) -> list[Metagraph]:
     """One two-node pattern per allowed edge rule (canonical labelling)."""
     patterns = []
@@ -134,8 +142,11 @@ def enumerate_patterns(
     Patterns are returned canonically labelled, deduplicated up to
     isomorphism, sorted by (size, edges, canonical form) for
     determinism.  Single-node patterns are not produced (a metagraph
-    describing proximity needs at least one edge).
+    describing proximity needs at least one edge), so ``max_nodes`` must
+    be ``>= 2`` and ``max_edges`` None or ``>= 1`` (``ValueError``
+    otherwise).
     """
+    check_size_bounds(max_nodes, max_edges)
     normed = _norm_rules(rules)
     types = sorted({t for a, b, _ in normed for t in (a, b)})
     seen: set[CanonicalForm] = set()

@@ -14,6 +14,10 @@ the same semantics:
 - support evaluation short-circuits once every pattern node has reached
   the threshold, and abandons patterns whose embedding enumeration
   exceeds a configurable budget (reported, never silent).
+- **symmetry breaking**: the enumeration keeps one embedding per orbit
+  of the pattern's automorphism group (stabiliser-chain conditions, as
+  in the matching kernel); the images of an orbit's nodes are the union
+  of the kept rows' columns over that orbit, so MNI stays exact.
 """
 
 from __future__ import annotations
@@ -21,12 +25,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+from repro.graph.csr import csr_view
 from repro.graph.typed_graph import TypedGraph
 from repro.matching.backtracking import backtrack_embeddings
 from repro.matching.ordering import GraphCardinalities, estimated_cost_order
 from repro.metagraph.canonical import CanonicalForm, canonical_form, form_edge_entry
 from repro.metagraph.metagraph import Metagraph
-from repro.mining.enumerate import extensions, single_edge_patterns
+from repro.metagraph.symmetry import automorphisms, orbits, symmetry_conditions
+from repro.mining.enumerate import check_size_bounds, extensions, single_edge_patterns
 
 
 @dataclass(frozen=True)
@@ -46,13 +52,30 @@ class MinerConfig:
         embeddings.  Early abortion can only *under*-report support, so
         a budget hit is treated as frequent (the pattern demonstrably
         has an enormous embedding count) and counted in
-        :class:`MiningResult.budget_hits`.
+        :class:`MiningResult.budget_hits`.  The symmetry-broken
+        enumeration of :func:`mni_support` counts each kept row as
+        |Aut(M)| embeddings, so the abort point (and the partial
+        support a budget hit reports) can differ from an unbroken
+        enumeration's.
+
+    Every bound is validated on construction (``ValueError``):
+    ``max_nodes >= 2`` (a pattern needs an edge), ``max_edges`` None
+    or ``>= 1``, ``min_support >= 1`` and ``embedding_budget >= 1``.
     """
 
     max_nodes: int = 5
     max_edges: int | None = None
     min_support: int = 2
     embedding_budget: int = 2_000_000
+
+    def __post_init__(self) -> None:
+        check_size_bounds(self.max_nodes, self.max_edges)
+        if self.min_support < 1:
+            raise ValueError(f"min_support must be >= 1, got {self.min_support}")
+        if self.embedding_budget < 1:
+            raise ValueError(
+                f"embedding_budget must be >= 1, got {self.embedding_budget}"
+            )
 
     def to_json_dict(self) -> dict:
         """The knobs as plain JSON types (snapshot/manifest provenance)."""
@@ -97,14 +120,36 @@ def mni_support(
     Short-circuits at ``threshold`` (returns ``threshold`` as soon as
     every pattern node has at least ``threshold`` distinct images), so
     the exact value is only computed when it is below the threshold.
+
+    The enumeration keeps one embedding per orbit of Aut(M) under the
+    symmetry-breaking conditions of
+    :func:`~repro.metagraph.symmetry.symmetry_conditions`, ranking graph
+    nodes by their dense id in ``csr_view(graph)``.  Aut(M) acts freely
+    on non-induced embeddings too, and the images of node ``u`` over a
+    kept row's orbit are the row's columns over ``orbit(u)``: so every
+    node of one orbit shares one image set, the union of the kept rows'
+    columns over that orbit, and the support is exact.  A kept row
+    counts as |Aut(M)| embeddings toward ``embedding_budget``, so a
+    budget hit may come at a different point than in an unbroken
+    enumeration.
     """
     order = estimated_cost_order(graph, pattern, cardinalities)
-    images: list[set] = [set() for _ in range(pattern.size)]
+    group_size = len(automorphisms(pattern))
+    node_orbits = [sorted(orbit) for orbit in orbits(pattern)]
+    images: list[set] = [set() for _ in node_orbits]
     enumerated = 0
-    for embedding in backtrack_embeddings(graph, pattern, order, induced=False):
-        enumerated += 1
-        for u, v in embedding.items():
-            images[u].add(v)
+    for embedding in backtrack_embeddings(
+        graph,
+        pattern,
+        order,
+        induced=False,
+        conditions=symmetry_conditions(pattern),
+        rank=csr_view(graph).id_of,
+    ):
+        enumerated += group_size
+        for image, orbit in zip(images, node_orbits):
+            for u in orbit:
+                image.add(embedding[u])
         if all(len(s) >= threshold for s in images):
             return SupportEstimate(threshold, budget_hit=False)
         if embedding_budget is not None and enumerated >= embedding_budget:

@@ -60,6 +60,20 @@ def test_set_iteration_in_learning_flagged(tree):
     assert "unordered-iter" in tree.rules_fired(["unordered-iter"])
 
 
+def test_set_iteration_in_mining_flagged(tree):
+    # the miner's orbit and image sets decide which patterns are
+    # frequent, so nothing may be read back out of a set in set order
+    tree.write(
+        "mining/support.py",
+        """\
+        def orbit_images(rows, orbit):
+            members = set(orbit)
+            return [row[u] for row in rows for u in members]
+        """,
+    )
+    assert "unordered-iter" in tree.rules_fired(["unordered-iter"])
+
+
 def test_list_of_set_flagged(tree):
     tree.write(
         "serving/merge.py",

@@ -1,5 +1,7 @@
 """Tests for schema-driven pattern enumeration."""
 
+import pytest
+
 from repro.metagraph.canonical import canonical_form
 from repro.metagraph.metagraph import metapath
 from repro.mining.enumerate import enumerate_patterns, single_edge_patterns
@@ -71,3 +73,17 @@ class TestEnumeratePatterns:
     def test_sizes_respected(self):
         patterns = enumerate_patterns([("school", "user")], max_nodes=5)
         assert all(2 <= m.size <= 5 for m in patterns)
+
+    @pytest.mark.parametrize(
+        ("bounds", "message"),
+        [
+            ({"max_nodes": 1}, "max_nodes must be >= 2"),
+            ({"max_nodes": 0}, "max_nodes must be >= 2"),
+            ({"max_edges": 0}, "max_edges must be None or >= 1"),
+        ],
+    )
+    def test_bounds_no_pattern_can_meet_rejected(self, bounds, message):
+        # every pattern has two nodes and an edge: a bound below that
+        # used to return the single-edge seeds anyway
+        with pytest.raises(ValueError, match=message):
+            enumerate_patterns([("school", "user")], **bounds)

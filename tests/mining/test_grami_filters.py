@@ -109,6 +109,40 @@ class TestGramiMiner:
         assert result.patterns  # something frequent must exist
 
 
+class TestMinerConfigValidation:
+    @pytest.mark.parametrize(
+        ("knobs", "message"),
+        [
+            ({"max_nodes": 1}, "max_nodes must be >= 2"),
+            ({"max_nodes": 0}, "max_nodes must be >= 2"),
+            ({"max_edges": 0}, "max_edges must be None or >= 1"),
+            ({"min_support": 0}, "min_support must be >= 1"),
+            ({"min_support": -3}, "min_support must be >= 1"),
+            ({"embedding_budget": 0}, "embedding_budget must be >= 1"),
+        ],
+    )
+    def test_nonsense_knobs_rejected(self, knobs, message):
+        with pytest.raises(ValueError, match=message):
+            MinerConfig(**knobs)
+
+    def test_smallest_valid_bounds_accepted(self, toy_graph):
+        config = MinerConfig(
+            max_nodes=2, max_edges=1, min_support=1, embedding_budget=1
+        )
+        result = GramiMiner(config).mine(toy_graph)
+        assert result.patterns
+        assert all(m.size == 2 and m.num_edges == 1 for m in result.patterns)
+
+    def test_index_build_rejects_max_nodes_1(self, tmp_path, capsys):
+        from repro.cli import main
+
+        target = tmp_path / "idx"
+        assert main(["index", "build", "--max-nodes", "1", "--out", str(target)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["[index] invalid miner settings: max_nodes must be >= 2, got 1"]
+        assert not target.exists()
+
+
 class TestPaperFilters:
     def test_symmetric_anchor_pattern_passes(self, toy_metagraphs):
         assert passes_paper_filters(toy_metagraphs["M1"])

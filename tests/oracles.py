@@ -8,8 +8,9 @@ Def. 3 as three dense dot products per pair, and the scalar ranker that
 scores one candidate at a time.  The same goes for the streamed
 ``Instance`` counter and the engine-generic Eq. 1–2 counting that the
 compiled kernel's embedding-matrix counter replaced, the pure-Python
-pinned enumeration the delta path's compiled one replaced, and the
-set-operation shard slicing the mask-based one replaced.
+pinned enumeration the delta path's compiled one replaced, the
+set-operation shard slicing the mask-based one replaced, and the
+miner's MNI support without symmetry breaking.
 Nothing under ``src/`` may import this module; tests reach into the
 ledger's private dicts on purpose (the ``private-ledger-read`` lint
 rule keeps the package itself from doing so).
@@ -23,8 +24,10 @@ from repro.index.instance_index import MetagraphCounts, _pair_key
 from repro.learning.model import require_valid_k
 from repro.matching.backtracking import backtrack_embeddings
 from repro.matching.base import deduplicate_instances
+from repro.matching.ordering import estimated_cost_order
 from repro.matching.partition import rooted_order
 from repro.metagraph.symmetry import anchor_symmetric_pairs
+from repro.mining.grami import SupportEstimate
 
 
 # ----------------------------------------------------------------------
@@ -262,6 +265,33 @@ def pinned_embeddings(graph, metagraph, pins, region=None):
                 pool[u] = set(region.get(metagraph.node_type(u), ()))
     order = rooted_order(graph, metagraph, next(iter(pins)))
     yield from backtrack_embeddings(graph, metagraph, order, candidate_pool=pool)
+
+
+# ----------------------------------------------------------------------
+# unbroken MNI support (the miner's symmetry-broken one replaced it)
+# ----------------------------------------------------------------------
+def unbroken_mni_support(
+    graph, pattern, threshold, embedding_budget=None, cardinalities=None
+) -> SupportEstimate:
+    """MNI support over *every* non-induced embedding, one at a time.
+
+    The reference for :func:`repro.mining.grami.mni_support`, with the
+    same signature and the same early exits: ``threshold`` once every
+    pattern node has that many distinct images, a budget hit after
+    ``embedding_budget`` embeddings.
+    """
+    order = estimated_cost_order(graph, pattern, cardinalities)
+    images: list[set] = [set() for _ in range(pattern.size)]
+    enumerated = 0
+    for embedding in backtrack_embeddings(graph, pattern, order, induced=False):
+        enumerated += 1
+        for u, v in embedding.items():
+            images[u].add(v)
+        if all(len(s) >= threshold for s in images):
+            return SupportEstimate(threshold, budget_hit=False)
+        if embedding_budget is not None and enumerated >= embedding_budget:
+            return SupportEstimate(min(len(s) for s in images), budget_hit=True)
+    return SupportEstimate(min(len(s) for s in images), budget_hit=False)
 
 
 # ----------------------------------------------------------------------
