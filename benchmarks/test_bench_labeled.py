@@ -15,6 +15,7 @@ import pytest
 from repro.datasets import generate_reactions
 from repro.index.parallel import build_index
 from repro.mining import MinerConfig, mine_catalog
+from tests.oracles import ledger
 
 REPEATS = 3  # independent kinded builds compared bit for bit
 
@@ -46,8 +47,8 @@ def test_kinded_builds_are_bit_identical(labeled_workload):
     builds = labeled_workload["kinded_builds"]
     first_vectors, first_index = builds[0]
     for vectors, index in builds[1:]:
-        assert vectors._node == first_vectors._node
-        assert vectors._pair == first_vectors._pair
+        assert ledger(vectors)[0] == ledger(first_vectors)[0]
+        assert ledger(vectors)[1] == ledger(first_vectors)[1]
         assert index.matched_ids() == first_index.matched_ids()
         for mg_id in first_index.matched_ids():
             assert index.num_instances(mg_id) == first_index.num_instances(mg_id)

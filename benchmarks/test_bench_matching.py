@@ -26,7 +26,7 @@ from repro.index.parallel import build_index
 from repro.matching import SymISOMatcher
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph, metapath
-from tests.oracles import ledger_column, reference_counts
+from tests.oracles import ledger, ledger_column, reference_counts
 
 NUM_USERS = 600
 GROUP_SIZE = 30
@@ -116,5 +116,5 @@ def test_compiled_counts_bit_identical(matching_workload):
     assert index.matched_ids() == frozenset(workload["reference"])
     for mg_id, reference in workload["reference"].items():
         assert index.num_instances(mg_id) == reference.num_instances
-        assert ledger_column(vectors._node, mg_id) == dict(reference.node_counts)
-        assert ledger_column(vectors._pair, mg_id) == dict(reference.pair_counts)
+        assert ledger_column(ledger(vectors)[0], mg_id) == dict(reference.node_counts)
+        assert ledger_column(ledger(vectors)[1], mg_id) == dict(reference.pair_counts)

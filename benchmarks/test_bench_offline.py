@@ -27,6 +27,7 @@ from repro.index.parallel import IndexBuildConfig, build_index
 from repro.index.persist import load_index, save_index
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph, metapath
+from tests.oracles import ledger
 
 NUM_USERS = 400
 GROUP_SIZE = 8
@@ -151,8 +152,8 @@ def test_parallel_build_speedup(offline_workload):
     )
     sequential = workload["vectors"]
     assert vectors.matched_ids == sequential.matched_ids
-    assert vectors._node == sequential._node
-    assert vectors._pair == sequential._pair
+    assert ledger(vectors)[0] == ledger(sequential)[0]
+    assert ledger(vectors)[1] == ledger(sequential)[1]
 
 
 def test_loaded_snapshot_serves_same_counts(offline_workload):

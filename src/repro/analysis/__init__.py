@@ -20,7 +20,7 @@ package machine-checks those invariants with AST-based checkers:
   only raise ``ReproError`` subclasses; no bare ``except:`` anywhere;
   no exception smuggling through broad handlers;
 - :mod:`~repro.analysis.api` — ``__all__`` consistency and annotated
-  public signatures; no reads of the count ledger's private fields
+  public signatures; no reads of the count store's private fields
   outside ``repro.index``.
 
 Run it as ``repro lint [PATHS]`` (text or ``--format json``), or from

@@ -18,8 +18,9 @@ breaks, so the checker pins the conventions:
 
 A second checker, ``private-ledger-read``, keeps one *internal*
 boundary: outside ``repro.index`` nothing may read
-:class:`~repro.index.vectors.MetagraphVectors`' private fields — the
-counts have one read path, ``vectors.compile()``.
+:class:`~repro.index.vectors.MetagraphVectors`' private state (the
+snapshot with its pending patch, and the matched ids) — the counts
+have one read path, ``vectors.compile()``.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ class ApiHygieneChecker(Checker):
 
 @register
 class LedgerPrivacyChecker(Checker):
-    """Only ``repro.index`` may look inside the ``MetagraphVectors`` ledger.
+    """Only ``repro.index`` may look inside the ``MetagraphVectors`` store.
 
     Readers of the Eq. 1–2 counts go through ``vectors.compile()``; an
     ``<expr>._field`` anywhere else (an object's own ``self._field``
@@ -205,10 +206,10 @@ class LedgerPrivacyChecker(Checker):
 
     rule = "private-ledger-read"
     description = (
-        "MetagraphVectors private field (_node/_pair/_matched/_compiled) "
-        "read outside repro.index; go through vectors.compile()"
+        "MetagraphVectors private field (_state/_matched) read outside "
+        "repro.index; go through vectors.compile()"
     )
-    fields = frozenset({"_node", "_pair", "_matched", "_compiled"})
+    fields = frozenset({"_state", "_matched"})
 
     def applies_to(self, src: SourceFile) -> bool:
         return not src.module.startswith("repro.index")
@@ -222,6 +223,6 @@ class LedgerPrivacyChecker(Checker):
             ):
                 yield self.finding(
                     src, node,
-                    f"`{ast.unparse(node)}` reaches into the count ledger's "
+                    f"`{ast.unparse(node)}` reaches into the count store's "
                     "private state; read counts through `vectors.compile()`",
                 )

@@ -679,7 +679,7 @@ def run_index(argv: list[str]) -> int:
         except SnapshotError as exc:
             print(f"[index] invalid snapshot at {args.path}: {exc}", file=sys.stderr)
             return 1
-        manifest, compiled = loaded.manifest, loaded.compiled
+        manifest, compiled = loaded.manifest, loaded.vectors.compile()
         print(f"[index] snapshot at {args.path} (verified)")
         print(f"  format version : {manifest['format_version']}")
         print(

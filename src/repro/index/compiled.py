@@ -1,32 +1,35 @@
-"""Compiled CSR form of the Eq. 1–2 counts: the one read path.
+"""The one store of the Eq. 1–2 counts: integer CSR arrays plus their floats.
 
-:class:`MetagraphVectors` keeps the counts as nested dicts, which is the
-right shape for incremental construction (dual-stage training and the
-delta path patch it in place) and is only ever written.  Every *reader*
-of m_x / m_xy — ranking, ``proximity``, ``explain``, the trainer's
-triplet stacks, the shard tier — goes through :class:`CompiledVectors`,
-which freezes the same counts into flat CSR-style numpy arrays
-(``indptr``/``indices``/``data`` — no scipy dependency):
+Every *reader* of m_x / m_xy — ranking, ``proximity``, ``explain``, the
+trainer's triplet stacks, the shard tier, the snapshot writer — goes
+through :class:`CompiledVectors`, which holds the counts as flat
+CSR-style numpy arrays (``indptr``/``indices`` plus the int64 counts and
+their transformed floats — no scipy dependency):
 
 - a node matrix of m_x rows over the *anchor universe* (every node with
   a non-zero count, sorted by ``repr`` so positions are deterministic);
 - one m_xy row per distinct anchor pair, plus a per-node adjacency that
   maps each node to its partner positions and their pair rows.
 
+The floats are derived from the integer counts through a *value table*
+(:func:`value_table`, :func:`float_view`): the transform runs once per
+distinct count and every count gathers its float, which is bit-identical
+to transforming each count on its own.  Snapshot loading derives the
+floats the same way (:mod:`repro.index.persist`).
+
 With a fixed weight vector ``w`` the whole store collapses to two dot
 arrays — ``node_dot_products(w)`` and ``pair_dot_products(w)``, each one
 O(nnz) pass — after which ranking a query is a slice plus a handful of
 vectorised operations: *a lookup, not a traversal* (Sect. II-B).
 
-The compiled arrays are read-only snapshots, and one method builds
-them, :meth:`CompiledVectors.splice`: it takes an older snapshot plus the
-ledger rows changed since, copies every untouched row intact with
-vectorised gathers, builds only the changed rows from the dicts, and
-places them by canonical position.  :meth:`MetagraphVectors.compile`
-splices the last snapshot after a delta (the cost follows the rows the
-delta touched), and a cold :meth:`CompiledVectors.build` is the splice
-from an empty snapshot with every row dirty.  Either way the arrays are
-identical to what a cold build over the same ledger produces.
+The arrays are read-only snapshots, and one method builds them,
+:meth:`CompiledVectors.splice`: it takes an older snapshot plus integer
+count changes, copies every untouched row intact with vectorised
+gathers, rebuilds only the patched rows, and places them by canonical
+position.
+:meth:`~repro.index.vectors.MetagraphVectors.compile` splices the last
+snapshot after a delta (the cost follows the rows the delta touched),
+and a cold build is the splice of an empty snapshot.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
 
 import numpy as np
 
@@ -73,47 +77,61 @@ def csr_dot_products(
     )
 
 
-CSR = tuple[np.ndarray, np.ndarray, np.ndarray]
+# a CSR matrix: indptr, then its per-nonzero columns (indices, counts, data)
+CSR = tuple[np.ndarray, ...]
+# a pair of node keys lo <= hi packs into one int64 as lo * PAIR_STRIDE + hi
+PAIR_STRIDE = 1 << 31
 
 
-def _csr_from_rows(rows: Sequence[Mapping[int, int]], transform: Transform) -> CSR:
-    """Stack sparse {mg_id: count} rows into (indptr, indices, data)."""
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    indices: list[int] = []
-    data: list[float] = []
-    for r, row in enumerate(rows):
-        for mg_id in sorted(row):
-            indices.append(mg_id)
-            data.append(transform(row[mg_id]))
-        indptr[r + 1] = len(indices)
-    return (
-        indptr,
-        np.asarray(indices, dtype=np.int64),
-        np.asarray(data, dtype=np.float64),
+def value_table(counts: np.ndarray, transform: Transform) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct count (ascending) next to its transformed float."""
+    distinct = np.unique(counts).astype(np.int64)
+    floats = np.asarray(
+        [transform(count) for count in distinct.tolist()], dtype=np.float64
     )
+    return distinct, floats
+
+
+def _find_sorted(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """The index of every wanted value in the ascending ``keys`` (-1: absent)."""
+    if not len(keys):
+        return np.full(len(wanted), -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return np.where(keys[at] == wanted, at, -1)
+
+
+def float_view(counts: np.ndarray, distinct: np.ndarray, floats: np.ndarray) -> np.ndarray:
+    """The float of every count, gathered through a value table.
+
+    Raises :class:`ValueError` when a count is not in the table.
+    """
+    at = _find_sorted(distinct, counts)
+    if (at < 0).any():
+        raise ValueError("a count is missing from the value table")
+    return floats[at]
 
 
 def splice_csr_rows(base: CSR, source: np.ndarray, fresh: CSR) -> CSR:
     """A new CSR matrix whose every row is copied intact from one of two.
 
-    Output row ``i`` is row ``source[i]`` of ``base``; where
-    ``source[i]`` is -1 it is the next unused row of ``fresh`` instead,
-    so ``fresh`` lists its rows in output order.  Nonzero order within a
-    row is preserved, which keeps every per-row dot product bit-identical
-    to the matrix the row came from.  With no fresh rows only the
-    gathered rows of ``base`` are read (a memory-mapped base pages in
-    nothing else).
+    ``base`` and ``fresh`` are ``(indptr, *columns)`` with the same
+    columns (``indices``, ``data``, ...).  Output row ``i`` is row
+    ``source[i]`` of ``base``; where ``source[i]`` is -1 it is the next
+    unused row of ``fresh`` instead, so ``fresh`` lists its rows in
+    output order.  Nonzero order within a row is preserved, which keeps
+    every per-row dot product bit-identical to the matrix the row came
+    from.  With no fresh rows only the gathered rows of ``base`` are
+    read (a memory-mapped base pages in nothing else).
     """
-    indptr, indices, data = base
-    fresh_indptr, fresh_indices, fresh_data = fresh
+    indptr, *columns = base
+    fresh_indptr, *fresh_columns = fresh
     # number the fresh rows after the base's, as if stacked under it
     rows = np.array(source, dtype=np.int64)
     stacked = rows < 0
     rows[stacked] = len(indptr) - 1 + np.arange(np.count_nonzero(stacked))
     if len(fresh_indptr) > 1:
         indptr = np.concatenate([indptr, fresh_indptr[1:] + indptr[-1]])
-        indices = np.concatenate([indices, fresh_indices])
-        data = np.concatenate([data, fresh_data])
+        columns = [np.concatenate(pair) for pair in zip(columns, fresh_columns)]
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
     out_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
@@ -122,12 +140,12 @@ def splice_csr_rows(base: CSR, source: np.ndarray, fresh: CSR) -> CSR:
     # offset within the row
     at = np.repeat(starts - out_indptr[:-1], lengths)
     at += np.arange(len(at), dtype=np.int64)
-    return out_indptr, np.asarray(indices[at]), np.asarray(data[at])
+    return (out_indptr, *(np.asarray(column[at]) for column in columns))
 
 
 def take_csr_rows(csr: CSR, rows: np.ndarray) -> CSR:
     """Gather whole CSR rows (nonzero order preserved) into a new CSR."""
-    none = (np.zeros(1, dtype=np.int64), csr[1][:0], csr[2][:0])
+    none = (np.zeros(1, dtype=np.int64), *(column[:0] for column in csr[1:]))
     return splice_csr_rows(csr, rows, none)
 
 
@@ -146,33 +164,72 @@ def _merge_positions(at: np.ndarray, num_kept: int) -> tuple[np.ndarray, np.ndar
     )
 
 
+def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique non-negative keys, their values added up; zero sums dropped."""
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    if len(keys):
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        keys, values = keys[starts], np.add.reduceat(values, starts)
+    nonzero = values != 0
+    return keys[nonzero], values[nonzero]
+
+
+def patched_rows(
+    matrix: CSR,
+    patch: np.ndarray,
+    base_rows: Callable[[np.ndarray], np.ndarray],
+    catalog_size: int,
+) -> tuple[np.ndarray, np.ndarray, CSR]:
+    """The rows a patch touches, as they read after it.
+
+    ``patch`` rows are ``(key, mg_id, delta)``; ``base_rows`` maps the
+    sorted distinct keys to their rows of ``matrix`` (-1: none).
+    Returns the keys, their base rows and an ``(indptr, indices,
+    counts)`` CSR of one row per key (empty where every count is 0).
+    """
+    keys, item = np.unique(patch[:, 0], return_inverse=True)
+    rows = base_rows(keys)
+    have = np.flatnonzero(rows >= 0)
+    base = take_csr_rows(matrix[:3], rows[have])
+    code, counts = _summed(
+        np.concatenate([np.repeat(have, np.diff(base[0])), item.ravel()]) * catalog_size
+        + np.concatenate([base[1], patch[:, 1]]),
+        np.concatenate([base[2], patch[:, 2]]),
+    )
+    indptr = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(code // catalog_size, minlength=len(keys)), out=indptr[1:])
+    return keys, rows, (indptr, code % catalog_size, counts)
+
+
 class CompiledVectors:
-    """Read-only CSR snapshot of a :class:`MetagraphVectors` store."""
+    """Read-only CSR snapshot of the Eq. 1–2 counts and their floats."""
 
     def __init__(
         self,
         nodes: tuple[NodeId, ...],
-        node_csr: CSR,
-        pair_csr: CSR,
+        node_rows: CSR,
+        pair_rows: CSR,
         pair_ptr: np.ndarray,
         partner_pos: np.ndarray,
         entry_pair: np.ndarray,
         catalog_size: int,
     ):
         self.nodes = nodes
-        self.node_indptr, self.node_indices, self.node_data = node_csr
-        self.pair_indptr, self.pair_indices, self.pair_data = pair_csr
+        self.node_indptr, self.node_indices, self.node_count, self.node_data = node_rows
+        self.pair_indptr, self.pair_indices, self.pair_count, self.pair_data = pair_rows
         self.pair_ptr = pair_ptr
         self.partner_pos = partner_pos
         self.entry_pair = entry_pair
         self.catalog_size = catalog_size
-        self._pos = {node: i for i, node in enumerate(nodes)}
+        # node -> row, built on first use (a splice that keeps the
+        # universe hands its predecessor's over), and the pair ends
+        self._pos: dict[NodeId, int] | None = None
+        self._ends: tuple[np.ndarray, np.ndarray] | None = None
         self._node_rows = csr_row_index(self.node_indptr)
         self._pair_rows = csr_row_index(self.pair_indptr)
         for array in (
-            self.node_indptr, self.node_indices, self.node_data,
-            self.pair_indptr, self.pair_indices, self.pair_data,
-            self.pair_ptr, self.partner_pos, self.entry_pair,
+            *node_rows, *pair_rows, self.pair_ptr, self.partner_pos, self.entry_pair,
         ):
             array.setflags(write=False)
 
@@ -184,145 +241,106 @@ class CompiledVectors:
         """The snapshot of a store with no counts at all."""
         start = np.zeros(1, dtype=np.int64)
         ints = np.zeros(0, dtype=np.int64)
-        floats = np.zeros(0, dtype=np.float64)
-        empty = (start, ints, floats)
+        empty = (start, ints, ints, np.zeros(0, dtype=np.float64))
         return cls((), empty, empty, start, ints, ints, catalog_size)
-
-    @classmethod
-    def build(
-        cls,
-        node_counts: Mapping[NodeId, Mapping[int, int]],
-        pair_counts: Mapping[tuple[NodeId, NodeId], Mapping[int, int]],
-        catalog_size: int,
-        transform: Transform = identity,
-    ) -> "CompiledVectors":
-        """Freeze the sparse dict store into CSR arrays.
-
-        The splice from an empty snapshot with every row dirty: a cold
-        build is the degenerate case of the one way to build.
-        """
-        return cls.empty(catalog_size).splice(
-            node_counts,
-            pair_counts,
-            dict.fromkeys(node_counts, True),
-            pair_counts,
-            transform,
-        )
 
     def splice(
         self,
-        node_counts: Mapping[NodeId, Mapping[int, int]],
-        pair_counts: Mapping[tuple[NodeId, NodeId], Mapping[int, int]],
-        dirty_nodes: Mapping[NodeId, bool],
-        dirty_pairs: Iterable[tuple[NodeId, NodeId]],
+        entering: Sequence[NodeId],
+        node_patch: np.ndarray,
+        pair_patch: np.ndarray,
         transform: Transform = identity,
     ) -> "CompiledVectors":
-        """This snapshot with the rows the ledger changed since rebuilt.
+        """This snapshot with integer count changes applied.
 
-        ``node_counts`` / ``pair_counts`` are the ledger now.
-        ``dirty_nodes`` names every node whose m_x row changed since this
-        snapshot was taken, mapped to whether its ledger row was
-        (re)created since, in ledger insertion order among the created
-        ones; ``dirty_pairs`` names every changed pair.  Only those rows
-        are built from the dicts.  Every other row is copied intact, and
-        the result is array-identical to :meth:`build` over the same
-        ledger, so the cost is the touched rows plus a few vectorised
-        O(nnz) passes.
+        The changes are in this snapshot's key space: node key ``k``
+        below ``num_nodes`` is row ``k``, key ``num_nodes + i`` is
+        ``entering[i]``, a node with no row yet.  ``node_patch`` rows
+        are ``(key, mg_id, delta)``, ``pair_patch`` rows ``(lo *
+        PAIR_STRIDE + hi, mg_id, delta)`` for node keys ``lo <= hi``; a
+        key may repeat, its deltas add up.  Only the patched rows are
+        rebuilt (their floats through one value table of their counts);
+        every other row is copied intact, and the result is
+        array-identical to a cold build of the same counts, so the cost
+        is the touched rows plus a few vectorised O(nnz) passes.  Rows
+        that end up empty leave; entering nodes take their ``repr``
+        position (:meth:`_merged_universe`).
         """
-        old_pos = self._pos
-        # -- the anchor universe: who leaves, who (re)enters -----------
-        leaving = [
-            old_pos[node]
-            for node, created in dirty_nodes.items()
-            if node in old_pos and (created or node not in node_counts)
-        ]
-        entering = [
-            node for node, created in dirty_nodes.items() if created and node in node_counts
-        ]
-        moved: np.ndarray | None = None
-        if leaving or entering:
-            nodes, moved = self._merged_universe(leaving, entering)
-            pos = {node: i for i, node in enumerate(nodes)}
-        else:
-            nodes, pos = self.nodes, old_pos
-        n = len(nodes)
+        if not len(node_patch) and not len(pair_patch):
+            return self
+        n, size = self.num_nodes, self.catalog_size
 
-        # -- m_x rows ---------------------------------------------------
-        rebuilt = [node for node in dirty_nodes if node in node_counts]
-        rebuilt_at = np.asarray([pos[node] for node in rebuilt], dtype=np.int64)
-        in_row_order = np.argsort(rebuilt_at)
-        if moved is None:
-            source = np.arange(n, dtype=np.int64)
+        # -- m_x: the patched rows, who leaves, who enters ---------------
+        node_keys, _, node_fresh = patched_rows(
+            self._node_table, node_patch, lambda keys: np.where(keys < n, keys, -1), size
+        )
+        filled = np.diff(node_fresh[0]) > 0
+        leaving = node_keys[(node_keys < n) & ~filled]
+        arriving = node_keys[(node_keys >= n) & filled]
+        key_pos = np.full(n + len(entering), -1, dtype=np.int64)
+        moved: np.ndarray | None = None
+        if len(leaving) or len(arriving):
+            nodes, moved, key_pos[arriving] = self._merged_universe(
+                leaving, [entering[k - n] for k in arriving.tolist()]
+            )
+            key_pos[:n] = moved
         else:
-            source = np.full(n, -1, dtype=np.int64)
+            nodes = self.nodes
+            key_pos[:n] = np.arange(n, dtype=np.int64)
+        new_n = len(nodes)
+        rebuilt_at = key_pos[node_keys[filled]]
+        node_fresh = take_csr_rows(node_fresh, np.flatnonzero(filled)[np.argsort(rebuilt_at)])
+
+        # -- m_xy: the patched pairs, fresh rows in canonical order -------
+        old_a, old_b = self.pair_ends()
+        pair_keys, stale, pair_fresh = patched_rows(
+            self._pair_table, pair_patch, partial(_find_sorted, old_a * PAIR_STRIDE + old_b), size
+        )
+        live = np.flatnonzero(np.diff(pair_fresh[0]) > 0)
+        ends = key_pos[np.stack(np.divmod(pair_keys[live], PAIR_STRIDE))]
+        fresh_a, fresh_b = ends.min(axis=0), ends.max(axis=0)
+        order = np.argsort(fresh_a * new_n + fresh_b)
+        fresh_a, fresh_b = fresh_a[order], fresh_b[order]
+        pair_fresh = take_csr_rows(pair_fresh, live[order])
+
+        # -- floats of the rebuilt rows, one value table -----------------
+        distinct, floats = value_table(
+            np.concatenate([node_fresh[2], pair_fresh[2]]), transform
+        )
+        node_fresh = (*node_fresh, float_view(node_fresh[2], distinct, floats))
+        pair_fresh = (*pair_fresh, float_view(pair_fresh[2], distinct, floats))
+
+        # -- m_x rows in universe order ----------------------------------
+        if moved is None:
+            source = np.arange(new_n, dtype=np.int64)
+        else:
+            source = np.full(new_n, -1, dtype=np.int64)
             stays = np.flatnonzero(moved >= 0)
             source[moved[stays]] = stays
         source[rebuilt_at] = -1
-        node_csr = splice_csr_rows(
-            self.node_csr,
-            source,
-            _csr_from_rows(
-                [node_counts[rebuilt[i]] for i in in_row_order.tolist()], transform
-            ),
-        )
+        node_rows = splice_csr_rows(self._node_table, source, node_fresh)
 
         # -- m_xy rows, ordered by their canonical (a, b) positions ------
-        old_a, old_b = self.pair_ends()
-        old_n = max(self.num_nodes, 1)
-        stale: list[int] = []
-        fresh_keys: list[tuple[NodeId, NodeId]] = []
-        fresh_ends: list[int] = []
-        for key in dirty_pairs:
-            x, y = key
-            i, j = old_pos.get(x), old_pos.get(y)
-            if i is not None and j is not None:
-                stale.append(min(i, j) * old_n + max(i, j))
-            if key in pair_counts:
-                try:
-                    fresh_ends += (pos[x], pos[y])
-                except KeyError as exc:  # a pair member without an m_x row
-                    raise CatalogMismatchError(
-                        f"pair count references node {exc.args[0]!r} with no node count"
-                    ) from None
-                fresh_keys.append(key)
-        ends = np.asarray(fresh_ends, dtype=np.int64).reshape(-1, 2)
-        fresh_a, fresh_b = ends.min(axis=1), ends.max(axis=1)
-        fresh_order = np.argsort(fresh_a * n + fresh_b)
-        fresh_a, fresh_b = fresh_a[fresh_order], fresh_b[fresh_order]
-        fresh_keys = [fresh_keys[i] for i in fresh_order.tolist()]
-        # the base rows of changed pairs (a brand-new pair has none)
         keep = np.ones(self.num_pairs, dtype=bool)
-        if stale:
-            old_keys = old_a * old_n + old_b
-            stale_keys = np.asarray(stale, dtype=np.int64)
-            at = np.searchsorted(old_keys, stale_keys)
-            found = at < len(old_keys)
-            found[found] = old_keys[at[found]] == stale_keys[found]
-            keep[at[found]] = False
+        keep[stale[stale >= 0]] = False
         kept = np.flatnonzero(keep)
         kept_a, kept_b = old_a[kept], old_b[kept]
         if moved is not None:
             # a monotone remap: kept rows stay in canonical order
             kept_a, kept_b = moved[kept_a], moved[kept_b]
-            if len(kept) and min(kept_a.min(), kept_b.min()) < 0:
-                raise CatalogMismatchError(
-                    "pair count references a node with no node count"
-                )
         kept_rows, fresh_rows = _merge_positions(
-            np.searchsorted(kept_a * n + kept_b, fresh_a * n + fresh_b), len(kept)
+            np.searchsorted(kept_a * new_n + kept_b, fresh_a * new_n + fresh_b), len(kept)
         )
-        num_pairs = len(kept) + len(fresh_keys)
+        num_pairs = len(kept) + len(fresh_a)
         source = np.full(num_pairs, -1, dtype=np.int64)
         source[kept_rows] = kept
         ends_a = np.empty(num_pairs, dtype=np.int64)
         ends_b = np.empty(num_pairs, dtype=np.int64)
         ends_a[kept_rows], ends_b[kept_rows] = kept_a, kept_b
         ends_a[fresh_rows], ends_b[fresh_rows] = fresh_a, fresh_b
-        pair_csr = splice_csr_rows(
-            self.pair_csr,
-            source,
-            _csr_from_rows([pair_counts[key] for key in fresh_keys], transform),
-        )
+        if num_pairs and min(ends_a.min(), ends_b.min()) < 0:
+            raise CatalogMismatchError("pair count references a node with no node count")
+        pair_rows = splice_csr_rows(self._pair_table, source, pair_fresh)
 
         # -- adjacency: every pair row listed under both of its members
         # (a self-pair once), each node's partners in ascending position;
@@ -332,48 +350,53 @@ class CompiledVectors:
         mirrored = ends_a != ends_b
         owner = np.concatenate([ends_a, ends_b[mirrored]])
         partner = np.concatenate([ends_b, ends_a[mirrored]])
-        order = np.argsort(owner * n + partner)
-        pair_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner, minlength=n), out=pair_ptr[1:])
-        return CompiledVectors(
+        order = np.argsort(owner * new_n + partner)
+        pair_ptr = np.zeros(new_n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=new_n), out=pair_ptr[1:])
+        spliced = CompiledVectors(
             nodes,
-            node_csr,
-            pair_csr,
+            node_rows,
+            pair_rows,
             pair_ptr,
             partner[order],
             np.concatenate([rows, rows[mirrored]])[order],
-            self.catalog_size,
+            size,
         )
+        spliced._ends = (ends_a, ends_b)
+        if moved is None:
+            spliced._pos = self._pos
+        return spliced
 
     def _merged_universe(
-        self, leaving: Sequence[int], entering: Sequence[NodeId]
-    ) -> tuple[tuple[NodeId, ...], np.ndarray]:
+        self, leaving: np.ndarray, entering: Sequence[NodeId]
+    ) -> tuple[tuple[NodeId, ...], np.ndarray, np.ndarray]:
         """The universe without ``leaving`` and with ``entering``.
 
-        Returns the new node tuple and every old position's new one (-1
-        for a node that left).  Survivors keep their relative order;
-        entering nodes go in at their ``repr`` position, after every
-        survivor they tie with and in the given order among themselves —
-        exactly where a cold ``sorted(ledger, key=repr)`` puts them,
-        since a (re)created ledger row is inserted after all survivors.
+        Returns the new node tuple, every old position's new one (-1 for
+        a node that left) and every entering node's.  Survivors keep
+        their relative order; entering nodes go in at their ``repr``
+        position, after every survivor they tie with and in the given
+        order among themselves.
         """
         survives = np.ones(self.num_nodes, dtype=bool)
-        survives[list(leaving)] = False
+        survives[leaving] = False
         survivors = np.flatnonzero(survives)
         kept = [self.nodes[i] for i in survivors.tolist()]
-        entering = sorted(entering, key=repr)
+        order = sorted(range(len(entering)), key=lambda i: repr(entering[i]))
         at = np.asarray(
-            [bisect_right(kept, repr(node), key=repr) for node in entering],
+            [bisect_right(kept, repr(entering[i]), key=repr) for i in order],
             dtype=np.int64,
         )
         kept_at, entering_at = _merge_positions(at, len(kept))
         merged = list(kept)
         # ascending final positions: each insert lands where it belongs
-        for i, node in zip(entering_at.tolist(), entering):
-            merged.insert(i, node)
+        for i, k in zip(entering_at.tolist(), order):
+            merged.insert(i, entering[k])
         moved = np.full(self.num_nodes, -1, dtype=np.int64)
         moved[survivors] = kept_at
-        return tuple(merged), moved
+        entered_at = np.empty(len(entering), dtype=np.int64)
+        entered_at[order] = entering_at
+        return tuple(merged), moved, entered_at
 
     # ------------------------------------------------------------------
     # shape
@@ -399,13 +422,24 @@ class CompiledVectors:
     def pair_csr(self) -> CSR:
         return self.pair_indptr, self.pair_indices, self.pair_data
 
+    @property
+    def _node_table(self) -> CSR:
+        return self.node_indptr, self.node_indices, self.node_count, self.node_data
+
+    @property
+    def _pair_table(self) -> CSR:
+        return self.pair_indptr, self.pair_indices, self.pair_count, self.pair_data
+
     def pair_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """The (smaller, larger) member position of every pair row.
 
         The adjacency lists each pair row under both of its ends (a self
         pair once); the entries owned by the smaller end name every row
-        exactly once, so one vectorised pass recovers both ends.
+        exactly once, so one vectorised pass recovers both ends.  A
+        splice hands the ends it placed its rows by to its result.
         """
+        if self._ends is not None:
+            return self._ends
         owner = csr_row_index(self.pair_ptr)
         first = owner <= self.partner_pos
         rows = self.entry_pair[first]
@@ -449,7 +483,10 @@ class CompiledVectors:
 
     def position(self, node: NodeId) -> int | None:
         """Row of a node in the anchor universe (None if absent)."""
-        return self._pos.get(node)
+        pos = self._pos
+        if pos is None:
+            pos = self._pos = {node: i for i, node in enumerate(self.nodes)}
+        return pos.get(node)
 
     def candidates_of(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(partner positions, pair-row ids) of the node at row ``i``."""
@@ -470,6 +507,21 @@ class CompiledVectors:
         if at < len(partners) and partners[at] == j:
             return int(rows[at])
         return None
+
+    def pair_rows(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`pair_row` over node rows ``i`` and ``j`` (-1: none).
+
+        Reads only the candidate slices of the rows ``i`` names.
+        """
+        have = np.flatnonzero(i >= 0)
+        indptr, partners, rows = take_csr_rows(
+            (self.pair_ptr, self.partner_pos, self.entry_pair), i[have]
+        )
+        owner = np.repeat(have, np.diff(indptr))
+        hit = partners == j[owner]
+        out = np.full(len(i), -1, dtype=np.int64)
+        out[owner[hit]] = rows[hit]
+        return out
 
     # ------------------------------------------------------------------
     # the two O(nnz) passes that make serving a lookup

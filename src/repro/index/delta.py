@@ -35,9 +35,9 @@ mutation.  This module keeps the Eq. 1–2 counts exact under edits
    :meth:`InstanceIndex.patch`).  The result is bit-identical to a
    from-scratch rebuild on the mutated graph — the property suite in
    ``tests/index/test_delta.py`` asserts exactly that over randomized
-   edit sequences.  The ledger records the rows it patched, so the
-   next :meth:`MetagraphVectors.compile` splices just those rows into
-   the last compiled snapshot.
+   edit sequences.  The store queues the changes as an integer patch,
+   so the next :meth:`MetagraphVectors.compile` splices just the
+   touched rows into the last compiled snapshot.
 
 Edits are described by :class:`GraphEdit` values collected in a
 :class:`GraphDelta`; :func:`apply_delta` applies them to the graph and

@@ -2,11 +2,11 @@
 
 For each metagraph we need, per Eq. 1–2:
 
-- ``pair_counts[(x, y)]`` — the number of instances containing both
-  ``x`` and ``y`` at symmetric anchor positions (unordered pair, each
-  instance counted once per distinct pair it realises);
-- ``node_counts[x]`` — the number of instances containing ``x`` at a
-  symmetric anchor position (each instance counted once per distinct
+- the pair count of ``(x, y)`` — the number of instances containing
+  both ``x`` and ``y`` at symmetric anchor positions (unordered pair,
+  each instance counted once per distinct pair it realises);
+- the node count of ``x`` — the number of instances containing ``x`` at
+  a symmetric anchor position (each instance counted once per distinct
   node).
 
 The symmetric-position pairs of an instance are derived from one witness
@@ -16,16 +16,19 @@ set of symmetric pattern-node pairs is invariant under automorphisms
 involutive automorphism).
 
 One function produces the counts: :func:`count_embeddings` turns an
-embedding matrix of the compiled kernel into :class:`MetagraphCounts`.
-The offline build (:func:`~repro.index.parallel.build_index`) feeds it
-a whole metagraph's matrix through :func:`compiled_match_and_count`;
-the delta path (:mod:`repro.index.delta`) feeds it the concatenated
-pinned matrices of its localized re-matching.
+embedding matrix of the compiled kernel into :class:`MetagraphCounts`,
+integer arrays over a table of the original node ids.  The offline
+build (:func:`~repro.index.parallel.build_index`) feeds it a whole
+metagraph's matrix through :func:`compiled_match_and_count`; the delta
+path (:mod:`repro.index.delta`) feeds it the concatenated pinned
+matrices of its localized re-matching.  Both hand the arrays to
+:class:`~repro.index.vectors.MetagraphVectors` as they are.
+
+:class:`InstanceIndex` keeps the other per-metagraph figure, ``|I(M)|``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
@@ -38,23 +41,23 @@ from repro.matching.compiled import compiled_embedding_matrix
 from repro.metagraph.metagraph import Metagraph
 from repro.metagraph.symmetry import anchor_symmetric_pairs
 
-Pair = tuple[NodeId, NodeId]
 
-
-def _pair_key(x: NodeId, y: NodeId) -> Pair:
-    try:
-        return (x, y) if x <= y else (y, x)  # type: ignore[operator]
-    except TypeError:
-        return (x, y) if repr(x) <= repr(y) else (y, x)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MetagraphCounts:
-    """Eq. 1–2 counts for one metagraph."""
+    """Eq. 1–2 counts for one metagraph, as integer arrays.
+
+    ``nodes`` is the node table: every anchor node with a count, in the
+    dense-id order of the graph view the counts were taken on.
+    ``node_count[i]`` is the count of ``nodes[i]``; pair ``k`` joins
+    ``nodes[pairs[k, 0]]`` and ``nodes[pairs[k, 1]]`` and has count
+    ``pair_count[k]``.
+    """
 
     num_instances: int = 0
-    node_counts: Counter = field(default_factory=Counter)
-    pair_counts: Counter = field(default_factory=Counter)
+    nodes: tuple[NodeId, ...] = ()
+    node_count: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    pairs: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
+    pair_count: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
 
 def count_embeddings(
@@ -73,23 +76,19 @@ def count_embeddings(
     (for the pinned path, and as a safety net for the offline one),
     symmetric anchor pairs are encoded as single integers and tallied
     by a second ``np.unique``, and original node ids are decoded once
-    per *unique* pair or node.  The pair set
-    of an instance does not depend on which witness row ``np.unique``
-    keeps (symmetric pattern-node pairs are closed under automorphisms
-    — see the module docstring).
+    per *unique* node.  The pair set of an instance does not depend on
+    which witness row ``np.unique`` keeps (symmetric pattern-node pairs
+    are closed under automorphisms — see the module docstring).
     """
-    counts = MetagraphCounts()
     if embeddings.shape[0] == 0:
-        return counts
+        return MetagraphCounts()
     keys = np.sort(embeddings, axis=1)
     _, first = np.unique(keys, axis=0, return_index=True)
-    counts.num_instances = int(first.size)
     if not sym_pairs:
         # No symmetric anchor pair: the metagraph cannot contribute to
         # anchor-anchor proximity (Eq. 1 is empty) — only |I(M)| counts.
-        return counts
+        return MetagraphCounts(num_instances=int(first.size))
     witnesses = embeddings[first]
-    node_ids = csr.node_ids
     # dense ids are int32, so an unordered pair packs into one int64
     # (lo * stride + hi < 2^62) with no overflow risk; the *instance*
     # dimension is deliberately NOT packed into the same scalar — that
@@ -108,12 +107,6 @@ def count_embeddings(
     keep[1:] = (rows[1:] != rows[:-1]) | (code[1:] != code[:-1])  # pair once
     rows, code = rows[keep], code[keep]
     uniq_codes, pair_tallies = np.unique(code, return_counts=True)
-    counts.pair_counts.update(
-        {
-            _pair_key(node_ids[c // stride], node_ids[c % stride]): count
-            for c, count in zip(uniq_codes.tolist(), pair_tallies.tolist())
-        }
-    )
     # ... and each node once, however many of its pairs the instance has
     node_rows = np.concatenate([rows, rows])
     node_vals = np.concatenate([code // stride, code % stride])
@@ -122,13 +115,15 @@ def count_embeddings(
     keep = np.ones(node_rows.size, dtype=bool)
     keep[1:] = (node_rows[1:] != node_rows[:-1]) | (node_vals[1:] != node_vals[:-1])
     uniq_nodes, node_tallies = np.unique(node_vals[keep], return_counts=True)
-    counts.node_counts.update(
-        {
-            node_ids[c]: count
-            for c, count in zip(uniq_nodes.tolist(), node_tallies.tolist())
-        }
+    node_ids = csr.node_ids
+    ends = np.stack([uniq_codes // stride, uniq_codes % stride], axis=1)
+    return MetagraphCounts(
+        num_instances=int(first.size),
+        nodes=tuple(node_ids[c] for c in uniq_nodes.tolist()),
+        node_count=node_tallies.astype(np.int64),
+        pairs=np.searchsorted(uniq_nodes, ends).astype(np.int64),
+        pair_count=pair_tallies.astype(np.int64),
     )
-    return counts
 
 
 def compiled_match_and_count(
@@ -148,8 +143,8 @@ class InstanceIndex:
     Dual-stage training matches only a subset of the catalog; the index
     records which metagraph ids have been matched so downstream code can
     distinguish "zero count" from "never matched".  The Eq. 1–2 counts
-    themselves live in one place, the
-    :class:`~repro.index.vectors.MetagraphVectors` ledger.
+    themselves live in one place, the integer arrays of
+    :class:`~repro.index.vectors.MetagraphVectors`.
     """
 
     def __init__(self, catalog_size: int, anchor_type: str = "user"):

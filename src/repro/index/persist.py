@@ -18,14 +18,15 @@ into one directory:
   :func:`load_compiled` opens with ``mmap_mode="r"``, so co-hosted
   serving workers share the mapped pages.
 
-The integer counts are the only copy of the data; the float view every
-reader scores against is derived when the snapshot is loaded, by one
-lookup through the value table (:func:`_float_view`).
-:func:`load_compiled` uses the recorded table, so a shard worker never
-needs the transform callable; :func:`load_index` builds the table with
-its own transform — the same Python function on the same integers as
-:meth:`MetagraphVectors.compile`, hence the same bits — and rebuilds the
-count ledger from the same arrays.
+The integer counts are the only copy of the data, written as the store
+holds them; the float view every reader scores against is derived when
+the snapshot is loaded, by one lookup through the value table
+(:func:`~repro.index.compiled.float_view`).  :func:`load_compiled` uses
+the recorded table, so a shard worker never needs the transform
+callable; :func:`load_index` builds the table with its own transform —
+the same Python function on the same integers as
+:meth:`MetagraphVectors.compile`, hence the same bits — and wraps the
+loaded arrays in a :class:`MetagraphVectors` store as they are.
 
 Every file but the manifest carries its content digest in its name and
 is written first; the manifest is written to a temporary file and
@@ -34,9 +35,11 @@ the previous snapshot loadable, and files the new manifest no longer
 names are removed only after the commit.
 
 Loading validates before trusting: a manifest of another format version,
-a malformed or tampered manifest, a missing or corrupt member, a catalog
-that no longer hashes to the manifest's digest, or a graph whose
-fingerprint differs from the one the index was built on all raise
+a malformed or tampered manifest, matched ids or ``|I(M)|`` totals that
+do not fit the catalog, a missing or corrupt member, counts outside the
+catalog or the value table, a catalog that no longer hashes to the
+manifest's digest, or a graph whose fingerprint differs from the one
+the index was built on all raise
 :class:`~repro.exceptions.SnapshotError` (staleness as the
 :class:`~repro.exceptions.StaleSnapshotError` subclass) instead of
 silently serving wrong rankings.
@@ -65,8 +68,8 @@ from repro.exceptions import (
     StaleSnapshotError,
 )
 from repro.graph.typed_graph import TypedGraph
-from repro.index.compiled import CompiledVectors
-from repro.index.instance_index import InstanceIndex, MetagraphCounts, _pair_key
+from repro.index.compiled import CompiledVectors, float_view, value_table
+from repro.index.instance_index import InstanceIndex, MetagraphCounts
 from repro.index.transform import TRANSFORMS, Transform
 from repro.index.vectors import MetagraphVectors, decode_node_id, encode_node_id
 from repro.metagraph.catalog import MetagraphCatalog
@@ -179,25 +182,6 @@ def _content_name(stem: str, sha256: str, suffix: str) -> str:
     return f"{stem}-{sha256[:12]}{suffix}"
 
 
-def _pair_keys(compiled: CompiledVectors) -> list[tuple]:
-    """The ledger key of every pair row, in row order.
-
-    Keys take the orientation the counting code gives them
-    (``_pair_key``), which is not position order — ``repr`` puts 10
-    before 9.
-    """
-    left, right = compiled.pair_ends()
-    nodes = compiled.nodes
-    return [
-        _pair_key(nodes[a], nodes[b]) for a, b in zip(left.tolist(), right.tolist())
-    ]
-
-
-def _float_view(counts: np.ndarray, distinct: np.ndarray, floats: np.ndarray) -> np.ndarray:
-    """The transformed float of every count, through the value table."""
-    return floats[np.searchsorted(distinct, counts)]
-
-
 # ----------------------------------------------------------------------
 # save
 # ----------------------------------------------------------------------
@@ -268,29 +252,16 @@ def save_index(
     reconstructs the (fingerprinted) graph this snapshot describes —
     see ``repro index update``.  Re-saving into a snapshot directory
     replaces it atomically: the old one stays loadable until the new
-    manifest is in place.
+    manifest is in place.  An ``index`` that records other matched ids
+    than ``vectors`` raises :class:`CatalogMismatchError` before
+    anything is written.
     """
-    vectors.verify_catalog(catalog)
+    vectors.verify_catalog(catalog, index)
     compiled = vectors.compile()
-    arrays = {
-        name: getattr(compiled, name)
-        for name in _MEMBERS
-        if name not in ("node_count", "pair_count")
-    }
-    # the ledger read in compiled row order: the integer count behind
-    # every float the compiled arrays hold
-    arrays["node_count"] = np.asarray(
-        [c for node in compiled.nodes for _, c in sorted(vectors._node[node].items())],
-        dtype=np.int64,
+    distinct, floats = value_table(
+        np.concatenate([compiled.node_count, compiled.pair_count]), vectors.transform
     )
-    arrays["pair_count"] = np.asarray(
-        [c for key in _pair_keys(compiled) for _, c in sorted(vectors._pair[key].items())],
-        dtype=np.int64,
-    )
-    distinct = np.unique(
-        np.concatenate([arrays["node_count"], arrays["pair_count"]])
-    ).tolist()
-    payloads = {name: _npy_bytes(arrays[name]) for name in _MEMBERS}
+    payloads = {name: _npy_bytes(getattr(compiled, name)) for name in _MEMBERS}
     catalog_json = catalog.to_json().encode("utf-8")
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -319,12 +290,7 @@ def save_index(
             name: _checked_weights(name, weights, vectors.catalog_size).tolist()
             for name, weights in sorted((models or {}).items())
         },
-        "value_table": {
-            "counts": distinct,
-            "floats": np.asarray(
-                [vectors.transform(count) for count in distinct], dtype=np.float64
-            ).tolist(),
-        },
+        "value_table": {"counts": distinct.tolist(), "floats": floats.tolist()},
         "compiled_arrays": {
             name: {"bytes": len(payload), "sha256": _sha256(payload)}
             for name, payload in payloads.items()
@@ -367,9 +333,6 @@ class LoadedIndex:
     models: dict[str, np.ndarray]
     manifest: dict
     instance_totals: dict[int, int]
-    # the serving view of the counts, floats derived with the loading
-    # transform (structure arrays memory-mapped on mmap=True loads)
-    compiled: CompiledVectors
     # whether that transform reproduces the manifest's value table bit
     # for bit — i.e. whether shard workers opening this directory with
     # load_compiled (recorded table) score with the very same floats
@@ -505,29 +468,41 @@ def _read_payload(
 def _compiled_view(
     manifest: dict, arrays: dict[str, np.ndarray], floats: object
 ) -> CompiledVectors:
-    """The serving view of a payload, with ``floats`` as the table's values."""
+    """The serving view of a payload, with ``floats`` as the table's values.
+
+    Every count must sit in a catalog column and in the value table: a
+    payload that breaks either raises :class:`SnapshotError` here
+    instead of failing (or silently mis-scoring) at the first query.
+    """
     try:
+        size = manifest["catalog_size"]
         distinct = np.asarray(manifest["value_table"]["counts"], dtype=np.int64)
         floats = np.asarray(floats, dtype=np.float64)
         nodes = tuple(decode_node_id(doc) for doc in manifest["nodes"])
         if len(nodes) + 1 != len(arrays["node_indptr"]):
             raise ValueError("node table and node arrays disagree in length")
+        for name in ("node_indices", "pair_indices"):
+            column = arrays[name]
+            if len(column) and (column.min() < 0 or column.max() >= size):
+                raise ValueError(f"{name} reach outside the catalog of size {size}")
         return CompiledVectors(
             nodes,
             (
                 arrays["node_indptr"],
                 arrays["node_indices"],
-                _float_view(arrays["node_count"], distinct, floats),
+                arrays["node_count"],
+                float_view(arrays["node_count"], distinct, floats),
             ),
             (
                 arrays["pair_indptr"],
                 arrays["pair_indices"],
-                _float_view(arrays["pair_count"], distinct, floats),
+                arrays["pair_count"],
+                float_view(arrays["pair_count"], distinct, floats),
             ),
             arrays["pair_ptr"],
             arrays["partner_pos"],
             arrays["entry_pair"],
-            catalog_size=manifest["catalog_size"],
+            catalog_size=size,
         )
     except (TypeError, ValueError, IndexError, CatalogMismatchError) as exc:
         raise SnapshotError(f"snapshot arrays are inconsistent: {exc}") from exc
@@ -589,14 +564,35 @@ def load_compiled_shard(
     return extract_shard(compiled, shard_id, num_shards)
 
 
-def _ledger_rows(
-    indptr: np.ndarray, indices: np.ndarray, counts: np.ndarray
-) -> list[dict[int, int]]:
-    """CSR rows of integer counts in ledger form, ``{mg_id: count}``."""
-    bounds, mg_ids, values = indptr.tolist(), indices.tolist(), counts.tolist()
-    return [
-        dict(zip(mg_ids[lo:hi], values[lo:hi])) for lo, hi in zip(bounds, bounds[1:])
-    ]
+def _checked_matched_ids(manifest: dict) -> set[int]:
+    """The manifest's matched ids, or :class:`SnapshotError`.
+
+    Each must be a catalog id, once; the ``|I(M)|`` totals, when
+    present, must cover exactly those ids with non-negative totals.
+    """
+    size, matched = manifest["catalog_size"], manifest["matched_ids"]
+    in_catalog = all(type(mg_id) is int and 0 <= mg_id < size for mg_id in matched)
+    if not in_catalog or len(set(matched)) != len(matched):
+        raise SnapshotError(
+            f"snapshot matched ids {matched} are not distinct ids of a "
+            f"catalog of size {size}"
+        )
+    totals = manifest["instance_totals"]
+    if totals is not None and not (
+        all(
+            isinstance(entry, list)
+            and len(entry) == 2
+            and all(type(value) is int for value in entry)
+            and entry[1] >= 0
+            for entry in totals
+        )
+        and sorted(entry[0] for entry in totals) == sorted(matched)
+    ):
+        raise SnapshotError(
+            "snapshot instance totals must give each matched id one "
+            "non-negative total"
+        )
+    return set(matched)
 
 
 def load_index(
@@ -613,9 +609,8 @@ def load_index(
     snapshot was built with a custom (unnamed) one.  The value table is
     rebuilt with it, so an override serves its own floats.
 
-    Every member is hashed in full (the count ledger is rebuilt from
-    them); with ``mmap=True`` (default) the structure arrays of
-    :attr:`LoadedIndex.compiled` stay memory-mapped.
+    Every member is hashed in full; with ``mmap=True`` (default) the
+    arrays of the restored store's snapshot stay memory-mapped.
     """
     source = Path(path)
     manifest = read_manifest(source)
@@ -661,36 +656,21 @@ def load_index(
                 "transform= to load it"
             )
 
+    matched = _checked_matched_ids(manifest)
     catalog = MetagraphCatalog.from_json(catalog_json.decode("utf-8"))
-    store = MetagraphVectors(
-        manifest["catalog_size"],
-        anchor_type=manifest["anchor_type"],
-        transform=transform,
-    )
-    store.verify_catalog(catalog)
     arrays = _read_payload(source, manifest, mmap=mmap, verify=True)
     floats = np.asarray(
         [transform(count) for count in manifest["value_table"]["counts"]],
         dtype=np.float64,
     )
-    compiled = _compiled_view(manifest, arrays, floats)
-    store._node = dict(
-        zip(
-            compiled.nodes,
-            _ledger_rows(
-                compiled.node_indptr, compiled.node_indices, arrays["node_count"]
-            ),
-        )
+    store = MetagraphVectors(
+        manifest["catalog_size"],
+        anchor_type=manifest["anchor_type"],
+        transform=transform,
+        compiled=_compiled_view(manifest, arrays, floats),
+        matched_ids=matched,
     )
-    store._pair = dict(
-        zip(
-            _pair_keys(compiled),
-            _ledger_rows(
-                compiled.pair_indptr, compiled.pair_indices, arrays["pair_count"]
-            ),
-        )
-    )
-    store._matched = set(manifest["matched_ids"])
+    store.verify_catalog(catalog)
     recorded_floats = np.asarray(manifest["value_table"]["floats"], dtype=np.float64)
     return LoadedIndex(
         catalog=catalog,
@@ -701,6 +681,5 @@ def load_index(
         },
         manifest=manifest,
         instance_totals=dict(manifest["instance_totals"] or []),
-        compiled=compiled,
         floats_as_recorded=floats.tobytes() == recorded_floats.tobytes(),
     )

@@ -1,26 +1,29 @@
-"""Metagraph vectors m_x and m_xy (Eq. 1–2): the write-side count ledger.
+"""Metagraph vectors m_x and m_xy (Eq. 1–2): the writers' view of the one store.
 
-:class:`MetagraphVectors` holds the sparse Eq. 1–2 counts for every
-anchor node and anchor pair in the shape the *writers* need: the offline
-build folds one metagraph at a time in (``add_counts``), the delta path
-patches rows in place (``patch_counts``), and persistence walks the
-dicts.  Nothing reads counts back out of it: :meth:`MetagraphVectors.compile`
-freezes them into a :class:`~repro.index.compiled.CompiledVectors` CSR
-snapshot, and that snapshot is what ranking, ``proximity``, ``explain``
-and the trainer's triplet stacks all score against.  ``patch_counts``
-records the keys it changes and keeps the last snapshot as a base, so
-the compile after a delta splices only the touched rows into it.
+:class:`MetagraphVectors` is the last compiled
+:class:`~repro.index.compiled.CompiledVectors` snapshot — the integer
+counts every reader and the snapshot writer use — plus a pending
+integer patch.  The offline build queues one metagraph's whole column
+at a time (``add_counts``); the delta path queues the count changes of
+one edit (``patch_counts``), checked against the snapshot and what is
+already pending before anything is recorded.  :meth:`MetagraphVectors.compile`
+splices the pending patch into the snapshot
+(:meth:`~repro.index.compiled.CompiledVectors.splice`), so after a delta
+the cost follows the rows it touched, and a fresh store's first compile
+is a cold build.  Counts arrive and stay as arrays
+(:class:`~repro.index.instance_index.MetagraphCounts`); nothing is keyed
+by node id except the table of nodes the snapshot has no row for yet.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping
-from itertools import chain
-from typing import TypeVar
+from collections.abc import Iterable
+
+import numpy as np
 
 from repro.exceptions import CatalogMismatchError, DeltaError, SnapshotError
 from repro.graph.typed_graph import NodeId
-from repro.index.compiled import CompiledVectors
+from repro.index.compiled import PAIR_STRIDE, CompiledVectors, patched_rows
 from repro.index.instance_index import InstanceIndex, MetagraphCounts
 from repro.index.transform import Transform, identity
 from repro.metagraph.catalog import MetagraphCatalog
@@ -54,112 +57,90 @@ def decode_node_id(doc: object) -> NodeId:
     return doc
 
 
-Key = TypeVar("Key", bound=Hashable)
+_NO_ROWS = np.zeros((0, 3), dtype=np.int64)
 
 
-def _new_values(
-    table: dict[Key, dict[int, int]],
-    mg_id: int,
-    plus: Mapping[Key, int],
-    minus: Mapping[Key, int],
-    what: str,
-) -> dict[Key, int]:
-    """Every count of column ``mg_id`` the patch changes, checked first.
-
-    Raises :class:`DeltaError` before anything is written when a count
-    would go negative.
-    """
-    values: dict[Key, int] = {}
-    for key in chain(plus, minus):
-        row = table.get(key)
-        current = row.get(mg_id, 0) if row else 0
-        value = current + plus.get(key, 0) - minus.get(key, 0)
-        if value < 0:
-            raise DeltaError(
-                f"metagraph {mg_id}: {what} count for {key!r} went negative"
-            )
-        if value != current:
-            values[key] = value
-    return values
+def _packed_pairs(keys: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The packed key of every pair row, given its ends' node keys."""
+    ends = keys[pairs]
+    return ends.min(axis=1) * PAIR_STRIDE + ends.max(axis=1)
 
 
-def _set_values(
-    table: dict[Key, dict[int, int]],
-    mg_id: int,
-    values: Mapping[Key, int],
-    dirty: dict[Key, bool] | None,
-) -> None:
-    """Write checked counts; emptied rows disappear.
-
-    Each key goes into ``dirty`` (when tracking), mapped to whether its
-    row was (re)created.  A (re)created row moves to the end of
-    ``dirty``, as it does in ``table``.
-    """
-    for key, value in values.items():
-        row = table.get(key)
-        created = row is None
-        if row is None:
-            row = table[key] = {}
-        if value:
-            row[mg_id] = value
-        else:
-            del row[mg_id]
-            if not row:
-                del table[key]
-        if dirty is None:
-            continue
-        if created:
-            dirty.pop(key, None)
-            dirty[key] = True
-        else:
-            dirty.setdefault(key, False)
+def _rows(keys: np.ndarray, mg_id: int, delta: np.ndarray) -> np.ndarray:
+    """Patch rows ``(key, mg_id, delta)``."""
+    return np.column_stack([keys, np.full(len(keys), mg_id, dtype=np.int64), delta])
 
 
 class MetagraphVectors:
-    """Sparse m_x / m_xy store over a fixed metagraph catalog."""
+    """Sparse m_x / m_xy store over a fixed metagraph catalog.
+
+    ``compiled`` and ``matched_ids`` restore a saved store: the snapshot
+    it serves and the metagraph ids counted into it.
+    """
 
     def __init__(
         self,
         catalog_size: int,
         anchor_type: str = "user",
         transform: Transform = identity,
+        compiled: CompiledVectors | None = None,
+        matched_ids: Iterable[int] = (),
     ):
+        if compiled is None:
+            compiled = CompiledVectors.empty(catalog_size)
+        elif compiled.catalog_size != catalog_size:
+            raise CatalogMismatchError(
+                f"compiled snapshot over {compiled.catalog_size} metagraphs "
+                f"does not match catalog size {catalog_size}"
+            )
         self.catalog_size = catalog_size
         self.anchor_type = anchor_type
         self.transform = transform
-        self._node: dict[NodeId, dict[int, int]] = {}
-        self._pair: dict[tuple[NodeId, NodeId], dict[int, int]] = {}
-        self._matched: set[int] = set()
-        self._compiled: CompiledVectors | None = None
-        # what compile() splices when _compiled is stale: the last
-        # snapshot plus the node and pair keys changed since, each mapped
-        # to whether its row was (re)created (one tuple, so a concurrent
-        # compile reads base and dirty rows together); None means no
-        # base, so the next compile is a cold build
-        self._pending: tuple[
-            CompiledVectors,
-            dict[NodeId, bool],
-            dict[tuple[NodeId, NodeId], bool],
-        ] | None = None
+        self._matched: set[int] = set(matched_ids)
+        # the last snapshot, the nodes it has no row for (each mapped to
+        # its key: snapshot rows first, then these in arrival order) and
+        # the pending node and pair patch rows — one tuple, replaced
+        # whole, so a concurrent compile reads them together
+        self._state: tuple[
+            CompiledVectors, dict[NodeId, int], np.ndarray, np.ndarray
+        ] = (compiled, {}, _NO_ROWS, _NO_ROWS)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    @staticmethod
+    def _keys(
+        nodes: tuple[NodeId, ...], base: CompiledVectors, entering: dict[NodeId, int]
+    ) -> np.ndarray:
+        """The key of every node; nodes new to ``base`` join ``entering``."""
+        keys = np.empty(len(nodes), dtype=np.int64)
+        for i, node in enumerate(nodes):
+            key = base.position(node)
+            if key is None:
+                key = entering.setdefault(node, base.num_nodes + len(entering))
+            keys[i] = key
+        return keys
+
     def add_counts(self, mg_id: int, counts: MetagraphCounts) -> None:
-        """Fold one metagraph's Eq. 1–2 counts into the store."""
+        """Queue one metagraph's Eq. 1–2 counts as a new column."""
         if not 0 <= mg_id < self.catalog_size:
             raise CatalogMismatchError(
                 f"metagraph id {mg_id} outside catalog of size {self.catalog_size}"
             )
         if mg_id in self._matched:
             raise CatalogMismatchError(f"metagraph id {mg_id} already added")
+        base, entering, node_patch, pair_patch = self._state
+        entering = dict(entering)
+        keys = self._keys(counts.nodes, base, entering)
         self._matched.add(mg_id)
-        for node, count in counts.node_counts.items():
-            self._node.setdefault(node, {})[mg_id] = count
-        for pair, count in counts.pair_counts.items():
-            self._pair.setdefault(pair, {})[mg_id] = count
-        # a new column touches rows everywhere: the next compile is cold
-        self._compiled = self._pending = None
+        self._state = (
+            base,
+            entering,
+            np.concatenate([node_patch, _rows(keys, mg_id, counts.node_count)]),
+            np.concatenate(
+                [pair_patch, _rows(_packed_pairs(keys, counts.pairs), mg_id, counts.pair_count)]
+            ),
+        )
 
     @property
     def matched_ids(self) -> frozenset[int]:
@@ -173,35 +154,63 @@ class MetagraphVectors:
 
         The inverse-and-forward of :meth:`add_counts` for dynamic graphs
         (:mod:`repro.index.delta`): ``retired`` contributions are
-        subtracted, ``added`` ones folded in, and the sparse store is
-        left bit-identical to a from-scratch rebuild on the mutated
-        graph — emptied rows/pairs disappear.  All or nothing: every
-        subtraction is checked before anything changes, so a
-        :class:`DeltaError` leaves the ledger and its snapshot as they
-        were.  Every changed key is recorded, so the next
-        :meth:`compile` rebuilds only those rows.
+        subtracted, ``added`` ones folded in, and the next
+        :meth:`compile` is array-identical to a from-scratch rebuild on
+        the mutated graph — emptied rows and pairs disappear.  All or
+        nothing: every touched count is checked against the snapshot
+        plus what is already pending before anything is recorded, so a
+        :class:`DeltaError` leaves the store as it was.
         """
         if mg_id not in self._matched:
             raise CatalogMismatchError(
                 f"metagraph id {mg_id} has no counts to patch"
             )
-        node_values = _new_values(
-            self._node, mg_id, added.node_counts, retired.node_counts, "node"
+        base, entering, node_patch, pair_patch = self._state
+        entering = dict(entering)
+        old = self._keys(retired.nodes, base, entering)
+        new = self._keys(added.nodes, base, entering)
+        node = np.concatenate(
+            [_rows(old, mg_id, -retired.node_count), _rows(new, mg_id, added.node_count)]
         )
-        pair_values = _new_values(
-            self._pair, mg_id, added.pair_counts, retired.pair_counts, "pair"
+        pair = np.concatenate(
+            [
+                _rows(_packed_pairs(old, retired.pairs), mg_id, -retired.pair_count),
+                _rows(_packed_pairs(new, added.pairs), mg_id, added.pair_count),
+            ]
         )
-        if not node_values and not pair_values:
-            return
-        if self._compiled is not None:
-            self._pending = (self._compiled, {}, {})
-            self._compiled = None
-        pending = self._pending
-        _set_values(
-            self._node, mg_id, node_values, None if pending is None else pending[1]
-        )
-        _set_values(
-            self._pair, mg_id, pair_values, None if pending is None else pending[2]
+        n = base.num_nodes
+
+        def node_rows(keys: np.ndarray) -> np.ndarray:
+            return np.where(keys < n, keys, -1)
+
+        def pair_rows(keys: np.ndarray) -> np.ndarray:
+            lo, hi = np.divmod(keys, PAIR_STRIDE)
+            return base.pair_rows(np.where(hi < n, lo, -1), hi)
+
+        # every touched row as it would read: snapshot + pending + this
+        for what, rows, pending, table, base_rows in (
+            ("node", node, node_patch, base._node_table, node_rows),
+            ("pair", pair, pair_patch, base._pair_table, pair_rows),
+        ):
+            keys, _, (indptr, _, counts) = patched_rows(
+                table,
+                np.concatenate([pending[pending[:, 1] == mg_id], rows]),
+                base_rows,
+                self.catalog_size,
+            )
+            if (counts < 0).any():
+                names = (*base.nodes, *entering)
+                key = int(keys[np.searchsorted(indptr, np.argmax(counts < 0), side="right") - 1])
+                culprit = (
+                    names[key]
+                    if what == "node"
+                    else tuple(names[end] for end in divmod(key, PAIR_STRIDE))
+                )
+                raise DeltaError(
+                    f"metagraph {mg_id}: {what} count for {culprit!r} went negative"
+                )
+        self._state = (
+            base, entering, np.concatenate([node_patch, node]), np.concatenate([pair_patch, pair])
         )
 
     def verify_catalog(
@@ -223,59 +232,19 @@ class MetagraphVectors:
     # the read side
     # ------------------------------------------------------------------
     def compile(self) -> CompiledVectors:
-        """Freeze the counts into the CSR snapshot readers use (cached).
+        """The current snapshot: the last one with the pending patch spliced in.
 
         The snapshot is shared by every model and trainer over this
-        store and goes stale when :meth:`add_counts` or
-        :meth:`patch_counts` changes the counts.  After patches, the
-        last snapshot is spliced: the untouched rows are copied intact
-        and only the patched ones are rebuilt
-        (:meth:`CompiledVectors.splice`).  After :meth:`add_counts` (a
-        new metagraph column touches rows everywhere) it is a cold
-        build.  Both give the same arrays.
+        store; a call with nothing pending returns it as is.  Otherwise
+        only the patched rows are rebuilt
+        (:meth:`CompiledVectors.splice`) — after the queued columns of a
+        fresh store that is every row, a cold build.
         """
-        compiled = self._compiled
-        if compiled is None:
-            pending = self._pending
-            if pending is None:
-                compiled = CompiledVectors.build(
-                    self._node,
-                    self._pair,
-                    catalog_size=self.catalog_size,
-                    transform=self.transform,
-                )
-            else:
-                base, dirty_nodes, dirty_pairs = pending
-                compiled = base.splice(
-                    self._node, self._pair, dirty_nodes, dirty_pairs, self.transform
-                )
-            self._compiled, self._pending = compiled, None
+        state = self._state
+        base, entering, node_patch, pair_patch = state
+        if not len(node_patch) and not len(pair_patch):
+            return base
+        compiled = base.splice(tuple(entering), node_patch, pair_patch, self.transform)
+        if self._state is state:
+            self._state = (compiled, {}, _NO_ROWS, _NO_ROWS)
         return compiled
-
-    def adopt_compiled(self, compiled: CompiledVectors) -> CompiledVectors:
-        """Install a pre-built snapshot (e.g. mmap-loaded) as current.
-
-        The cold-start counterpart of :meth:`compile`: a snapshot
-        restored from disk (:func:`~repro.index.persist.load_index`)
-        serves without the CSR rebuild.  The caller vouches that the
-        snapshot describes this store's counts — snapshot loading does
-        so via the manifest digests.  Subsequent patches splice into it
-        like into any compiled snapshot.
-        """
-        if compiled.catalog_size != self.catalog_size:
-            raise CatalogMismatchError(
-                f"compiled snapshot over {compiled.catalog_size} metagraphs "
-                f"does not match catalog size {self.catalog_size}"
-            )
-        self._compiled, self._pending = compiled, None
-        return compiled
-
-    def is_current_snapshot(self, compiled: CompiledVectors) -> bool:
-        """True iff ``compiled`` is this store's up-to-date snapshot.
-
-        Checks identity against the cache without forcing a rebuild: a
-        snapshot taken before the last mutation (the cache was cleared)
-        or belonging to another store is simply not current.
-        """
-        return compiled is self._compiled
-

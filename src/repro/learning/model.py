@@ -244,7 +244,7 @@ class ProximityModel:
         """
         if compiled is None:
             compiled = self.vectors.compile()
-        elif not self.vectors.is_current_snapshot(compiled):
+        elif compiled is not self.vectors.compile():
             # an explicit snapshot must be the store's *current* one —
             # anything else (stale pre-mutation snapshot, snapshot of a
             # different store) would silently serve wrong rankings

@@ -318,9 +318,6 @@ class SemanticProximitySearch:
         self._universe = None
         self._index_graph_version = self.graph.version
         self._update_log = list(loaded.manifest["update_log"])
-        # the snapshot arrives compiled (memory-mapped on mmap loads),
-        # so serving starts without re-freezing the counts
-        self.vectors.adopt_compiled(loaded.compiled)
         models = {
             name: ProximityModel(weights, self.vectors, name=name)
             for name, weights in loaded.models.items()

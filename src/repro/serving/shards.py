@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.graph.typed_graph import NodeId
 from repro.index.compiled import (
+    CSR,
     CompiledVectors,
     csr_dot_products,
     csr_row_index,
@@ -69,8 +70,8 @@ class CompiledShard:
         hi: int,
         nodes: tuple[NodeId, ...],
         own_offset: int,
-        node_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
-        pair_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
+        node_csr: CSR,
+        pair_csr: CSR,
         cand_ptr: np.ndarray,
         cand_local: np.ndarray,
         cand_pair: np.ndarray,

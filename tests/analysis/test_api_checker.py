@@ -113,18 +113,18 @@ def test_ledger_private_read_flagged_outside_index(tree):
         class Engine:
             def __init__(self, vectors):
                 self.vectors = vectors
-                self._compiled = None  # the engine's own field: fine
+                self._state = None  # the engine's own field: fine
 
             def pin(self):
-                self._compiled = self.vectors._compiled
-                return len(self.vectors._node), sorted(self.vectors._matched)
+                self._state = self.vectors._state
+                return len(self.vectors._state), sorted(self.vectors._matched)
 
         def partners(store, x):
-            return store._matched, store._pair
+            return store._matched, store._state
         """,
     )
-    # the ledger's own package walks its dicts by design
-    tree.write("index/persist.py", "def rows(vectors):\n    return vectors._node\n")
+    # the store's own package reads its state by design
+    tree.write("index/persist.py", "def rows(vectors):\n    return vectors._state\n")
     findings = tree.lint(["private-ledger-read"]).findings
     assert {f.path for f in findings} == {"src/repro/search.py"}
     assert sorted(f.line for f in findings) == [7, 8, 8, 11, 11]

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.graph.csr import CSRGraph, csr_view, patch_csr_view
 from repro.graph.typed_graph import PLAIN, EdgeKind, TypedGraph
 from tests.conftest import random_typed_graph
+from tests.oracles import ledger
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
@@ -252,8 +253,8 @@ class TestViewCacheUnderApplyUpdates:
         assert_csr_matches_graph(after, graph)
         # and the maintained counts still match a fresh compiled build
         fresh, _ = build_index(graph, catalog)
-        assert vectors._node == fresh._node
-        assert vectors._pair == fresh._pair
+        assert ledger(vectors)[0] == ledger(fresh)[0]
+        assert ledger(vectors)[1] == ledger(fresh)[1]
 
     @given(SEEDS)
     @settings(max_examples=10, deadline=None)

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from repro.exceptions import CatalogMismatchError
-from repro.index.compiled import CompiledVectors
-from repro.index.instance_index import _pair_key
 from repro.index.transform import log1p
 from repro.index.parallel import build_index
 from repro.index.vectors import MetagraphVectors
 from repro.metagraph.catalog import MetagraphCatalog
 from tests.conftest import random_typed_graph
-from tests.oracles import node_vector, pair_vector, partners
+from tests.oracles import make_counts, node_vector, pair_vector, partners
 
 
 @pytest.fixture
@@ -71,6 +69,16 @@ class TestStructure:
         for i in range(compiled.num_nodes):
             positions, _rows = compiled.candidates_of(i)
             assert np.all(np.diff(positions) > 0)
+
+    def test_vectorised_pair_rows_match_pair_row(self, toy_compiled):
+        _vectors, compiled = toy_compiled
+        n = compiled.num_nodes
+        i, j = (grid.ravel() for grid in np.indices((n, n)))
+        expected = [compiled.pair_row(a, b) for a, b in zip(i.tolist(), j.tolist())]
+        assert any(row is not None for row in expected)
+        assert compiled.pair_rows(i, j).tolist() == [
+            -1 if row is None else row for row in expected
+        ]
 
 
 class TestDotProducts:
@@ -143,18 +151,18 @@ class TestLifecycle:
         vectors, compiled = toy_compiled
         catalog = MetagraphCatalog(toy_metagraphs.values(), anchor_type="user")
         save_index(tmp_path / "snapshot", vectors, catalog)
-        # recompile from the restored count ledger, not the loaded view
+        # the restored store serves the loaded integer arrays as they are
         reloaded = load_index(tmp_path / "snapshot", mmap=False).vectors
         recompiled = reloaded.compile()
+        assert np.array_equal(recompiled.node_count, compiled.node_count)
+        assert np.array_equal(recompiled.pair_count, compiled.pair_count)
         assert recompiled.nodes == compiled.nodes
         assert np.array_equal(recompiled.node_data, compiled.node_data)
         assert np.array_equal(recompiled.pair_data, compiled.pair_data)
         assert np.array_equal(recompiled.partner_pos, compiled.partner_pos)
 
     def test_inconsistent_pair_without_node_raises(self):
+        vectors = MetagraphVectors(1, anchor_type="user")
+        vectors.add_counts(0, make_counts(1, {"a": 1}, {("a", "ghost"): 1}))
         with pytest.raises(CatalogMismatchError):
-            CompiledVectors.build(
-                node_counts={"a": {0: 1}},
-                pair_counts={_pair_key("a", "ghost"): {0: 1}},
-                catalog_size=1,
-            )
+            vectors.compile()

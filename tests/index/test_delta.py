@@ -3,7 +3,7 @@
 The anchor invariant: after any sequence of edits, the delta-maintained
 :class:`MetagraphVectors` and :class:`InstanceIndex` must be
 *bit-identical* to a from-scratch ``build_index`` on the mutated
-graph — same sparse count dicts, same partner sets, same per-metagraph
+graph — same integer counts, same partner sets, same per-metagraph
 instance totals — and the compiled snapshot spliced from the
 pre-delta one must equal a cold compile array for array, dtypes
 included.
@@ -35,11 +35,11 @@ from repro.index.instance_index import MetagraphCounts
 from repro.index.parallel import build_index
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph, metapath
-from tests.oracles import nodes_with_counts, partners
+from tests.oracles import ledger, make_counts, nodes_with_counts, partners
 
 COMPILED_ARRAYS = (
-    "node_indptr", "node_indices", "node_data",
-    "pair_indptr", "pair_indices", "pair_data",
+    "node_indptr", "node_indices", "node_count", "node_data",
+    "pair_indptr", "pair_indices", "pair_count", "pair_data",
     "pair_ptr", "partner_pos", "entry_pair",
 )
 
@@ -100,7 +100,7 @@ def catalog() -> MetagraphCatalog:
 
 
 def assert_same_compiled(got, want) -> None:
-    """Two compiled snapshots are equal: node table, all nine arrays, dtypes."""
+    """Two compiled snapshots are equal: node table, all eleven arrays, dtypes."""
     assert got.nodes == want.nodes
     assert got.catalog_size == want.catalog_size
     for name in COMPILED_ARRAYS:
@@ -113,9 +113,9 @@ def assert_same_compiled(got, want) -> None:
 def assert_matches_fresh_build(graph, catalog, vectors, index) -> None:
     """The bit-identity oracle: delta state == from-scratch rebuild."""
     fresh_vectors, fresh_index = build_index(graph, catalog)
-    assert vectors._matched == fresh_vectors._matched
-    assert vectors._node == fresh_vectors._node
-    assert vectors._pair == fresh_vectors._pair
+    assert vectors.matched_ids == fresh_vectors.matched_ids
+    assert ledger(vectors)[0] == ledger(fresh_vectors)[0]
+    assert ledger(vectors)[1] == ledger(fresh_vectors)[1]
     assert_same_compiled(vectors.compile(), fresh_vectors.compile())
     for mg_id in fresh_index.matched_ids():
         assert index.num_instances(mg_id) == fresh_index.num_instances(mg_id)
@@ -126,7 +126,7 @@ def apply_spliced(graph, catalog, vectors, delta, index):
     before = vectors.compile()
     stats = apply_delta(graph, catalog, vectors, delta, index=index)
     # still current (no count changed), or the base of the next splice
-    assert vectors._compiled is before or vectors._pending[0] is before
+    assert vectors._state[0] is before
     return stats
 
 
@@ -247,8 +247,8 @@ class TestSingleEdits:
         for u, v in incident:
             rebuild.add_edge(u, v)
         apply_spliced(graph, catalog, vectors, rebuild, index)
-        assert vectors._node == reference._node
-        assert vectors._pair == reference._pair
+        assert ledger(vectors)[0] == ledger(reference)[0]
+        assert ledger(vectors)[1] == ledger(reference)[1]
         assert_matches_fresh_build(graph, catalog, vectors, index)
         assert_same_compiled(vectors.compile(), reference.compile())
 
@@ -268,9 +268,9 @@ class TestSingleEdits:
                 for p in compiled.candidates_of(i)[0]
             }
             assert adjacency == {
-                link for x, y in vectors._pair for link in ((x, y), (y, x))
+                link for x, y in ledger(vectors)[1] for link in ((x, y), (y, x))
             }
-            for x, y in vectors._pair:
+            for x, y in ledger(vectors)[1]:
                 assert y in partners(vectors, x) and x in partners(vectors, y)
 
 
@@ -472,27 +472,23 @@ class TestNoOpsAndValidation:
     def test_patch_going_negative_raises(self, catalog):
         graph = make_graph(8)
         vectors, _ = build_index(graph, catalog)
-        bogus = MetagraphCounts(num_instances=10 ** 6)
-        bogus.node_counts["u0"] = 10 ** 6
+        bogus = make_counts(10 ** 6, {"u0": 10 ** 6})
         with pytest.raises(DeltaError):
             vectors.patch_counts(0, bogus, MetagraphCounts())
 
     def test_failed_patch_changes_nothing(self, catalog):
-        """A patch that would go negative leaves ledger and snapshot as they were,
+        """A patch that would go negative leaves store and snapshot as they were,
         even when it also adds rows it listed first."""
         graph = make_graph(8)
         vectors, index = build_index(graph, catalog)
         before = vectors.compile()
-        node_rows, pair_rows = repr(vectors._node), repr(vectors._pair)
-        added = MetagraphCounts(num_instances=1)
-        added.node_counts["z"] = 1
-        added.pair_counts[("u0", "z")] = 1
-        retired = MetagraphCounts(num_instances=1)
-        retired.node_counts["u0"] = 10 ** 6
+        state = vectors._state
+        added = make_counts(1, {"z": 1}, {("u0", "z"): 1})
+        retired = make_counts(1, {"u0": 10 ** 6})
         with pytest.raises(DeltaError):
             vectors.patch_counts(0, retired, added)
         assert "z" not in nodes_with_counts(vectors)
-        assert (repr(vectors._node), repr(vectors._pair)) == (node_rows, pair_rows)
+        assert vectors._state is state
         assert vectors.compile() is before
         assert_matches_fresh_build(graph, catalog, vectors, index)
 

@@ -32,7 +32,7 @@ from repro.index.delta import (
     apply_delta,
     catalog_radius,
 )
-from repro.index.instance_index import MetagraphCounts, count_embeddings
+from repro.index.instance_index import count_embeddings
 from repro.index.parallel import build_index
 from repro.matching import SymISOMatcher, deduplicate_instances, find_instances
 from repro.matching.compiled import compiled_pinned_matrix
@@ -43,7 +43,7 @@ from repro.mining import MinerConfig, mine_catalog
 from tests.conftest import random_typed_graph
 from tests.index.test_delta import ADVERSARIAL_IDS, make_graph, random_delta
 from tests.matching.test_cross_matcher_parity import random_pattern
-from tests.oracles import count_instances_into, pinned_embeddings
+from tests.oracles import DictCounts, count_instances_into, ledger, pinned_embeddings
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
@@ -94,7 +94,7 @@ def edge_pin_sets(graph, u, v):
 
 def oracle_counts(graph, metagraph, anchor_type, pin_sets, region):
     """The streamed reference: dict embeddings -> Instances -> Counters."""
-    counts = MetagraphCounts()
+    counts = DictCounts()
     count_instances_into(
         counts,
         deduplicate_instances(
@@ -108,7 +108,12 @@ def oracle_counts(graph, metagraph, anchor_type, pin_sets, region):
     return counts
 
 
-def oracle_found(graph, catalog, seeds, pin_sets_of) -> dict[int, MetagraphCounts]:
+def in_dict_form(found) -> dict:
+    """Per metagraph, ``(|I(M)|, {node: count}, {pair: count})``."""
+    return {mg_id: (counts.num_instances, *ledger(counts)) for mg_id, counts in found.items()}
+
+
+def oracle_found(graph, catalog, seeds, pin_sets_of) -> dict[int, DictCounts]:
     """Per metagraph, the oracle counts of every instance a pin set reaches."""
     region = affected_region(graph, seeds, catalog_radius(catalog))
     found = {}
@@ -130,12 +135,16 @@ def assert_pinned_parity(graph, catalog, nodes, pairs) -> int:
     for node in nodes:
         got = _enumerate_for_node(graph, catalog, ids, node, radius)
         pins = node_pin_sets(graph.node_type(node), node)
-        assert got == oracle_found(graph, catalog, [node], pins), node
+        assert in_dict_form(got) == in_dict_form(
+            oracle_found(graph, catalog, [node], pins)
+        ), node
         seen += sum(c.num_instances for c in got.values())
     for u, v in pairs:
         adjacent = graph.has_edge(u, v)
         got = _enumerate_for_edge(graph, catalog, ids, u, v, adjacent, radius)
-        assert got == oracle_found(graph, catalog, [u, v], edge_pin_sets(graph, u, v)), (u, v)
+        assert in_dict_form(got) == in_dict_form(
+            oracle_found(graph, catalog, [u, v], edge_pin_sets(graph, u, v))
+        ), (u, v)
         seen += sum(c.num_instances for c in got.values())
     return seen
 
@@ -179,9 +188,10 @@ class TestPinnedCountParity:
             csr_view(graph), np.concatenate(matrices), anchor_symmetric_pairs(friend, "user")
         )
         assert counts.num_instances == 1
-        assert counts == oracle_counts(graph, friend, "user", pin_sets, None)
+        expected = in_dict_form({2: oracle_counts(graph, friend, "user", pin_sets, None)})
+        assert in_dict_form({2: counts}) == expected
         radius = catalog_radius(catalog)
-        assert _enumerate_for_edge(graph, catalog, [2], u, v, True, radius) == {2: counts}
+        assert in_dict_form(_enumerate_for_edge(graph, catalog, [2], u, v, True, radius)) == expected
 
     def test_kinded_reactions(self):
         dataset = load_dataset("reactions", scale="tiny")
@@ -255,7 +265,7 @@ class TestStoreIndexAgreement:
         _, partial_index = build_index(graph, catalog, mg_ids=[0])
         u, v = "Kate", "456 White St"  # in M3 instances (id 2), unmatched here
         edges, version = sorted(graph.edges(), key=repr), graph.version
-        ledger = (repr(vectors._node), repr(vectors._pair))
+        before = vectors.compile()
         compiled = vectors.compile()
         totals = {m: partial_index.num_instances(m) for m in partial_index.matched_ids()}
         log: list = []
@@ -270,7 +280,7 @@ class TestStoreIndexAgreement:
             )
         assert sorted(graph.edges(), key=repr) == edges
         assert graph.version == version
-        assert (repr(vectors._node), repr(vectors._pair)) == ledger
+        assert vectors.compile() is before
         assert vectors.compile() is compiled
         assert {
             m: partial_index.num_instances(m) for m in partial_index.matched_ids()

@@ -24,12 +24,13 @@ from repro.index.persist import (
 from repro.index.transform import sqrt
 from repro.index.parallel import build_index
 from repro.metagraph.catalog import MetagraphCatalog
+from tests.oracles import ledger
 
-# every array a CompiledVectors serves from: the stored structure
-# arrays plus the two float views derived from the stored counts
+# every array a CompiledVectors holds: the stored structure arrays and
+# counts plus the two float views derived from the counts
 COMPILED_ARRAY_NAMES = (
-    "node_indptr", "node_indices", "node_data",
-    "pair_indptr", "pair_indices", "pair_data",
+    "node_indptr", "node_indices", "node_count", "node_data",
+    "pair_indptr", "pair_indices", "pair_count", "pair_data",
     "pair_ptr", "partner_pos", "entry_pair",
 )
 
@@ -90,9 +91,11 @@ class TestSidecarRoundtrip:
         target, ds, _vectors = snapshot
         for mmap in (True, False):
             loaded = load_index(target, graph=ds.graph, mmap=mmap)
-            assert isinstance(loaded.compiled.node_indices, np.memmap) == mmap
-            assert loaded.compiled.nodes == tuple(
-                sorted(loaded.vectors._node, key=repr)
+            compiled = loaded.vectors.compile()
+            assert isinstance(compiled.node_indices, np.memmap) == mmap
+            assert isinstance(compiled.node_count, np.memmap) == mmap
+            assert compiled.nodes == tuple(
+                sorted(ledger(loaded.vectors)[0], key=repr)
             )
 
     def test_from_index_adopts_mmap_snapshot(self, snapshot):
@@ -137,7 +140,9 @@ class TestSidecarIntegrity:
 
     def test_same_size_corruption_caught_by_verifying_load(self, snapshot):
         target, ds, _vectors = snapshot
-        member = member_path(target, "node_indices")
+        # (a flipped count column would already fail the fast path's
+        # catalog check, so the flip goes into the adjacency)
+        member = member_path(target, "entry_pair")
         payload = bytearray(member.read_bytes())
         payload[-1] ^= 0xFF
         member.write_bytes(bytes(payload))
@@ -222,7 +227,7 @@ class TestTransformGuard:
         loaded = load_index(target, graph=ds.graph, transform=doubled_sqrt)
         assert not loaded.floats_as_recorded
         reference, _ = build_index(ds.graph, catalog, transform=doubled_sqrt)
-        assert loaded.compiled.content_digest() == reference.compile().content_digest()
+        assert loaded.vectors.compile().content_digest() == reference.compile().content_digest()
         # the engine serves its own floats, so process workers get an
         # engine-owned copy rather than the recorded table
         engine = SemanticProximitySearch.from_index(

@@ -9,11 +9,11 @@ from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph, metapath
 from tests.conftest import random_typed_graph
 from tests.index.test_delta import assert_same_compiled
-from tests.oracles import assert_counts_match_engine
+from tests.oracles import assert_counts_match_engine, ledger
 
 def assert_stores_equal(actual, expected):
-    assert actual._node == expected._node
-    assert actual._pair == expected._pair
+    assert ledger(actual)[0] == ledger(expected)[0]
+    assert ledger(actual)[1] == ledger(expected)[1]
     assert actual.matched_ids == expected.matched_ids
 
 

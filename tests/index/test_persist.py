@@ -1,5 +1,7 @@
 """Snapshot persistence: roundtrip fidelity and rejection paths."""
 
+import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.exceptions import SnapshotError, StaleSnapshotError
+from repro.exceptions import CatalogMismatchError, SnapshotError, StaleSnapshotError
 from repro.graph.typed_graph import TypedGraph
 from repro.index.delta import GraphDelta
 from repro.index.persist import (
@@ -26,7 +28,7 @@ from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import metapath
 from repro.mining import MinerConfig
 from repro.search import SemanticProximitySearch
-from tests.oracles import node_vector, pair_vector, partners
+from tests.oracles import ledger, node_vector, pair_vector, partners
 
 CLASS_LABELS = {
     "Kate": frozenset({"Jay"}),
@@ -86,6 +88,33 @@ def member(snapshot: Path, name: str) -> Path:
     return next((snapshot / "compiled").glob(f"{name}-*.npy"))
 
 
+def rewrite_manifest(snapshot: Path, change) -> None:
+    """Apply ``change`` to the manifest and re-seal its self-digest."""
+    manifest_path = snapshot / MANIFEST_FILE
+    manifest = json.loads(manifest_path.read_text())
+    change(manifest)
+    manifest["manifest_sha256"] = _manifest_digest(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def rewrite_member(snapshot: Path, name: str, change) -> None:
+    """Replace one payload member by ``change(array)``, digests and all."""
+    old = member(snapshot, name)
+    array = np.array(np.load(old))
+    change(array)
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=False)
+    payload = buffer.getvalue()
+    digest = hashlib.sha256(payload).hexdigest()
+    old.unlink()
+    (old.parent / f"{name}-{digest[:12]}.npy").write_bytes(payload)
+
+    def reseal(manifest):
+        manifest["compiled_arrays"][name] = {"bytes": len(payload), "sha256": digest}
+
+    rewrite_manifest(snapshot, reseal)
+
+
 class TestRoundTrip:
     def test_counts_survive(self, offline, snapshot_dir):
         graph, _catalog, vectors, _index = offline
@@ -105,15 +134,29 @@ class TestRoundTrip:
     def test_ledger_round_trips_dict_for_dict(self, store, tmp_path):
         graph, catalog, vectors, index = user_school_store(STORE_USERS[store])
         path = save_index(tmp_path / "s", vectors, catalog, graph=graph, index=index)
+        saved = vectors.compile()
         for mmap in (True, False):
             loaded = load_index(path, graph=graph, mmap=mmap)
-            # equal dicts with equal tuple keys: orientation included
-            assert loaded.vectors._node == vectors._node
-            assert loaded.vectors._pair == vectors._pair
+            restored = loaded.vectors.compile()
+            # the same node table and the same integer arrays, dtypes included
+            assert restored.nodes == saved.nodes
+            for name in ("node_indptr", "node_indices", "node_count",
+                         "pair_indptr", "pair_indices", "pair_count", "entry_pair"):
+                got, want = getattr(restored, name), getattr(saved, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            # and the same counts under the same ids, pair orientation included
+            assert ledger(loaded.vectors) == ledger(vectors)
             assert loaded.vectors.matched_ids == vectors.matched_ids
             assert loaded.instance_index().matched_ids() == index.matched_ids()
         if store == "no-counts":
-            assert vectors.matched_ids and not vectors._node
+            assert vectors.matched_ids and not ledger(vectors)[0]
+
+    def test_save_rejects_an_index_of_other_metagraphs(self, offline, tmp_path):
+        graph, catalog, vectors, _index = offline
+        other, other_index = build_index(graph, catalog, mg_ids=[0])
+        with pytest.raises(CatalogMismatchError, match="index records"):
+            save_index(tmp_path / "s", vectors, catalog, graph=graph, index=other_index)
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize(
         "built, loaded_with",
@@ -137,7 +180,7 @@ class TestRoundTrip:
             toy_graph, catalog, transform=loaded_with or built
         )
         expected = reference.compile()
-        for view in (loaded.compiled, loaded.vectors.compile()):
+        for view in (loaded.vectors.compile(),):
             assert view.node_data.tobytes() == expected.node_data.tobytes()
             assert view.pair_data.tobytes() == expected.pair_data.tobytes()
             assert view.content_digest() == expected.content_digest()
@@ -236,11 +279,11 @@ class TestRoundTrip:
         monkeypatch.undo()
         loaded = load_index(snapshot_dir, graph=graph)
         assert snapshot_digest(loaded.manifest) == before
-        assert loaded.vectors._pair == vectors._pair
+        assert ledger(loaded.vectors)[1] == ledger(vectors)[1]
         # and the next save goes through, leaving only what it names:
         # the manifest, the catalog and the nine payload members
         save_index(snapshot_dir, other, catalog, graph=smaller, index=other_index)
-        assert load_index(snapshot_dir, graph=smaller).vectors._pair == other._pair
+        assert ledger(load_index(snapshot_dir, graph=smaller).vectors)[1] == ledger(other)[1]
         assert len(list(snapshot_dir.rglob("*.*"))) == 11
 
 
@@ -300,6 +343,59 @@ class TestRejection:
         assert cli_main(["index", "info", str(snapshot_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("[index] invalid snapshot") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("matched_ids", [0, 1, 2, 7]),
+            ("matched_ids", [-1, 0, 1, 2]),
+            ("matched_ids", [0, 0, 1, 2]),
+            ("matched_ids", [0, 1, 2, [3]]),
+            ("instance_totals", [[0, 2], [1, 2], [2, 1], [3, -1]]),
+            ("instance_totals", [[0, 2], [1, 2], [2, 1]]),
+            ("instance_totals", [[0, 2], [1, 2], [2, 1], [5, 1]]),
+        ],
+        ids=[
+            "id-past-catalog", "negative-id", "repeated-id", "list-id",
+            "negative-total", "total-missing", "total-of-unmatched-id",
+        ],
+    )
+    def test_resealed_manifest_with_bad_ids(self, snapshot_dir, toy_graph, field, value):
+        def change(manifest):
+            assert manifest["catalog_size"] == 4
+            manifest[field] = value
+
+        rewrite_manifest(snapshot_dir, change)
+        with pytest.raises(SnapshotError):
+            load_index(snapshot_dir)
+        with pytest.raises(SnapshotError):
+            SemanticProximitySearch.from_index(snapshot_dir, toy_graph)
+
+    @pytest.mark.parametrize(
+        "name, position, value",
+        [
+            ("node_indices", 0, 4),
+            ("pair_indices", -1, 9),
+            ("node_indices", 0, -1),
+            ("node_count", 0, 0),
+            ("pair_count", -1, -3),
+            ("node_count", -1, 1000),
+        ],
+        ids=[
+            "node-column-past-catalog", "pair-column-past-catalog",
+            "negative-column", "zero-count", "negative-count", "count-not-in-table",
+        ],
+    )
+    def test_resealed_payload_with_bad_counts(self, snapshot_dir, name, position, value):
+        def change(array):
+            array[position] = value
+
+        rewrite_member(snapshot_dir, name, change)
+        for load in (load_index, load_compiled):
+            with pytest.raises(SnapshotError, match="inconsistent"):
+                load(snapshot_dir)
+        with pytest.raises(SnapshotError, match="inconsistent"):
+            load_compiled(snapshot_dir, mmap=False)
 
     def test_tampered_manifest_node_table(self, snapshot_dir):
         """The manifest is the root of trust — it carries its own digest."""
@@ -377,8 +473,8 @@ class TestFacadeRoundTrip:
         cold = SemanticProximitySearch(warm.graph.copy()).prepare(
             catalog=engine.catalog
         )
-        assert warm.vectors._node == cold.vectors._node
-        assert warm.vectors._pair == cold.vectors._pair
+        assert ledger(warm.vectors)[0] == ledger(cold.vectors)[0]
+        assert ledger(warm.vectors)[1] == ledger(cold.vectors)[1]
         assert (
             warm.vectors.compile().content_digest()
             == cold.vectors.compile().content_digest()

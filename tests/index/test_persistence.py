@@ -15,7 +15,7 @@ from repro.index.vectors import (
 )
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import metapath
-from tests.oracles import node_vector, nodes_with_counts, pair_vector, partners
+from tests.oracles import make_counts, node_vector, nodes_with_counts, pair_vector, partners
 
 
 @pytest.fixture
@@ -134,10 +134,6 @@ class TestAdversarialNodeIds:
 
     def test_unsupported_id_rejected_at_save_time(self, tmp_path):
         store = MetagraphVectors(1, anchor_type="user")
-        from repro.index.instance_index import MetagraphCounts
-
-        counts = MetagraphCounts(num_instances=1)
-        counts.node_counts[frozenset({"x"})] = 1
-        store.add_counts(0, counts)
+        store.add_counts(0, make_counts(1, {frozenset({"x"}): 1}))
         with pytest.raises(SnapshotError, match="cannot be persisted"):
             save_index(tmp_path / "snapshot", store, self.CATALOG)

@@ -14,6 +14,7 @@ from repro.exceptions import RewriteError
 from repro.graph.typed_graph import PLAIN, EdgeKind, TypedGraph
 from repro.index.rewrite import RewriteRule, RuleBook
 from repro.metagraph.metagraph import Metagraph
+from tests.oracles import ledger
 
 IN = EdgeKind("in", True)
 OUT = EdgeKind("out", True)
@@ -254,5 +255,5 @@ class TestRebuildGuarantee:
             assert engine.index.num_instances(mg_id) == cold.index.num_instances(
                 mg_id
             ), f"metagraph {mg_id} total diverges from cold rebuild"
-        assert engine.vectors._node == cold.vectors._node
-        assert engine.vectors._pair == cold.vectors._pair
+        assert ledger(engine.vectors)[0] == ledger(cold.vectors)[0]
+        assert ledger(engine.vectors)[1] == ledger(cold.vectors)[1]

@@ -10,6 +10,7 @@ from repro.index.transform import get_transform, identity, log1p, sqrt
 from repro.index.parallel import build_index
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import metapath
+from tests.oracles import ledger
 
 
 def node_vector(vectors, x):
@@ -42,36 +43,37 @@ class TestMatchAndCount:
 
     def test_m3_counts(self, toy_graph, toy_metagraphs):
         counts = compiled_match_and_count(csr_view(toy_graph), toy_metagraphs["M3"])
+        node_counts, pair_counts = ledger(counts)
         assert counts.num_instances == 2
-        assert counts.pair_counts[("Alice", "Bob")] == 1
-        assert counts.pair_counts[("Jay", "Kate")] == 1
-        assert counts.node_counts["Alice"] == 1
-        assert counts.node_counts["Kate"] == 1
+        assert pair_counts[("Alice", "Bob")] == 1
+        assert pair_counts[("Jay", "Kate")] == 1
+        assert node_counts["Alice"] == 1
+        assert node_counts["Kate"] == 1
 
     def test_m1_counts(self, toy_graph, toy_metagraphs):
         counts = compiled_match_and_count(csr_view(toy_graph), toy_metagraphs["M1"])
+        pair_counts = ledger(counts)[1]
         assert counts.num_instances == 2
-        assert counts.pair_counts[("Jay", "Kate")] == 1
-        assert counts.pair_counts[("Bob", "Tom")] == 1
+        assert pair_counts[("Jay", "Kate")] == 1
+        assert pair_counts[("Bob", "Tom")] == 1
 
     def test_pair_implies_node_count(self, toy_graph, toy_metagraphs):
         # Eq. 1 <= Eq. 2: every pair instance counts for both nodes
         for mg in toy_metagraphs.values():
-            counts = compiled_match_and_count(csr_view(toy_graph), mg)
+            node_counts, pair_counts = ledger(compiled_match_and_count(csr_view(toy_graph), mg))
             per_node_from_pairs = {}
-            for (x, y), c in counts.pair_counts.items():
+            for (x, y), c in pair_counts.items():
                 per_node_from_pairs[x] = per_node_from_pairs.get(x, 0) + c
                 per_node_from_pairs[y] = per_node_from_pairs.get(y, 0) + c
             for node, total in per_node_from_pairs.items():
-                assert counts.node_counts[node] <= total
-                assert counts.node_counts[node] >= 1
+                assert node_counts[node] <= total
+                assert node_counts[node] >= 1
 
     def test_no_anchor_pairs_counts_instances_only(self, toy_graph):
         pattern = metapath("user", "school")  # no symmetric user pair
         counts = compiled_match_and_count(csr_view(toy_graph), pattern)
         assert counts.num_instances == 4  # user-school edges in Fig. 1
-        assert not counts.pair_counts
-        assert not counts.node_counts
+        assert ledger(counts) == ({}, {})
 
 
 class TestInstanceIndex:

@@ -223,9 +223,8 @@ class TestSortedUniverse:
         snapshot = vectors.compile()
         universe.mask_over(snapshot)
         assert len(universe._masks) == 1
-        # retire the snapshot (store mutation clears the cache ref)
-        vectors._compiled = None
-        del snapshot
+        # retire the snapshot (dropping the store drops its last ref)
+        del vectors, snapshot
         gc.collect()
         assert len(universe._masks) == 0
 

@@ -34,7 +34,7 @@ from repro.matching.ordering import rarest_type_order
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph
 from repro.mining import MinerConfig, mine_catalog
-from tests.oracles import assert_counts_match_engine
+from tests.oracles import assert_counts_match_engine, ledger
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
@@ -187,8 +187,8 @@ class TestLabeledDatasetParity:
         vectors, index = build_index(
             dataset.graph, catalog, config=IndexBuildConfig(workers=workers)
         )
-        assert vectors._node == reference_vectors._node
-        assert vectors._pair == reference_vectors._pair
+        assert ledger(vectors)[0] == ledger(reference_vectors)[0]
+        assert ledger(vectors)[1] == ledger(reference_vectors)[1]
         assert index.matched_ids() == reference_index.matched_ids()
         for mg_id in index.matched_ids():
             assert index.num_instances(mg_id) == reference_index.num_instances(mg_id)

@@ -3,24 +3,27 @@
 ``src/`` has one read path for the Eq. 1–2 counts: every reader goes
 through the compiled CSR snapshot (:mod:`repro.index.compiled`).  The
 code it replaced lives on here as the oracle: dense m_x / m_xy vectors
-walked straight out of the :class:`MetagraphVectors` ledger's dicts,
-Def. 3 as three dense dot products per pair, and the scalar ranker that
-scores one candidate at a time.  The same goes for the streamed
+walked out of dict rows ``{node: {mg_id: count}}`` (:func:`ledger`, the
+one place the store's integer arrays turn into dicts), Def. 3 as three
+dense dot products per pair, and the scalar ranker that scores one
+candidate at a time.  The same goes for the streamed
 ``Instance`` counter and the engine-generic Eq. 1–2 counting that the
 compiled kernel's embedding-matrix counter replaced, the pure-Python
 pinned enumeration the delta path's compiled one replaced, the
 set-operation shard slicing the mask-based one replaced, and the
 miner's MNI support without symmetry breaking.
-Nothing under ``src/`` may import this module; tests reach into the
-ledger's private dicts on purpose (the ``private-ledger-read`` lint
-rule keeps the package itself from doing so).
+Nothing under ``src/`` may import this module.
 """
 
 from __future__ import annotations
 
+import weakref
+from collections import Counter
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from repro.index.instance_index import MetagraphCounts, _pair_key
+from repro.index.instance_index import MetagraphCounts
 from repro.learning.model import require_valid_k
 from repro.matching.backtracking import backtrack_embeddings
 from repro.matching.base import deduplicate_instances
@@ -33,6 +36,78 @@ from repro.mining.grami import SupportEstimate
 # ----------------------------------------------------------------------
 # the dict-backed feature store
 # ----------------------------------------------------------------------
+def pair_key(x, y) -> tuple:
+    """An unordered pair as one dict key: by value, else by ``repr``."""
+    try:
+        return (x, y) if x <= y else (y, x)
+    except TypeError:
+        return (x, y) if repr(x) <= repr(y) else (y, x)
+
+
+_LEDGERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def ledger(store) -> tuple[dict, dict]:
+    """The integer counts of a store or snapshot as dict rows.
+
+    ``({node: {mg_id: count}}, {pair_key(x, y): {mg_id: count}})``, read
+    from the compiled arrays (cached per snapshot).  One metagraph's
+    counts (:class:`MetagraphCounts`, or the streamed oracle's
+    :class:`DictCounts`) read as ``({node: count}, {pair_key(x, y): count})``.
+    """
+    if isinstance(store, DictCounts):
+        return dict(store.node_counts), dict(store.pair_counts)
+    if isinstance(store, MetagraphCounts):
+        nodes = store.nodes
+        return (
+            dict(zip(nodes, store.node_count.tolist())),
+            {
+                pair_key(nodes[a], nodes[b]): int(count)
+                for (a, b), count in zip(store.pairs.tolist(), store.pair_count.tolist())
+            },
+        )
+    compiled = store if not hasattr(store, "compile") else store.compile()
+    cached = _LEDGERS.get(compiled)
+    if cached is None:
+        nodes = compiled.nodes
+
+        def rows(indptr, indices, counts):
+            bounds, mg_ids, values = indptr.tolist(), indices.tolist(), counts.tolist()
+            return [
+                dict(zip(mg_ids[lo:hi], values[lo:hi]))
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+
+        left, right = compiled.pair_ends()
+        cached = (
+            dict(zip(nodes, rows(compiled.node_indptr, compiled.node_indices, compiled.node_count))),
+            dict(
+                zip(
+                    [pair_key(nodes[a], nodes[b]) for a, b in zip(left.tolist(), right.tolist())],
+                    rows(compiled.pair_indptr, compiled.pair_indices, compiled.pair_count),
+                )
+            ),
+        )
+        _LEDGERS[compiled] = cached
+    return cached
+
+
+def make_counts(num_instances=0, node_counts=(), pair_counts=()) -> MetagraphCounts:
+    """Array counts from dicts ``{node: count}`` and ``{(x, y): count}``."""
+    node_counts, pair_counts = dict(node_counts), dict(pair_counts)
+    nodes = list(node_counts)
+    for pair in pair_counts:
+        nodes += [node for node in pair if node not in nodes]
+    at = {node: i for i, node in enumerate(nodes)}
+    return MetagraphCounts(
+        num_instances=num_instances,
+        nodes=tuple(nodes),
+        node_count=np.asarray([node_counts.get(n, 0) for n in nodes], dtype=np.int64),
+        pairs=np.asarray([[at[x], at[y]] for x, y in pair_counts], dtype=np.int64).reshape(-1, 2),
+        pair_count=np.asarray(list(pair_counts.values()), dtype=np.int64),
+    )
+
+
 def _dense(vectors, sparse_row) -> np.ndarray:
     vec = np.zeros(vectors.catalog_size, dtype=float)
     for mg_id, count in sparse_row.items():
@@ -42,24 +117,24 @@ def _dense(vectors, sparse_row) -> np.ndarray:
 
 def node_vector(vectors, x) -> np.ndarray:
     """m_x as a dense float vector of length |M| (Eq. 2)."""
-    return _dense(vectors, vectors._node.get(x, {}))
+    return _dense(vectors, ledger(vectors)[0].get(x, {}))
 
 
 def pair_vector(vectors, x, y) -> np.ndarray:
     """m_xy as a dense float vector of length |M| (Eq. 1)."""
-    return _dense(vectors, vectors._pair.get(_pair_key(x, y), {}))
+    return _dense(vectors, ledger(vectors)[1].get(pair_key(x, y), {}))
 
 
 def partners(vectors, x) -> frozenset:
     """Nodes co-occurring with ``x`` in at least one instance."""
     return frozenset(
-        b if a == x else a for a, b in vectors._pair if x in (a, b)
+        b if a == x else a for a, b in ledger(vectors)[1] if x in (a, b)
     )
 
 
 def nodes_with_counts(vectors) -> frozenset:
     """All anchor nodes with a non-zero m_x."""
-    return frozenset(vectors._node)
+    return frozenset(ledger(vectors)[0])
 
 
 def triplet_rows(triplets, vectors, active_ids) -> dict[str, np.ndarray]:
@@ -183,7 +258,7 @@ def instance_anchor_pairs(instance, sym_pairs) -> set:
     under automorphisms.
     """
     emb = instance.embedding  # indexed by pattern node (0..n-1)
-    return {_pair_key(emb[u], emb[v]) for u, v in sym_pairs}
+    return {pair_key(emb[u], emb[v]) for u, v in sym_pairs}
 
 
 def count_instances_into(counts, instances, sym_pairs) -> None:
@@ -205,9 +280,18 @@ def count_instances_into(counts, instances, sym_pairs) -> None:
             counts.node_counts[node] += 1
 
 
-def reference_counts(graph, metagraph, anchor_type, engine) -> MetagraphCounts:
+@dataclass
+class DictCounts:
+    """Eq. 1–2 counts for one metagraph in dict form (the streamed oracle's)."""
+
+    num_instances: int = 0
+    node_counts: Counter = field(default_factory=Counter)
+    pair_counts: Counter = field(default_factory=Counter)
+
+
+def reference_counts(graph, metagraph, anchor_type, engine) -> DictCounts:
     """Eq. 1–2 counts from ``engine``'s deduplicated embedding stream."""
-    counts = MetagraphCounts()
+    counts = DictCounts()
     count_instances_into(
         counts,
         deduplicate_instances(engine.find_embeddings(graph, metagraph)),
@@ -217,7 +301,7 @@ def reference_counts(graph, metagraph, anchor_type, engine) -> MetagraphCounts:
 
 
 def ledger_column(table, mg_id) -> dict:
-    """One metagraph's counts out of a ledger dict (``_node`` or ``_pair``)."""
+    """One metagraph's counts out of a :func:`ledger` dict."""
     return {key: row[mg_id] for key, row in table.items() if mg_id in row}
 
 
@@ -231,9 +315,10 @@ def assert_counts_match_engine(vectors, index, graph, catalog, engine) -> None:
         )
         where = (engine.name, mg_id)
         assert index.num_instances(mg_id) == reference.num_instances, where
-        node = ledger_column(vectors._node, mg_id)
+        node_rows, pair_rows = ledger(vectors)
+        node = ledger_column(node_rows, mg_id)
         assert node == dict(reference.node_counts), where
-        pair = ledger_column(vectors._pair, mg_id)
+        pair = ledger_column(pair_rows, mg_id)
         assert pair == dict(reference.pair_counts), where
 
 

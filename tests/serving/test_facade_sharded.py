@@ -108,7 +108,7 @@ class TestFacadeSharding:
         cold._models["circle"] = ProximityModel(
             live.model("circle").weights, cold.vectors, name="circle"
         )
-        assert live.vectors._compiled is not before  # spliced, then served
+        assert live.vectors.compile() is not before  # spliced, then served
         queries = sorted(cold.universe(), key=repr)
         for k in (None, 5):
             served = live.query_many("circle", queries, k=k)

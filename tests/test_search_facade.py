@@ -10,7 +10,7 @@ from repro.index.parallel import build_index
 from repro.learning.trainer import TrainerConfig
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.mining import MinerConfig
-from tests.oracles import ScalarModel
+from tests.oracles import ScalarModel, ledger
 
 
 @pytest.fixture(scope="module")
@@ -180,8 +180,8 @@ class TestDynamicUpdates:
         stats = spx.apply_updates(delta)
         assert stats.edits_applied == 4
         fresh, _idx = build_index(spx.graph, spx.catalog)
-        assert spx.vectors._node == fresh._node
-        assert spx.vectors._pair == fresh._pair
+        assert ledger(spx.vectors)[0] == ledger(fresh)[0]
+        assert ledger(spx.vectors)[1] == ledger(fresh)[1]
 
     def test_updates_change_rankings(self, fresh_engine):
         spx, ds = fresh_engine
@@ -286,7 +286,7 @@ class TestDynamicUpdates:
         assert spx.graph.has_edge("Alice", "Music")
         assert len(spx._update_log) == 1
         fresh, _idx = build_index(spx.graph, spx.catalog)
-        assert spx.vectors._pair == fresh._pair
+        assert ledger(spx.vectors)[1] == ledger(fresh)[1]
 
     def test_updates_on_totals_free_snapshot(self, fresh_engine, tmp_path):
         # a manually-saved snapshot without |I(M)| totals must restore to
@@ -304,7 +304,7 @@ class TestDynamicUpdates:
         assert restored.index is None
         restored.apply_updates(GraphDelta().remove_edge("Kate", "Music"))
         spx.apply_updates(GraphDelta().remove_edge("Kate", "Music"))
-        assert restored.vectors._pair == spx.vectors._pair
+        assert ledger(restored.vectors)[1] == ledger(spx.vectors)[1]
         # re-saving keeps the snapshot totals-free rather than stamping
         # deltas as authoritative totals
         restored.save_index(target)
