@@ -549,20 +549,20 @@ def build_index_parser() -> argparse.ArgumentParser:
 
 
 def run_index_update(args) -> int:
-    """The ``index update`` verb: delta-maintain a snapshot in place."""
+    """The ``index update`` verb: delta-maintain a snapshot in place.
+
+    One load → update → save cycle on the facade: restore an engine
+    from the snapshot over the replayed base graph, apply the edits
+    with :meth:`~repro.search.SemanticProximitySearch.apply_updates`
+    and save it back, manifest provenance included.
+    """
     import json
     import random
-    from pathlib import Path
 
     from repro.datasets import load_dataset
     from repro.exceptions import ReproError
-    from repro.index import (
-        GraphDelta,
-        apply_delta,
-        load_index,
-        read_manifest,
-        save_index,
-    )
+    from repro.index import GraphDelta, read_manifest
+    from repro.search import SemanticProximitySearch
 
     try:
         manifest = read_manifest(args.path)
@@ -574,15 +574,14 @@ def run_index_update(args) -> int:
     recorded = manifest["extra"]
     dataset_name = args.dataset or recorded.get("dataset") or "linkedin"
     scale = args.scale or recorded.get("scale") or "tiny"
-    dataset = load_dataset(dataset_name, scale=scale)
-    graph = dataset.graph
+    graph = load_dataset(dataset_name, scale=scale).graph
     try:
         replayed = GraphDelta.from_json_list(manifest["update_log"])
         # reconstruct the graph the snapshot describes: base dataset
         # graph + the snapshot's recorded update log
         replayed.apply_to(graph)
         # mmap=False: the snapshot is rewritten in place below
-        loaded = load_index(args.path, graph=graph, mmap=False)
+        engine = SemanticProximitySearch.from_index(args.path, graph, mmap=False)
     except ReproError as exc:
         print(f"[index] cannot update {args.path}: {exc}", file=sys.stderr)
         return 1
@@ -614,48 +613,23 @@ def run_index_update(args) -> int:
                 u, v = v, u
             delta.remove_edge(u, v)
             delta.add_edge(u, v, kind)
-    # snapshots saved without per-metagraph |I(M)| totals cannot have
-    # them patched (reconstruction would start every total at 0 and go
-    # negative on the first retirement); the vectors still update, and
-    # the rewritten snapshot stays totals-free like the original
-    instance_index = loaded.instance_index() if loaded.instance_totals else None
-    applied_log: list[dict] = []
-    start = time.perf_counter()
     try:
-        stats = apply_delta(
-            graph,
-            loaded.catalog,
-            loaded.vectors,
-            delta,
-            index=instance_index,
-            on_edit=lambda edit: applied_log.append(edit.to_json_dict()),
-        )
+        stats = engine.apply_updates(delta)
     except ReproError as exc:
         print(f"[index] update failed: {exc}", file=sys.stderr)
         return 1
-    elapsed = time.perf_counter() - start
-    update_log = manifest["update_log"] + applied_log
     # save_index commits by replacing the manifest last, so a crash
     # mid-rewrite leaves the previous snapshot loadable
-    save_index(
-        args.path,
-        loaded.vectors,
-        loaded.catalog,
-        graph=graph,
-        index=instance_index,
-        models=loaded.models,
-        extra=recorded or None,
-        update_log=update_log,
-    )
+    engine.save_index(args.path)
     print(
         f"[index] applied {stats.edits_applied} edit(s) "
-        f"({stats.edits_noop} no-ops) in {elapsed * 1e3:.1f} ms: "
+        f"({stats.edits_noop} no-ops) in {stats.seconds * 1e3:.1f} ms: "
         f"-{stats.instances_retired}/+{stats.instances_added} instances "
         f"across {len(stats.metagraphs_touched)} metagraph(s)"
     )
     print(
         f"[index] snapshot at {args.path} rewritten: update log now "
-        f"{len(update_log)} edit(s), "
+        f"{len(manifest['update_log']) + stats.edits_applied} edit(s), "
         "graph fingerprint re-stamped"
     )
     return 0

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.datasets import LabeledGraphDataset, load_dataset
 from repro.experiments.config import ExperimentConfig
-from repro.index.instance_index import InstanceIndex
 from repro.index.parallel import IndexBuildConfig, build_index
 from repro.index.vectors import MetagraphVectors
 from repro.learning.trainer import Trainer, TrainerConfig
@@ -29,7 +28,6 @@ class OfflinePhase:
     dataset: LabeledGraphDataset
     catalog: MetagraphCatalog
     vectors: MetagraphVectors
-    index: InstanceIndex
     mining_seconds: float
     matching_seconds: float
     per_metagraph_seconds: dict[int, float] = field(default_factory=dict)
@@ -72,7 +70,7 @@ class OfflineRunner:
         mining_seconds = time.perf_counter() - start
         per_mg: dict[int, float] = {}
         start = time.perf_counter()
-        vectors, index = build_index(
+        vectors, _index = build_index(
             dataset.graph,
             catalog,
             config=IndexBuildConfig(workers=self.config.index_workers),
@@ -83,7 +81,6 @@ class OfflineRunner:
             dataset=dataset,
             catalog=catalog,
             vectors=vectors,
-            index=index,
             mining_seconds=mining_seconds,
             matching_seconds=matching_seconds,
             per_metagraph_seconds=per_mg,

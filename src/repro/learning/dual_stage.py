@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.exceptions import LearningError
 from repro.graph.typed_graph import TypedGraph
-from repro.index.instance_index import InstanceIndex
 from repro.index.parallel import build_index
 from repro.index.transform import Transform, identity
 from repro.index.vectors import MetagraphVectors
@@ -85,7 +84,6 @@ class DualStageResult:
     candidate_ids: tuple[int, ...]
     seed_weights: np.ndarray
     vectors: MetagraphVectors
-    index: InstanceIndex
     seed_match_seconds: float = 0.0
     candidate_match_seconds: float = 0.0
     train_seconds: float = 0.0
@@ -160,7 +158,6 @@ def dual_stage_train(
         candidate_ids=tuple(candidates),
         seed_weights=w0,
         vectors=vectors,
-        index=index,
         seed_match_seconds=seed_match_seconds,
         candidate_match_seconds=candidate_match_seconds,
         train_seconds=train_seconds,
@@ -232,7 +229,6 @@ def multi_stage_train(
         candidate_ids=tuple(all_candidates),
         seed_weights=w0,
         vectors=vectors,
-        index=index,
         seed_match_seconds=seed_match_seconds,
         candidate_match_seconds=match_time[0],
         train_seconds=train_seconds,

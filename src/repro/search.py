@@ -186,9 +186,9 @@ class SemanticProximitySearch:
         # GraphEdit JSON records applied via apply_updates() since the
         # original build (persisted so snapshots stay reconstructible)
         self._update_log: list[dict] = []
-        # True when this engine's catalog came from its own miner_config
-        # (snapshots then record the knobs so staleness is detectable)
-        self._catalog_from_mining = False
+        # the manifest's free-form ``extra`` block: where the artefacts
+        # came from (mining knobs, base dataset); save_index writes it back
+        self._provenance: dict = {}
 
     # ------------------------------------------------------------------
     # offline phase
@@ -207,11 +207,12 @@ class SemanticProximitySearch:
         below).
 
         ``cache_dir`` makes the phase restartable: a valid snapshot for
-        *this* graph (matching fingerprint, format version and
-        transform) is loaded instead of mining and matching — restoring
-        any classes it carries — and a fresh build is persisted there
-        for the next cold start.  A stale or corrupt snapshot is
-        rebuilt, never trusted.  ``build_config`` spreads the matching
+        *this* graph (matching fingerprint, format version, transform
+        and mining knobs) is loaded and pinned as :meth:`from_index`
+        does, instead of mining and matching — restoring any classes
+        it carries — and a fresh build is persisted there for the next
+        cold start.  A stale or corrupt snapshot is rebuilt, never
+        trusted.  ``build_config`` spreads the matching
         work across a process pool (:class:`IndexBuildConfig`); the
         result is identical for any worker count.
         """
@@ -248,16 +249,16 @@ class SemanticProximitySearch:
                         stacklevel=2,
                     )
             else:
-                self._install_loaded(loaded)
+                self._install_loaded(loaded, Path(cache_dir))
                 return self
         if catalog is not None:
             self.catalog = catalog
-            self._catalog_from_mining = False
+            self._provenance = {}
         else:
             self.catalog = mine_catalog(
                 self.graph, self.miner_config, anchor_type=self.anchor_type
             )
-            self._catalog_from_mining = True
+            self._provenance = {"miner_config": self.miner_config.to_json_dict()}
         self.vectors, self.index = build_index(
             self.graph, self.catalog, config=build_config, transform=self.transform
         )
@@ -294,9 +295,14 @@ class SemanticProximitySearch:
             )
 
     def _install_loaded(
-        self, loaded: LoadedIndex, close_router: bool = True
+        self, loaded: LoadedIndex, path: Path, close_router: bool = True
     ) -> None:
-        """Adopt a loaded snapshot as this engine's offline artefacts.
+        """Adopt a snapshot loaded from ``path`` as this engine's artefacts.
+
+        The one load step of :meth:`from_index`, ``prepare(cache_dir=)``
+        and :meth:`reload_index`: catalog, counts, totals, update log,
+        classes and the manifest's provenance, with ``path`` pinned as
+        the on-disk copy whenever the floats are the recorded ones.
 
         ``close_router=False`` keeps the live serving tier up while the
         artefacts change underneath it — the :meth:`reload_index` hot
@@ -307,9 +313,7 @@ class SemanticProximitySearch:
             self._close_router()
         self.catalog = loaded.catalog
         self.vectors = loaded.vectors
-        self._catalog_from_mining = (
-            loaded.manifest["extra"].get("miner_config") is not None
-        )
+        self._provenance = dict(loaded.manifest["extra"])
         # a snapshot saved without per-metagraph |I(M)| totals cannot
         # back an InstanceIndex: reconstruction would start every total
         # at 0, so delta updates would drive them negative (or persist
@@ -326,6 +330,10 @@ class SemanticProximitySearch:
         # during a hot reload sees the full old set or the full new set,
         # never a half-populated dict
         self._models = models
+        if loaded.floats_as_recorded:
+            # process workers can mmap the very snapshot we loaded from:
+            # its recorded value table gives them the floats we rank with
+            self._pin_snapshot(path, snapshot_digest(loaded.manifest))
 
     # ------------------------------------------------------------------
     # persistence
@@ -335,10 +343,11 @@ class SemanticProximitySearch:
 
         The snapshot carries the catalog, the count store, per-metagraph
         instance totals, the graph fingerprint, and one weight vector
-        per fitted class; :meth:`from_index` restores all of it.  When
-        the catalog was mined (rather than supplied), the mining knobs
-        are recorded too, so ``prepare(cache_dir=...)`` can detect a
-        snapshot mined under different knobs and rebuild.
+        per fitted class; :meth:`from_index` restores all of it.  The
+        manifest's ``extra`` block is the engine's provenance — the
+        loaded snapshot's, else the knobs its own ``prepare()`` mined
+        with — so an update keeps it, and ``prepare(cache_dir=...)``
+        can detect a snapshot mined under other knobs and rebuild.
 
         A stale engine (graph mutated outside :meth:`apply_updates`)
         refuses to save: the snapshot would stamp the mutated graph's
@@ -346,11 +355,6 @@ class SemanticProximitySearch:
         past :meth:`from_index`'s fingerprint check.
         """
         catalog, vectors = self._require_fresh()
-        extra = (
-            {"miner_config": self.miner_config.to_json_dict()}
-            if self._catalog_from_mining
-            else None
-        )
         target = save_index(
             path,
             vectors,
@@ -358,7 +362,7 @@ class SemanticProximitySearch:
             graph=self.graph,
             index=self.index,
             models={name: model.weights for name, model in self._models.items()},
-            extra=extra,
+            extra=self._provenance,
             update_log=self._update_log,
         )
         # the freshest on-disk copy of the current counts: process
@@ -418,11 +422,7 @@ class SemanticProximitySearch:
             serving_backend=serving_backend,
             replicas=replicas,
         )
-        engine._install_loaded(loaded)
-        if loaded.floats_as_recorded:
-            # process workers can mmap the very snapshot we loaded from:
-            # its recorded value table gives them the floats we rank with
-            engine._pin_snapshot(Path(path), snapshot_digest(loaded.manifest))
+        engine._install_loaded(loaded, Path(path))
         return engine
 
     def universe(self) -> SortedUniverse:
@@ -722,8 +722,7 @@ class SemanticProximitySearch:
         )
         self._check_snapshot_compatible(loaded)
         suffix.apply_to(self.graph)
-        self._install_loaded(loaded, close_router=False)
-        self._pin_snapshot(source, snapshot_digest(loaded.manifest))
+        self._install_loaded(loaded, source, close_router=False)
         with self._serving_lock:
             if self._router is not None:
                 if self._routed:

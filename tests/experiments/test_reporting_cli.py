@@ -358,6 +358,108 @@ class TestIndexUpdate:
         )
         assert "applied 2 edit(s)" in capsys.readouterr().out
 
+    @pytest.fixture(scope="class")
+    def resaved(self, tmp_path_factory):
+        """A ``repro index build`` snapshot re-saved by a facade engine
+        with every facebook class fitted."""
+        from repro.cli import main
+        from repro.datasets import load_dataset
+        from repro.learning.trainer import TrainerConfig
+        from repro.search import SemanticProximitySearch
+
+        target = tmp_path_factory.mktemp("cli") / "facebook"
+        assert (
+            main(
+                [
+                    "index", "build", "--dataset", "facebook",
+                    "--scale", "tiny", "--out", str(target),
+                ]
+            )
+            == 0
+        )
+        dataset = load_dataset("facebook", scale="tiny")
+        engine = SemanticProximitySearch.from_index(
+            target,
+            dataset.graph,
+            trainer_config=TrainerConfig(restarts=1, max_iterations=50, seed=0),
+        )
+        for name in dataset.classes:
+            engine.fit(name, dataset.class_labels(name), num_examples=50)
+        engine.save_index(target)
+        return target
+
+    @pytest.fixture(scope="class")
+    def removal(self, resaved, tmp_path_factory):
+        """One ``--edits`` edge removal on a copy of ``resaved``: the
+        snapshot before and after, and the mutated base graph."""
+        import json
+        import shutil
+
+        from repro.cli import main
+        from repro.datasets import load_dataset
+        from repro.index import load_index
+
+        work = tmp_path_factory.mktemp("removal")
+        target = work / "snapshot"
+        shutil.copytree(resaved, target)
+        graph = load_dataset("facebook", scale="tiny").graph
+        u, v = sorted(graph.edges(), key=repr)[0]
+        edits_file = work / "edits.json"
+        edits_file.write_text(
+            json.dumps([{"op": "remove_edge", "u": u, "v": v}]), encoding="utf-8"
+        )
+        before = load_index(target, mmap=False)
+        assert (
+            main(
+                [
+                    "index", "update", str(target), "--dataset", "facebook",
+                    "--scale", "tiny", "--edits", str(edits_file),
+                ]
+            )
+            == 0
+        )
+        graph.remove_edge(u, v)
+        return before, load_index(target, graph=graph, mmap=False), graph
+
+    def test_update_facade_resaved_snapshot_without_flags(
+        self, resaved, tmp_path, capsys
+    ):
+        # the facade's re-save keeps `index build`'s dataset/scale
+        # provenance, so the update needs no --dataset/--scale
+        import shutil
+
+        from repro.cli import main
+
+        target = tmp_path / "snapshot"
+        shutil.copytree(resaved, target)
+        assert main(["index", "update", str(target), "--toggle-edges", "1"]) == 0
+        assert "applied 2 edit(s)" in capsys.readouterr().out
+
+    def test_edits_removal_matches_cold_build(self, removal):
+        from repro.index.parallel import build_index
+
+        before, after, graph = removal
+        assert len(after.manifest["update_log"]) == 1
+        assert (
+            after.vectors.compile().content_digest()
+            != before.vectors.compile().content_digest()
+        )
+        vectors, index = build_index(graph, after.catalog)
+        assert (
+            after.vectors.compile().content_digest()
+            == vectors.compile().content_digest()
+        )
+        assert after.instance_totals == {
+            mg_id: index.num_instances(mg_id) for mg_id in index.matched_ids()
+        }
+
+    def test_edits_removal_keeps_fitted_weights(self, removal):
+        before, after, _graph = removal
+        assert before.models and sorted(after.models) == sorted(before.models)
+        for name, weights in before.models.items():
+            assert after.models[name].dtype == weights.dtype
+            assert after.models[name].tobytes() == weights.tobytes()
+
     def test_update_missing_snapshot_fails(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -16,6 +16,7 @@ from repro.index.persist import (
     FORMAT_VERSION,
     MANIFEST_FILE,
     _manifest_digest,
+    catalog_fingerprint,
     graph_fingerprint,
     load_compiled,
     load_index,
@@ -573,3 +574,56 @@ class TestFacadeRoundTrip:
         # must have rebuilt with its own transform, not adopted raw counts
         assert load_index(cache).manifest["transform"] == "log1p"
         assert log_engine.vectors.transform is log1p
+
+
+class TestSnapshotLifecycle:
+    """Every load pins the snapshot and keeps its manifest provenance."""
+
+    def test_update_and_resave_keep_cli_provenance(self, tmp_path):
+        from repro.datasets import load_dataset
+
+        snap = tmp_path / "fb"
+        assert cli_main(
+            ["index", "build", "--dataset", "facebook", "--scale", "tiny",
+             "--out", str(snap)]
+        ) == 0
+        recorded = load_index(snap).manifest["extra"]
+        assert recorded["dataset"] == "facebook"
+        assert recorded["miner_config"]["max_nodes"] == 4
+        graph = load_dataset("facebook", scale="tiny").graph
+        engine = SemanticProximitySearch.from_index(snap, graph, mmap=False)
+        u, v = sorted(graph.edges(), key=repr)[0]
+        engine.apply_updates(GraphDelta().remove_edge(u, v))
+        engine.save_index(snap)
+        assert load_index(snap).manifest["extra"] == recorded
+
+    def test_prepare_cache_dir_remines_over_resaved_snapshot(
+        self, toy_graph, tmp_path
+    ):
+        # a from_index engine carries no miner knobs of its own: its
+        # re-save must keep the snapshot's, so the default-knob engine
+        # sees a catalog mined under other knobs and re-mines
+        cache = tmp_path / "cache"
+        SemanticProximitySearch(
+            toy_graph, miner_config=MinerConfig(max_nodes=3, min_support=1)
+        ).prepare(cache_dir=cache)
+        SemanticProximitySearch.from_index(cache, toy_graph).save_index(cache)
+        assert load_index(cache).manifest["extra"]["miner_config"]["max_nodes"] == 3
+        with pytest.warns(UserWarning, match="mined with"):
+            engine = SemanticProximitySearch(toy_graph).prepare(cache_dir=cache)
+        mined = SemanticProximitySearch(toy_graph).prepare().catalog
+        assert catalog_fingerprint(engine.catalog) == catalog_fingerprint(mined)
+        recorded = load_index(cache).manifest["extra"]["miner_config"]
+        assert recorded == MinerConfig().to_json_dict()
+
+    def test_prepare_cache_dir_pins_the_snapshot(self, toy_graph, tmp_path):
+        cache = tmp_path / "cache"
+        SemanticProximitySearch(
+            toy_graph, miner_config=MinerConfig(max_nodes=3, min_support=1)
+        ).prepare(cache_dir=cache)
+        warm = SemanticProximitySearch(
+            toy_graph, miner_config=MinerConfig(max_nodes=3, min_support=1)
+        ).prepare(cache_dir=cache)
+        assert warm.serving_digest() == snapshot_digest(cache)
+        cold = SemanticProximitySearch.from_index(cache, toy_graph)
+        assert warm.serving_digest() == cold.serving_digest()
