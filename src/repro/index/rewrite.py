@@ -35,10 +35,10 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from repro.exceptions import RewriteError
+from repro.graph.csr import csr_view
 from repro.graph.typed_graph import PLAIN, EdgeKind, NodeId, TypedGraph
 from repro.index.delta import GraphDelta
-from repro.matching.backtracking import backtrack_embeddings
-from repro.matching.ordering import rarest_type_order
+from repro.matching.compiled import _embeddings_from_csr, compiled_order
 from repro.metagraph.metagraph import Metagraph
 
 # an endpoint of an added edge: an LHS position or a fresh-node variable
@@ -168,12 +168,16 @@ class RewriteRule:
     ) -> Iterator[dict[int, NodeId]]:
         """All bindings of the LHS on ``graph`` (induced embeddings).
 
-        Deterministic order (the shared backtracking engine over the
-        rarest-type-first node order), so replaying a rule over a graph
-        is reproducible.
+        Every embedding is a binding, automorphic ones included (a
+        symmetric LHS binds each instance once per automorphism).  The
+        order is the compiled kernel's: ascending by the tuple of dense
+        ids in ``csr_view(graph)``, read in
+        :func:`~repro.matching.compiled.compiled_order`, so replaying a
+        rule over a graph is the same in every process.
         """
-        order = rarest_type_order(graph, self.lhs)
-        return backtrack_embeddings(graph, self.lhs, order)
+        csr = csr_view(graph)
+        order = compiled_order(csr, self.lhs)
+        return _embeddings_from_csr(csr, self.lhs, order, break_symmetry=False)
 
     def compile(
         self,

@@ -22,8 +22,7 @@ that agree on those assignments skip recomputation.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 
 from repro.exceptions import MatchingError
 from repro.graph.typed_graph import NodeId, TypedGraph
@@ -51,26 +50,6 @@ def _prefix_structure(
     return neighbors, nonneighbors
 
 
-def _condition_bounds(
-    conditions: Sequence[tuple[int, int]], order: Sequence[int]
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Per position: earlier order-positions bounding its image from below / above.
-
-    Each symmetry-breaking condition ``image[v] < image[w]`` is checked
-    at the later of its two positions: as a lower bound when ``w`` comes
-    later, as an upper bound when ``v`` does.
-    """
-    position = {u: i for i, u in enumerate(order)}
-    lower_at: list[list[int]] = [[] for _ in order]
-    upper_at: list[list[int]] = [[] for _ in order]
-    for v, w in conditions:
-        if position[v] < position[w]:
-            lower_at[position[w]].append(position[v])
-        else:
-            upper_at[position[v]].append(position[w])
-    return lower_at, upper_at
-
-
 def backtrack_embeddings(
     graph: TypedGraph,
     metagraph: Metagraph,
@@ -78,8 +57,6 @@ def backtrack_embeddings(
     candidate_pool: dict[int, set[NodeId]] | None = None,
     memoize: bool = False,
     induced: bool = True,
-    conditions: Sequence[tuple[int, int]] = (),
-    rank: Mapping[NodeId, int] | None = None,
 ) -> Iterator[Embedding]:
     """Yield every embedding of ``metagraph`` on ``graph``.
 
@@ -98,19 +75,11 @@ def backtrack_embeddings(
         (BoostISO-style reuse).
     induced:
         Def. 2 induced semantics (default).  ``False`` switches to
-        standard (non-induced) subgraph isomorphism, used by the miner
-        for GRAMI-style MNI support computation.
-    conditions, rank:
-        Symmetry-breaking conditions ``(v, w)`` (see
-        :func:`~repro.metagraph.symmetry.symmetry_conditions`): only
-        embeddings with ``rank[image[v]] < rank[image[w]]`` are yielded,
-        each condition checked at the later of its two positions.
-        ``rank`` must rank every candidate graph node injectively.
+        standard (non-induced) subgraph isomorphism, which the
+        unbroken MNI oracle of the tests enumerates.
     """
     n = metagraph.size
     neighbors_at, nonneighbors_at = _prefix_structure(metagraph, order)
-    lower_at, upper_at = _condition_bounds(conditions, order)
-    ranked: Mapping[NodeId, int] = rank if rank is not None else {}
     types_at = [metagraph.node_type(u) for u in order]
     # edge-kind constraints are checked only when either side carries
     # kinds, so plain graphs/patterns run the exact legacy code path
@@ -185,14 +154,8 @@ def backtrack_embeddings(
             yield {order[j]: assignment[j] for j in range(n)}
             return
         non_positions = nonneighbors_at[i] if induced else ()
-        bounded = lower_at[i] or upper_at[i]
-        if bounded:
-            lo = max((ranked[assignment[j]] for j in lower_at[i]), default=-math.inf)
-            hi = min((ranked[assignment[j]] for j in upper_at[i]), default=math.inf)
         for v in candidates(i):
             if v in used:
-                continue
-            if bounded and not lo < ranked[v] < hi:
                 continue
             induced_ok = True
             for j in non_positions:

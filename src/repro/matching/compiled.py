@@ -39,6 +39,13 @@ whole-graph enumeration of the offline build, and
 :func:`compiled_pinned_matrix`, the localized re-matching of the delta
 path (:mod:`repro.index.delta`), where pins become singleton candidate
 arrays and the affected region becomes per-type candidate masks.
+
+Two more consumers walk the kernel directly, so every production match
+runs here: the miner's MNI support
+(:func:`repro.mining.grami.mni_support`) reads the raw batches under
+non-induced semantics, and rewrite-rule bindings
+(:meth:`repro.index.rewrite.RewriteRule.bindings`) read every induced
+embedding, symmetry breaking off, in ascending dense-id order.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ import numpy as np
 from repro.exceptions import MatchingError
 from repro.graph.csr import CSRGraph, csr_view
 from repro.graph.typed_graph import NodeId, TypedGraph
-from repro.matching.backtracking import _condition_bounds, _prefix_structure
+from repro.matching.backtracking import _prefix_structure
 from repro.matching.base import Embedding
 from repro.matching.ordering import estimated_cost_order
 from repro.matching.partition import rooted_order
@@ -80,6 +87,26 @@ def compiled_order(csr: CSRGraph, metagraph: Metagraph) -> list[int]:
     rescan per pattern.
     """
     return estimated_cost_order(None, metagraph, csr.cardinalities())
+
+
+def _condition_bounds(
+    conditions: Sequence[tuple[int, int]], order: Sequence[int]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Per position: earlier order-positions bounding its image from below / above.
+
+    Each symmetry-breaking condition ``image[v] < image[w]`` is checked
+    at the later of its two positions: as a lower bound when ``w`` comes
+    later, as an upper bound when ``v`` does.
+    """
+    position = {u: i for i, u in enumerate(order)}
+    lower_at: list[list[int]] = [[] for _ in order]
+    upper_at: list[list[int]] = [[] for _ in order]
+    for v, w in conditions:
+        if position[v] < position[w]:
+            lower_at[position[w]].append(position[v])
+        else:
+            upper_at[position[v]].append(position[w])
+    return lower_at, upper_at
 
 
 def _base_candidates(
@@ -143,6 +170,7 @@ def _assignment_batches(
     order: Sequence[int],
     pool: Mapping[int, np.ndarray] | None = None,
     break_symmetry: bool = True,
+    induced: bool = True,
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """Iterative backtracking over the CSR arrays (see module docstring).
 
@@ -157,7 +185,9 @@ def _assignment_batches(
     (pins, regions).  ``break_symmetry`` keeps one embedding per
     instance; it must be off whenever a pool restricts nodes
     asymmetrically — a pin could then exclude an embedding whose kept
-    automorphic partner the pool rejects.
+    automorphic partner the pool rejects.  ``induced=False`` skips the
+    non-neighbour mask: standard (non-induced) subgraph isomorphism, as
+    the miner's MNI support needs.
     """
     n = metagraph.size
     if metagraph.has_kinds and not csr.has_kinds:
@@ -255,7 +285,7 @@ def _assignment_batches(
             cand = base[order[i]]
             if bounded_at[i]:
                 cand = bounded(i, cand)
-        for j in nonneighbors_at[i]:
+        for j in nonneighbors_at[i] if induced else ():
             if cand.size == 0:
                 break
             adjacent = csr.typed_neighbors(assignment[j], code)

@@ -14,10 +14,11 @@ the same semantics:
 - support evaluation short-circuits once every pattern node has reached
   the threshold, and abandons patterns whose embedding enumeration
   exceeds a configurable budget (reported, never silent).
-- **symmetry breaking**: the enumeration keeps one embedding per orbit
-  of the pattern's automorphism group (stabiliser-chain conditions, as
-  in the matching kernel); the images of an orbit's nodes are the union
-  of the kept rows' columns over that orbit, so MNI stays exact.
+- **symmetry breaking**: the enumeration runs on the compiled matching
+  kernel (:mod:`repro.matching.compiled`, non-induced) and keeps one
+  embedding per orbit of the pattern's automorphism group
+  (stabiliser-chain conditions); the images of an orbit's nodes are the
+  union of the kept rows' columns over that orbit, so MNI stays exact.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from dataclasses import dataclass, field
 
 from repro.graph.csr import csr_view
 from repro.graph.typed_graph import TypedGraph
-from repro.matching.backtracking import backtrack_embeddings
-from repro.matching.ordering import GraphCardinalities, estimated_cost_order
+from repro.matching.compiled import _assignment_batches, compiled_order
 from repro.metagraph.canonical import CanonicalForm, canonical_form, form_edge_entry
 from repro.metagraph.metagraph import Metagraph
-from repro.metagraph.symmetry import automorphisms, orbits, symmetry_conditions
+from repro.metagraph.symmetry import automorphisms, orbits
 from repro.mining.enumerate import check_size_bounds, extensions, single_edge_patterns
 
 
@@ -56,7 +56,9 @@ class MinerConfig:
         enumeration of :func:`mni_support` counts each kept row as
         |Aut(M)| embeddings, so the abort point (and the partial
         support a budget hit reports) can differ from an unbroken
-        enumeration's.
+        enumeration's.  The budget is checked once per kernel batch
+        (all completions of one partial assignment), so a hit can
+        overshoot it by at most one batch's tail times |Aut(M)|.
 
     Every bound is validated on construction (``ValueError``):
     ``max_nodes >= 2`` (a pattern needs an edge), ``max_edges`` None
@@ -113,7 +115,6 @@ def mni_support(
     pattern: Metagraph,
     threshold: int,
     embedding_budget: int | None = None,
-    cardinalities: GraphCardinalities | None = None,
 ) -> SupportEstimate:
     """MNI support of ``pattern`` on ``graph``.
 
@@ -121,35 +122,36 @@ def mni_support(
     every pattern node has at least ``threshold`` distinct images), so
     the exact value is only computed when it is below the threshold.
 
-    The enumeration keeps one embedding per orbit of Aut(M) under the
-    symmetry-breaking conditions of
-    :func:`~repro.metagraph.symmetry.symmetry_conditions`, ranking graph
-    nodes by their dense id in ``csr_view(graph)``.  Aut(M) acts freely
-    on non-induced embeddings too, and the images of node ``u`` over a
-    kept row's orbit are the row's columns over ``orbit(u)``: so every
-    node of one orbit shares one image set, the union of the kept rows'
-    columns over that orbit, and the support is exact.  A kept row
-    counts as |Aut(M)| embeddings toward ``embedding_budget``, so a
-    budget hit may come at a different point than in an unbroken
-    enumeration.
+    The enumeration walks the compiled kernel's non-induced batches over
+    ``csr_view(graph)``, which keep one embedding per orbit of Aut(M)
+    under the symmetry-breaking conditions of
+    :func:`~repro.metagraph.symmetry.symmetry_conditions`.  Aut(M) acts
+    freely on non-induced embeddings too, and the images of node ``u``
+    over a kept row's orbit are the row's columns over ``orbit(u)``: so
+    every node of one orbit shares one image set, the union of the kept
+    rows' columns over that orbit, and the support is exact.  A kept row
+    counts as |Aut(M)| embeddings toward ``embedding_budget``.  The
+    threshold and the budget are checked after each kernel batch (one
+    partial assignment and the array of its last node's images), so a
+    budget hit can overshoot by at most one tail, and may come at a
+    different point than in an unbroken enumeration.  Candidates are
+    visited in ascending dense id, so the result does not depend on the
+    process's hash seed.
     """
-    order = estimated_cost_order(graph, pattern, cardinalities)
+    csr = csr_view(graph)
+    order = compiled_order(csr, pattern)
     group_size = len(automorphisms(pattern))
-    node_orbits = [sorted(orbit) for orbit in orbits(pattern)]
-    images: list[set] = [set() for _ in node_orbits]
+    node_orbits = orbits(pattern)
+    images: list[set[int]] = [set() for _ in node_orbits]
+    image_of = {u: image for image, orbit in zip(images, node_orbits) for u in orbit}
+    prefix_images = [image_of[u] for u in order[:-1]]
+    tail_images = image_of[order[-1]]
     enumerated = 0
-    for embedding in backtrack_embeddings(
-        graph,
-        pattern,
-        order,
-        induced=False,
-        conditions=symmetry_conditions(pattern),
-        rank=csr_view(graph).id_of,
-    ):
-        enumerated += group_size
-        for image, orbit in zip(images, node_orbits):
-            for u in orbit:
-                image.add(embedding[u])
+    for prefix, tail in _assignment_batches(csr, pattern, order, induced=False):
+        enumerated += group_size * tail.size
+        for image, v in zip(prefix_images, prefix):
+            image.add(v)
+        tail_images.update(tail.tolist())
         if all(len(s) >= threshold for s in images):
             return SupportEstimate(threshold, budget_hit=False)
         if embedding_budget is not None and enumerated >= embedding_budget:
@@ -173,7 +175,6 @@ class GramiMiner:
             return result
         edge_rules = graph.observed_edge_rules()
         types = sorted(graph.types)
-        stats = GraphCardinalities(graph)
         seen: set[CanonicalForm] = set()
         frontier: list[Metagraph] = []
 
@@ -184,11 +185,7 @@ class GramiMiner:
             seen.add(form)
             result.candidates_tested += 1
             estimate = mni_support(
-                graph,
-                pattern,
-                cfg.min_support,
-                embedding_budget=cfg.embedding_budget,
-                cardinalities=stats,
+                graph, pattern, cfg.min_support, cfg.embedding_budget
             )
             if not estimate.is_frequent(cfg.min_support):
                 return

@@ -11,8 +11,10 @@ import json
 import pytest
 
 from repro.exceptions import RewriteError
+from repro.graph.csr import csr_view
 from repro.graph.typed_graph import PLAIN, EdgeKind, TypedGraph
 from repro.index.rewrite import RewriteRule, RuleBook
+from repro.matching.compiled import compiled_order
 from repro.metagraph.metagraph import Metagraph
 from tests.oracles import ledger
 
@@ -162,7 +164,16 @@ class TestBindings:
     def test_bindings_are_deterministic(self):
         graph = reaction_graph()
         rule = RewriteRule(name="r", lhs=pair_lhs())
-        assert list(rule.bindings(graph)) == list(rule.bindings(graph))
+        bindings = list(rule.bindings(graph))
+        assert bindings == list(rule.bindings(graph))
+        # automorphic bindings included: both orders of each reaction's
+        # two substrates
+        assert len(bindings) == 12
+        # ascending by the dense-id tuple, read in the kernel's order
+        csr = csr_view(graph)
+        order = compiled_order(csr, rule.lhs)
+        keys = [tuple(csr.id_of[binding[u]] for u in order) for binding in bindings]
+        assert keys == sorted(keys)
 
 
 class TestCodec:

@@ -22,8 +22,12 @@ SNIPPET = """
 import hashlib, json
 import numpy as np
 from repro.datasets import load_dataset
-from repro.mining import MinerConfig, mine_catalog
+from repro.graph.typed_graph import EdgeKind
+from repro.metagraph.canonical import canonical_form
+from repro.metagraph.metagraph import Metagraph
+from repro.mining import GramiMiner, MinerConfig, mine_catalog
 from repro.index.parallel import build_index
+from repro.index.rewrite import RewriteRule
 from repro.learning.examples import generate_triplets
 from repro.learning.trainer import Trainer, TrainerConfig
 
@@ -35,6 +39,26 @@ label_digest = hashlib.md5(repr(sorted(
 
 catalog = mine_catalog(ds.graph, MinerConfig(max_nodes=3, min_support=3))
 catalog_digest = hashlib.md5(catalog.to_json().encode()).hexdigest()
+
+# a budget small enough to cut enumerations short: where the cut falls
+# must not depend on hash order either
+mined = GramiMiner(
+    MinerConfig(max_nodes=4, min_support=3, embedding_budget=200)
+).mine(ds.graph)
+mining_digest = hashlib.md5(repr((
+    [canonical_form(m) for m in mined.patterns],
+    sorted(mined.supports.items()),
+    mined.candidates_tested,
+    mined.budget_hits,
+)).encode()).hexdigest()
+
+consume = RewriteRule(
+    "consume", Metagraph(["mol", "rxn"], [(0, 1, EdgeKind("in", True))])
+)
+reactions = load_dataset("reactions", scale="tiny").graph
+bindings_digest = hashlib.md5(repr(
+    [sorted(b.items()) for b in consume.bindings(reactions)]
+).encode()).hexdigest()
 
 vectors, _ = build_index(ds.graph, catalog)
 # every m_x / m_xy row, in the form every reader sees them
@@ -53,6 +77,8 @@ weight_digest = hashlib.md5(np.round(weights, 12).tobytes()).hexdigest()
 print(json.dumps({
     "labels": label_digest,
     "catalog": catalog_digest,
+    "mining": mining_digest,
+    "bindings": bindings_digest,
     "vectors": vec_digest,
     "triplets": triplet_digest,
     "weights": weight_digest,
@@ -79,7 +105,9 @@ def _run_with_hashseed(seed: str) -> dict:
 def test_pipeline_invariant_under_hash_randomisation(other_seed):
     baseline = _run_with_hashseed("0")
     other = _run_with_hashseed(other_seed)
-    for stage in ("labels", "catalog", "vectors", "triplets", "weights"):
+    for stage in (
+        "labels", "catalog", "mining", "bindings", "vectors", "triplets", "weights"
+    ):
         assert baseline[stage] == other[stage], (
             f"stage {stage!r} depends on hash order"
         )
