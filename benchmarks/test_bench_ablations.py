@@ -14,9 +14,14 @@ import pytest
 
 from repro.index.transform import identity, log1p
 from repro.index.parallel import build_index
-from repro.matching import SymISOMatcher, backtrack_embeddings
+from repro.graph.csr import csr_view
+from repro.matching import MatchPlan, SymISOMatcher, backtrack_embeddings
 from repro.matching.base import deduplicate_instances
 from repro.matching.ordering import estimated_cost_order, rarest_type_order
+
+
+def cost_order(graph, metagraph):
+    return estimated_cost_order(metagraph, csr_view(graph).cardinalities())
 
 
 @pytest.fixture(scope="module")
@@ -62,14 +67,16 @@ class TestOrderingAblation:
     def test_bench_order(self, benchmark, workload, order_name):
         _phase, graph, metagraphs = workload
         order_fn = (
-            estimated_cost_order if order_name == "estimated" else rarest_type_order
+            cost_order if order_name == "estimated" else rarest_type_order
         )
 
         def match_all():
             total = 0
             for m in metagraphs:
-                order = order_fn(graph, m)
-                total += sum(1 for _ in backtrack_embeddings(graph, m, order))
+                plan = MatchPlan(
+                    m, order_fn(graph, m), induced=True, break_symmetry=False
+                )
+                total += sum(1 for _ in backtrack_embeddings(graph, plan))
             return total
 
         total = benchmark(match_all)

@@ -7,6 +7,8 @@ metagraph of the largest size on the tiny LinkedIn graph), so
 compare the five ``test_bench_engine[...]`` rows.
 """
 
+import hashlib
+import json
 import os
 import statistics
 
@@ -17,6 +19,27 @@ from repro.matching import ALL_ENGINES
 from repro.matching.base import deduplicate_instances
 
 ENGINES = ("SymISO", "SymISO-R", "BoostISO", "TurboISO", "QuickSI")
+
+#: sha256 of every row's dataset, |V_M|, sampled metagraph ids,
+#: per-engine per-metagraph |I(M)| lists and "engines agree" at the
+#: quick scale; re-pin only on purpose, with the reason in CHANGES.md
+FIG11_COUNTS_SHA256 = (
+    "30c579b2d4ceafb6d65ebcd0f433b504a583583e50d1720f032f0076da8fc367"
+)
+
+
+def fig11_counts_digest(rows) -> str:
+    payload = [
+        [
+            row["dataset"],
+            row["|V_M|"],
+            row["_mg_ids"],
+            [row["_counts"][name] for name in fig11.ENGINE_ORDER],
+            row["engines agree"],
+        ]
+        for row in rows
+    ]
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +75,7 @@ def test_bench_fig11_rows(benchmark, quick_config, runner):
     assert rows
     for row in rows:
         assert row["engines agree"], row
+    assert fig11_counts_digest(rows) == FIG11_COUNTS_SHA256
     # shape: at the largest pattern size, SymISO beats the non-symmetric
     # engines (the paper's 52% average gap grows with |V_M|).  The
     # comparison uses per-metagraph best-of-N medians — single means

@@ -21,7 +21,8 @@ package machine-checks those invariants with AST-based checkers:
   no exception smuggling through broad handlers;
 - :mod:`~repro.analysis.api` — ``__all__`` consistency and annotated
   public signatures; no reads of the count store's private fields
-  outside ``repro.index``.
+  outside ``repro.index``; no import of another module's underscored
+  name.
 
 Run it as ``repro lint [PATHS]`` (text or ``--format json``), or from
 tests via :func:`~repro.analysis.core.run_lint`.  Findings are

@@ -21,6 +21,10 @@ boundary: outside ``repro.index`` nothing may read
 :class:`~repro.index.vectors.MetagraphVectors`' private state (the
 snapshot with its pending patch, and the matched ids) — the counts
 have one read path, ``vectors.compile()``.
+
+A third, ``private-import``, keeps every module boundary: no module
+may ``from <other module> import _name``.  An underscored name is its
+module's own; a caller that needs it needs a public name.
 """
 
 from __future__ import annotations
@@ -226,3 +230,33 @@ class LedgerPrivacyChecker(Checker):
                     f"`{ast.unparse(node)}` reaches into the count store's "
                     "private state; read counts through `vectors.compile()`",
                 )
+
+
+@register
+class PrivateImportChecker(Checker):
+    """No module imports another module's underscored name."""
+
+    rule = "private-import"
+    description = (
+        "`from <module> import _name` of another module's underscored "
+        "name; make the name public"
+    )
+
+    def check(self, src: SourceFile) -> Iterator[Finding]:
+        for node in ast.walk(src.tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            # a relative import always reads another module
+            source = "." * node.level + (node.module or "")
+            if source == src.module:
+                continue
+            for alias in node.names:
+                name = alias.name
+                if name.startswith("_") and not (
+                    name.startswith("__") and name.endswith("__")
+                ):
+                    yield self.finding(
+                        src, node,
+                        f"imports `{name}`, private to `{source}`; give it "
+                        "a public name",
+                    )

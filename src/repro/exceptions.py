@@ -87,10 +87,6 @@ class TrainingDataError(LearningError, ValueError):
     """Training examples are empty, malformed, or inconsistent."""
 
 
-class ConvergenceError(LearningError, RuntimeError):
-    """Gradient ascent failed to make progress within the iteration budget."""
-
-
 class IndexError_(ReproError):
     """Base class for errors raised by the instance-index subsystem.
 
@@ -129,7 +125,3 @@ class StaleSnapshotError(SnapshotError):
 
 class DatasetError(ReproError):
     """Base class for errors raised by dataset generators/loaders."""
-
-
-class ExperimentError(ReproError):
-    """Base class for errors raised by the experiment harness."""

@@ -91,8 +91,11 @@ def run_dataset(runner: OfflineRunner, dataset_name: str) -> list[dict]:
         # engines must agree on |I(M)| — a cheap cross-check in the report
         reference = counts["QuickSI"]
         row["engines agree"] = all(c == reference for c in counts.values())
-        # raw per-metagraph timings (underscore keys are dropped from the
-        # rendered table) so acceptance checks can compare robust medians
+        # raw per-metagraph ids, counts and timings (underscore keys are
+        # dropped from the rendered table): acceptance checks pin the
+        # counts and compare robust timing medians
+        row["_mg_ids"] = mg_ids
+        row["_counts"] = counts
         row["_per_metagraph_ms"] = per_metagraph_ms
         rows.append(row)
     return rows

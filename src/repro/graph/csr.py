@@ -378,9 +378,9 @@ class CSRGraph:
 class CSRCardinalities:
     """|I(t)| / |I(<t1, t2>)| statistics answered from the CSR arrays.
 
-    Duck-typed drop-in for
-    :class:`repro.matching.ordering.GraphCardinalities`, but O(1) to
-    construct — the per-type totals were accumulated during the CSR
+    The one source of the matching-order statistics
+    (:func:`repro.matching.ordering.estimated_cost_order`).  O(1) to
+    construct: the per-type totals were accumulated during the CSR
     layout pass instead of rescanning every edge per pattern.
     """
 

@@ -422,12 +422,14 @@ def read_manifest(path: str | Path) -> dict:
 
 
 def _read_payload(
-    source: Path, manifest: dict, mmap: bool, verify: bool
+    source: Path, manifest: dict, mmap: bool
 ) -> dict[str, np.ndarray]:
     """Open every payload member, checked against the manifest.
 
-    Names and byte sizes are always checked; ``verify`` also streams
-    each file through sha256 (from disk, never through a mapping).
+    Checks each member's name and byte size, then streams the file
+    through sha256 (from disk, never through a mapping), so a mapped
+    load is verified once, when it opens, and the query path never
+    touches the digest again.
     """
     arrays: dict[str, np.ndarray] = {}
     for name in _MEMBERS:
@@ -444,16 +446,15 @@ def _read_payload(
                 f"snapshot member {filename} is {size} bytes, manifest "
                 f"records {recorded['bytes']} (corrupt or tampered snapshot)"
             )
-        if verify:
-            digest = hashlib.sha256()
-            with member_path.open("rb") as handle:
-                while block := handle.read(1 << 20):
-                    digest.update(block)
-            if digest.hexdigest() != recorded["sha256"]:
-                raise SnapshotError(
-                    f"snapshot member {filename} does not match the "
-                    "manifest digest (corrupt or tampered snapshot)"
-                )
+        digest = hashlib.sha256()
+        with member_path.open("rb") as handle:
+            while block := handle.read(1 << 20):
+                digest.update(block)
+        if digest.hexdigest() != recorded["sha256"]:
+            raise SnapshotError(
+                f"snapshot member {filename} does not match the "
+                "manifest digest (corrupt or tampered snapshot)"
+            )
         try:
             arrays[name] = np.load(
                 member_path, mmap_mode="r" if mmap else None, allow_pickle=False
@@ -517,21 +518,20 @@ def load_compiled(
 
     This is the cold-start fast path: with ``mmap=True`` (default) the
     CSR arrays are memory-mapped read-only — no decompression, no dict
-    replay — and only per-member names and file sizes are checked
-    (mapped pages cannot be hashed without reading them all, which
-    would defeat the point).  ``mmap=False`` reads the members into
-    memory and verifies their sha256 digests against the manifest; use
-    it when integrity matters more than start-up latency.
+    replay; ``mmap=False`` reads the members into memory.  Either way
+    every member's sha256 digest is checked against the manifest once,
+    streamed from disk before the mapping opens, so a shard worker
+    verifies its snapshot at start and never on the query path.
 
     The floats come from the manifest's recorded value table, so no
     transform callable is needed — custom transforms serve too.
-    Raises :class:`SnapshotError` for missing, resized, or (verifying
-    loads) corrupted members.
+    Raises :class:`SnapshotError` for missing, resized or corrupted
+    members.
     """
     source = Path(path)
     if manifest is None:
         manifest = read_manifest(source)
-    arrays = _read_payload(source, manifest, mmap=mmap, verify=not mmap)
+    arrays = _read_payload(source, manifest, mmap=mmap)
     return _compiled_view(manifest, arrays, manifest["value_table"]["floats"])
 
 
@@ -658,7 +658,7 @@ def load_index(
 
     matched = _checked_matched_ids(manifest)
     catalog = MetagraphCatalog.from_json(catalog_json.decode("utf-8"))
-    arrays = _read_payload(source, manifest, mmap=mmap, verify=True)
+    arrays = _read_payload(source, manifest, mmap=mmap)
     floats = np.asarray(
         [transform(count) for count in manifest["value_table"]["counts"]],
         dtype=np.float64,

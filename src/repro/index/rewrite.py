@@ -38,7 +38,8 @@ from repro.exceptions import RewriteError
 from repro.graph.csr import csr_view
 from repro.graph.typed_graph import PLAIN, EdgeKind, NodeId, TypedGraph
 from repro.index.delta import GraphDelta
-from repro.matching.compiled import _embeddings_from_csr, compiled_order
+from repro.matching.compiled import compiled_order, embeddings_from_csr
+from repro.matching.plan import MatchPlan
 from repro.metagraph.metagraph import Metagraph
 
 # an endpoint of an added edge: an LHS position or a fresh-node variable
@@ -177,7 +178,8 @@ class RewriteRule:
         """
         csr = csr_view(graph)
         order = compiled_order(csr, self.lhs)
-        return _embeddings_from_csr(csr, self.lhs, order, break_symmetry=False)
+        plan = MatchPlan(self.lhs, order, induced=True, break_symmetry=False)
+        return embeddings_from_csr(csr, plan)
 
     def compile(
         self,

@@ -13,11 +13,11 @@ from repro.matching.base import (
 from repro.matching.boostiso import BoostISOMatcher
 from repro.matching.compiled import CompiledMatcher
 from repro.matching.ordering import (
-    GraphCardinalities,
     estimated_cost_order,
     random_connected_order,
     rarest_type_order,
 )
+from repro.matching.plan import MatchPlan
 from repro.matching.quicksi import QuickSIMatcher
 from repro.matching.symiso import SymISOMatcher
 from repro.matching.turboiso import TurboISOMatcher, candidate_regions
@@ -37,8 +37,8 @@ __all__ = [
     "BoostISOMatcher",
     "CompiledMatcher",
     "Embedding",
-    "GraphCardinalities",
     "Instance",
+    "MatchPlan",
     "MatcherProtocol",
     "QuickSIMatcher",
     "SymISOMatcher",

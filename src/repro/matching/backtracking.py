@@ -1,16 +1,17 @@
-"""The shared backtracking skeleton for subgraph matching (Sect. IV-A).
+"""The dict-of-set executor of a match plan (Sect. IV-A).
 
-Given a node order ``u_1 .. u_n`` whose every prefix induces a connected
-sub-pattern, the engine maintains a partial assignment ``D_k`` and, for
-the next pattern node, computes the candidate set ``C(u_{k+1} | D_k)``:
+A :class:`~repro.matching.plan.MatchPlan` fixes a node order
+``u_1 .. u_n`` whose every prefix induces a connected sub-pattern, and
+per position the constraints the next image must meet.  This executor
+maintains a partial assignment ``D_k`` and computes the candidate set
+``C(u_{k+1} | D_k)`` one graph node at a time:
 
 - type must match;
-- must be adjacent to the image of every matched pattern neighbour;
-- must be non-adjacent to the image of every matched pattern
-  non-neighbour (induced semantics, Def. 2);
-- when the pattern or graph carries edge kinds, the (label, direction)
-  signature of every matched pattern edge must equal the corresponding
-  graph edge's signature;
+- must be adjacent to the image of every earlier pattern neighbour,
+  through a graph edge of the plan's (label, direction) signature
+  (checked when the pattern or graph carries edge kinds);
+- must be non-adjacent to the image of every earlier pattern
+  non-neighbour the plan lists (induced semantics, Def. 2);
 - must not already be used (injectivity).
 
 Candidates are generated from the *smallest* typed adjacency list among
@@ -18,53 +19,37 @@ matched neighbours, which is the main source of pruning.  The optional
 memoisation reproduces BoostISO's reuse idea: candidate lists are cached
 on the assignment of the matched pattern neighbours, so sibling branches
 that agree on those assignments skip recomputation.
+
+It serves the Fig. 11 engines and the test oracles; production runs
+on the plan's other executor, the CSR kernel, whose dense ids the
+symmetry bounds compare, so plans executed here are unbroken.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from repro.exceptions import MatchingError
 from repro.graph.typed_graph import NodeId, TypedGraph
 from repro.matching.base import Embedding
-from repro.metagraph.metagraph import Metagraph
+from repro.matching.plan import MatchPlan
 
 _EMPTY: frozenset = frozenset()
 
 
-def _prefix_structure(
-    metagraph: Metagraph, order: Sequence[int]
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Per position: earlier order-positions that are pattern (non)neighbours."""
-    position = {node: i for i, node in enumerate(order)}
-    if len(position) != metagraph.size:
-        raise MatchingError(f"order {order!r} is not a permutation of pattern nodes")
-    neighbors: list[list[int]] = []
-    nonneighbors: list[list[int]] = []
-    for i, u in enumerate(order):
-        nbr = [position[w] for w in metagraph.neighbors(u) if position[w] < i]
-        nbr_set = set(nbr)  # hoisted: the comprehension is O(i) either way,
-        non = [j for j in range(i) if j not in nbr_set]  # not O(i * deg)
-        neighbors.append(sorted(nbr))
-        nonneighbors.append(non)
-    return neighbors, nonneighbors
-
-
 def backtrack_embeddings(
     graph: TypedGraph,
-    metagraph: Metagraph,
-    order: Sequence[int],
+    plan: MatchPlan,
     candidate_pool: dict[int, set[NodeId]] | None = None,
     memoize: bool = False,
-    induced: bool = True,
 ) -> Iterator[Embedding]:
-    """Yield every embedding of ``metagraph`` on ``graph``.
+    """Yield every embedding ``plan`` admits on ``graph``.
 
     Parameters
     ----------
-    order:
-        Pattern-node order; every prefix must induce a connected
-        sub-pattern (except position 0).
+    plan:
+        The search's constraints; it must be unbroken
+        (:class:`~repro.exceptions.MatchingError` otherwise).
     candidate_pool:
         Optional per-pattern-node global candidate restriction
         (TurboISO-style candidate regions).  The mapping may be partial:
@@ -73,26 +58,20 @@ def backtrack_embeddings(
     memoize:
         Cache candidate lists keyed on matched-neighbour assignments
         (BoostISO-style reuse).
-    induced:
-        Def. 2 induced semantics (default).  ``False`` switches to
-        standard (non-induced) subgraph isomorphism, which the
-        unbroken MNI oracle of the tests enumerates.
     """
+    if plan.break_symmetry:
+        raise MatchingError(
+            "the backtracker executes unbroken plans only; symmetry "
+            "bounds compare the compiled kernel's dense ids"
+        )
+    metagraph = plan.metagraph
+    order = plan.order
     n = metagraph.size
-    neighbors_at, nonneighbors_at = _prefix_structure(metagraph, order)
+    neighbors_at, nonneighbors_at = plan.neighbors_at, plan.nonneighbors_at
     types_at = [metagraph.node_type(u) for u in order]
     # edge-kind constraints are checked only when either side carries
     # kinds, so plain graphs/patterns run the exact legacy code path
     kinds_active = metagraph.has_kinds or graph.has_kinds
-    sigs_at: list[dict[int, tuple[str, int]]] = []
-    if kinds_active:
-        for i, u in enumerate(order):
-            sigs_at.append(
-                {
-                    j: metagraph.edge_signature(order[j], u)
-                    for j in neighbors_at[i]
-                }
-            )
     assignment: list[NodeId | None] = [None] * n  # indexed by order position
     used: set[NodeId] = set()
     cache: dict[tuple, tuple[NodeId, ...]] = {}
@@ -121,7 +100,7 @@ def backtrack_embeddings(
         yield from _raw_candidates(i, node_type, nbr_positions)
 
     def _raw_candidates(
-        i: int, node_type: str, nbr_positions: list[int]
+        i: int, node_type: str, nbr_positions: tuple[int, ...]
     ) -> Iterator[NodeId]:
         # seed from the smallest typed adjacency among matched neighbours
         best_pos = min(
@@ -142,7 +121,7 @@ def backtrack_embeddings(
                     ok = False
                     break
             if ok and kinds_active:
-                for j, expected in sigs_at[i].items():
+                for j, expected in zip(nbr_positions, plan.signatures_at[i]):
                     if graph.edge_signature(assignment[j], v) != expected:
                         ok = False
                         break
@@ -153,7 +132,7 @@ def backtrack_embeddings(
         if i == n:
             yield {order[j]: assignment[j] for j in range(n)}
             return
-        non_positions = nonneighbors_at[i] if induced else ()
+        non_positions = nonneighbors_at[i]
         for v in candidates(i):
             if v in used:
                 continue

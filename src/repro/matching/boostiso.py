@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+from repro.graph.csr import csr_view
 from repro.graph.typed_graph import TypedGraph
 from repro.matching.backtracking import backtrack_embeddings
 from repro.matching.base import Embedding
-from repro.matching.ordering import GraphCardinalities, estimated_cost_order
+from repro.matching.ordering import estimated_cost_order
+from repro.matching.plan import MatchPlan
 from repro.matching.turboiso import candidate_regions
 from repro.metagraph.metagraph import Metagraph
 
@@ -35,7 +37,8 @@ class BoostISOMatcher:
         regions = candidate_regions(graph, metagraph)
         if regions is None:
             return
-        order = estimated_cost_order(graph, metagraph, GraphCardinalities(graph))
+        order = estimated_cost_order(metagraph, csr_view(graph).cardinalities())
+        plan = MatchPlan(metagraph, order, induced=True, break_symmetry=False)
         yield from backtrack_embeddings(
-            graph, metagraph, order, candidate_pool=regions, memoize=True
+            graph, plan, candidate_pool=regions, memoize=True
         )

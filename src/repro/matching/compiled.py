@@ -1,9 +1,11 @@
-"""Compiled matching kernel over the integer-CSR graph view.
+"""Compiled matching kernel: one executor of a match plan, on integer CSR.
 
-The pure-Python engines walk dict-of-set adjacency one candidate at a
-time; profiling the offline build shows nearly all wall-clock inside
-that inner loop.  :class:`CompiledMatcher` runs the same search over
-:class:`~repro.graph.csr.CSRGraph` arrays instead:
+A search's constraints live in one :class:`~repro.matching.plan.MatchPlan`
+(order, earlier neighbours with their edge signatures, earlier
+non-neighbours, symmetry bounds).  The dict-of-set backtracker
+(:func:`repro.matching.backtracking.backtrack_embeddings`) executes a
+plan one candidate at a time; :func:`assignment_batches` executes it
+over :class:`~repro.graph.csr.CSRGraph` arrays:
 
 - **candidate regions** come from one vectorised comparison of the
   neighbourhood-profile matrix against the pattern node's profile
@@ -11,41 +13,36 @@ that inner loop.  :class:`CompiledMatcher` runs the same search over
   :func:`repro.matching.turboiso.candidate_regions`);
 - **candidate generation** intersects the sorted typed-adjacency slices
   of the matched pattern neighbours by binary search on whole arrays
-  (seeded from the smallest slice, as the Python skeleton does);
-- **induced semantics** (Def. 2) masks out candidates adjacent to any
-  matched non-neighbour with the same binary-search membership test;
+  (seeded from the smallest slice, as the Python executor does);
+- the plan's **non-neighbours** (induced semantics, Def. 2) mask out
+  candidates with the same binary-search membership test;
 - the backtracking itself is **iterative** (an explicit stack of
   candidate arrays), so deep patterns never touch Python's recursion
   machinery;
-- **symmetry breaking** is complete: the stabiliser-chain conditions
-  of :func:`~repro.metagraph.symmetry.symmetry_conditions` (Grochow &
-  Kellis) order the images of automorphic pattern nodes.  Each
-  condition is checked at the later of its two order positions, and all
-  conditions at one position cut the sorted candidate array to one
-  slice.  Under induced semantics (Def. 2) two embeddings of the same
-  instance differ by an automorphism, so every *instance* is produced
-  exactly once (the contract of
+- the plan's **symmetry bounds** (the stabiliser-chain conditions of
+  :func:`~repro.metagraph.symmetry.symmetry_conditions`) compare dense
+  ids, and all bounds at one position cut the sorted candidate array
+  to one slice.  Under induced semantics two embeddings of the same
+  instance differ by an automorphism, so a symmetry-broken plan
+  produces every *instance* exactly once (the contract of
   :class:`~repro.matching.base.MatcherProtocol` asks for at least once).
 
-The engine is instance-set-identical to ``SymISO`` (the cross-matcher
+Every production match runs here; each consumer states its semantics
+where it builds its plan.  The offline build's
+:func:`compiled_embedding_matrix` is induced and broken, so its
+``(N, n)`` dense-id matrix (:func:`embedding_matrix`) has one row per
+instance for the Eq. 1–2 counter
+(:func:`repro.index.instance_index.count_embeddings`).  The delta
+path's :func:`compiled_pinned_matrix` is induced and unbroken, with
+pins and the affected region as a candidate pool.  The miner's MNI
+support (:func:`repro.mining.grami.mni_support`) reads non-induced,
+broken batches; rewrite-rule bindings
+(:meth:`repro.index.rewrite.RewriteRule.bindings`) are induced and
+unbroken.
+
+The kernel is instance-set-identical to ``SymISO`` (the cross-matcher
 parity suite pins this), which makes the Eq. 1–2
 :class:`~repro.index.instance_index.MetagraphCounts` bit-identical.
-
-One assembler, :func:`_embedding_matrix`, stacks the kernel's batches
-into an ``(N, n)`` dense-id matrix, and the Eq. 1–2 counter
-(:func:`repro.index.instance_index.count_embeddings`) reads only that
-matrix.  Two forms feed it: :func:`compiled_embedding_matrix`, the
-whole-graph enumeration of the offline build, and
-:func:`compiled_pinned_matrix`, the localized re-matching of the delta
-path (:mod:`repro.index.delta`), where pins become singleton candidate
-arrays and the affected region becomes per-type candidate masks.
-
-Two more consumers walk the kernel directly, so every production match
-runs here: the miner's MNI support
-(:func:`repro.mining.grami.mni_support`) reads the raw batches under
-non-induced semantics, and rewrite-rule bindings
-(:meth:`repro.index.rewrite.RewriteRule.bindings`) read every induced
-embedding, symmetry breaking off, in ascending dense-id order.
 """
 
 from __future__ import annotations
@@ -57,12 +54,10 @@ import numpy as np
 from repro.exceptions import MatchingError
 from repro.graph.csr import CSRGraph, csr_view
 from repro.graph.typed_graph import NodeId, TypedGraph
-from repro.matching.backtracking import _prefix_structure
 from repro.matching.base import Embedding
-from repro.matching.ordering import estimated_cost_order
-from repro.matching.partition import rooted_order
+from repro.matching.ordering import connected_order_from, estimated_cost_order
+from repro.matching.plan import MatchPlan
 from repro.metagraph.metagraph import Metagraph
-from repro.metagraph.symmetry import symmetry_conditions
 
 
 def _contains_sorted(haystack: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -80,33 +75,8 @@ def _contains_sorted(haystack: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def compiled_order(csr: CSRGraph, metagraph: Metagraph) -> list[int]:
-    """The paper's estimated-cost matching order, answered from CSR stats.
-
-    Same heuristic as SymISO's, but the type cardinalities come from the
-    totals accumulated during the CSR layout pass instead of an O(|E|)
-    rescan per pattern.
-    """
-    return estimated_cost_order(None, metagraph, csr.cardinalities())
-
-
-def _condition_bounds(
-    conditions: Sequence[tuple[int, int]], order: Sequence[int]
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Per position: earlier order-positions bounding its image from below / above.
-
-    Each symmetry-breaking condition ``image[v] < image[w]`` is checked
-    at the later of its two positions: as a lower bound when ``w`` comes
-    later, as an upper bound when ``v`` does.
-    """
-    position = {u: i for i, u in enumerate(order)}
-    lower_at: list[list[int]] = [[] for _ in order]
-    upper_at: list[list[int]] = [[] for _ in order]
-    for v, w in conditions:
-        if position[v] < position[w]:
-            lower_at[position[w]].append(position[v])
-        else:
-            upper_at[position[v]].append(position[w])
-    return lower_at, upper_at
+    """The paper's estimated-cost matching order over ``csr``'s type totals."""
+    return estimated_cost_order(metagraph, csr.cardinalities())
 
 
 def _base_candidates(
@@ -126,33 +96,22 @@ def _base_candidates(
     per-(type, signature) profile matrix instead, so a node lacking the
     right labeled/directed neighbour edges is pruned up front.
     """
-    num_types = csr.num_types
-    num_sigs = csr.num_sigs
+    # columns: one per type, or one per (type, signature) when kinded
+    width = csr.num_sigs if kinds_active else 1
+    profiles = csr.sig_profiles if kinds_active else csr.profiles
+    assert profiles is not None
     base: list[np.ndarray] = []
     full: list[bool] = []
     for u in metagraph.nodes():
-        if kinds_active:
-            assert csr.sig_profiles is not None
-            profile = np.zeros(num_types * num_sigs, dtype=csr.profiles.dtype)
-            for v in metagraph.neighbors(u):
-                code_v = csr.type_id(metagraph.node_type(v))
-                if code_v is None:  # neighbour type absent: no match
-                    return None
-                sig = csr.sig_id(*metagraph.edge_signature(u, v))
-                if sig is None:  # signature never occurs in the graph
-                    return None
-                profile[code_v * num_sigs + sig] += 1
-            lo, hi = csr.type_range(tcodes[u])
-            mask = (csr.sig_profiles[lo:hi] >= profile).all(axis=1)
-        else:
-            profile = np.zeros(num_types, dtype=csr.profiles.dtype)
-            for v in metagraph.neighbors(u):
-                code_v = csr.type_id(metagraph.node_type(v))
-                if code_v is None:  # neighbour type absent: nothing can match
-                    return None
-                profile[code_v] += 1
-            lo, hi = csr.type_range(tcodes[u])
-            mask = (csr.profiles[lo:hi] >= profile).all(axis=1)
+        profile = np.zeros(csr.num_types * width, dtype=csr.profiles.dtype)
+        for v in metagraph.neighbors(u):
+            code_v = csr.type_id(metagraph.node_type(v))
+            sig = csr.sig_id(*metagraph.edge_signature(u, v)) if kinds_active else 0
+            if code_v is None or sig is None:  # absent type or signature: no match
+                return None
+            profile[code_v * width + sig] += 1
+        lo, hi = csr.type_range(tcodes[u])
+        mask = (profiles[lo:hi] >= profile).all(axis=1)
         cand = lo + np.nonzero(mask)[0]
         if pool is not None and u in pool:
             restricted = pool[u]
@@ -164,31 +123,31 @@ def _base_candidates(
     return base, full
 
 
-def _assignment_batches(
+def assignment_batches(
     csr: CSRGraph,
-    metagraph: Metagraph,
-    order: Sequence[int],
+    plan: MatchPlan,
     pool: Mapping[int, np.ndarray] | None = None,
-    break_symmetry: bool = True,
-    induced: bool = True,
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """Iterative backtracking over the CSR arrays (see module docstring).
 
-    Yields ``(prefix, tail)`` batches in *order-position* space: every
-    embedding of the batch binds ``order[j] -> prefix[j]`` for the first
-    ``n - 1`` positions and ``order[n - 1]`` to one element of the
-    ``tail`` array (injectivity already enforced).  Batching the whole
-    terminal level lets consumers count embeddings without touching them
-    one Python object at a time.
+    Executes ``plan`` and yields ``(prefix, tail)`` batches in
+    *order-position* space: every embedding of the batch binds
+    ``order[j] -> prefix[j]`` for the first ``n - 1`` positions and
+    ``order[n - 1]`` to one element of the ``tail`` array (injectivity
+    already enforced).  Batching the whole terminal level lets consumers
+    count embeddings without touching them one Python object at a time.
+    Symmetry bounds compare dense ids.
 
     ``pool`` maps pattern nodes to sorted dense-id candidate arrays
-    (pins, regions).  ``break_symmetry`` keeps one embedding per
-    instance; it must be off whenever a pool restricts nodes
-    asymmetrically — a pin could then exclude an embedding whose kept
-    automorphic partner the pool rejects.  ``induced=False`` skips the
-    non-neighbour mask: standard (non-induced) subgraph isomorphism, as
-    the miner's MNI support needs.
+    (pins, regions).  It needs an unbroken plan
+    (:class:`~repro.exceptions.MatchingError` otherwise): a pool
+    restricts nodes asymmetrically, so it could reject the one
+    embedding of an instance the symmetry conditions keep.
     """
+    if pool is not None and plan.break_symmetry:
+        raise MatchingError("a candidate pool needs a plan without symmetry breaking")
+    metagraph = plan.metagraph
+    order = plan.order
     n = metagraph.size
     if metagraph.has_kinds and not csr.has_kinds:
         # a kinded pattern edge can never match a plain graph
@@ -207,22 +166,10 @@ def _assignment_batches(
     if n == 1:
         yield (), base[0]
         return
-    neighbors_at, nonneighbors_at = _prefix_structure(metagraph, order)
-    lower_at, upper_at = _condition_bounds(
-        symmetry_conditions(metagraph) if break_symmetry else (), order
-    )
+    neighbors_at = plan.neighbors_at
+    nonneighbors_at = plan.nonneighbors_at
+    lower_at, upper_at = plan.lower_at, plan.upper_at
     bounded_at = [bool(lo or hi) for lo, hi in zip(lower_at, upper_at)]
-    # per position: the signature code each matched-neighbour slice must
-    # carry, aligned with neighbors_at[i] (kinded graphs only)
-    sig_code_at: list[list[int | None]] = []
-    if kinds_active:
-        for i, u in enumerate(order):
-            sig_code_at.append(
-                [
-                    csr.sig_id(*metagraph.edge_signature(order[j], u))
-                    for j in neighbors_at[i]
-                ]
-            )
 
     assignment = [0] * n  # dense graph ids, indexed by order position
     used: set[int] = set()
@@ -257,8 +204,8 @@ def _assignment_batches(
         if nbr_positions:
             if kinds_active:
                 slices = []
-                for k, j in enumerate(nbr_positions):
-                    sig = sig_code_at[i][k]
+                for j, signature in zip(nbr_positions, plan.signatures_at[i]):
+                    sig = csr.sig_id(*signature)
                     if sig is None:
                         return empty
                     slices.append(
@@ -285,7 +232,7 @@ def _assignment_batches(
             cand = base[order[i]]
             if bounded_at[i]:
                 cand = bounded(i, cand)
-        for j in nonneighbors_at[i] if induced else ():
+        for j in nonneighbors_at[i]:
             if cand.size == 0:
                 break
             adjacent = csr.typed_neighbors(assignment[j], code)
@@ -328,19 +275,12 @@ def _assignment_batches(
         pos[depth] = 0
 
 
-def _embeddings_from_csr(
-    csr: CSRGraph,
-    metagraph: Metagraph,
-    order: Sequence[int],
-    pool: Mapping[int, np.ndarray] | None = None,
-    break_symmetry: bool = True,
-) -> Iterator[Embedding]:
-    """Per-embedding dict view of :func:`_assignment_batches` (protocol API)."""
-    n = metagraph.size
+def embeddings_from_csr(csr: CSRGraph, plan: MatchPlan) -> Iterator[Embedding]:
+    """Per-embedding dict view of :func:`assignment_batches` (protocol API)."""
+    order = plan.order
+    n = len(order)
     node_ids = csr.node_ids
-    for prefix, tail in _assignment_batches(
-        csr, metagraph, order, pool=pool, break_symmetry=break_symmetry
-    ):
+    for prefix, tail in assignment_batches(csr, plan):
         bound = {order[j]: node_ids[prefix[j]] for j in range(n - 1)}
         terminal = order[n - 1]
         for v in tail.tolist():
@@ -349,25 +289,22 @@ def _embeddings_from_csr(
             yield embedding
 
 
-def _embedding_matrix(
+def embedding_matrix(
     csr: CSRGraph,
-    metagraph: Metagraph,
-    order: Sequence[int],
+    plan: MatchPlan,
     pool: Mapping[int, np.ndarray] | None = None,
-    break_symmetry: bool = True,
 ) -> np.ndarray:
-    """Stack :func:`_assignment_batches` into one ``(N, n)`` dense-id matrix.
+    """Stack :func:`assignment_batches` into one ``(N, n)`` dense-id matrix.
 
     Column ``u`` holds the image of pattern node ``u``.  The matrix is
     materialised in full — at 8 bytes per cell a million 4-node
     embeddings cost ~32 MB, far below the per-object cost of the
     equivalent dict / ``Instance`` stream.
     """
-    n = metagraph.size
+    order = plan.order
+    n = len(order)
     blocks: list[np.ndarray] = []
-    for prefix, tail in _assignment_batches(
-        csr, metagraph, order, pool=pool, break_symmetry=break_symmetry
-    ):
+    for prefix, tail in assignment_batches(csr, plan, pool):
         block = np.empty((tail.size, n), dtype=np.int64)
         for j in range(n - 1):
             block[:, j] = prefix[j]
@@ -391,7 +328,8 @@ def compiled_embedding_matrix(csr: CSRGraph, metagraph: Metagraph) -> np.ndarray
     instead of per-embedding Python objects.  Symmetry breaking is
     complete, so ``N`` is the instance count |I(M)|.
     """
-    return _embedding_matrix(csr, metagraph, compiled_order(csr, metagraph))
+    plan = MatchPlan(metagraph, compiled_order(csr, metagraph), induced=True, break_symmetry=True)
+    return embedding_matrix(csr, plan)
 
 
 def compiled_pinned_matrix(
@@ -406,14 +344,14 @@ def compiled_pinned_matrix(
     in the dense ids of ``csr_view(graph)``.  ``pins``
     (``{pattern_node: graph_node}``, non-empty, pattern nodes in
     ``0..n-1``) root the search at the first pin, in
-    :func:`~repro.matching.partition.rooted_order`; a pin whose graph
-    node is absent or of the wrong type yields no rows.  Pins become
-    singleton candidate arrays and the affected region becomes per-type
-    dense-id masks for every unpinned pattern node (types missing from
-    the mapping admit no candidates).  Symmetry breaking is disabled:
-    pins restrict pattern nodes asymmetrically, so dropping an embedding
-    in favour of its automorphic partner could drop it out of the pinned
-    result entirely.
+    :func:`~repro.matching.ordering.connected_order_from`; a pin whose
+    graph node is absent or of the wrong type yields no rows.  Pins
+    become singleton candidate arrays and the affected region becomes
+    per-type dense-id masks for every unpinned pattern node (types
+    missing from the mapping admit no candidates).  The plan is
+    unbroken: pins restrict pattern nodes asymmetrically, so dropping an
+    embedding in favour of its automorphic partner could drop it out of
+    the pinned result entirely.
     """
     if not pins:
         raise MatchingError("compiled_pinned_matrix needs at least one pin")
@@ -443,8 +381,9 @@ def compiled_pinned_matrix(
                 cached = csr.encode(region.get(node_type, ()))
                 encoded[node_type] = cached
             pool[u] = cached
-    order = rooted_order(graph, metagraph, next(iter(pins)))
-    return _embedding_matrix(csr, metagraph, order, pool, break_symmetry=False)
+    order = connected_order_from(graph, metagraph, next(iter(pins)))
+    plan = MatchPlan(metagraph, order, induced=True, break_symmetry=False)
+    return embedding_matrix(csr, plan, pool)
 
 
 class CompiledMatcher:
@@ -470,5 +409,6 @@ class CompiledMatcher:
         """
         csr = csr_view(graph)
         order = compiled_order(csr, metagraph)
-        yield from _embeddings_from_csr(csr, metagraph, order)
+        plan = MatchPlan(metagraph, order, induced=True, break_symmetry=True)
+        yield from embeddings_from_csr(csr, plan)
 

@@ -9,71 +9,50 @@ paper's estimated-instance-count ordering:
 where ``|I(<u, u'>)|`` is the number of graph edges whose endpoint types
 match the pattern edge and ``|I(u)|`` the number of graph nodes of
 ``u``'s type.  At each step the edge minimising the estimate is added;
-node order is the order of first appearance.
+node order is the order of first appearance.  Both cardinalities have
+one source, :class:`~repro.graph.csr.CSRCardinalities`: the per-type
+totals accumulated while the CSR view is laid out.
 
-A rarest-type-first static order (QuickSI-flavoured) and a seeded random
-order (for SymISO-R) are also provided.
+A rarest-type-first connected order grown from a given start (QuickSI's
+static order from the rarest node, and the delta path's pinned searches
+from the first pin) and a seeded random order (for SymISO-R) are also
+provided.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from collections.abc import Callable
 
+from repro.exceptions import MatchingError
+from repro.graph.csr import CSRCardinalities
 from repro.graph.typed_graph import TypedGraph
 from repro.metagraph.metagraph import Metagraph
 
 
-def edge_type_pair_counts(graph: TypedGraph) -> dict[tuple[str, str], int]:
-    """Number of graph edges per sorted endpoint-type pair."""
-    counts: Counter[tuple[str, str]] = Counter()
-    for u, v in graph.edges():
-        counts[graph.edge_type_pair(u, v)] += 1
-    return dict(counts)
-
-
-class GraphCardinalities:
-    """Cached |I(t)| and |I(<t1, t2>)| statistics for one graph."""
-
-    def __init__(self, graph: TypedGraph):
-        self.node_counts = {t: graph.count_type(t) for t in graph.types}
-        self.edge_counts = edge_type_pair_counts(graph)
-
-    def nodes_of(self, node_type: str) -> int:
-        """|I(t)|: number of graph nodes of the given type."""
-        return self.node_counts.get(node_type, 0)
-
-    def edges_of(self, type_a: str, type_b: str) -> int:
-        """|I(<t1,t2>)|: graph edges whose endpoint types match."""
-        pair = (type_a, type_b) if type_a <= type_b else (type_b, type_a)
-        return self.edge_counts.get(pair, 0)
-
-
 def estimated_cost_order(
-    graph: TypedGraph,
-    metagraph: Metagraph,
-    cardinalities: GraphCardinalities | None = None,
+    metagraph: Metagraph, cardinalities: CSRCardinalities
 ) -> list[int]:
     """The paper's f(M)-minimising node order (Sect. IV-C).
 
     Greedy: start from the pattern edge with the fewest matching graph
     edges; repeatedly extend by the frontier edge whose selectivity
     ``|I(<u,u'>)| / |I(u)|`` is smallest.  Every prefix of the returned
-    order induces a connected sub-pattern.
+    order induces a connected sub-pattern.  ``cardinalities`` answers
+    |I(t)| and |I(<t1, t2>)|: ``csr_view(graph).cardinalities()``.
     """
-    stats = cardinalities or GraphCardinalities(graph)
     n = metagraph.size
     if n == 1:
         return [0]
 
     def edge_cost(u: int, v: int) -> float:
-        return stats.edges_of(metagraph.node_type(u), metagraph.node_type(v))
+        return cardinalities.edges_of(metagraph.node_type(u), metagraph.node_type(v))
 
     first_edge = min(metagraph.edges, key=lambda e: (edge_cost(*e), e))
     # orient the first edge: bind the rarer-type endpoint first
     u0, v0 = first_edge
-    if stats.nodes_of(metagraph.node_type(v0)) < stats.nodes_of(metagraph.node_type(u0)):
+    nodes_of = cardinalities.nodes_of
+    if nodes_of(metagraph.node_type(v0)) < nodes_of(metagraph.node_type(u0)):
         u0, v0 = v0, u0
     order = [u0, v0]
     in_order = {u0, v0}
@@ -83,7 +62,7 @@ def estimated_cost_order(
             for v in metagraph.neighbors(u):
                 if v in in_order:
                     continue
-                denom = max(1, stats.nodes_of(metagraph.node_type(u)))
+                denom = max(1, nodes_of(metagraph.node_type(u)))
                 selectivity = edge_cost(u, v) / denom
                 key = (selectivity, v, u)
                 if best is None or key < best:
@@ -112,11 +91,15 @@ def connected_order_from(
     """Grow a connected order from ``start``, rarest-type-first.
 
     The shared skeleton of :func:`rarest_type_order` (which picks the
-    globally rarest start) and :func:`repro.matching.partition.rooted_order`,
-    the order of the delta path's pinned searches
-    (:func:`repro.matching.compiled.compiled_pinned_matrix`), where
-    the caller dictates the start.
+    globally rarest start) and of the delta path's pinned searches
+    (:func:`repro.matching.compiled.compiled_pinned_matrix`), where the
+    first pin is the start: binding it first anchors the whole search
+    on its singleton candidate set.  Raises
+    :class:`~repro.exceptions.MatchingError` for a start outside the
+    pattern.
     """
+    if not 0 <= start < metagraph.size:
+        raise MatchingError(f"root {start} outside pattern 0..{metagraph.size - 1}")
     rarity = _rarity_key(graph, metagraph)
     order = [start]
     in_order = {start}

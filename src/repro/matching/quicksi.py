@@ -15,6 +15,7 @@ from repro.graph.typed_graph import TypedGraph
 from repro.matching.backtracking import backtrack_embeddings
 from repro.matching.base import Embedding
 from repro.matching.ordering import rarest_type_order
+from repro.matching.plan import MatchPlan
 from repro.metagraph.metagraph import Metagraph
 
 
@@ -28,4 +29,5 @@ class QuickSIMatcher:
     ) -> Iterator[Embedding]:
         """Yield all embeddings of ``metagraph`` on ``graph``."""
         order = rarest_type_order(graph, metagraph)
-        yield from backtrack_embeddings(graph, metagraph, order)
+        plan = MatchPlan(metagraph, order, induced=True, break_symmetry=False)
+        yield from backtrack_embeddings(graph, plan)

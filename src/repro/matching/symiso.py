@@ -32,15 +32,16 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Sequence
 
+from repro.graph.csr import csr_view
 from repro.graph.typed_graph import NodeId, TypedGraph
 from repro.matching.backtracking import backtrack_embeddings
 from repro.matching.base import Embedding
 from repro.matching.ordering import (
-    GraphCardinalities,
     component_order_from_node_order,
     estimated_cost_order,
     random_connected_order,
 )
+from repro.matching.plan import MatchPlan
 from repro.metagraph.decomposition import Decomposition, TwinFamily, decompose
 from repro.metagraph.metagraph import Metagraph
 
@@ -81,7 +82,7 @@ class SymISOMatcher:
             node_order = random_connected_order(metagraph, rng)
         else:
             node_order = estimated_cost_order(
-                graph, metagraph, GraphCardinalities(graph)
+                metagraph, csr_view(graph).cardinalities()
             )
         comp_order = component_order_from_node_order(node_order, decomp.components)
         # SymISO-R ablates the order policy entirely: raw first-appearance
@@ -95,7 +96,8 @@ class SymISOMatcher:
             # time matching would start from unanchored whole-type-class
             # candidate sets.  Plain node-at-a-time backtracking with the
             # same order is strictly better here (Sect. IV-B's fallback).
-            yield from backtrack_embeddings(graph, metagraph, node_order)
+            plan = MatchPlan(metagraph, node_order, induced=True, break_symmetry=False)
+            yield from backtrack_embeddings(graph, plan)
             return
         yield from _match_groups(graph, metagraph, decomp, groups)
 
@@ -224,26 +226,17 @@ def _component_assignments(
 
     def induced_ok(u: int, v: NodeId) -> bool:
         adj_v = graph.adjacency(v)
-        for w, img in assignment.items():
-            if metagraph.has_edge(u, w):
-                if img not in adj_v:
+        for bound in (assignment, local):
+            for w, img in bound.items():
+                if metagraph.has_edge(u, w):
+                    if img not in adj_v:
+                        return False
+                    if kinds_active and graph.edge_signature(
+                        v, img
+                    ) != metagraph.edge_signature(u, w):
+                        return False
+                elif img in adj_v:
                     return False
-                if kinds_active and graph.edge_signature(
-                    v, img
-                ) != metagraph.edge_signature(u, w):
-                    return False
-            elif img in adj_v:
-                return False
-        for w, img in local.items():
-            if metagraph.has_edge(u, w):
-                if img not in adj_v:
-                    return False
-                if kinds_active and graph.edge_signature(
-                    v, img
-                ) != metagraph.edge_signature(u, w):
-                    return False
-            elif img in adj_v:
-                return False
         return True
 
     def extend(k: int) -> None:

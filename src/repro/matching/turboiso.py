@@ -18,10 +18,12 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 
+from repro.graph.csr import csr_view
 from repro.graph.typed_graph import NodeId, TypedGraph
 from repro.matching.backtracking import backtrack_embeddings
 from repro.matching.base import Embedding
-from repro.matching.ordering import GraphCardinalities, estimated_cost_order
+from repro.matching.ordering import estimated_cost_order
+from repro.matching.plan import MatchPlan
 from repro.metagraph.metagraph import Metagraph
 
 
@@ -60,7 +62,8 @@ class TurboISOMatcher:
         regions = candidate_regions(graph, metagraph)
         if regions is None:
             return
-        order = estimated_cost_order(graph, metagraph, GraphCardinalities(graph))
+        order = estimated_cost_order(metagraph, csr_view(graph).cardinalities())
+        plan = MatchPlan(metagraph, order, induced=True, break_symmetry=False)
         yield from backtrack_embeddings(
-            graph, metagraph, order, candidate_pool=regions
+            graph, plan, candidate_pool=regions
         )

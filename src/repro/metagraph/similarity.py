@@ -49,12 +49,7 @@ def _embeds_induced(pattern: Metagraph, host: Metagraph) -> bool:
     if pattern.size > host.size or pattern.num_edges > host.num_edges:
         return False
     candidates = [
-        [
-            h
-            for h in host.nodes()
-            if host.node_type(h) == pattern.node_type(p)
-            and host.degree(h) >= 0  # degree can shrink in induced subgraphs
-        ]
+        [h for h in host.nodes() if host.node_type(h) == pattern.node_type(p)]
         for p in pattern.nodes()
     ]
     if any(not c for c in candidates):
@@ -105,9 +100,6 @@ def _mcs_size_cached(
     small, large = (a, b) if (a.size + a.num_edges) <= (b.size + b.num_edges) else (b, a)
     best = (0, 0)
     for subset in sorted(_connected_subsets(small), key=len, reverse=True):
-        if len(subset) + len(subset) < best[0] + best[1]:
-            # even a clique on |subset| nodes could not beat the incumbent
-            pass
         candidate = small.induced_on(subset)
         score = (candidate.size, candidate.num_edges)
         if score[0] + score[1] <= best[0] + best[1]:

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 from repro.graph.csr import csr_view
 from repro.graph.typed_graph import TypedGraph
-from repro.matching.compiled import _assignment_batches, compiled_order
+from repro.matching.compiled import assignment_batches, compiled_order
+from repro.matching.plan import MatchPlan
 from repro.metagraph.canonical import CanonicalForm, canonical_form, form_edge_entry
 from repro.metagraph.metagraph import Metagraph
 from repro.metagraph.symmetry import automorphisms, orbits
@@ -139,7 +140,8 @@ def mni_support(
     process's hash seed.
     """
     csr = csr_view(graph)
-    order = compiled_order(csr, pattern)
+    plan = MatchPlan(pattern, compiled_order(csr, pattern), induced=False, break_symmetry=True)
+    order = plan.order
     group_size = len(automorphisms(pattern))
     node_orbits = orbits(pattern)
     images: list[set[int]] = [set() for _ in node_orbits]
@@ -147,7 +149,7 @@ def mni_support(
     prefix_images = [image_of[u] for u in order[:-1]]
     tail_images = image_of[order[-1]]
     enumerated = 0
-    for prefix, tail in _assignment_batches(csr, pattern, order, induced=False):
+    for prefix, tail in assignment_batches(csr, plan):
         enumerated += group_size * tail.size
         for image, v in zip(prefix_images, prefix):
             image.add(v)

@@ -75,10 +75,6 @@ class ShardedVectors:
         """Global universe row of a node (None if absent)."""
         return self.source.position(node)
 
-    def shard_of(self, global_pos: int) -> CompiledShard:
-        index = int(np.searchsorted(self._bounds, global_pos, side="right")) - 1
-        return self.shards[index]
-
     def __repr__(self) -> str:
         return (
             f"<ShardedVectors: {self.num_shards} shards over "

@@ -129,3 +129,60 @@ def test_ledger_private_read_flagged_outside_index(tree):
     assert {f.path for f in findings} == {"src/repro/search.py"}
     assert sorted(f.line for f in findings) == [7, 8, 8, 11, 11]
     assert all("vectors.compile()" in f.message for f in findings)
+
+
+def test_private_import_of_another_module_flagged(tree):
+    tree.write(
+        "mining/grami.py",
+        """\
+        from repro.matching.compiled import _batches, compiled_order
+        from repro.matching import plan as _plan  # a private alias: fine
+
+
+        def support():
+            from repro.index.persist import _read_payload, load_compiled
+
+            return _batches, _read_payload, compiled_order, load_compiled
+        """,
+    )
+    tree.write("matching/compiled.py", "def _batches():\n    pass\n")
+    findings = tree.lint(["private-import"]).findings
+    assert {f.path for f in findings} == {"src/repro/mining/grami.py"}
+    assert sorted(f.line for f in findings) == [1, 6]
+    assert "`_batches`, private to `repro.matching.compiled`" in findings[0].message
+
+
+def test_private_import_flags_relative_imports(tree):
+    tree.write(
+        "matching/kernel.py",
+        """\
+        from . import _helpers
+        from .plan import _derive
+        from ..index.persist import _read_payload
+        """,
+    )
+    tree.write(
+        "matching/__init__.py",
+        "from .kernel import _private\n",
+    )
+    findings = tree.lint(["private-import"]).findings
+    sources = sorted(f.message.split("private to ")[1] for f in findings)
+    assert sources == [
+        "`..index.persist`; give it a public name",
+        "`.`; give it a public name",
+        "`.kernel`; give it a public name",
+        "`.plan`; give it a public name",
+    ]
+
+
+def test_private_import_allows_dunders_and_public_names(tree):
+    tree.write(
+        "pkg/mod.py",
+        """\
+        from __future__ import annotations
+
+        from repro.pkg import __version__
+        from repro.matching.plan import MatchPlan
+        """,
+    )
+    assert tree.lint(["private-import"]).clean

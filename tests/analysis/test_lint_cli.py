@@ -32,7 +32,7 @@ def test_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in (
-        "api-hygiene", "guarded-by", "hot-path-entropy",
+        "api-hygiene", "guarded-by", "hot-path-entropy", "private-import",
         "resource-lifecycle", "unordered-iter", "wire-errors",
     ):
         assert rule in out

@@ -156,7 +156,7 @@ class TestLayout:
         assert csr.num_types == 0
 
     def test_cardinalities_match_graph_statistics(self, toy_graph):
-        from repro.matching.ordering import GraphCardinalities
+        from tests.oracles import GraphCardinalities
 
         reference = GraphCardinalities(toy_graph)
         stats = CSRGraph.from_graph(toy_graph).cardinalities()

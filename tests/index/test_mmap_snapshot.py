@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import SemanticProximitySearch
+from repro.datasets import load_dataset
 from repro.datasets.toy import toy_dataset, toy_metagraphs
 from repro.exceptions import SnapshotError
 from repro.index.persist import (
@@ -19,11 +20,13 @@ from repro.index.persist import (
     _manifest_digest,
     load_compiled,
     load_index,
+    read_manifest,
     save_index,
 )
 from repro.index.transform import sqrt
 from repro.index.parallel import build_index
 from repro.metagraph.catalog import MetagraphCatalog
+from repro.metagraph.metagraph import metapath
 from tests.oracles import ledger
 
 # every array a CompiledVectors holds: the stored structure arrays and
@@ -140,19 +143,45 @@ class TestSidecarIntegrity:
 
     def test_same_size_corruption_caught_by_verifying_load(self, snapshot):
         target, ds, _vectors = snapshot
-        # (a flipped count column would already fail the fast path's
-        # catalog check, so the flip goes into the adjacency)
         member = member_path(target, "entry_pair")
         payload = bytearray(member.read_bytes())
         payload[-1] ^= 0xFF
         member.write_bytes(bytes(payload))
-        # the mmap fast path only checks names and sizes, so it loads...
-        load_compiled(target)
-        # ...and the verifying loads are the ones that catch the flip
+        # every load verifies, the mapped one (the shard workers') too
+        for load in (
+            lambda: load_compiled(target),
+            lambda: load_compiled(target, mmap=False),
+            lambda: load_index(target, graph=ds.graph),
+        ):
+            with pytest.raises(SnapshotError, match="digest"):
+                load()
+
+    def test_same_size_count_rewrite_caught_by_mapped_load(self, tmp_path):
+        # one node count rewritten to another value of the value table:
+        # same file size, every consistency check passes, and only the
+        # digest tells the snapshot would score with a wrong count (the
+        # toy graph's counts are all 1, so this snapshot is LinkedIn's)
+        ds = load_dataset("linkedin", scale="tiny")
+        catalog = MetagraphCatalog(
+            [metapath("user", "college", "user"), metapath("user", "employer", "user")],
+            anchor_type="user",
+        )
+        vectors, index = build_index(ds.graph, catalog)
+        target = tmp_path / "snap"
+        save_index(target, vectors, catalog, graph=ds.graph, index=index)
+        member = member_path(target, "node_count")
+        size = member.stat().st_size
+        counts = np.load(member)
+        distinct = read_manifest(target)["value_table"]["counts"]
+        old = int(counts[0])
+        counts[0] = next(value for value in distinct if value != old)
+        with member.open("wb") as handle:
+            np.save(handle, counts)
+        assert member.stat().st_size == size
         with pytest.raises(SnapshotError, match="digest"):
-            load_compiled(target, mmap=False)
+            load_compiled(target)
         with pytest.raises(SnapshotError, match="digest"):
-            load_index(target, graph=ds.graph)
+            load_index(target, graph=ds.graph, mmap=True)
 
     def test_mixed_build_sidecar_detected_by_filename(self, snapshot):
         # a manifest paired with members of another build: byte sizes

@@ -1,11 +1,16 @@
-"""White-box tests for the shared backtracking skeleton."""
+"""White-box tests for the dict-of-set executor of a match plan."""
 
 import pytest
 
 from repro.exceptions import MatchingError
-from repro.matching.backtracking import _prefix_structure, backtrack_embeddings
+from repro.matching.backtracking import backtrack_embeddings
 from repro.matching.base import is_valid_embedding
+from repro.matching.plan import MatchPlan
 from repro.metagraph.metagraph import Metagraph, metapath
+
+
+def plan(metagraph, order, induced=True):
+    return MatchPlan(metagraph, order, induced=induced, break_symmetry=False)
 
 
 class TestPrefixStructure:
@@ -15,16 +20,17 @@ class TestPrefixStructure:
             [(0, 1), (0, 2), (3, 1), (3, 2)],
         )
         order = [1, 0, 2, 3]
-        neighbors, nonneighbors = _prefix_structure(m, order)
-        assert neighbors[0] == []
-        assert neighbors[1] == [0]  # node 0 adjacent to school at pos 0
-        assert nonneighbors[2] == [0]  # major not adjacent to school
-        assert sorted(neighbors[3]) == [0, 2]
+        built = plan(m, order)
+        neighbors, nonneighbors = built.neighbors_at, built.nonneighbors_at
+        assert neighbors[0] == ()
+        assert neighbors[1] == (0,)  # node 0 adjacent to school at pos 0
+        assert nonneighbors[2] == (0,)  # major not adjacent to school
+        assert neighbors[3] == (0, 2)
 
     def test_invalid_order_rejected(self):
         m = metapath("user", "school")
         with pytest.raises(MatchingError):
-            _prefix_structure(m, [0, 0])
+            plan(m, [0, 0])
 
 
 class TestBacktrackOptions:
@@ -33,8 +39,10 @@ class TestBacktrackOptions:
         # user-school-user has fewer NON-induced than induced exclusions
         path = metapath("user", "school", "user")
         order = [1, 0, 2]
-        induced = list(backtrack_embeddings(toy_graph, path, order, induced=True))
-        loose = list(backtrack_embeddings(toy_graph, path, order, induced=False))
+        induced = list(backtrack_embeddings(toy_graph, plan(path, order)))
+        loose = list(
+            backtrack_embeddings(toy_graph, plan(path, order, induced=False))
+        )
         assert len(loose) >= len(induced)
         for emb in induced:
             assert is_valid_embedding(toy_graph, path, emb)
@@ -49,8 +57,10 @@ class TestBacktrackOptions:
         g.add_edge("b", "c")
         g.add_edge("a", "c")
         path = metapath("user", "user", "user")
-        assert list(backtrack_embeddings(g, path, [0, 1, 2], induced=True)) == []
-        loose = list(backtrack_embeddings(g, path, [0, 1, 2], induced=False))
+        assert list(backtrack_embeddings(g, plan(path, [0, 1, 2]))) == []
+        loose = list(
+            backtrack_embeddings(g, plan(path, [0, 1, 2], induced=False))
+        )
         assert len(loose) == 6  # 3 centre choices x 2 endpoint orders
 
     def test_candidate_pool_restricts(self, toy_graph):
@@ -62,7 +72,7 @@ class TestBacktrackOptions:
             2: set(toy_graph.nodes_of_type("user")),
         }
         found = list(
-            backtrack_embeddings(toy_graph, path, order, candidate_pool=pool)
+            backtrack_embeddings(toy_graph, plan(path, order), candidate_pool=pool)
         )
         assert found
         assert all(emb[0] == "Kate" for emb in found)
@@ -71,7 +81,11 @@ class TestBacktrackOptions:
         path = metapath("user", "school", "user")
         pool = {0: set(), 1: set(), 2: set()}
         assert (
-            list(backtrack_embeddings(toy_graph, path, [1, 0, 2], candidate_pool=pool))
+            list(
+                backtrack_embeddings(
+                    toy_graph, plan(path, [1, 0, 2]), candidate_pool=pool
+                )
+            )
             == []
         )
 
@@ -84,11 +98,13 @@ class TestBacktrackOptions:
             order = rarest_type_order(toy_graph, mg)
             plain = {
                 frozenset(e.values())
-                for e in backtrack_embeddings(toy_graph, mg, order)
+                for e in backtrack_embeddings(toy_graph, plan(mg, order))
             }
             memo = {
                 frozenset(e.values())
-                for e in backtrack_embeddings(toy_graph, mg, order, memoize=True)
+                for e in backtrack_embeddings(
+                    toy_graph, plan(mg, order), memoize=True
+                )
             }
             assert plain == memo
 

@@ -28,6 +28,7 @@ from repro.matching import (
     find_instances,
 )
 from repro.matching.ordering import random_connected_order, rarest_type_order
+from repro.matching.plan import MatchPlan
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph
 from tests.conftest import random_typed_graph
@@ -86,7 +87,10 @@ def backtracking_instances(graph, metagraph, order):
     return {
         inst.nodes
         for inst in deduplicate_instances(
-            backtrack_embeddings(graph, metagraph, order)
+            backtrack_embeddings(
+                graph,
+                MatchPlan(metagraph, order, induced=True, break_symmetry=False),
+            )
         )
     }
 

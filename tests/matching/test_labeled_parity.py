@@ -31,6 +31,7 @@ from repro.matching import (
     find_instances,
 )
 from repro.matching.ordering import rarest_type_order
+from repro.matching.plan import MatchPlan
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph
 from repro.mining import MinerConfig, mine_catalog
@@ -103,7 +104,13 @@ def all_instance_sets(graph, metagraph):
             inst.nodes
             for inst in deduplicate_instances(
                 backtrack_embeddings(
-                    graph, metagraph, rarest_type_order(graph, metagraph)
+                    graph,
+                    MatchPlan(
+                        metagraph,
+                        rarest_type_order(graph, metagraph),
+                        induced=True,
+                        break_symmetry=False,
+                    ),
                 )
             )
         }

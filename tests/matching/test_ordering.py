@@ -6,18 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import DATASET_GENERATORS, load_dataset
+from repro.exceptions import MatchingError
+from repro.graph.csr import csr_view
 from repro.matching.ordering import (
-    GraphCardinalities,
     component_order_from_node_order,
-    edge_type_pair_counts,
+    connected_order_from,
     estimated_cost_order,
     random_connected_order,
     rarest_type_order,
 )
 from repro.metagraph.decomposition import decompose
 from repro.metagraph.metagraph import Metagraph, metapath
+from repro.experiments.config import ExperimentConfig
+from repro.mining.grami import GramiMiner
 from tests.conftest import random_typed_graph
 from tests.metagraph.test_canonical_symmetry import random_metagraph
+from tests.oracles import GraphCardinalities
+
+
+def cost_order(graph, metagraph):
+    return estimated_cost_order(metagraph, csr_view(graph).cardinalities())
 
 
 def connected_prefixes(metagraph, order) -> bool:
@@ -32,7 +41,7 @@ def connected_prefixes(metagraph, order) -> bool:
 
 class TestCardinalities:
     def test_edge_counts(self, toy_graph):
-        counts = edge_type_pair_counts(toy_graph)
+        counts = GraphCardinalities(toy_graph).edge_counts
         assert counts[("school", "user")] == 4
         assert counts[("address", "user")] == 4
         assert sum(counts.values()) == toy_graph.num_edges
@@ -45,15 +54,32 @@ class TestCardinalities:
         assert stats.edges_of("school", "user") == 4
 
 
+    @pytest.mark.parametrize("name", sorted(DATASET_GENERATORS))
+    def test_cost_orders_match_edge_rescan_on_every_catalog(self, name):
+        # every mined pattern of the tiny scale (a superset of the
+        # catalog) orders the same off the CSR layout's totals as off
+        # a rescan of the graph's edges
+        graph = load_dataset(name, scale="tiny").graph
+        config = ExperimentConfig(scale="tiny").miner_config(name)
+        patterns = GramiMiner(config).mine(graph).patterns
+        assert patterns
+        stats = csr_view(graph).cardinalities()
+        reference = GraphCardinalities(graph)
+        for mg in patterns:
+            assert estimated_cost_order(mg, stats) == estimated_cost_order(
+                mg, reference
+            ), mg
+
+
 class TestEstimatedCostOrder:
     def test_permutation(self, toy_graph, toy_metagraphs):
         for mg in toy_metagraphs.values():
-            order = estimated_cost_order(toy_graph, mg)
+            order = cost_order(toy_graph, mg)
             assert sorted(order) == list(range(mg.size))
 
     def test_connected_prefixes(self, toy_graph, toy_metagraphs):
         for mg in toy_metagraphs.values():
-            order = estimated_cost_order(toy_graph, mg)
+            order = cost_order(toy_graph, mg)
             assert connected_prefixes(mg, order)
 
     def test_starts_with_cheapest_edge(self, toy_graph):
@@ -62,12 +88,12 @@ class TestEstimatedCostOrder:
             ["user", "school", "employer", "user"],
             [(0, 1), (0, 2), (3, 1), (3, 2)],
         )
-        order = estimated_cost_order(toy_graph, mg)
+        order = cost_order(toy_graph, mg)
         first_two = {order[0], order[1]}
         assert 2 in first_two  # the employer node is bound early
 
     def test_single_node(self, toy_graph):
-        assert estimated_cost_order(toy_graph, metapath("user")) == [0]
+        assert cost_order(toy_graph, metapath("user")) == [0]
 
     @given(st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
@@ -75,7 +101,7 @@ class TestEstimatedCostOrder:
         rng = random.Random(seed)
         graph = random_typed_graph(seed, num_users=6, num_attrs_per_type=2)
         mg = random_metagraph(rng, max_nodes=5)
-        order = estimated_cost_order(graph, mg)
+        order = cost_order(graph, mg)
         assert sorted(order) == list(range(mg.size))
         assert connected_prefixes(mg, order)
 
@@ -91,6 +117,21 @@ class TestRarestTypeOrder:
         # surname has 1 node, user has 5: surname bound first
         mg = metapath("user", "surname", "user")
         assert rarest_type_order(toy_graph, mg)[0] == 1
+
+
+class TestConnectedOrderFrom:
+    def test_root_bound_first(self, toy_graph, toy_metagraphs):
+        for mg in toy_metagraphs.values():
+            for root in mg.nodes():
+                order = connected_order_from(toy_graph, mg, root)
+                assert order[0] == root
+                assert sorted(order) == list(range(mg.size))
+                assert connected_prefixes(mg, order)
+
+    @pytest.mark.parametrize("root", [-1, 3])
+    def test_root_outside_pattern_rejected(self, toy_graph, root):
+        with pytest.raises(MatchingError, match="outside pattern"):
+            connected_order_from(toy_graph, metapath("user", "school", "user"), root)
 
 
 class TestRandomOrder:

@@ -27,11 +27,12 @@ from repro.graph.csr import csr_view
 from repro.graph.typed_graph import TypedGraph
 from repro.matching import SymISOMatcher, find_instances
 from repro.matching.compiled import (
-    _embedding_matrix,
     compiled_embedding_matrix,
     compiled_order,
+    embedding_matrix,
 )
 from repro.matching.ordering import random_connected_order
+from repro.matching.plan import MatchPlan
 from repro.metagraph.canonical import canonical_form
 from repro.metagraph.symmetry import automorphisms
 from repro.mining import grami
@@ -93,8 +94,11 @@ def test_kernel_enumerates_each_instance_once(name):
         keys = np.unique(np.sort(rows, axis=1), axis=0)
         assert keys.shape[0] == rows.shape[0], mg
         # Aut(M) acts freely: each kept row stands for |Aut(M)| embeddings
-        unbroken = _embedding_matrix(
-            csr, mg, compiled_order(csr, mg), break_symmetry=False
+        unbroken = embedding_matrix(
+            csr,
+            MatchPlan(
+                mg, compiled_order(csr, mg), induced=True, break_symmetry=False
+            ),
         )
         assert rows.shape[0] * len(automorphisms(mg)) == unbroken.shape[0], mg
         kernel = {frozenset(node_ids[v] for v in row) for row in rows.tolist()}
@@ -102,7 +106,15 @@ def test_kernel_enumerates_each_instance_once(name):
         assert kernel == symiso, mg
         # the kept embedding of an instance does not depend on the
         # order; other orders check conditions as upper bounds too
-        shuffled = _embedding_matrix(csr, mg, random_connected_order(mg, rng))
+        shuffled = embedding_matrix(
+            csr,
+            MatchPlan(
+                mg,
+                random_connected_order(mg, rng),
+                induced=True,
+                break_symmetry=True,
+            ),
+        )
         assert sorted(shuffled.tolist()) == sorted(rows.tolist()), mg
 
 

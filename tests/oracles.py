@@ -10,8 +10,10 @@ candidate at a time.  The same goes for the streamed
 ``Instance`` counter and the engine-generic Eq. 1–2 counting that the
 compiled kernel's embedding-matrix counter replaced, the pure-Python
 pinned enumeration the delta path's compiled one replaced, the
-set-operation shard slicing the mask-based one replaced, and the
-miner's MNI support without symmetry breaking.
+set-operation shard slicing the mask-based one replaced, the
+miner's MNI support without symmetry breaking, and the per-call
+edge rescan behind the matching-order statistics that the CSR
+layout's totals replaced.
 Nothing under ``src/`` may import this module.
 """
 
@@ -27,8 +29,8 @@ from repro.index.instance_index import MetagraphCounts
 from repro.learning.model import require_valid_k
 from repro.matching.backtracking import backtrack_embeddings
 from repro.matching.base import deduplicate_instances
-from repro.matching.ordering import estimated_cost_order
-from repro.matching.partition import rooted_order
+from repro.matching.ordering import connected_order_from, estimated_cost_order
+from repro.matching.plan import MatchPlan
 from repro.metagraph.symmetry import anchor_symmetric_pairs
 from repro.mining.grami import SupportEstimate
 
@@ -348,15 +350,16 @@ def pinned_embeddings(graph, metagraph, pins, region=None):
         for u in metagraph.nodes():
             if u not in pool:
                 pool[u] = set(region.get(metagraph.node_type(u), ()))
-    order = rooted_order(graph, metagraph, next(iter(pins)))
-    yield from backtrack_embeddings(graph, metagraph, order, candidate_pool=pool)
+    order = connected_order_from(graph, metagraph, next(iter(pins)))
+    plan = MatchPlan(metagraph, order, induced=True, break_symmetry=False)
+    yield from backtrack_embeddings(graph, plan, candidate_pool=pool)
 
 
 # ----------------------------------------------------------------------
 # unbroken MNI support (the miner's symmetry-broken one replaced it)
 # ----------------------------------------------------------------------
 def unbroken_mni_support(
-    graph, pattern, threshold, embedding_budget=None, cardinalities=None
+    graph, pattern, threshold, embedding_budget=None
 ) -> SupportEstimate:
     """MNI support over *every* non-induced embedding, one at a time.
 
@@ -365,10 +368,11 @@ def unbroken_mni_support(
     pattern node has that many distinct images, a budget hit after
     ``embedding_budget`` embeddings.
     """
-    order = estimated_cost_order(graph, pattern, cardinalities)
+    order = estimated_cost_order(pattern, GraphCardinalities(graph))
+    plan = MatchPlan(pattern, order, induced=False, break_symmetry=False)
     images: list[set] = [set() for _ in range(pattern.size)]
     enumerated = 0
-    for embedding in backtrack_embeddings(graph, pattern, order, induced=False):
+    for embedding in backtrack_embeddings(graph, plan):
         enumerated += 1
         for u, v in embedding.items():
             images[u].add(v)
@@ -377,6 +381,33 @@ def unbroken_mni_support(
         if embedding_budget is not None and enumerated >= embedding_budget:
             return SupportEstimate(min(len(s) for s in images), budget_hit=True)
     return SupportEstimate(min(len(s) for s in images), budget_hit=False)
+
+
+# ----------------------------------------------------------------------
+# matching-order statistics by edge rescan (the CSR layout's totals
+# replaced them)
+# ----------------------------------------------------------------------
+class GraphCardinalities:
+    """|I(t)| and |I(<t1, t2>)| counted off the dict-of-set graph.
+
+    The reference for :class:`repro.graph.csr.CSRCardinalities`: one
+    O(|E|) pass over ``graph.edges()`` per construction.
+    """
+
+    def __init__(self, graph):
+        self.node_counts = {t: graph.count_type(t) for t in graph.types}
+        self.edge_counts = dict(
+            Counter(graph.edge_type_pair(u, v) for u, v in graph.edges())
+        )
+
+    def nodes_of(self, node_type: str) -> int:
+        """|I(t)|: number of graph nodes of the given type."""
+        return self.node_counts.get(node_type, 0)
+
+    def edges_of(self, type_a: str, type_b: str) -> int:
+        """|I(<t1,t2>)|: graph edges whose endpoint types match."""
+        pair = (type_a, type_b) if type_a <= type_b else (type_b, type_a)
+        return self.edge_counts.get(pair, 0)
 
 
 # ----------------------------------------------------------------------
