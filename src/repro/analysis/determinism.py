@@ -132,9 +132,8 @@ class UnorderedIterationChecker(Checker):
     """Set iteration order must not reach order-sensitive consumers."""
 
     rule = "unordered-iter"
-    description = (
-        "set/frozenset iteration feeding an order-sensitive consumer "
-        "in index/, matching/ or serving/"
+    description = "set/frozenset iteration feeding an order-sensitive consumer in " + ", ".join(
+        f"{package.removeprefix('repro.')}/" for package in UNORDERED_SCOPE
     )
 
     def applies_to(self, src: SourceFile) -> bool:

@@ -1,112 +1,71 @@
-"""Canonical labelling of metagraphs for isomorphism-invariant identity.
+"""One exact search per pattern: its canonical form and Aut(M).
 
 Two metagraphs that differ only in node numbering describe the same
-pattern.  The miner (:mod:`repro.mining`) must deduplicate patterns, and
-the structural-similarity code compares patterns up to isomorphism;
-both rely on :func:`canonical_form`.
+pattern.  The miner deduplicates on :func:`canonical_form`, the catalog
+and the snapshots key on it, Def. 1 symmetry and the stabiliser chain
+read Aut(M), and Eq. 7's MCS compares sub-forms.  All of them read one
+cached individualisation-refinement search (McKay & Piperno, "Practical
+graph isomorphism II", 2014), keyed on ``(types, edges, kind_items)``.
 
-Metagraphs are tiny (the paper restricts them to at most 5 nodes), so we
-use an exact scheme: enumerate all type-respecting relabellings whose
-resulting type sequence is sorted, and take the lexicographically
-smallest ``(types, edges)`` encoding.  Type-class pruning keeps the
-search at worst ``prod_t m_t!`` for type multiplicities ``m_t``, which is
-trivially small for patterns of this size.
+The form lays the nodes out type-sorted and takes the least sorted edge
+tuple.  Edge counts are fixed, so that is the least upper triangle read
+row by row, with "edge (label, rel)" ranking before "no edge".  Row
+``i`` depends only on the node placed at ``i`` and on which cell each
+later node sits in.  The search starts from the sorted type blocks and,
+at each position, individualises every node of the first cell, splits
+every later cell by its edge key to that node (edge before non-edge,
+then by ``(label, rel)``), and keeps only the branches whose row is
+least.  The surviving leaves are exactly the least labellings: the
+first gives the form, and all of them together give Aut(M).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from itertools import permutations
+from collections.abc import Iterable, Sequence
+from functools import lru_cache
 
-from repro.graph.typed_graph import EdgeKind
-from repro.metagraph.metagraph import Metagraph
+from repro.graph.typed_graph import EdgeKind, EdgeSignature
+from repro.metagraph.metagraph import Edge, KindItems, Metagraph
 
 #: a plain form is (types, (u, v) edges); a kinded form extends every
 #: edge entry to (u, v, label, rel) — the tuple shapes differ, so plain
 #: and kinded patterns can never collide
 CanonicalForm = tuple[tuple[str, ...], tuple[tuple, ...]]
 
+#: ``sigma[u]`` is the image of node ``u``
+Permutation = tuple[int, ...]
 
-def _grouped_permutations(metagraph: Metagraph) -> Iterator[list[int]]:
-    """Yield node permutations mapping old ids onto type-sorted positions.
+#: a node's edge key to the individualised node: (0, label, rel) for an
+#: edge, ranking before _NO_EDGE
+EdgeKey = tuple[int, str, int]
+_NO_EDGE: EdgeKey = (1, "", 0)
 
-    Positions are assigned so that the permuted type sequence equals the
-    sorted type sequence; only assignments within each type class vary.
+#: a search branch: nodes placed at positions 0..i-1, cells covering i..n-1
+Branch = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
+def encode_edges(
+    edges: Iterable[Edge], kind_items: KindItems, position: Sequence[int]
+) -> tuple[tuple, ...]:
+    """The form's sorted edge entries with node ``u`` laid out at ``position[u]``.
+
+    Plain patterns give ``(a, b)`` pairs; kinded ones give
+    ``(a, b, label, rel)`` with ``a < b`` and ``rel`` relative to
+    ``a -> b``.
     """
-    n = metagraph.size
-    order = sorted(range(n), key=lambda i: metagraph.node_type(i))
-    # positions (in the canonical layout) available to each type class
-    slots_by_type: dict[str, list[int]] = {}
-    for pos, old in enumerate(order):
-        slots_by_type.setdefault(metagraph.node_type(old), []).append(pos)
-    type_classes = sorted(slots_by_type)
-    members = {t: metagraph.nodes_of_type(t) for t in type_classes}
-
-    def expand(class_idx: int, mapping: dict[int, int]) -> Iterator[list[int]]:
-        if class_idx == len(type_classes):
-            yield [mapping[i] for i in range(n)]
-            return
-        t = type_classes[class_idx]
-        slots = slots_by_type[t]
-        for perm in permutations(slots):
-            next_mapping = dict(mapping)
-            for node, slot in zip(members[t], perm):
-                next_mapping[node] = slot
-            yield from expand(class_idx + 1, next_mapping)
-
-    yield from expand(0, {})
-
-
-def _mapped_kinded_edge(
-    a: int, b: int, label: str, rel: int
-) -> tuple[int, int, str, int]:
-    """Normalise a relabelled kinded edge entry to ``a < b`` order."""
-    if a < b:
-        return (a, b, label, rel)
-    return (b, a, label, -rel)
-
-
-def canonical_form(metagraph: Metagraph) -> CanonicalForm:
-    """The canonical ``(types, edges)`` encoding of a metagraph.
-
-    Invariant under any relabelling of the metagraph's nodes:
-    ``canonical_form(m) == canonical_form(m.relabeled(p))`` for every
-    permutation ``p``.  Patterns without edge kinds keep the legacy
-    two-tuple edge encoding exactly; kinded patterns extend every edge
-    to ``(u, v, label, rel)`` so patterns that differ only in edge
-    roles stop colliding.
-    """
-    kinded = metagraph.has_kinds
-    kinded_edges = list(metagraph.edges_with_kinds()) if kinded else []
-    best: CanonicalForm | None = None
-    for mapping in _grouped_permutations(metagraph):
-        types = [""] * metagraph.size
-        for old, new in enumerate(mapping):
-            types[new] = metagraph.node_type(old)
-        if kinded:
-            edges = tuple(
-                sorted(
-                    _mapped_kinded_edge(
-                        mapping[u],
-                        mapping[v],
-                        kind.label,
-                        1 if kind.directed else 0,
-                    )
-                    for u, v, kind in kinded_edges
-                )
-            )
-        else:
-            edges = tuple(
-                sorted(
-                    (mapping[u], mapping[v]) if mapping[u] < mapping[v] else (mapping[v], mapping[u])
-                    for u, v in metagraph.edges
-                )
-            )
-        candidate = (tuple(types), edges)
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None  # metagraphs are non-empty
-    return best
+    if not kind_items:
+        return tuple(sorted(
+            (position[u], position[v]) if position[u] < position[v]
+            else (position[v], position[u])
+            for u, v in edges
+        ))
+    kinds = dict(kind_items)
+    entries: list[tuple[int, int, str, int]] = []
+    for u, v in edges:
+        a, b = position[u], position[v]
+        label, rel = kinds.get((u, v), ("", 0))
+        entries.append((a, b, label, rel) if a < b else (b, a, label, -rel))
+    return tuple(sorted(entries))
 
 
 def form_edge_entry(entry: tuple) -> tuple:
@@ -125,12 +84,83 @@ def form_edge_entry(entry: tuple) -> tuple:
     return (v, u, EdgeKind(label, True))
 
 
+def decode_form(form: CanonicalForm, name: str = "") -> Metagraph:
+    """The metagraph a ``(types, edges)`` form encodes, nodes in form order."""
+    types, edges = form
+    return Metagraph(types, [form_edge_entry(tuple(e)) for e in edges], name=name)
+
+
+@lru_cache(maxsize=4096)
+def pattern_search(
+    types: tuple[str, ...],
+    edges: frozenset[Edge],
+    kind_items: KindItems = (),
+) -> tuple[CanonicalForm, tuple[Permutation, ...]]:
+    """The canonical form and the sorted Aut(M) of one pattern."""
+    n = len(types)
+    kinds: dict[Edge, EdgeSignature] = dict(kind_items)
+    key = [[_NO_EDGE] * n for _ in range(n)]
+    for u, v in edges:
+        label, rel = kinds.get((u, v), ("", 0))
+        key[u][v] = (0, label, rel)
+        key[v][u] = (0, label, -rel)
+    blocks = tuple(
+        tuple(u for u in range(n) if types[u] == t) for t in sorted(set(types))
+    )
+    branches: list[Branch] = [((), blocks)]
+    for _ in range(n):
+        least: tuple[EdgeKey, ...] | None = None
+        kept: list[Branch] = []
+        for placed, (head, *later) in branches:
+            for x in head:
+                row: list[EdgeKey] = []
+                cells: list[tuple[int, ...]] = []
+                for cell in (tuple(y for y in head if y != x), *later):
+                    split: dict[EdgeKey, list[int]] = {}
+                    for y in cell:
+                        split.setdefault(key[x][y], []).append(y)
+                    for k in sorted(split):
+                        cells.append(tuple(split[k]))
+                        row.extend([k] * len(split[k]))
+                candidate = tuple(row)
+                if least is None or candidate < least:
+                    least, kept = candidate, []
+                if candidate == least:
+                    kept.append(((*placed, x), tuple(cells)))
+        branches = kept
+    leaves = [placed for placed, _cells in branches]
+    first = leaves[0]
+    form = (tuple(types[u] for u in first), encode_edges(edges, kind_items, _positions(first)))
+    # every leaf lays the pattern out as the form does, so the node a leaf
+    # puts at position p maps onto the node the first leaf puts there
+    group = sorted(tuple(first[p] for p in _positions(leaf)) for leaf in leaves)
+    return form, tuple(group)
+
+
+def _positions(placed: Sequence[int]) -> list[int]:
+    """Each node's position, where ``placed[p]`` is the node at position ``p``."""
+    position = [0] * len(placed)
+    for pos, node in enumerate(placed):
+        position[node] = pos
+    return position
+
+
+def canonical_form(metagraph: Metagraph) -> CanonicalForm:
+    """The canonical ``(types, edges)`` encoding of a metagraph.
+
+    Invariant under any relabelling of the metagraph's nodes:
+    ``canonical_form(m) == canonical_form(m.relabeled(p))`` for every
+    permutation ``p``.  Patterns without edge kinds keep the two-tuple
+    edge encoding; kinded patterns extend every edge to
+    ``(u, v, label, rel)`` so patterns that differ only in edge roles
+    stop colliding.
+    """
+    return pattern_search(metagraph.types, metagraph.edges, metagraph.kind_items)[0]
+
+
 def canonicalize(metagraph: Metagraph) -> Metagraph:
     """Return the canonically labelled copy of a metagraph."""
-    types, edges = canonical_form(metagraph)
-    return Metagraph(
-        types, [form_edge_entry(e) for e in edges], name=metagraph.name
-    )
+    return decode_form(canonical_form(metagraph), name=metagraph.name)
 
 
 def are_isomorphic(a: Metagraph, b: Metagraph) -> bool:

@@ -19,7 +19,8 @@ from repro.metagraph.canonical import (
     CanonicalForm,
     canonical_form,
     canonicalize,
-    form_edge_entry,
+    decode_form,
+    encode_edges,
 )
 from repro.metagraph.metagraph import Metagraph
 from repro.metagraph.symmetry import anchor_symmetric_pairs, is_symmetric
@@ -153,22 +154,6 @@ class MetagraphCatalog:
     # ------------------------------------------------------------------
     # serialisation
     # ------------------------------------------------------------------
-    @staticmethod
-    def _edge_doc(m: Metagraph) -> list[list]:
-        """JSON edge entries: legacy pairs, or (u, v, label, rel) when kinded."""
-        if not m.has_kinds:
-            return [list(e) for e in sorted(m.edges)]
-        entries = []
-        for u, v, kind in m.edges_with_kinds():
-            if not kind.directed:
-                a, b = (u, v) if u < v else (v, u)
-                entries.append([a, b, kind.label, 0])
-            elif u < v:
-                entries.append([u, v, kind.label, 1])
-            else:
-                entries.append([v, u, kind.label, -1])
-        return sorted(entries)
-
     def to_json(self) -> str:
         """Serialise the catalog to JSON."""
         doc = {
@@ -177,7 +162,7 @@ class MetagraphCatalog:
                 {
                     "name": m.name,
                     "types": list(m.types),
-                    "edges": self._edge_doc(m),
+                    "edges": encode_edges(m.edges, m.kind_items, m.nodes()),
                 }
                 for m in self._members
             ],
@@ -191,10 +176,8 @@ class MetagraphCatalog:
         catalog = cls(anchor_type=doc["anchor_type"])
         for entry in doc["metagraphs"]:
             catalog.add(
-                Metagraph(
-                    entry["types"],
-                    [form_edge_entry(tuple(e)) for e in entry["edges"]],
-                    name=entry.get("name", ""),
+                decode_form(
+                    (entry["types"], entry["edges"]), name=entry.get("name", "")
                 )
             )
         return catalog

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.metagraph.metagraph import Metagraph
-from repro.metagraph.symmetry import Permutation, automorphisms, is_involution
+from repro.metagraph.canonical import Permutation
+from repro.metagraph.symmetry import automorphisms, is_involution
 
 
 @dataclass(frozen=True)
@@ -95,43 +96,10 @@ def _best_involution(metagraph: Metagraph) -> Permutation:
     return best
 
 
-def _connected_components(metagraph: Metagraph, nodes: set[int]) -> list[tuple[int, ...]]:
-    """Connected components of the subgraph induced on ``nodes``."""
-    remaining = set(nodes)
-    components: list[tuple[int, ...]] = []
-    while remaining:
-        start = min(remaining)
-        stack = [start]
-        comp = {start}
-        remaining.discard(start)
-        while stack:
-            u = stack.pop()
-            for v in metagraph.neighbors(u):
-                if v in remaining:
-                    remaining.discard(v)
-                    comp.add(v)
-                    stack.append(v)
-        components.append(tuple(sorted(comp)))
-    return components
-
-
-def decompose(metagraph: Metagraph, sigma: Permutation | None = None) -> Decomposition:
-    """Decompose a metagraph into symmetric components.
-
-    Parameters
-    ----------
-    metagraph:
-        The pattern to decompose.
-    sigma:
-        Optional witness involution to use instead of the automatically
-        selected one (must be an involutive automorphism).
-    """
-    if sigma is None:
-        sigma = _best_involution(metagraph)
-    else:
-        if sigma not in automorphisms(metagraph) or not is_involution(sigma):
-            raise ValueError("sigma must be an involutive automorphism of the metagraph")
-
+def decompose(metagraph: Metagraph) -> Decomposition:
+    """Decompose a metagraph into symmetric components under its witness
+    involution (:func:`_best_involution`)."""
+    sigma = _best_involution(metagraph)
     n = metagraph.size
     fixed = [u for u in range(n) if sigma[u] == u]
     moved = {u for u in range(n) if sigma[u] != u}
@@ -140,7 +108,7 @@ def decompose(metagraph: Metagraph, sigma: Permutation | None = None) -> Decompo
     families: list[TwinFamily] = []
 
     processed: set[frozenset[int]] = set()
-    for comp in _connected_components(metagraph, moved):
+    for comp in metagraph.induced_components(moved):
         comp_set = frozenset(comp)
         if comp_set in processed:
             continue

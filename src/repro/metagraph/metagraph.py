@@ -13,7 +13,6 @@ engines in :mod:`repro.matching`.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 
@@ -121,19 +120,29 @@ class Metagraph:
             adj[v].add(u)
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
         self.name = name
-        if n > 1 and not self._is_connected():
+        if len(self.induced_components(range(n))) > 1:
             raise InvalidMetagraphError("metagraphs must be connected")
 
-    def _is_connected(self) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.size
+    def induced_components(self, nodes: Iterable[int]) -> list[tuple[int, ...]]:
+        """Connected components of the subgraph induced on ``nodes``.
+
+        Each component is a sorted tuple; components come in order of
+        their smallest node.
+        """
+        remaining = set(nodes)
+        components: list[tuple[int, ...]] = []
+        while remaining:
+            start = min(remaining)
+            remaining.discard(start)
+            stack, component = [start], [start]
+            while stack:
+                for v in self._adj[stack.pop()]:
+                    if v in remaining:
+                        remaining.discard(v)
+                        component.append(v)
+                        stack.append(v)
+            components.append(tuple(sorted(component)))
+        return components
 
     # ------------------------------------------------------------------
     # basic accessors

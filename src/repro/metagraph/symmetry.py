@@ -11,98 +11,28 @@ the typed pattern graph, so:
   type-preserving automorphism swaps them;
 - the metagraph is **symmetric** iff at least one such pair exists.
 
-Patterns have at most a handful of nodes, so the full automorphism group
-is computed exactly by backtracking over type- and degree-compatible
-assignments.
+Aut(M) comes from the one pattern-level search of
+:mod:`repro.metagraph.canonical`, the same search that yields the
+canonical form.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from repro.graph.typed_graph import EdgeSignature
-from repro.metagraph.metagraph import Edge, KindItems, Metagraph
-
-Permutation = tuple[int, ...]
+from repro.metagraph.canonical import Permutation, pattern_search
+from repro.metagraph.metagraph import Metagraph
 
 
 def automorphisms(metagraph: Metagraph) -> tuple[Permutation, ...]:
     """All type- and edge-kind-preserving automorphisms of the metagraph.
 
-    Returned as tuples ``sigma`` with ``sigma[u]`` the image of node
-    ``u``; the identity is always included.  An automorphism must map
-    every pattern edge onto an edge with the *same* signature (label
-    and direction), so directed/labeled patterns keep only the
+    Returned sorted, as tuples ``sigma`` with ``sigma[u]`` the image of
+    node ``u``; the identity is always included.  An automorphism must
+    map every pattern edge onto an edge with the *same* signature
+    (label and direction), so directed/labeled patterns keep only the
     symmetries that respect edge roles.  Results are cached per
     structurally identical metagraph.
     """
-    return _automorphisms_cached(
-        metagraph.types, metagraph.edges, metagraph.kind_items
-    )
-
-
-@lru_cache(maxsize=4096)
-def _automorphisms_cached(
-    types: tuple[str, ...],
-    edges: frozenset[tuple[int, int]],
-    kind_items: KindItems = (),
-) -> tuple[Permutation, ...]:
-    n = len(types)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    kinds: dict[Edge, EdgeSignature] = dict(kind_items)
-
-    def sig(a: int, b: int) -> EdgeSignature:
-        edge = (a, b) if a < b else (b, a)
-        label, rel = kinds.get(edge, ("", 0))
-        if rel != 0 and edge[0] != a:
-            rel = -rel
-        return (label, rel)
-
-    degrees = [len(a) for a in adj]
-    # candidate images per node: same type and degree
-    candidates = [
-        [v for v in range(n) if types[v] == types[u] and degrees[v] == degrees[u]]
-        for u in range(n)
-    ]
-    found: list[Permutation] = []
-    image = [-1] * n
-    used = [False] * n
-
-    def backtrack(u: int) -> None:
-        if u == n:
-            found.append(tuple(image))
-            return
-        for v in candidates[u]:
-            if used[v]:
-                continue
-            # adjacency (and, for kinded patterns, signature)
-            # consistency with already-assigned nodes
-            consistent = True
-            for w in range(u):
-                w_adjacent = w in adj[u]
-                img_adjacent = image[w] in adj[v]
-                if w_adjacent != img_adjacent:
-                    consistent = False
-                    break
-                if (
-                    w_adjacent
-                    and kinds
-                    and sig(u, w) != sig(v, image[w])
-                ):
-                    consistent = False
-                    break
-            if consistent:
-                image[u] = v
-                used[v] = True
-                backtrack(u + 1)
-                used[v] = False
-                image[u] = -1
-
-    backtrack(0)
-    return tuple(found)
+    return pattern_search(metagraph.types, metagraph.edges, metagraph.kind_items)[1]
 
 
 def is_involution(sigma: Permutation) -> bool:

@@ -29,7 +29,7 @@ from repro.metagraph.canonical import (
     CanonicalForm,
     canonical_form,
     canonicalize,
-    form_edge_entry,
+    decode_form,
 )
 from repro.metagraph.metagraph import Metagraph
 
@@ -166,9 +166,7 @@ def enumerate_patterns(
                 if form in seen:
                     continue
                 seen.add(form)
-                canonical = Metagraph(
-                    form[0], [form_edge_entry(e) for e in form[1]]
-                )
+                canonical = decode_form(form)
                 result.append(canonical)
                 next_frontier.append(canonical)
         frontier = next_frontier

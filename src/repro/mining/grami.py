@@ -30,7 +30,7 @@ from repro.graph.csr import csr_view
 from repro.graph.typed_graph import TypedGraph
 from repro.matching.compiled import assignment_batches, compiled_order
 from repro.matching.plan import MatchPlan
-from repro.metagraph.canonical import CanonicalForm, canonical_form, form_edge_entry
+from repro.metagraph.canonical import CanonicalForm, canonical_form, decode_form
 from repro.metagraph.metagraph import Metagraph
 from repro.metagraph.symmetry import automorphisms, orbits
 from repro.mining.enumerate import check_size_bounds, extensions, single_edge_patterns
@@ -193,7 +193,7 @@ class GramiMiner:
                 return
             if estimate.budget_hit:
                 result.budget_hits += 1
-            canonical = Metagraph(form[0], [form_edge_entry(e) for e in form[1]])
+            canonical = decode_form(form)
             result.patterns.append(canonical)
             result.supports[form] = estimate.support
             frontier.append(canonical)

@@ -4,8 +4,11 @@ Each experiment must regenerate its table/figure rows with the paper's
 qualitative shape.  The heavy offline phase is shared module-wide.
 """
 
+import hashlib
+
 import pytest
 
+from repro.datasets import DATASET_GENERATORS, load_dataset
 from repro.experiments import (
     EXPERIMENTS,
     QUICK_CONFIG,
@@ -19,6 +22,10 @@ from repro.experiments import (
     table2,
     table3,
 )
+from repro.metagraph.canonical import canonical_form
+from repro.metagraph.similarity import structural_similarity
+from repro.mining import build_catalog
+from repro.mining.grami import GramiMiner
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +173,84 @@ class TestRegistry:
     def test_renderers_return_text(self, runner, name):
         text = EXPERIMENTS[name](QUICK_CONFIG, runner)
         assert isinstance(text, str) and text
+
+
+def sha256_of(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+class TestPinnedCatalogs:
+    """sha256 pins on the pattern-level facts every later stage keys on.
+
+    The miner's raw output (forms in order, supports, candidates tested,
+    budget hits), each catalog's JSON, and the bits of Eq. 7's SS matrix
+    all read canonical forms, Aut(M) and the MCS.  A rewrite of those
+    must leave every pin unchanged; re-pin only on purpose, with the
+    reason recorded in CHANGES.md.
+    """
+
+    MINED = {
+        "facebook": "c1127faabae4d94721c190a0c96e23a535aeac68504137bc7d7a1cbb3dfc5ea2",
+        "linkedin": "6a1c25a8b3c514659ebc3175291fee88c05c585a3cfde96b1a960a21dacb9bc5",
+        "reactions": "668b7c20e977171182eb747d45942a140a50ec98dd5186a0d557d8cf55534b61",
+    }
+    CATALOG_JSON = {
+        "facebook": "4aa0f51586faf2a032aff850c85d0381160c4d49eec4ebb4fea49eac4f3b94f6",
+        "linkedin": "a2362725c89e27c3e293e2f889b29313c6ca78ff003cbbde344e5502981dca6c",
+        "reactions": "dc9fcbf2fd324ed96b93bba0063edb76a3a900e18f7c9141869e948ebeef5544",
+    }
+    SS_MATRIX = {
+        "linkedin": "5508f69bbef348136c28ace9055b64432f731399e98175fc11d262dda6720af9",
+        "reactions": "d6f4539ef3fae69f7226a3dcce7a885a75b045694d8d2431a1108b48aac6c477",
+    }
+
+    @pytest.fixture(scope="class")
+    def catalogs(self, runner):
+        """linkedin and facebook from the shared runner; reactions built
+        from its mining result the way the runner builds the others."""
+        dataset = load_dataset("reactions", scale=QUICK_CONFIG.scale)
+        mined = GramiMiner(QUICK_CONFIG.miner_config("reactions")).mine(dataset.graph)
+        reactions = build_catalog(
+            mined.patterns,
+            anchor_type=dataset.anchor_type,
+            max_nodes=QUICK_CONFIG.max_nodes,
+        )
+        return {
+            "facebook": runner.offline("facebook").catalog,
+            "linkedin": runner.offline("linkedin").catalog,
+            "reactions": reactions,
+        }
+
+    def test_registered_datasets_pinned(self):
+        assert set(self.MINED) == set(DATASET_GENERATORS)
+
+    @pytest.mark.parametrize("name", sorted(MINED))
+    def test_mining_result(self, runner, name):
+        if name in ("facebook", "linkedin"):
+            graph = runner.dataset(name).graph
+        else:
+            graph = load_dataset(name, scale=QUICK_CONFIG.scale).graph
+        result = GramiMiner(QUICK_CONFIG.miner_config(name)).mine(graph)
+        forms = [canonical_form(m) for m in result.patterns]
+        digest = sha256_of(
+            (
+                forms,
+                [result.supports[form] for form in forms],
+                result.candidates_tested,
+                result.budget_hits,
+            )
+        )
+        assert digest == self.MINED[name]
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_JSON))
+    def test_catalog_json(self, catalogs, name):
+        text = catalogs[name].to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.CATALOG_JSON[name]
+
+    @pytest.mark.parametrize("name", sorted(SS_MATRIX))
+    def test_structural_similarity_bits(self, catalogs, name):
+        catalog = catalogs[name]
+        matrix = [
+            [structural_similarity(a, b).hex() for b in catalog] for a in catalog
+        ]
+        assert sha256_of(matrix) == self.SS_MATRIX[name]

@@ -87,16 +87,6 @@ class TestDecompose:
         with pytest.raises(ValueError):
             d.component_of(99)
 
-    def test_explicit_sigma(self):
-        m3 = metapath("user", "address", "user")
-        d = decompose(m3, sigma=(2, 1, 0))
-        assert d.sigma == (2, 1, 0)
-
-    def test_invalid_sigma_rejected(self):
-        m3 = metapath("user", "address", "user")
-        with pytest.raises(ValueError):
-            decompose(m3, sigma=(1, 0, 2))  # not an automorphism
-
     @given(st.integers(min_value=0, max_value=400))
     @settings(max_examples=50, deadline=None)
     def test_components_partition_nodes(self, seed):

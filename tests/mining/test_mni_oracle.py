@@ -11,7 +11,6 @@ returns the exact value instead of short-circuiting.
 
 import random
 
-import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import DiGraphMatcher
@@ -21,6 +20,7 @@ from repro.graph.typed_graph import PLAIN, EdgeKind, TypedGraph
 from repro.metagraph.metagraph import Metagraph
 from repro.mining.enumerate import enumerate_patterns
 from repro.mining.grami import mni_support
+from tests.oracles import as_digraph
 
 KINDS = (PLAIN, EdgeKind("x", False), EdgeKind("d", True))
 
@@ -65,17 +65,6 @@ def drawn_pattern(rng: random.Random, graph: TypedGraph) -> Metagraph | None:
         except InvalidMetagraphError:  # thinned apart, or a single node
             continue
     return None
-
-
-def as_digraph(nodes, node_type, edges, signature) -> nx.DiGraph:
-    """Both arcs of every edge, each carrying its oriented signature."""
-    digraph = nx.DiGraph()
-    for node in nodes:
-        digraph.add_node(node, type=node_type(node))
-    for u, v in edges:
-        digraph.add_edge(u, v, sig=signature(u, v))
-        digraph.add_edge(v, u, sig=signature(v, u))
-    return digraph
 
 
 def networkx_mni(graph: TypedGraph, pattern) -> int:

@@ -11,9 +11,12 @@ candidate at a time.  The same goes for the streamed
 compiled kernel's embedding-matrix counter replaced, the pure-Python
 pinned enumeration the delta path's compiled one replaced, the
 set-operation shard slicing the mask-based one replaced, the
-miner's MNI support without symmetry breaking, and the per-call
+miner's MNI support without symmetry breaking, the per-call
 edge rescan behind the matching-order statistics that the CSR
-layout's totals replaced.
+layout's totals replaced, and the type-class permutation scan and
+induced-embedding MCS that the one pattern-level search replaced.
+:func:`as_digraph` turns a typed graph or pattern into the networkx
+form the external oracles match on.
 Nothing under ``src/`` may import this module.
 """
 
@@ -22,7 +25,9 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations, permutations, product
 
+import networkx as nx
 import numpy as np
 
 from repro.index.instance_index import MetagraphCounts
@@ -449,3 +454,97 @@ def reference_shard(compiled, lo, hi) -> dict:
         "cand_local": np.searchsorted(local_nodes, cand_global).astype(np.int64),
         "cand_pair": np.searchsorted(pair_rows, pair_global).astype(np.int64),
     }
+
+
+# ----------------------------------------------------------------------
+# the pattern-level searches the one refinement search replaced: the
+# type-class permutation scan and the induced-embedding MCS
+# ----------------------------------------------------------------------
+def reference_canonical_form(metagraph) -> tuple:
+    """The least ``(types, edges)`` form over every type-sorted layout.
+
+    Scans all ``prod_t m_t!`` layouts that keep the type sequence sorted
+    and permute nodes within each type class.
+    """
+    types = sorted(metagraph.types)
+    classes = sorted(set(types))
+    slots = [[p for p, t in enumerate(types) if t == c] for c in classes]
+    members = [metagraph.nodes_of_type(c) for c in classes]
+    kinds = dict(metagraph.kind_items)
+    best = None
+    for layout in product(*(permutations(s) for s in slots)):
+        position = [0] * metagraph.size
+        for nodes, places in zip(members, layout):
+            for node, place in zip(nodes, places):
+                position[node] = place
+        entries = []
+        for u, v in metagraph.edges:
+            a, b = position[u], position[v]
+            label, rel = kinds.get((u, v), ("", 0))
+            if a > b:
+                a, b, rel = b, a, -rel
+            entries.append((a, b, label, rel) if kinds else (a, b))
+        form = (tuple(types), tuple(sorted(entries)))
+        if best is None or form < best:
+            best = form
+    return best
+
+
+def embeds_induced(pattern, host) -> bool:
+    """True iff ``pattern`` is an induced, type- and signature-preserving
+    subgraph of ``host`` (plain backtracking)."""
+    candidates = [
+        [h for h in host.nodes() if host.node_type(h) == pattern.node_type(p)]
+        for p in pattern.nodes()
+    ]
+    assignment: list = []
+
+    def extend(p: int) -> bool:
+        if p == pattern.size:
+            return True
+        for h in candidates[p]:
+            if h in assignment:
+                continue
+            if all(
+                pattern.has_edge(p, q) == host.has_edge(h, assignment[q])
+                and (
+                    not pattern.has_edge(p, q)
+                    or pattern.edge_signature(p, q) == host.edge_signature(h, assignment[q])
+                )
+                for q in range(p)
+            ):
+                assignment.append(h)
+                if extend(p + 1):
+                    return True
+                assignment.pop()
+        return False
+
+    return extend(0)
+
+
+def reference_mcs_size(a, b) -> tuple[int, int]:
+    """``(|V|, |E|)`` of the largest connected induced subgraph of the
+    smaller pattern that embeds induced in the larger, by ``|V| + |E|``
+    and then ``|V|``."""
+    small, large = (a, b) if a.size + a.num_edges <= b.size + b.num_edges else (b, a)
+    best = (0, 0)
+    for size in range(small.size, 0, -1):
+        for subset in combinations(small.nodes(), size):
+            if len(small.induced_components(subset)) != 1:
+                continue
+            candidate = small.induced_on(subset)
+            score = (candidate.size, candidate.num_edges)
+            if sum(score) > sum(best) and embeds_induced(candidate, large):
+                best = score
+    return best
+
+
+def as_digraph(nodes, node_type, edges, signature) -> nx.DiGraph:
+    """Both arcs of every edge, each carrying its oriented signature."""
+    digraph = nx.DiGraph()
+    for node in nodes:
+        digraph.add_node(node, type=node_type(node))
+    for u, v in edges:
+        digraph.add_edge(u, v, sig=signature(u, v))
+        digraph.add_edge(v, u, sig=signature(v, u))
+    return digraph
