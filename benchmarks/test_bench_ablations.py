@@ -74,7 +74,7 @@ class TestOrderingAblation:
             total = 0
             for m in metagraphs:
                 plan = MatchPlan(
-                    m, order_fn(graph, m), induced=True, break_symmetry=False
+                    m, order_fn(graph, m), induced=True, fixed=None
                 )
                 total += sum(1 for _ in backtrack_embeddings(graph, plan))
             return total

@@ -19,15 +19,20 @@ mutation.  This module keeps the Eq. 1–2 counts exact under edits
    pin the edited endpoints onto compatible pattern nodes, restricted
    to the affected region, as a dense-id matrix.  For an edge edit the
    two endpoints must map onto *adjacent* pattern nodes when the edge
-   is present and non-adjacent ones when it is absent, which cuts the
-   pin pairs to a handful per pattern.  An edge edit patches the
+   is present and non-adjacent ones when it is absent.  The embeddings
+   of one instance form one coset of Aut(M) (Sect. IV-C), so the
+   pattern nodes (or ordered pairs) an edited node (or pair) maps to
+   form one Aut(M)-orbit: the path pins one representative per orbit
+   (:func:`~repro.metagraph.symmetry.tuple_orbits`), and the pinned
+   plan breaks the representative's stabiliser, so each affected
+   instance comes back as exactly one row.  An edge edit patches the
    compiled kernel's cached CSR view in place of a relayout
    (:func:`~repro.graph.csr.patch_csr_view`: one sorted insert or
    delete per endpoint row); a node edit renumbers the dense ids, so
    the next enumeration lays the view out in full.
-3. **Count patching** — per metagraph, the pinned matrices of every
-   admissible pin set are concatenated and counted once by the offline
-   build's counter
+3. **Count patching** — per metagraph, the pinned matrices of the
+   orbit representatives hold one row per affected instance; they are
+   concatenated and counted once by the offline build's counter
    (:func:`~repro.index.instance_index.count_embeddings`), on the view
    they were enumerated on: retired instances on the pre-edit graph,
    new ones on the post-edit graph.  The retired counts are subtracted
@@ -69,7 +74,7 @@ from repro.index.vectors import (
 from repro.matching.compiled import compiled_pinned_matrix
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph
-from repro.metagraph.symmetry import anchor_symmetric_pairs
+from repro.metagraph.symmetry import anchor_symmetric_pairs, tuple_orbits
 
 _OPS = ("add_node", "remove_node", "add_edge", "remove_edge")
 
@@ -301,31 +306,35 @@ def _count_pinned(
     graph: TypedGraph,
     catalog: MetagraphCatalog,
     mg_ids: Sequence[int],
-    seeds: list[NodeId],
-    pin_sets: Callable[[Metagraph], Iterable[dict[int, NodeId]]],
+    ends: tuple[NodeId, ...],
+    adjacent: bool | None,
     radius: int,
 ) -> dict[int, MetagraphCounts]:
-    """Eq. 1–2 counts of the instances some pin set reaches, per metagraph.
+    """Eq. 1–2 counts of the current instances holding every node of ``ends``.
 
-    Per metagraph, the pinned matrices of every pin set are concatenated
-    and counted once, so an instance two pin sets reach counts once.
-    They are counted on the CSR view they were enumerated on: a node
-    edit renumbers dense ids, so counts are decoded before the graph
-    mutates.  Metagraphs no pin set reaches are left out.
+    Per metagraph, ``ends`` is pinned onto one representative of each
+    Aut(M)-orbit of pattern-node tuples of their types
+    (:func:`~repro.metagraph.symmetry.tuple_orbits`; for a pair, only
+    pattern pairs whose adjacency equals ``adjacent``).  No two pin
+    sets reach one instance, so the concatenated matrices hold one row
+    per instance.  They are counted on the CSR view they were
+    enumerated on: a node edit renumbers dense ids, so counts are
+    decoded before the graph mutates.  Metagraphs no pin set reaches
+    are left out.
     """
-    region = affected_region(graph, seeds, radius)
+    region = affected_region(graph, ends, radius)
+    types = tuple(graph.node_type(end) for end in ends)
     found: dict[int, MetagraphCounts] = {}
     for mg_id in mg_ids:
         metagraph = catalog[mg_id]
         matrices = [
-            compiled_pinned_matrix(graph, metagraph, pins, region)
-            for pins in pin_sets(metagraph)
+            compiled_pinned_matrix(graph, metagraph, dict(zip(orbit[0], ends)), region)
+            for orbit in tuple_orbits(metagraph, types, adjacent)
         ]
-        rows = [matrix for matrix in matrices if matrix.shape[0]]
-        if rows:
+        if sum(matrix.shape[0] for matrix in matrices):
             found[mg_id] = count_embeddings(
                 csr_view(graph),
-                np.concatenate(rows),
+                np.concatenate(matrices),
                 anchor_symmetric_pairs(metagraph, catalog.anchor_type),
             )
     return found
@@ -339,15 +348,7 @@ def _enumerate_for_node(
     radius: int,
 ) -> dict[int, MetagraphCounts]:
     """Counts of the current instances whose node set has ``node``."""
-    node_type = graph.node_type(node)
-    return _count_pinned(
-        graph,
-        catalog,
-        mg_ids,
-        [node],
-        lambda metagraph: ({p: node} for p in metagraph.nodes_of_type(node_type)),
-        radius,
-    )
+    return _count_pinned(graph, catalog, mg_ids, (node,), None, radius)
 
 
 def _enumerate_for_edge(
@@ -363,18 +364,10 @@ def _enumerate_for_edge(
 
     Under induced semantics the pattern nodes they map onto are adjacent
     exactly when ``(u, v)`` is a graph edge, so ``adjacent`` selects the
-    admissible pin pairs: pattern edges when the edge is present,
+    admissible ordered pin pairs: pattern edges when the edge is present,
     non-edges when absent.
     """
-    type_u, type_v = graph.node_type(u), graph.node_type(v)
-
-    def pin_pairs(metagraph: Metagraph) -> Iterator[dict[int, NodeId]]:
-        for p_u in metagraph.nodes_of_type(type_u):
-            for p_v in metagraph.nodes_of_type(type_v):
-                if p_u != p_v and metagraph.has_edge(p_u, p_v) == adjacent:
-                    yield {p_u: u, p_v: v}
-
-    return _count_pinned(graph, catalog, mg_ids, [u, v], pin_pairs, radius)
+    return _count_pinned(graph, catalog, mg_ids, (u, v), adjacent, radius)
 
 
 # ----------------------------------------------------------------------

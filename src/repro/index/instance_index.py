@@ -21,7 +21,9 @@ integer arrays over a table of the original node ids.  The offline
 build (:func:`~repro.index.parallel.build_index`) feeds it a whole
 metagraph's matrix through :func:`compiled_match_and_count`; the delta
 path (:mod:`repro.index.delta`) feeds it the concatenated pinned
-matrices of its localized re-matching.  Both hand the arrays to
+matrices of its localized re-matching.  Both enumerations are
+symmetry-broken, so each matrix holds one row per instance and the
+counter never deduplicates.  Both hand the arrays to
 :class:`~repro.index.vectors.MetagraphVectors` as they are.
 
 :class:`InstanceIndex` keeps the other per-metagraph figure, ``|I(M)|``.
@@ -67,28 +69,21 @@ def count_embeddings(
 ) -> MetagraphCounts:
     """Eq. 1–2 counts of an ``(N, n)`` dense-id embedding matrix.
 
-    ``embeddings`` holds one embedding per row (column ``u`` is the
-    image of pattern node ``u``, in ``csr``'s dense ids); rows may
-    repeat instances.  The offline build's matrix already holds one row
-    per instance (the kernel's symmetry breaking is complete); the
-    pinned matrices of the delta path do repeat them.  So instances
-    still deduplicate as sorted integer rows under one ``np.unique``
-    (for the pinned path, and as a safety net for the offline one),
-    symmetric anchor pairs are encoded as single integers and tallied
-    by a second ``np.unique``, and original node ids are decoded once
-    per *unique* node.  The pair set of an instance does not depend on
-    which witness row ``np.unique`` keeps (symmetric pattern-node pairs
-    are closed under automorphisms — see the module docstring).
+    ``embeddings`` holds one embedding per instance (column ``u`` is
+    the image of pattern node ``u``, in ``csr``'s dense ids), so
+    ``num_instances`` is the row count: the offline build's plan breaks
+    all of Aut(M), and the delta path pins one representative per
+    Aut(M)-orbit under a plan that breaks its stabiliser.  Symmetric
+    anchor pairs are encoded as single integers and tallied by
+    ``np.unique``, and original node ids are decoded once per *unique*
+    node.  The pair set of an instance does not depend on which
+    embedding witnesses it (symmetric pattern-node pairs are closed
+    under automorphisms — see the module docstring).
     """
-    if embeddings.shape[0] == 0:
-        return MetagraphCounts()
-    keys = np.sort(embeddings, axis=1)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    if not sym_pairs:
+    if embeddings.shape[0] == 0 or not sym_pairs:
         # No symmetric anchor pair: the metagraph cannot contribute to
         # anchor-anchor proximity (Eq. 1 is empty) — only |I(M)| counts.
-        return MetagraphCounts(num_instances=int(first.size))
-    witnesses = embeddings[first]
+        return MetagraphCounts(num_instances=embeddings.shape[0])
     # dense ids are int32, so an unordered pair packs into one int64
     # (lo * stride + hi < 2^62) with no overflow risk; the *instance*
     # dimension is deliberately NOT packed into the same scalar — that
@@ -97,9 +92,9 @@ def count_embeddings(
     stride = max(csr.num_nodes, 1)
     code_cols = []
     for u, v in sorted(sym_pairs):
-        a, b = witnesses[:, u], witnesses[:, v]
+        a, b = embeddings[:, u], embeddings[:, v]
         code_cols.append(np.minimum(a, b) * stride + np.maximum(a, b))
-    rows = np.repeat(np.arange(first.size), len(code_cols))
+    rows = np.repeat(np.arange(embeddings.shape[0]), len(code_cols))
     code = np.stack(code_cols, axis=1).ravel()
     order = np.lexsort((code, rows))
     rows, code = rows[order], code[order]
@@ -118,7 +113,7 @@ def count_embeddings(
     node_ids = csr.node_ids
     ends = np.stack([uniq_codes // stride, uniq_codes % stride], axis=1)
     return MetagraphCounts(
-        num_instances=int(first.size),
+        num_instances=embeddings.shape[0],
         nodes=tuple(node_ids[c] for c in uniq_nodes.tolist()),
         node_count=node_tallies.astype(np.int64),
         pairs=np.searchsorted(uniq_nodes, ends).astype(np.int64),

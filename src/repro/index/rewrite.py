@@ -178,7 +178,7 @@ class RewriteRule:
         """
         csr = csr_view(graph)
         order = compiled_order(csr, self.lhs)
-        plan = MatchPlan(self.lhs, order, induced=True, break_symmetry=False)
+        plan = MatchPlan(self.lhs, order, induced=True, fixed=None)
         return embeddings_from_csr(csr, plan)
 
     def compile(

@@ -59,7 +59,7 @@ def backtrack_embeddings(
         Cache candidate lists keyed on matched-neighbour assignments
         (BoostISO-style reuse).
     """
-    if plan.break_symmetry:
+    if plan.fixed is not None:
         raise MatchingError(
             "the backtracker executes unbroken plans only; symmetry "
             "bounds compare the compiled kernel's dense ids"

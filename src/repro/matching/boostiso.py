@@ -38,7 +38,7 @@ class BoostISOMatcher:
         if regions is None:
             return
         order = estimated_cost_order(metagraph, csr_view(graph).cardinalities())
-        plan = MatchPlan(metagraph, order, induced=True, break_symmetry=False)
+        plan = MatchPlan(metagraph, order, induced=True, fixed=None)
         yield from backtrack_embeddings(
             graph, plan, candidate_pool=regions, memoize=True
         )

@@ -23,20 +23,22 @@ over :class:`~repro.graph.csr.CSRGraph` arrays:
   :func:`~repro.metagraph.symmetry.symmetry_conditions`) compare dense
   ids, and all bounds at one position cut the sorted candidate array
   to one slice.  Under induced semantics two embeddings of the same
-  instance differ by an automorphism, so a symmetry-broken plan
-  produces every *instance* exactly once (the contract of
-  :class:`~repro.matching.base.MatcherProtocol` asks for at least once).
+  instance differ by an automorphism, so a plan broken over all of
+  Aut(M) produces every *instance* exactly once (the contract of
+  :class:`~repro.matching.base.MatcherProtocol` asks for at least once),
+  and a plan broken over the stabiliser of its pins every instance
+  that maps each pin to its pattern node exactly once.
 
 Every production match runs here; each consumer states its semantics
 where it builds its plan.  The offline build's
-:func:`compiled_embedding_matrix` is induced and broken, so its
-``(N, n)`` dense-id matrix (:func:`embedding_matrix`) has one row per
-instance for the Eq. 1–2 counter
-(:func:`repro.index.instance_index.count_embeddings`).  The delta
-path's :func:`compiled_pinned_matrix` is induced and unbroken, with
-pins and the affected region as a candidate pool.  The miner's MNI
-support (:func:`repro.mining.grami.mni_support`) reads non-induced,
-broken batches; rewrite-rule bindings
+:func:`compiled_embedding_matrix` is induced and broken over Aut(M);
+the delta path's :func:`compiled_pinned_matrix` is induced and broken
+over the pins' stabiliser, with pins and the affected region as a
+candidate pool.  Both hand ``(N, n)`` dense-id matrices
+(:func:`embedding_matrix`) with one row per instance to the Eq. 1–2
+counter (:func:`repro.index.instance_index.count_embeddings`).  The
+miner's MNI support (:func:`repro.mining.grami.mni_support`) reads
+non-induced batches broken over Aut(M); rewrite-rule bindings
 (:meth:`repro.index.rewrite.RewriteRule.bindings`) are induced and
 unbroken.
 
@@ -139,14 +141,20 @@ def assignment_batches(
     Symmetry bounds compare dense ids.
 
     ``pool`` maps pattern nodes to sorted dense-id candidate arrays
-    (pins, regions).  It needs an unbroken plan
-    (:class:`~repro.exceptions.MatchingError` otherwise): a pool
-    restricts nodes asymmetrically, so it could reject the one
-    embedding of an instance the symmetry conditions keep.
+    (pins, regions).  On a broken plan it must be invariant under the
+    plan's group, or it could reject the one embedding of an instance
+    the symmetry conditions keep: a fixed node may have any pool, and
+    the other nodes of one type must all share one array or all have
+    none (:class:`~repro.exceptions.MatchingError` otherwise).
     """
-    if pool is not None and plan.break_symmetry:
-        raise MatchingError("a candidate pool needs a plan without symmetry breaking")
     metagraph = plan.metagraph
+    if pool is not None and plan.fixed is not None:
+        shared: dict[str, np.ndarray | None] = {}
+        for u in metagraph.nodes():
+            array = pool.get(u)
+            if u in plan.fixed or shared.setdefault(metagraph.node_type(u), array) is array:
+                continue
+            raise MatchingError("a candidate pool must be invariant under the broken group")
     order = plan.order
     n = metagraph.size
     if metagraph.has_kinds and not csr.has_kinds:
@@ -328,7 +336,7 @@ def compiled_embedding_matrix(csr: CSRGraph, metagraph: Metagraph) -> np.ndarray
     instead of per-embedding Python objects.  Symmetry breaking is
     complete, so ``N`` is the instance count |I(M)|.
     """
-    plan = MatchPlan(metagraph, compiled_order(csr, metagraph), induced=True, break_symmetry=True)
+    plan = MatchPlan(metagraph, compiled_order(csr, metagraph), induced=True, fixed=())
     return embedding_matrix(csr, plan)
 
 
@@ -338,7 +346,7 @@ def compiled_pinned_matrix(
     pins: Mapping[int, NodeId],
     region: Mapping[str, Set] | None = None,
 ) -> np.ndarray:
-    """Embeddings mapping each pinned pattern node to its pinned graph node.
+    """One row per instance that maps each pinned pattern node to its graph node.
 
     Returns the same ``(N, n)`` matrix as :func:`compiled_embedding_matrix`,
     in the dense ids of ``csr_view(graph)``.  ``pins``
@@ -348,10 +356,9 @@ def compiled_pinned_matrix(
     graph node is absent or of the wrong type yields no rows.  Pins
     become singleton candidate arrays and the affected region becomes
     per-type dense-id masks for every unpinned pattern node (types
-    missing from the mapping admit no candidates).  The plan is
-    unbroken: pins restrict pattern nodes asymmetrically, so dropping an
-    embedding in favour of its automorphic partner could drop it out of
-    the pinned result entirely.
+    missing from the mapping admit no candidates).  The plan breaks the
+    pins' stabiliser, the automorphisms that fix every pin; one mask
+    per type is invariant under it, so no instance is lost.
     """
     if not pins:
         raise MatchingError("compiled_pinned_matrix needs at least one pin")
@@ -371,18 +378,11 @@ def compiled_pinned_matrix(
             return np.empty((0, metagraph.size), dtype=np.int64)
         pool[pattern_node] = np.asarray([dense], dtype=csr.indices.dtype)
     if region is not None:
-        encoded: dict[str, np.ndarray] = {}
+        encoded = {t: csr.encode(region.get(t, ())) for t in dict.fromkeys(metagraph.types)}
         for u in metagraph.nodes():
-            if u in pool:
-                continue
-            node_type = metagraph.node_type(u)
-            cached = encoded.get(node_type)
-            if cached is None:
-                cached = csr.encode(region.get(node_type, ()))
-                encoded[node_type] = cached
-            pool[u] = cached
+            pool.setdefault(u, encoded[metagraph.node_type(u)])
     order = connected_order_from(graph, metagraph, next(iter(pins)))
-    plan = MatchPlan(metagraph, order, induced=True, break_symmetry=False)
+    plan = MatchPlan(metagraph, order, induced=True, fixed=tuple(pins))
     return embedding_matrix(csr, plan, pool)
 
 
@@ -409,6 +409,6 @@ class CompiledMatcher:
         """
         csr = csr_view(graph)
         order = compiled_order(csr, metagraph)
-        plan = MatchPlan(metagraph, order, induced=True, break_symmetry=True)
+        plan = MatchPlan(metagraph, order, induced=True, fixed=())
         yield from embeddings_from_csr(csr, plan)
 

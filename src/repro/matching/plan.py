@@ -3,7 +3,7 @@
 A search binds the pattern nodes one at a time in a fixed order.  What
 the image at each position must satisfy depends on the pattern, the
 order and two semantic choices only: induced semantics (Def. 2) and
-symmetry breaking (the stabiliser-chain conditions of
+the group whose symmetry is broken (the stabiliser-chain conditions of
 :func:`~repro.metagraph.symmetry.symmetry_conditions`).  :class:`MatchPlan`
 derives those constraints once; the CSR kernel
 (:mod:`repro.matching.compiled`) and the dict-of-set backtracker
@@ -20,6 +20,8 @@ from repro.graph.typed_graph import EdgeSignature
 from repro.metagraph.metagraph import Metagraph
 from repro.metagraph.symmetry import symmetry_conditions
 
+Fixed = tuple[int, ...] | None
+
 
 class MatchPlan:
     """The constraints a search checks at each order position.
@@ -29,27 +31,28 @@ class MatchPlan:
     (ascending) through an edge of signature ``signatures_at[i][k]``
     (aligned), non-adjacent to the image of every position in
     ``nonneighbors_at[i]`` (empty unless ``induced``), and rank above
-    the images of ``lower_at[i]`` and below those of ``upper_at[i]``
-    (empty unless ``break_symmetry``): each condition
-    ``image[v] < image[w]`` is checked at the later of its positions.
-    Raises :class:`~repro.exceptions.MatchingError` when ``order`` is
-    not a permutation of the pattern nodes.
+    the images of ``lower_at[i]`` and below those of ``upper_at[i]``:
+    each condition ``image[v] < image[w]`` is checked at the later of
+    its positions.  ``fixed`` names the group the conditions break:
+    ``None`` breaks nothing (the bounds are empty), ``()`` all of
+    Aut(M), and a tuple of pattern nodes the automorphisms fixing each
+    of them (the pins of a pinned search).  Raises
+    :class:`~repro.exceptions.MatchingError` when ``order`` is not a
+    permutation of the pattern nodes.
     """
 
-    def __init__(
-        self, metagraph: Metagraph, order: Sequence[int], *, induced: bool, break_symmetry: bool
-    ):
+    def __init__(self, metagraph: Metagraph, order: Sequence[int], *, induced: bool, fixed: Fixed):
         self.metagraph = metagraph
         self.order: tuple[int, ...] = tuple(order)
         self.induced = induced
-        self.break_symmetry = break_symmetry
+        self.fixed = fixed
         (
             self.neighbors_at,
             self.signatures_at,
             self.nonneighbors_at,
             self.lower_at,
             self.upper_at,
-        ) = _constraints(metagraph, self.order, induced, break_symmetry)
+        ) = _constraints(metagraph, self.order, induced, fixed)
 
 
 Positions = tuple[tuple[int, ...], ...]
@@ -57,7 +60,7 @@ Positions = tuple[tuple[int, ...], ...]
 
 @lru_cache(maxsize=4096)
 def _constraints(
-    metagraph: Metagraph, order: tuple[int, ...], induced: bool, break_symmetry: bool
+    metagraph: Metagraph, order: tuple[int, ...], induced: bool, fixed: Fixed
 ) -> tuple[Positions, tuple[tuple[EdgeSignature, ...], ...], Positions, Positions, Positions]:
     """The plan's per-position lists, cached per structurally equal pattern.
 
@@ -84,7 +87,7 @@ def _constraints(
         nonneighbors_at.append(tuple([j for j in range(i) if j not in earlier]) if induced else ())
     lower_at: list[tuple[int, ...]] = [()] * n
     upper_at: list[tuple[int, ...]] = [()] * n
-    for v, w in symmetry_conditions(metagraph) if break_symmetry else ():
+    for v, w in symmetry_conditions(metagraph, fixed) if fixed is not None else ():
         if position[v] < position[w]:
             lower_at[position[w]] += (position[v],)
         else:

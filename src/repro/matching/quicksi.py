@@ -29,5 +29,5 @@ class QuickSIMatcher:
     ) -> Iterator[Embedding]:
         """Yield all embeddings of ``metagraph`` on ``graph``."""
         order = rarest_type_order(graph, metagraph)
-        plan = MatchPlan(metagraph, order, induced=True, break_symmetry=False)
+        plan = MatchPlan(metagraph, order, induced=True, fixed=None)
         yield from backtrack_embeddings(graph, plan)

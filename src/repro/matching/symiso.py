@@ -96,7 +96,7 @@ class SymISOMatcher:
             # time matching would start from unanchored whole-type-class
             # candidate sets.  Plain node-at-a-time backtracking with the
             # same order is strictly better here (Sect. IV-B's fallback).
-            plan = MatchPlan(metagraph, node_order, induced=True, break_symmetry=False)
+            plan = MatchPlan(metagraph, node_order, induced=True, fixed=None)
             yield from backtrack_embeddings(graph, plan)
             return
         yield from _match_groups(graph, metagraph, decomp, groups)

@@ -63,7 +63,7 @@ class TurboISOMatcher:
         if regions is None:
             return
         order = estimated_cost_order(metagraph, csr_view(graph).cardinalities())
-        plan = MatchPlan(metagraph, order, induced=True, break_symmetry=False)
+        plan = MatchPlan(metagraph, order, induced=True, fixed=None)
         yield from backtrack_embeddings(
             graph, plan, candidate_pool=regions
         )

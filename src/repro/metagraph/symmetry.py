@@ -18,6 +18,9 @@ canonical form.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
+
 from repro.metagraph.canonical import Permutation, pattern_search
 from repro.metagraph.metagraph import Metagraph
 
@@ -71,51 +74,55 @@ def symmetric_partners(metagraph: Metagraph) -> dict[int, frozenset[int]]:
     return {u: frozenset(s) for u, s in partners.items()}
 
 
+@lru_cache(maxsize=4096)
+def tuple_orbits(
+    metagraph: Metagraph, types: tuple[str, ...], adjacent: bool | None = None
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Aut(M)-orbits of the tuples of distinct pattern nodes of ``types``.
+
+    Tuple position ``i`` holds a node of type ``types[i]``; a pair is
+    kept only when its adjacency equals ``adjacent`` (``None`` keeps
+    every pair).  Aut(M) acts on each position at once.  Each orbit is
+    sorted, and orbits come sorted by their first member, the
+    representative the delta path pins.  Cached per structurally
+    identical metagraph.
+    """
+    group = automorphisms(metagraph)
+    found = {
+        tuple(sorted({tuple([sigma[u] for u in nodes]) for sigma in group}))
+        for nodes in product(*(metagraph.nodes_of_type(t) for t in types))
+        if len(set(nodes)) == len(nodes)
+        and (adjacent is None or metagraph.has_edge(*nodes) == adjacent)
+    }
+    return tuple(sorted(found))
+
+
 def orbits(metagraph: Metagraph) -> tuple[frozenset[int], ...]:
     """Node orbits under the full automorphism group.
 
     Nodes in the same orbit are structurally interchangeable.  Orbits are
     returned sorted by their smallest member.
     """
-    n = metagraph.size
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for sigma in automorphisms(metagraph):
-        for u in range(n):
-            union(u, sigma[u])
-    groups: dict[int, set[int]] = {}
-    for u in range(n):
-        groups.setdefault(find(u), set()).add(u)
-    return tuple(
-        sorted((frozenset(g) for g in groups.values()), key=min)
-    )
+    found = sorted(o for t in dict.fromkeys(metagraph.types) for o in tuple_orbits(metagraph, (t,)))
+    return tuple(frozenset(u for (u,) in orbit) for orbit in found)
 
 
-def symmetry_conditions(metagraph: Metagraph) -> list[tuple[int, int]]:
+def symmetry_conditions(metagraph: Metagraph, fixed: tuple[int, ...] = ()) -> list[tuple[int, int]]:
     """Symmetry-breaking conditions ``(v, w)``: require ``image[v] < image[w]``.
 
     Grochow & Kellis' stabiliser chain (RECOMB 2007): starting from the
-    full automorphism group, pick the node ``v`` with the largest orbit
-    (ties to the smallest id), demand that ``v`` take the smallest image
-    in its orbit, restrict the group to ``v``'s stabiliser, and repeat
-    until only the identity is left.  For every injective ranking of
-    the images, exactly one automorphism ``sigma`` makes
+    automorphisms that fix every node of ``fixed`` (all of Aut(M) when
+    it is empty), pick the node ``v`` with the largest orbit (ties to
+    the smallest id), demand that ``v`` take the smallest image in its
+    orbit, restrict the group to ``v``'s stabiliser, and repeat until
+    only the identity is left.  For every injective ranking of the
+    images, exactly one automorphism ``sigma`` of that group makes
     ``image . sigma`` satisfy all conditions, so an enumeration under
-    them keeps one embedding per orbit of Aut(M) — one per instance
-    under induced semantics (Def. 2).
+    them keeps one embedding per orbit of the group — one per instance
+    under induced semantics (Def. 2) when ``fixed`` is empty.  A fixed
+    node's orbit is itself, so no condition involves it.
     """
-    group = automorphisms(metagraph)
+    group = tuple(s for s in automorphisms(metagraph) if all(s[p] == p for p in fixed))
     conditions: list[tuple[int, int]] = []
     while len(group) > 1:
         orbit_of = [

@@ -140,7 +140,7 @@ def mni_support(
     process's hash seed.
     """
     csr = csr_view(graph)
-    plan = MatchPlan(pattern, compiled_order(csr, pattern), induced=False, break_symmetry=True)
+    plan = MatchPlan(pattern, compiled_order(csr, pattern), induced=False, fixed=())
     order = plan.order
     group_size = len(automorphisms(pattern))
     node_orbits = orbits(pattern)

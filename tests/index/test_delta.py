@@ -21,6 +21,7 @@ from repro.exceptions import (
     EdgeError,
     NodeNotFoundError,
 )
+from repro.graph.csr import csr_view
 from repro.graph.typed_graph import TypedGraph
 from repro.index.delta import (
     DeltaStats,
@@ -33,8 +34,10 @@ from repro.index.delta import (
 )
 from repro.index.instance_index import MetagraphCounts
 from repro.index.parallel import build_index
+from repro.matching.compiled import compiled_embedding_matrix
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph, metapath
+from repro.metagraph.symmetry import automorphisms
 from tests.oracles import ledger, make_counts, nodes_with_counts, partners
 
 COMPILED_ARRAYS = (
@@ -71,9 +74,19 @@ def make_graph(
     return graph
 
 
+# |Aut| 6, 6 and 8: an edited node or pair maps onto orbits of several
+# pattern nodes or pairs, of which the delta path pins one each
+LARGE_AUT_PATTERNS = (
+    Metagraph(["user"] * 3, [(0, 1), (0, 2), (1, 2)], name="user-triangle"),
+    Metagraph(["school"] + ["user"] * 3, [(0, 1), (0, 2), (0, 3)], name="school-star"),
+    Metagraph(["user"] * 4, [(0, 1), (1, 2), (2, 3), (3, 0)], name="user-4-cycle"),
+)
+
+
 @pytest.fixture
 def catalog() -> MetagraphCatalog:
-    """Metapaths, a square, a triangle, and an asymmetric pattern.
+    """Metapaths, a square, a triangle, an asymmetric pattern, and
+    three patterns with larger automorphism groups.
 
     The asymmetric ``user-school`` metapath has no symmetric anchor
     pair, so it exercises the |I(M)|-only counting path of the patcher.
@@ -94,6 +107,7 @@ def catalog() -> MetagraphCatalog:
                 name="triangle",
             ),
             metapath("user", "school", name="P-asym"),
+            *LARGE_AUT_PATTERNS,
         ],
         anchor_type="user",
     )
@@ -151,6 +165,14 @@ def random_delta(graph: TypedGraph, rng: random.Random) -> GraphDelta:
     else:
         delta.add_edge(survivor, partner)
     return delta
+
+
+@pytest.mark.parametrize("pattern", LARGE_AUT_PATTERNS, ids=lambda m: m.name)
+def test_large_aut_patterns_have_instances(pattern):
+    """The larger groups are exercised, not vacuously matched."""
+    assert len(automorphisms(pattern)) in (6, 8)
+    for graph in (make_graph(1), make_graph(0, users=14, groups=4)):
+        assert compiled_embedding_matrix(csr_view(graph), pattern).shape[0] > 0
 
 
 class TestRandomizedSequences:

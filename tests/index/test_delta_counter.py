@@ -2,11 +2,11 @@
 
 :func:`repro.index.instance_index.count_embeddings` is the one Eq. 1–2
 counter: the offline build feeds it a whole metagraph's embedding
-matrix, the delta path the concatenated pinned matrices of every
-admissible pin set.  This suite checks the delta side's per-metagraph
+matrix, the delta path the concatenated pinned matrices of one pin
+set per Aut(M)-orbit.  This suite checks the delta side's per-metagraph
 counts against the streamed ``Instance`` counter in
-``tests/oracles.py`` over the same pin sets (pin sets that overlap
-reach the same instance twice, and must count it once), checks
+``tests/oracles.py`` over *every* admissible pin set (pin sets that
+overlap reach the same instance twice, and must count it once), checks
 ``DeltaStats`` against a full re-enumeration, and pins that a store and
 index that disagree are rejected before the first edit.
 """
@@ -16,14 +16,12 @@ from __future__ import annotations
 import random
 from itertools import chain
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import load_dataset
 from repro.exceptions import CatalogMismatchError
-from repro.graph.csr import csr_view
 from repro.index.delta import (
     GraphDelta,
     _enumerate_for_edge,
@@ -32,16 +30,20 @@ from repro.index.delta import (
     apply_delta,
     catalog_radius,
 )
-from repro.index.instance_index import count_embeddings
 from repro.index.parallel import build_index
 from repro.matching import SymISOMatcher, deduplicate_instances, find_instances
 from repro.matching.compiled import compiled_pinned_matrix
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph, metapath
-from repro.metagraph.symmetry import anchor_symmetric_pairs
+from repro.metagraph.symmetry import anchor_symmetric_pairs, tuple_orbits
 from repro.mining import MinerConfig, mine_catalog
 from tests.conftest import random_typed_graph
-from tests.index.test_delta import ADVERSARIAL_IDS, make_graph, random_delta
+from tests.index.test_delta import (
+    ADVERSARIAL_IDS,
+    LARGE_AUT_PATTERNS,
+    make_graph,
+    random_delta,
+)
 from tests.matching.test_cross_matcher_parity import random_pattern
 from tests.oracles import DictCounts, count_instances_into, ledger, pinned_embeddings
 
@@ -68,6 +70,7 @@ def delta_catalog() -> MetagraphCatalog:
             metapath("user", "school"),
             metapath("user", "user", "school"),
             metapath("user", "school", "user", "hobby"),
+            *LARGE_AUT_PATTERNS,
         ],
         anchor_type="user",
     )
@@ -172,7 +175,9 @@ class TestPinnedCountParity:
         nodes = rng.sample(sorted(graph.nodes(), key=repr), 4)
         assert_pinned_parity(graph, catalog, nodes, sample_pairs(graph, rng, 4))
 
-    def test_overlapping_pin_sets_count_each_instance_once(self):
+    def test_overlapping_pin_sets_count_each_instance_once(self, monkeypatch):
+        """Two orbit-equivalent pin pairs reach one instance; the delta
+        path pins only the orbit's representative."""
         graph = make_graph(3)
         catalog = delta_catalog()
         u, v = next(
@@ -184,14 +189,19 @@ class TestPinnedCountParity:
         pin_sets = edge_pin_sets(graph, u, v)(friend)
         matrices = [compiled_pinned_matrix(graph, friend, pins) for pins in pin_sets]
         assert [m.shape[0] for m in matrices] == [1, 1]
-        counts = count_embeddings(
-            csr_view(graph), np.concatenate(matrices), anchor_symmetric_pairs(friend, "user")
-        )
-        assert counts.num_instances == 1
+        assert tuple_orbits(friend, ("user", "user"), True) == (((0, 1), (1, 0)),)
+        pinned: list[dict] = []
+
+        def spy(graph, metagraph, pins, region=None):
+            pinned.append(dict(pins))
+            return compiled_pinned_matrix(graph, metagraph, pins, region)
+
+        monkeypatch.setattr("repro.index.delta.compiled_pinned_matrix", spy)
         expected = in_dict_form({2: oracle_counts(graph, friend, "user", pin_sets, None)})
-        assert in_dict_form({2: counts}) == expected
+        assert expected[2][0] == 1
         radius = catalog_radius(catalog)
         assert in_dict_form(_enumerate_for_edge(graph, catalog, [2], u, v, True, radius)) == expected
+        assert pinned == [{0: u, 1: v}] and pinned[0] in pin_sets
 
     def test_kinded_reactions(self):
         dataset = load_dataset("reactions", scale="tiny")

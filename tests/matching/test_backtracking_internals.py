@@ -10,7 +10,7 @@ from repro.metagraph.metagraph import Metagraph, metapath
 
 
 def plan(metagraph, order, induced=True):
-    return MatchPlan(metagraph, order, induced=induced, break_symmetry=False)
+    return MatchPlan(metagraph, order, induced=induced, fixed=None)
 
 
 class TestPrefixStructure:

@@ -89,7 +89,7 @@ def backtracking_instances(graph, metagraph, order):
         for inst in deduplicate_instances(
             backtrack_embeddings(
                 graph,
-                MatchPlan(metagraph, order, induced=True, break_symmetry=False),
+                MatchPlan(metagraph, order, induced=True, fixed=None),
             )
         )
     }

@@ -109,7 +109,7 @@ def all_instance_sets(graph, metagraph):
                         metagraph,
                         rarest_type_order(graph, metagraph),
                         induced=True,
-                        break_symmetry=False,
+                        fixed=None,
                     ),
                 )
             )

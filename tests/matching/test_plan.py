@@ -33,12 +33,20 @@ from tests.matching.test_labeled_parity import (
     random_kinded_pattern,
 )
 
-SEMANTICS = [(True, True), (True, False), (False, True), (False, False)]
+
+def semantics(order) -> list:
+    """``(induced, fixed)``: unbroken, broken over Aut(M), and broken
+    over the stabiliser of one or two pinned nodes."""
+    return [
+        (induced, fixed)
+        for induced in (True, False)
+        for fixed in (None, (), (order[0],), tuple(order[:2]))
+    ]
 
 
-def brute_force_fields(metagraph, order, induced, break_symmetry) -> dict:
+def brute_force_fields(metagraph, order, induced, fixed) -> dict:
     """Every plan field, one pairwise pattern query at a time."""
-    conditions = set(symmetry_conditions(metagraph)) if break_symmetry else set()
+    conditions = set(symmetry_conditions(metagraph, fixed)) if fixed is not None else set()
     fields: dict[str, list] = {
         name: []
         for name in (
@@ -79,15 +87,20 @@ def plan_fields(plan: MatchPlan) -> dict:
 
 
 def assert_fields_match(metagraph, order):
-    for induced, break_symmetry in SEMANTICS:
-        plan = MatchPlan(
-            metagraph, order, induced=induced, break_symmetry=break_symmetry
-        )
+    for induced, fixed in semantics(order):
+        plan = MatchPlan(metagraph, order, induced=induced, fixed=fixed)
         assert plan.order == tuple(order)
-        assert (plan.induced, plan.break_symmetry) == (induced, break_symmetry)
+        assert (plan.induced, plan.fixed) == (induced, fixed)
         assert plan_fields(plan) == brute_force_fields(
-            metagraph, order, induced, break_symmetry
-        ), (metagraph, order, induced, break_symmetry)
+            metagraph, order, induced, fixed
+        ), (metagraph, order, induced, fixed)
+        # a fixed node's orbit under its own stabiliser is itself
+        position = {u: i for i, u in enumerate(order)}
+        for p in fixed or ():
+            i = position[p]
+            assert not plan.lower_at[i] and not plan.upper_at[i]
+            bounds = plan.lower_at + plan.upper_at
+            assert all(i not in at for at in bounds), (metagraph, order, fixed)
 
 
 class TestPlanFields:
@@ -108,7 +121,7 @@ class TestPlanFields:
     def test_unbroken_non_induced_plan_checks_adjacency_only(self):
         triangle_free = metapath("user", "school", "user")
         plan = MatchPlan(
-            triangle_free, [1, 0, 2], induced=False, break_symmetry=False
+            triangle_free, [1, 0, 2], induced=False, fixed=None
         )
         assert plan.nonneighbors_at == ((), (), ())
         assert plan.lower_at == plan.upper_at == ((), (), ())
@@ -120,7 +133,7 @@ class TestPlanFields:
                 metapath("user", "school", "user"),
                 order,
                 induced=True,
-                break_symmetry=False,
+                fixed=None,
             )
 
 
@@ -143,7 +156,7 @@ class TestExecutors:
         order = random_connected_order(metagraph, rng)
         csr = csr_view(graph)
         for induced in (True, False):
-            plan = MatchPlan(metagraph, order, induced=induced, break_symmetry=False)
+            plan = MatchPlan(metagraph, order, induced=induced, fixed=None)
             python = embedding_set(backtrack_embeddings(graph, plan))
             kernel = embedding_set(embeddings_from_csr(csr, plan))
             assert python == kernel, (seed, induced)
@@ -152,15 +165,35 @@ class TestExecutors:
         path = metapath("user", "school", "user")
         csr = csr_view(toy_graph)
         pool = {0: csr.encode(["Kate"])}
-        broken = MatchPlan(path, [1, 0, 2], induced=True, break_symmetry=True)
+        broken = MatchPlan(path, [1, 0, 2], induced=True, fixed=())
         with pytest.raises(MatchingError, match="pool"):
             next(assignment_batches(csr, broken, pool))
-        unbroken = MatchPlan(path, [1, 0, 2], induced=True, break_symmetry=False)
+        unbroken = MatchPlan(path, [1, 0, 2], induced=True, fixed=None)
         rows = embedding_matrix(csr, unbroken, pool)
         assert rows.shape[0] and np.all(rows[:, 0] == csr.id_of["Kate"])
 
+    def test_kernel_accepts_an_invariant_pool_on_a_broken_plan(self, toy_graph):
+        """A pin on a fixed node plus one shared array per type: the pool
+        is invariant under the pin's stabiliser, so the plan may break it."""
+        path = metapath("user", "school", "user")
+        csr = csr_view(toy_graph)
+        users = csr.encode(toy_graph.nodes_of_type("user"))
+        pool = {1: csr.encode(["College B"]), 0: users, 2: users}
+        broken = MatchPlan(path, [1, 0, 2], induced=True, fixed=(1,))
+        rows = embedding_matrix(csr, broken, pool)
+        every = embedding_matrix(
+            csr, MatchPlan(path, [1, 0, 2], induced=True, fixed=None), pool
+        )
+        # the school's stabiliser swaps the two users: one row of two
+        assert rows.shape[0] and 2 * rows.shape[0] == every.shape[0]
+        instances = {frozenset(row) for row in rows.tolist()}
+        assert len(instances) == rows.shape[0]
+        assert instances == {frozenset(row) for row in every.tolist()}
+        with pytest.raises(MatchingError, match="pool"):
+            next(assignment_batches(csr, broken, {**pool, 2: users.copy()}))
+
     def test_backtracker_rejects_a_broken_plan(self, toy_graph):
         path = metapath("user", "school", "user")
-        broken = MatchPlan(path, [1, 0, 2], induced=True, break_symmetry=True)
+        broken = MatchPlan(path, [1, 0, 2], induced=True, fixed=())
         with pytest.raises(MatchingError, match="unbroken"):
             next(backtrack_embeddings(toy_graph, broken))

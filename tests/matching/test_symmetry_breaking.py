@@ -97,7 +97,7 @@ def test_kernel_enumerates_each_instance_once(name):
         unbroken = embedding_matrix(
             csr,
             MatchPlan(
-                mg, compiled_order(csr, mg), induced=True, break_symmetry=False
+                mg, compiled_order(csr, mg), induced=True, fixed=None
             ),
         )
         assert rows.shape[0] * len(automorphisms(mg)) == unbroken.shape[0], mg
@@ -112,7 +112,7 @@ def test_kernel_enumerates_each_instance_once(name):
                 mg,
                 random_connected_order(mg, rng),
                 induced=True,
-                break_symmetry=True,
+                fixed=(),
             ),
         )
         assert sorted(shuffled.tolist()) == sorted(rows.tolist()), mg

@@ -121,12 +121,12 @@ def assert_kinded_agreement(graph, metagraph, rng) -> None:
     node_ids = csr.node_ids
     for order in (compiled_order(csr, metagraph), random_connected_order(metagraph, rng)):
         unbroken = embedding_matrix(
-            csr, MatchPlan(metagraph, order, induced=True, break_symmetry=False)
+            csr, MatchPlan(metagraph, order, induced=True, fixed=None)
         ).tolist()
         assert len(unbroken) == len(oracle), metagraph
         assert {tuple(node_ids[v] for v in row) for row in unbroken} == oracle, metagraph
         broken = embedding_matrix(
-            csr, MatchPlan(metagraph, order, induced=True, break_symmetry=True)
+            csr, MatchPlan(metagraph, order, induced=True, fixed=())
         ).tolist()
         kept = [tuple(node_ids[v] for v in row) for row in broken]
         assert set(kept) <= oracle, metagraph

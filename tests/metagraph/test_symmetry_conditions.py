@@ -71,6 +71,25 @@ def test_exactly_one_automorphism_survives_any_ranking(rules):
             assert len(kept) == 1, (pattern, rank, kept)
 
 
+@pytest.mark.parametrize("rules", sorted(RULE_SETS))
+def test_fixed_nodes_break_their_stabiliser(rules):
+    """``fixed=`` breaks the automorphisms fixing each pinned node: no
+    condition names a pin, and one such automorphism survives any
+    ranking."""
+    rng = random.Random(rules)
+    for pattern in patterns_of(rules):
+        for fixed in ((0,), (pattern.size - 1, 0)):
+            conditions = symmetry_conditions(pattern, fixed)
+            assert not {p for pair in conditions for p in pair} & set(fixed)
+            stabiliser = [
+                s for s in automorphisms(pattern) if all(s[p] == p for p in fixed)
+            ]
+            for _ in range(3):
+                rank = rng.sample(range(100), pattern.size)
+                kept = [s for s in stabiliser if satisfies(rank, s, conditions)]
+                assert len(kept) == 1, (pattern, fixed, rank, kept)
+
+
 def test_asymmetric_pattern_has_no_conditions():
     assert symmetry_conditions(metapath("user", "school", "hobby")) == []
 

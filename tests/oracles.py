@@ -336,11 +336,12 @@ def pinned_embeddings(graph, metagraph, pins, region=None):
     """Embeddings mapping each pinned pattern node to its pinned graph node.
 
     The backtracking reference for
-    :func:`repro.matching.compiled.compiled_pinned_matrix`: the
-    search is rooted at the first pin; a pin whose graph node is absent
-    or of the wrong type yields nothing; ``region`` restricts every
-    unpinned pattern node per type (types missing from it admit no
-    candidates).
+    :func:`repro.matching.compiled.compiled_pinned_matrix`, unbroken:
+    it yields every embedding, where the compiled one keeps one per
+    orbit of the pins' stabiliser.  The search is rooted at the first
+    pin; a pin whose graph node is absent or of the wrong type yields
+    nothing; ``region`` restricts every unpinned pattern node per type
+    (types missing from it admit no candidates).
     """
     if not pins:
         raise ValueError("pinned_embeddings needs at least one pin")
@@ -356,7 +357,7 @@ def pinned_embeddings(graph, metagraph, pins, region=None):
             if u not in pool:
                 pool[u] = set(region.get(metagraph.node_type(u), ()))
     order = connected_order_from(graph, metagraph, next(iter(pins)))
-    plan = MatchPlan(metagraph, order, induced=True, break_symmetry=False)
+    plan = MatchPlan(metagraph, order, induced=True, fixed=None)
     yield from backtrack_embeddings(graph, plan, candidate_pool=pool)
 
 
@@ -374,7 +375,7 @@ def unbroken_mni_support(
     ``embedding_budget`` embeddings.
     """
     order = estimated_cost_order(pattern, GraphCardinalities(graph))
-    plan = MatchPlan(pattern, order, induced=False, break_symmetry=False)
+    plan = MatchPlan(pattern, order, induced=False, fixed=None)
     images: list[set] = [set() for _ in range(pattern.size)]
     enumerated = 0
     for embedding in backtrack_embeddings(graph, plan):
