@@ -9,8 +9,9 @@ over :class:`~repro.graph.csr.CSRGraph` arrays:
 
 - **candidate regions** come from one vectorised comparison of the
   neighbourhood-profile matrix against the pattern node's profile
-  (replacing the per-node Python loop of
-  :func:`repro.matching.turboiso.candidate_regions`);
+  (:func:`profile_candidates`, the one region filter: TurboISO's and
+  BoostISO's :func:`repro.matching.turboiso.candidate_regions` is its
+  node-id view);
 - **candidate generation** intersects the sorted typed-adjacency slices
   of the matched pattern neighbours by binary search on whole arrays
   (seeded from the smallest slice, as the Python executor does);
@@ -81,7 +82,7 @@ def compiled_order(csr: CSRGraph, metagraph: Metagraph) -> list[int]:
     return estimated_cost_order(metagraph, csr.cardinalities())
 
 
-def _base_candidates(
+def profile_candidates(
     csr: CSRGraph,
     metagraph: Metagraph,
     tcodes: Sequence[int],
@@ -90,12 +91,13 @@ def _base_candidates(
 ) -> tuple[list[np.ndarray], list[bool]] | None:
     """Per-pattern-node global candidate arrays (profile filter ∩ pool).
 
+    ``tcodes[u]`` is pattern node ``u``'s type code in ``csr`` and
+    ``pool`` optionally maps pattern nodes to sorted dense-id arrays.
     Returns the arrays plus a per-node "is the whole type class" flag —
     a full base filters nothing, so the search skips intersecting
     against it.  Returns None when some pattern node has no candidates
-    at all — the vectorised equivalent of ``candidate_regions``
-    returning None.  With ``kinds_active`` the filter compares the
-    per-(type, signature) profile matrix instead, so a node lacking the
+    at all.  With ``kinds_active`` (on a kinded ``csr``) the filter
+    compares the per-(type, signature) profile matrix instead, so a node lacking the
     right labeled/directed neighbour edges is pruned up front.
     """
     # columns: one per type, or one per (type, signature) when kinded
@@ -167,7 +169,7 @@ def assignment_batches(
         if code is None:
             return
         tcodes.append(code)
-    built = _base_candidates(csr, metagraph, tcodes, pool, kinds_active)
+    built = profile_candidates(csr, metagraph, tcodes, pool, kinds_active)
     if built is None:
         return
     base, base_full = built

@@ -8,19 +8,28 @@ node at a time:
    by the witness involution ``sigma``).
 2. Order the components by the estimated-instance-count node order
    (``SymISO``) or a seeded random order (``SymISO-R``).
-3. Match fixed components by plain component backtracking.  For a twin
-   family, compute the representative's matchings ``C(S|D)`` once; when
-   every already-assigned pattern node is fixed by ``sigma`` the same
-   matchings are *reused* for the twin, enumerating unordered pairs
-   ``i < j`` of distinct matchings and verifying inter-component
-   connectivity (Alg. 3's "choose |B| distinct matchings").  Because the
-   swap of the two roles is realised by the automorphism ``sigma``, the
-   ``i < j`` restriction drops only automorphic duplicates — every
-   instance is still produced.
-4. When reuse is unsafe (some assigned node is moved by ``sigma`` — this
-   happens for the second twin family onward), the twin's matchings are
-   computed directly and ordered pairs are enumerated; correctness is
-   preserved, only the saving is smaller.
+3. Lay the components out as one unbroken induced
+   :class:`~repro.matching.plan.MatchPlan`, each component's nodes in a
+   row and a twin's nodes as ``sigma`` of its representative's.  Fixed
+   components run as windows of that plan on the shared executor
+   (:class:`~repro.matching.backtracking.Backtracker`).  For a twin
+   family, the representative's window is matched once, ``C(S|D)``;
+   when every node placed before the family is fixed by ``sigma`` the
+   same matchings are *reused* for the twin, enumerating unordered
+   pairs ``i < j`` of disjoint matchings and checking the twin
+   positions' constraints on the representative's positions (Alg. 3's
+   "choose |B| distinct matchings").  Because the swap of the two roles
+   is realised by the automorphism ``sigma``, the ``i < j`` restriction
+   drops only automorphic duplicates — every instance is still
+   produced.
+4. When reuse is unsafe (some earlier node is moved by ``sigma`` — this
+   happens for the second twin family onward), the twin is one more
+   window of the plan; correctness is preserved, only the saving is
+   smaller.
+5. A pattern whose first step is a family (every node is moved by
+   ``sigma``, e.g. a double square) has no fixed node to anchor it and
+   runs as plain backtracking in the node order (Sect. IV-B's
+   fallback).
 
 Compared with the node-at-a-time engines, SymISO both avoids
 recomputing candidates for symmetric halves and halves the enumeration
@@ -30,11 +39,12 @@ per reused family, which is the speedup Fig. 11 measures.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator
+from functools import partial
 
 from repro.graph.csr import csr_view
 from repro.graph.typed_graph import NodeId, TypedGraph
-from repro.matching.backtracking import backtrack_embeddings
+from repro.matching.backtracking import Backtracker
 from repro.matching.base import Embedding
 from repro.matching.ordering import (
     component_order_from_node_order,
@@ -44,8 +54,6 @@ from repro.matching.ordering import (
 from repro.matching.plan import MatchPlan
 from repro.metagraph.decomposition import Decomposition, TwinFamily, decompose
 from repro.metagraph.metagraph import Metagraph
-
-_EMPTY: frozenset = frozenset()
 
 
 class SymISOMatcher:
@@ -96,10 +104,11 @@ class SymISOMatcher:
             # time matching would start from unanchored whole-type-class
             # candidate sets.  Plain node-at-a-time backtracking with the
             # same order is strictly better here (Sect. IV-B's fallback).
-            plan = MatchPlan(metagraph, node_order, induced=True, fixed=None)
-            yield from backtrack_embeddings(graph, plan)
-            return
-        yield from _match_groups(graph, metagraph, decomp, groups)
+            order, reused = node_order, []
+        else:
+            order, reused = _group_order(decomp, groups)
+        plan = MatchPlan(metagraph, order, induced=True, fixed=None)
+        yield from _match(graph, plan, reused)
 
 
 def _plan_groups(
@@ -173,247 +182,139 @@ def _plan_groups(
     return ordered
 
 
-def _component_assignments(
-    graph: TypedGraph,
-    metagraph: Metagraph,
-    comp_nodes: Sequence[int],
-    assignment: dict[int, NodeId],
-    used: set[NodeId],
-) -> list[tuple[NodeId, ...]]:
-    """All matchings C(S|D) of a component given the partial assignment.
+def _group_order(
+    decomp: Decomposition, groups: list[tuple[str, object]]
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The plan order of ``groups`` and the position spans of reused families.
 
-    Each returned tuple is aligned with ``comp_nodes``.  A matching
-    satisfies type constraints, injectivity against ``used`` and within
-    itself, and induced edge/non-edge constraints against both the
-    global assignment and earlier nodes of the component.
+    A component's nodes go in order of most neighbours placed before
+    the component, then node id; a twin's nodes are ``sigma`` of its
+    representative's, position for position.  A family is reused, as
+    ``(representative start, twin start, twin stop)``, when ``sigma``
+    fixes every node placed before it: only then does the twin meet
+    the representative's constraints against them.
     """
-    # order component nodes: those with an already-assigned pattern
-    # neighbour first (their candidates are cheap), then keep the
-    # component prefix connected where possible
-    nodes = list(comp_nodes)
-    nodes.sort(
-        key=lambda u: (
-            -sum(1 for w in metagraph.neighbors(u) if w in assignment),
-            u,
-        )
-    )
-    results: list[tuple[NodeId, ...]] = []
-    local: dict[int, NodeId] = {}
-    local_used: set[NodeId] = set()
-
-    def candidates(u: int) -> Iterator[NodeId]:
-        node_type = metagraph.node_type(u)
-        anchor_images = []
-        for w in metagraph.neighbors(u):
-            if w in assignment:
-                anchor_images.append(assignment[w])
-            elif w in local:
-                anchor_images.append(local[w])
-        if anchor_images:
-            best = min(
-                anchor_images,
-                key=lambda img: len(graph.typed_adjacency(img).get(node_type, _EMPTY)),
+    metagraph, sigma = decomp.metagraph, decomp.sigma
+    order: list[int] = []
+    reused: list[tuple[int, int, int]] = []
+    for kind, payload in groups:
+        placed = set(order)
+        rep = payload.representative if kind == "family" else payload  # type: ignore[attr-defined]
+        nodes = [
+            u
+            for _, u in sorted(
+                (-len(metagraph.neighbors(u) & placed), u)
+                for u in decomp.components[rep]  # type: ignore[index]
             )
-            seed = graph.typed_adjacency(best).get(node_type, _EMPTY)
-            rest = [img for img in anchor_images if img is not best]
-            for v in seed:
-                if all(v in graph.adjacency(img) for img in rest):
-                    yield v
-        else:
-            yield from graph.nodes_of_type(node_type)
+        ]
+        start = len(order)
+        order.extend(nodes)
+        if kind == "family":
+            order.extend(sigma[u] for u in nodes)
+            if all(sigma[w] == w for w in order[:start]):
+                reused.append((start, start + len(nodes), len(order)))
+    return order, reused
 
-    kinds_active = metagraph.has_kinds or graph.has_kinds
 
-    def induced_ok(u: int, v: NodeId) -> bool:
-        adj_v = graph.adjacency(v)
-        for bound in (assignment, local):
-            for w, img in bound.items():
-                if metagraph.has_edge(u, w):
-                    if img not in adj_v:
-                        return False
-                    if kinds_active and graph.edge_signature(
-                        v, img
-                    ) != metagraph.edge_signature(u, w):
-                        return False
-                elif img in adj_v:
+def _match(
+    graph: TypedGraph, plan: MatchPlan, reused: list[tuple[int, int, int]]
+) -> Iterator[Embedding]:
+    """Run ``plan`` as windows of the shared executor around the reused families."""
+    search = Backtracker(graph, plan)
+    steps: list[Callable[[], Iterator[None]]] = []
+    at = 0
+    for start, mid, stop in reused:
+        if at < start:
+            steps.append(partial(search.window, at, start))
+        steps.append(partial(_twin_pairs, search, start, mid, stop))
+        at = stop
+    if at < len(plan.order):
+        steps.append(partial(search.window, at, len(plan.order)))
+    order, assignment = plan.order, search.assignment
+
+    def extend(s: int) -> Iterator[Embedding]:
+        if s == len(steps):
+            yield dict(zip(order, assignment))
+            return
+        for _ in steps[s]():
+            yield from extend(s + 1)
+
+    yield from extend(0)
+
+
+def _twin_pairs(search: Backtracker, start: int, mid: int, stop: int) -> Iterator[None]:
+    """Bind a reused family: two distinct matchings of its representative.
+
+    The representative's window ``start .. mid-1`` is matched once,
+    C(S|D); the twin at ``mid .. stop-1`` takes a *later* matching
+    disjoint from the first that meets the twin positions' constraints
+    against the representative's positions.  Its constraints against
+    earlier positions are the representative's, since ``sigma`` fixes
+    every node bound there, and swapping the two roles is the
+    automorphism ``sigma``, so ``i < j`` drops only automorphic
+    duplicates.  Yields once per bound pair, like a window.
+    """
+    graph, plan = search.graph, search.plan
+    assignment, used = search.assignment, search.used
+    kinds_active = search.kinds_active
+    matchings = [tuple(assignment[start:mid]) for _ in search.window(start, mid)]
+    # per twin position: representative offsets it must be adjacent to
+    # (through an edge of the aligned signature) and apart from
+    adjacent = [
+        [
+            (j - start, sig)
+            for j, sig in zip(plan.neighbors_at[p], plan.signatures_at[p])
+            if start <= j < mid
+        ]
+        for p in range(mid, stop)
+    ]
+    apart = [
+        [j - start for j in plan.nonneighbors_at[p] if start <= j < mid]
+        for p in range(mid, stop)
+    ]
+    if mid - start == 1:
+        # singleton twins (the common case: the two anchor users):
+        # scalar candidates, a single cross constraint
+        must_connect = bool(adjacent[0])
+        pair_sig = adjacent[0][0][1] if kinds_active and must_connect else None
+        scalars = [m[0] for m in matchings]
+        for i, a in enumerate(scalars):
+            adj_a = graph.adjacency(a)
+            assignment[start] = a
+            used.add(a)
+            for b in scalars[i + 1 :]:
+                if (b in adj_a) != must_connect:
+                    continue
+                if pair_sig is not None and graph.edge_signature(a, b) != pair_sig:
+                    continue
+                assignment[mid] = b
+                used.add(b)
+                yield
+                used.discard(b)
+            used.discard(a)
+        assignment[start] = assignment[mid] = None
+        return
+
+    def cross_ok(rep: tuple[NodeId, ...], twin: tuple[NodeId, ...]) -> bool:
+        for k, t in enumerate(twin):
+            adj_t = graph.adjacency(t)
+            for x, sig in adjacent[k]:
+                if rep[x] not in adj_t:
+                    return False
+                if kinds_active and graph.edge_signature(rep[x], t) != sig:
+                    return False
+            for x in apart[k]:
+                if rep[x] in adj_t:
                     return False
         return True
 
-    def extend(k: int) -> None:
-        if k == len(nodes):
-            results.append(tuple(local[u] for u in comp_nodes))
-            return
-        u = nodes[k]
-        for v in candidates(u):
-            if v in used or v in local_used:
+    sets = [set(m) for m in matchings]
+    for i, rep in enumerate(matchings):
+        for j in range(i + 1, len(matchings)):
+            if sets[i] & sets[j] or not cross_ok(rep, matchings[j]):
                 continue
-            if not induced_ok(u, v):
-                continue
-            local[u] = v
-            local_used.add(v)
-            extend(k + 1)
-            local_used.discard(v)
-            del local[u]
-
-    extend(0)
-    return results
-
-
-def _cross_structure(
-    metagraph: Metagraph,
-    rep_nodes: Sequence[int],
-    twin_nodes: Sequence[int],
-    kinds_active: bool = False,
-) -> list[list[tuple[int, bool, tuple[str, int] | None]]]:
-    """Per rep position: (twin position, must-be-adjacent, signature).
-
-    The signature entry is ``None`` unless ``kinds_active`` and the
-    pattern edge exists, keeping the plain path allocation-identical.
-    """
-    structure: list[list[tuple[int, bool, tuple[str, int] | None]]] = []
-    for u in rep_nodes:
-        constraints = []
-        for j, w in enumerate(twin_nodes):
-            must_connect = metagraph.has_edge(u, w)
-            sig = (
-                metagraph.edge_signature(u, w)
-                if kinds_active and must_connect
-                else None
-            )
-            constraints.append((j, must_connect, sig))
-        structure.append(constraints)
-    return structure
-
-
-def _cross_ok(
-    graph: TypedGraph,
-    structure: list[list[tuple[int, bool, tuple[str, int] | None]]],
-    rep_tuple: tuple[NodeId, ...],
-    twin_tuple: tuple[NodeId, ...],
-) -> bool:
-    """Induced edge/non-edge checks between the two components of a family."""
-    for i, constraints in enumerate(structure):
-        adj_u = graph.adjacency(rep_tuple[i])
-        for j, must_connect, sig in constraints:
-            if (twin_tuple[j] in adj_u) != must_connect:
-                return False
-            if sig is not None and graph.edge_signature(
-                rep_tuple[i], twin_tuple[j]
-            ) != sig:
-                return False
-    return True
-
-
-def _match_groups(
-    graph: TypedGraph,
-    metagraph: Metagraph,
-    decomp: Decomposition,
-    groups: list[tuple[str, object]],
-) -> Iterator[Embedding]:
-    assignment: dict[int, NodeId] = {}
-    used: set[NodeId] = set()
-    sigma = decomp.sigma
-    kinds_active = metagraph.has_kinds or graph.has_kinds
-
-    def extend(g: int) -> Iterator[Embedding]:
-        if g == len(groups):
-            yield dict(assignment)
-            return
-        kind, payload = groups[g]
-        if kind == "single":
-            comp_nodes = decomp.components[payload]  # type: ignore[index]
-            for chosen in _component_assignments(
-                graph, metagraph, comp_nodes, assignment, used
-            ):
-                _bind(comp_nodes, chosen)
-                yield from extend(g + 1)
-                _unbind(comp_nodes, chosen)
-            return
-
-        family: TwinFamily = payload  # type: ignore[assignment]
-        rep_nodes = decomp.components[family.representative]
-        twin_nodes = decomp.components[family.twin]
-        # twin node order corresponding to rep_nodes under sigma
-        twin_aligned = tuple(sigma[u] for u in rep_nodes)
-        rep_matchings = _component_assignments(
-            graph, metagraph, rep_nodes, assignment, used
-        )
-        if not rep_matchings:
-            return
-        safe = all(sigma[w] == w for w in assignment)
-        if safe and len(rep_nodes) == 1:
-            # singleton twins (the common case: the two anchor users):
-            # scalar candidates, a single cross constraint, i < j pairs
-            u = rep_nodes[0]
-            v = twin_aligned[0]
-            must_connect = metagraph.has_edge(u, v)
-            pair_sig = (
-                metagraph.edge_signature(u, v)
-                if kinds_active and must_connect
-                else None
-            )
-            scalars = [t[0] for t in rep_matchings]
-            for i, a in enumerate(scalars):
-                adj_a = graph.adjacency(a)
-                assignment[u] = a
-                used.add(a)
-                for b in scalars[i + 1 :]:
-                    if (b in adj_a) != must_connect:
-                        continue
-                    if pair_sig is not None and graph.edge_signature(
-                        a, b
-                    ) != pair_sig:
-                        continue
-                    assignment[v] = b
-                    used.add(b)
-                    yield from extend(g + 1)
-                    used.discard(b)
-                    del assignment[v]
-                used.discard(a)
-                del assignment[u]
-        elif safe:
-            # Reuse C(S|D) for the twin; i < j keeps one of each
-            # sigma-swapped duplicate pair.
-            structure = _cross_structure(
-                metagraph, rep_nodes, twin_aligned, kinds_active
-            )
-            match_sets = [set(t) for t in rep_matchings]
-            for i in range(len(rep_matchings)):
-                rep_tuple = rep_matchings[i]
-                rep_set = match_sets[i]
-                for j in range(i + 1, len(rep_matchings)):
-                    if rep_set & match_sets[j]:
-                        continue
-                    twin_tuple = rep_matchings[j]
-                    if not _cross_ok(graph, structure, rep_tuple, twin_tuple):
-                        continue
-                    _bind(rep_nodes, rep_tuple)
-                    _bind(twin_aligned, twin_tuple)
-                    yield from extend(g + 1)
-                    _unbind(twin_aligned, twin_tuple)
-                    _unbind(rep_nodes, rep_tuple)
-        else:
-            # Assigned context is not sigma-invariant: compute the twin's
-            # matchings directly per representative choice.
-            for rep_tuple in rep_matchings:
-                _bind(rep_nodes, rep_tuple)
-                twin_matchings = _component_assignments(
-                    graph, metagraph, twin_aligned, assignment, used
-                )
-                for twin_tuple in twin_matchings:
-                    _bind(twin_aligned, twin_tuple)
-                    yield from extend(g + 1)
-                    _unbind(twin_aligned, twin_tuple)
-                _unbind(rep_nodes, rep_tuple)
-
-    def _bind(nodes: Sequence[int], images: tuple[NodeId, ...]) -> None:
-        for u, v in zip(nodes, images):
-            assignment[u] = v
-            used.add(v)
-
-    def _unbind(nodes: Sequence[int], images: tuple[NodeId, ...]) -> None:
-        for u, v in zip(nodes, images):
-            del assignment[u]
-            used.discard(v)
-
-    yield from extend(0)
+            assignment[start:stop] = rep + matchings[j]
+            used.update(assignment[start:stop])
+            yield
+            used.difference_update(assignment[start:stop])
+    assignment[start:stop] = [None] * (stop - start)

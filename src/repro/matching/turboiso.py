@@ -5,8 +5,8 @@ start node and orders the rest of the pattern by estimated selectivity.
 Our reimplementation keeps those two ingredients:
 
 1. a *candidate region* per pattern node — graph nodes of the right type
-   whose degree and per-type neighbour counts dominate the pattern
-   node's (a neighbourhood-profile filter);
+   whose per-type neighbour counts dominate the pattern node's (the
+   compiled kernel's neighbourhood-profile filter, read as node ids);
 2. the estimated-instance-count order of Sect. IV-C.
 
 It still enumerates every embedding individually; like the original it
@@ -15,13 +15,13 @@ does not exploit pattern symmetry, which is SymISO's advantage.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 
 from repro.graph.csr import csr_view
 from repro.graph.typed_graph import NodeId, TypedGraph
 from repro.matching.backtracking import backtrack_embeddings
 from repro.matching.base import Embedding
+from repro.matching.compiled import profile_candidates
 from repro.matching.ordering import estimated_cost_order
 from repro.matching.plan import MatchPlan
 from repro.metagraph.metagraph import Metagraph
@@ -33,21 +33,23 @@ def candidate_regions(
     """Per-pattern-node candidate sets from neighbourhood profiles.
 
     A graph node qualifies for pattern node ``u`` when it has at least
-    as many neighbours of each type as ``u`` does in the pattern.
-    Returns None when some pattern node has no candidates (no match).
+    as many neighbours of each type as ``u`` does in the pattern (of
+    each type and edge signature, when either side carries edge
+    kinds): the node-id view of the kernel's
+    :func:`~repro.matching.compiled.profile_candidates`.  Returns None
+    when some pattern node has no candidates (no match).
     """
-    regions: dict[int, set[NodeId]] = {}
-    for u in metagraph.nodes():
-        profile = Counter(metagraph.node_type(v) for v in metagraph.neighbors(u))
-        region: set[NodeId] = set()
-        for node in graph.nodes_of_type(metagraph.node_type(u)):
-            typed = graph.typed_adjacency(node)
-            if all(len(typed.get(t, ())) >= need for t, need in profile.items()):
-                region.add(node)
-        if not region:
-            return None
-        regions[u] = region
-    return regions
+    csr = csr_view(graph)
+    tcodes = [csr.type_id(metagraph.node_type(u)) for u in metagraph.nodes()]
+    if None in tcodes or (metagraph.has_kinds and not csr.has_kinds):
+        return None
+    built = profile_candidates(
+        csr, metagraph, tcodes, None, metagraph.has_kinds or csr.has_kinds  # type: ignore[arg-type]
+    )
+    if built is None:
+        return None
+    node_ids = csr.node_ids
+    return {u: {node_ids[v] for v in cand.tolist()} for u, cand in enumerate(built[0])}
 
 
 class TurboISOMatcher:

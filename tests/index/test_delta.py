@@ -12,6 +12,7 @@ included.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -48,12 +49,13 @@ COMPILED_ARRAYS = (
 
 
 def make_graph(
-    seed: int = 0, users: int = 20, groups: int = 5, ids=None
+    seed: int = 0, users: int = 20, groups: int = 5, ids=None, friendships: int = 12
 ) -> TypedGraph:
     """Random typed graph: users in groups plus user-user friendships.
 
     ``ids`` names the users (default ``u0``, ``u1``, ...); user ``i``
-    is ``ids[i]``.
+    is ``ids[i]``.  ``friendships`` user pairs are drawn (repeats are
+    skipped).
     """
     rng = random.Random(seed)
     user = list(ids) if ids is not None else [f"u{i}" for i in range(users)]
@@ -67,12 +69,17 @@ def make_graph(
         for i in range(users):
             for j in rng.sample(range(groups), 2):
                 graph.add_edge(user[i], f"{group_type}{j}")
-    for _ in range(12):
+    for _ in range(friendships):
         a, b = rng.sample(range(users), 2)
         if not graph.has_edge(user[a], user[b]):
             graph.add_edge(user[a], user[b])
     return graph
 
+
+#: user-user edges drawn by the dense variant of ``make_graph``: each
+#: seed the tests use holds several user triangles and induced 4-cycles
+#: (12, the default, leaves at most one of each)
+DENSE_FRIENDSHIPS = 40
 
 # |Aut| 6, 6 and 8: an edited node or pair maps onto orbits of several
 # pattern nodes or pairs, of which the delta path pins one each
@@ -179,6 +186,22 @@ class TestRandomizedSequences:
     @pytest.mark.parametrize("seed", range(6))
     def test_bit_identical_to_rebuild(self, catalog, seed):
         graph = make_graph(seed)
+        vectors, index = build_index(graph, catalog)
+        delta = random_delta(graph, random.Random(seed + 100))
+        stats = apply_spliced(graph, catalog, vectors, delta, index)
+        assert stats.edits_applied == len(delta)
+        assert_matches_fresh_build(graph, catalog, vectors, index)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_identical_to_rebuild_dense(self, catalog, seed):
+        """The same on a graph with enough friendships that every all-user
+        pattern (the friend pair, the triangle, the induced 4-cycle) has
+        instances for the delta to retire and re-add."""
+        graph = make_graph(seed, friendships=DENSE_FRIENDSHIPS)
+        csr = csr_view(graph)
+        for pattern in catalog:
+            if set(pattern.types) == {"user"}:
+                assert compiled_embedding_matrix(csr, pattern).shape[0] >= 2, pattern.name
         vectors, index = build_index(graph, catalog)
         delta = random_delta(graph, random.Random(seed + 100))
         stats = apply_spliced(graph, catalog, vectors, delta, index)
@@ -492,11 +515,19 @@ class TestNoOpsAndValidation:
             )
 
     def test_patch_going_negative_raises(self, catalog):
+        """The error names the culprit row of a patch table of two rows:
+        the first goes up, the second (its first entry) goes negative."""
         graph = make_graph(8)
         vectors, _ = build_index(graph, catalog)
-        bogus = make_counts(10 ** 6, {"u0": 10 ** 6})
-        with pytest.raises(DeltaError):
-            vectors.patch_counts(0, bogus, MetagraphCounts())
+        a, b, c = vectors.compile().nodes[:3]
+        with pytest.raises(DeltaError, match=re.escape(f"node count for {b!r} went negative")):
+            vectors.patch_counts(0, make_counts(1, {b: 10 ** 6}), make_counts(1, {a: 1}))
+        with pytest.raises(
+            DeltaError, match=re.escape(f"pair count for {(a, c)!r} went negative")
+        ):
+            vectors.patch_counts(
+                0, make_counts(1, {}, {(a, c): 10 ** 6}), make_counts(1, {}, {(a, b): 1})
+            )
 
     def test_failed_patch_changes_nothing(self, catalog):
         """A patch that would go negative leaves store and snapshot as they were,

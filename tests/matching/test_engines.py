@@ -12,6 +12,7 @@ from repro.matching import (
     QuickSIMatcher,
     SymISOMatcher,
     TurboISOMatcher,
+    candidate_regions,
     count_instances,
     find_instances,
     is_valid_embedding,
@@ -19,6 +20,7 @@ from repro.matching import (
 from repro.metagraph.metagraph import Metagraph, metapath
 from tests.conftest import random_typed_graph
 from tests.metagraph.test_canonical_symmetry import random_metagraph
+from tests.oracles import profile_regions
 
 ENGINE_FACTORIES = list(ALL_ENGINES.items())
 
@@ -162,6 +164,20 @@ class TestEngineAgreement:
             engine = SymISOMatcher(random_order=True, seed=seed)
             found = {i.nodes for i in find_instances(engine, toy_graph, m1)}
             assert found == base
+
+
+class TestCandidateRegions:
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_regions_equal_the_per_node_profile_loop(self, seed):
+        """TurboISO's regions are the kernel's profile filter read as node
+        ids; on plain graphs that is the per-node loop's answer."""
+        graph = random_typed_graph(seed, num_users=8, num_attrs_per_type=3)
+        metagraph = random_metagraph(random.Random(seed), max_nodes=4)
+        assert candidate_regions(graph, metagraph) == profile_regions(graph, metagraph)
+
+    def test_absent_type_has_no_region(self, toy_graph):
+        assert candidate_regions(toy_graph, metapath("user", "planet")) is None
 
 
 class TestSymISOInternals:

@@ -1,12 +1,24 @@
-"""SymISO stress tests: handcrafted patterns that hit every code path.
+"""SymISO stress tests: one handcrafted pattern per branch of the engine.
 
-- singleton twin families (the common anchor-pair case);
-- multi-node wing components (M5-style);
-- adjacent symmetric nodes (cross edges inside a family);
-- TWO twin families under one involution (the unsafe-reuse path: after
-  the first family binds, assigned nodes are moved by sigma, so the
-  second family must compute its candidates directly);
-- asymmetric patterns (graceful degeneration to plain backtracking).
+SymISO (``repro.matching.symiso``) has four ways to match a pattern,
+and each class below holds at least one pattern that reaches the one
+it names:
+
+- ``TestSingleFamily``: singleton reuse -- a twin family of single
+  nodes (the common anchor-pair case) after fixed components, matched
+  as ``i < j`` pairs of the representative's candidates;
+- ``TestMultiNodeWings``: multi-node reuse -- wing components
+  (M5-style) whose matchings are reused for the twin;
+- ``TestTwoFamilies``: unsafe reuse -- a second twin family under one
+  involution (after the first family binds, assigned nodes are moved
+  by sigma, so the second family is matched directly);
+- ``TestDegenerateCases``: the plain-backtracking fallback -- a
+  pattern whose first match step is a twin family (no fixed node to
+  anchor it), plus asymmetric patterns with no family at all.
+
+The double squares in ``TestTwoFamilies`` hold two families but start
+with one, so they take the fallback, not the unsafe path.
+``TestKindedCrossEdges`` puts edge kinds on the edges between twins.
 
 Each case is verified against QuickSI on graphs rich enough to contain
 multiple overlapping instances.
@@ -14,14 +26,23 @@ multiple overlapping instances.
 
 import pytest
 
-from repro.graph.typed_graph import TypedGraph
-from repro.matching import QuickSIMatcher, SymISOMatcher, find_instances
+from repro.graph.typed_graph import PLAIN, EdgeKind, TypedGraph
+from repro.matching import (
+    CompiledMatcher,
+    QuickSIMatcher,
+    SymISOMatcher,
+    find_instances,
+)
 from repro.metagraph.decomposition import decompose
 from repro.metagraph.metagraph import Metagraph, metapath
 
 
-def dense_graph() -> TypedGraph:
-    """A graph with many overlapping attribute co-ownerships."""
+def dense_graph(friend_kinds=(PLAIN,) * 4) -> TypedGraph:
+    """A graph with many overlapping attribute co-ownerships.
+
+    ``friend_kinds`` gives the edge kind of each of the four user-user
+    friendships, in the order they are listed below.
+    """
     g = TypedGraph(name="dense")
     users = [f"u{i}" for i in range(8)]
     for u in users:
@@ -42,8 +63,9 @@ def dense_graph() -> TypedGraph:
     for u, a in wiring:
         g.add_edge(u, a)
     # some direct user-user friendships
-    for u, v in [("u0", "u1"), ("u1", "u2"), ("u4", "u6"), ("u5", "u7")]:
-        g.add_edge(u, v)
+    friendships = [("u0", "u1"), ("u1", "u2"), ("u4", "u6"), ("u5", "u7")]
+    for (u, v), kind in zip(friendships, friend_kinds):
+        g.add_edge(u, v, kind)
     return g
 
 
@@ -51,6 +73,13 @@ def agree(graph, pattern) -> set:
     sym = {i.nodes for i in find_instances(SymISOMatcher(), graph, pattern)}
     ref = {i.nodes for i in find_instances(QuickSIMatcher(), graph, pattern)}
     assert sym == ref
+    return ref
+
+
+def agree_with_kernel(graph, pattern) -> set:
+    """SymISO == QuickSI == the compiled kernel; returns the instances."""
+    ref = agree(graph, pattern)
+    assert {i.nodes for i in find_instances(CompiledMatcher(), graph, pattern)} == ref
     return ref
 
 
@@ -98,8 +127,25 @@ class TestMultiNodeWings:
 
 
 class TestTwoFamilies:
+    def test_anchored_two_families_unsafe_reuse(self):
+        """A fixed school, then two singleton families: the users (reused)
+        and their hobbies, matched directly once the users are bound."""
+        pattern = Metagraph(
+            ["user", "hobby", "school", "user", "hobby"],
+            [(0, 1), (0, 2), (3, 2), (3, 4), (0, 3)],
+        )
+        decomp = decompose(pattern)
+        assert len(decomp.families) == 2
+        assert any(decomp.sigma[u] == u for u in range(pattern.size))
+        found = agree(dense_graph(), pattern)
+        assert frozenset({"u0", "h0", "s0", "u1", "h2"}) in found
+        assert len(found) == 3
+
     def test_double_square_two_families(self):
-        """user pair + attribute pair both swapped by one involution."""
+        """user pair + attribute pair both swapped by one involution.
+
+        Every node is moved, so the first step is a family and SymISO
+        takes the plain-backtracking fallback."""
         pattern = Metagraph(
             ["user", "school", "school", "user"],
             [(0, 1), (0, 2), (3, 1), (3, 2)],
@@ -163,6 +209,55 @@ class TestDegenerateCases:
     def test_no_matching_type(self):
         pattern = metapath("user", "planet", "user")
         assert agree(dense_graph(), pattern) == set()
+
+
+COLLEAGUE = EdgeKind("colleague", False)
+FRIEND = EdgeKind("friend", False)
+STUDIES = EdgeKind("studies", True)
+
+
+class TestKindedCrossEdges:
+    """Edge kinds on the edges between the two wings of a pattern.
+
+    An edge joining two wings merges them into one moved component, so
+    ``decompose`` splits them into singleton twin families.  A labelled
+    edge between the twin users reaches the singleton-reuse pair check;
+    directed edges from each user to the other wing's major reach the
+    checks of the second family, matched directly.
+    """
+
+    def test_labelled_edge_between_twin_users(self):
+        graph = dense_graph((COLLEAGUE, COLLEAGUE, FRIEND, FRIEND))
+        pattern = Metagraph(
+            ["user", "major", "school", "user", "major"],
+            [(0, 1), (0, 2), (3, 2), (3, 4), (0, 3, COLLEAGUE)],
+        )
+        assert len(decompose(pattern).families) == 2
+        # u5-u7 share s2 and distinct majors too, but are friends
+        found = agree_with_kernel(graph, pattern)
+        assert found == {frozenset({"u1", "m0", "s0", "u2", "m1"})}
+
+    def test_directed_edges_across_wings(self):
+        pattern = Metagraph(
+            ["user", "major", "school", "user", "major"],
+            [(0, 1), (0, 2), (3, 2), (3, 4), (0, 4, STUDIES), (3, 1, STUDIES)],
+        )
+        assert len(decompose(pattern).families) == 2
+        g = TypedGraph()
+        for school, a, b in (("s0", "a", "b"), ("s1", "c", "d")):
+            g.add_node(school, "school")
+            for user in (a, b):
+                g.add_node(user, "user")
+                g.add_node(f"m{user}", "major")
+                g.add_edge(user, school)
+                g.add_edge(user, f"m{user}")
+        g.add_edge("a", "mb", STUDIES)
+        g.add_edge("b", "ma", STUDIES)
+        # the same wiring with one cross edge pointing the other way
+        g.add_edge("c", "md", STUDIES)
+        g.add_edge("mc", "d", STUDIES)
+        found = agree_with_kernel(g, pattern)
+        assert found == {frozenset({"a", "ma", "s0", "b", "mb"})}
 
 
 @pytest.mark.parametrize("seed", range(6))

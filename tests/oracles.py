@@ -417,6 +417,35 @@ class GraphCardinalities:
 
 
 # ----------------------------------------------------------------------
+# per-node neighbourhood-profile regions (the kernel's vectorised
+# profile filter replaced them)
+# ----------------------------------------------------------------------
+def profile_regions(graph, metagraph) -> dict | None:
+    """Per pattern node ``u``, the graph nodes of its type with at least
+    as many neighbours of each type as ``u`` has in the pattern.
+
+    The reference for :func:`repro.matching.turboiso.candidate_regions`
+    on graphs and patterns without edge kinds: one pass over each type
+    class.  None when some pattern node has no candidates.
+    """
+    regions = {}
+    for u in metagraph.nodes():
+        profile = Counter(metagraph.node_type(v) for v in metagraph.neighbors(u))
+        region = {
+            node
+            for node in graph.nodes_of_type(metagraph.node_type(u))
+            if all(
+                len(graph.typed_adjacency(node).get(t, ())) >= need
+                for t, need in profile.items()
+            )
+        }
+        if not region:
+            return None
+        regions[u] = region
+    return regions
+
+
+# ----------------------------------------------------------------------
 # set-operation shard slicing (the mask-based one replaced it)
 # ----------------------------------------------------------------------
 def _take_rows(indptr, indices, data, rows):
