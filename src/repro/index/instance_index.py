@@ -22,8 +22,10 @@ build (:func:`~repro.index.parallel.build_index`) feeds it a whole
 metagraph's matrix through :func:`compiled_match_and_count`; the delta
 path (:mod:`repro.index.delta`) feeds it the concatenated pinned
 matrices of its localized re-matching.  Both enumerations are
-symmetry-broken, so each matrix holds one row per instance and the
-counter never deduplicates.  Both hand the arrays to
+symmetry-broken, so each matrix holds one row per instance, and every
+row is an injective embedding, so an instance's anchor pairs and anchor
+nodes are distinct by construction: the counter tallies them directly
+and never deduplicates.  Both hand the arrays to
 :class:`~repro.index.vectors.MetagraphVectors` as they are.
 
 :class:`InstanceIndex` keeps the other per-metagraph figure, ``|I(M)|``.
@@ -73,47 +75,43 @@ def count_embeddings(
     the image of pattern node ``u``, in ``csr``'s dense ids), so
     ``num_instances`` is the row count: the offline build's plan breaks
     all of Aut(M), and the delta path pins one representative per
-    Aut(M)-orbit under a plan that breaks its stabiliser.  Symmetric
-    anchor pairs are encoded as single integers and tallied by
-    ``np.unique``, and original node ids are decoded once per *unique*
-    node.  The pair set of an instance does not depend on which
-    embedding witnesses it (symmetric pattern-node pairs are closed
-    under automorphisms — see the module docstring).
+    Aut(M)-orbit under a plan that breaks its stabiliser.
+
+    Precondition: every row is injective, as every kernel row is (and
+    so every concatenation of kernel matrices).  ``sym_pairs`` lists
+    each unordered pattern-node pair once, so the images of one row's
+    pairs are distinct node pairs and the images of the nodes they
+    cover are distinct nodes: the pair tallies are one ``np.unique``
+    over one integer code per (row, pair), the node tallies one over
+    those nodes' columns.  Original node ids are decoded once per
+    *unique* node.  The pair set of an instance does not depend on
+    which embedding witnesses it (symmetric pattern-node pairs are
+    closed under automorphisms — see the module docstring).
     """
-    if embeddings.shape[0] == 0 or not sym_pairs:
+    num_rows = embeddings.shape[0]
+    if num_rows == 0 or not sym_pairs:
         # No symmetric anchor pair: the metagraph cannot contribute to
         # anchor-anchor proximity (Eq. 1 is empty) — only |I(M)| counts.
-        return MetagraphCounts(num_instances=embeddings.shape[0])
+        return MetagraphCounts(num_instances=num_rows)
     # dense ids are int32, so an unordered pair packs into one int64
-    # (lo * stride + hi < 2^62) with no overflow risk; the *instance*
-    # dimension is deliberately NOT packed into the same scalar — that
-    # triple product could wrap int64 on huge graphs — and is deduped by
-    # lexsort over (instance, code) instead (1-D ops stay fast).
+    # (lo * stride + hi < 2^62) with no overflow risk
     stride = max(csr.num_nodes, 1)
-    code_cols = []
-    for u, v in sorted(sym_pairs):
+    pairs = sorted(sym_pairs)
+    code = np.empty(num_rows * len(pairs), dtype=np.int64)
+    for k, (u, v) in enumerate(pairs):
         a, b = embeddings[:, u], embeddings[:, v]
-        code_cols.append(np.minimum(a, b) * stride + np.maximum(a, b))
-    rows = np.repeat(np.arange(embeddings.shape[0]), len(code_cols))
-    code = np.stack(code_cols, axis=1).ravel()
-    order = np.lexsort((code, rows))
-    rows, code = rows[order], code[order]
-    keep = np.ones(rows.size, dtype=bool)  # an instance counts each
-    keep[1:] = (rows[1:] != rows[:-1]) | (code[1:] != code[:-1])  # pair once
-    rows, code = rows[keep], code[keep]
+        out = code[k * num_rows : (k + 1) * num_rows]
+        np.minimum(a, b, out=out)
+        out *= stride
+        out += np.maximum(a, b)
     uniq_codes, pair_tallies = np.unique(code, return_counts=True)
-    # ... and each node once, however many of its pairs the instance has
-    node_rows = np.concatenate([rows, rows])
-    node_vals = np.concatenate([code // stride, code % stride])
-    order = np.lexsort((node_vals, node_rows))
-    node_rows, node_vals = node_rows[order], node_vals[order]
-    keep = np.ones(node_rows.size, dtype=bool)
-    keep[1:] = (node_rows[1:] != node_rows[:-1]) | (node_vals[1:] != node_vals[:-1])
-    uniq_nodes, node_tallies = np.unique(node_vals[keep], return_counts=True)
+    del code
+    covered = sorted({u for pair in pairs for u in pair})
+    uniq_nodes, node_tallies = np.unique(embeddings[:, covered], return_counts=True)
     node_ids = csr.node_ids
     ends = np.stack([uniq_codes // stride, uniq_codes % stride], axis=1)
     return MetagraphCounts(
-        num_instances=embeddings.shape[0],
+        num_instances=num_rows,
         nodes=tuple(node_ids[c] for c in uniq_nodes.tolist()),
         node_count=node_tallies.astype(np.int64),
         pairs=np.searchsorted(uniq_nodes, ends).astype(np.int64),

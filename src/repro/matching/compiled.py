@@ -306,27 +306,28 @@ def embedding_matrix(
 ) -> np.ndarray:
     """Stack :func:`assignment_batches` into one ``(N, n)`` dense-id matrix.
 
-    Column ``u`` holds the image of pattern node ``u``.  The matrix is
-    materialised in full — at 8 bytes per cell a million 4-node
-    embeddings cost ~32 MB, far below the per-object cost of the
-    equivalent dict / ``Instance`` stream.
+    Column ``u`` holds the image of pattern node ``u``.  The batches
+    are collected first and the C-contiguous int64 result is allocated
+    once: the tails fill column ``order[-1]`` and each prefix position
+    ``j`` is repeated over its batch's tail into column ``order[j]``.
+    At 8 bytes per cell a million 4-node embeddings cost ~32 MB, far
+    below the per-object cost of the equivalent dict / ``Instance``
+    stream.
     """
     order = plan.order
-    n = len(order)
-    blocks: list[np.ndarray] = []
+    heads: list[tuple[int, ...]] = []
+    tails: list[np.ndarray] = []
     for prefix, tail in assignment_batches(csr, plan, pool):
-        block = np.empty((tail.size, n), dtype=np.int64)
-        for j in range(n - 1):
-            block[:, j] = prefix[j]
-        block[:, n - 1] = tail
-        blocks.append(block)
-    if not blocks:
-        return np.empty((0, n), dtype=np.int64)
-    stacked = np.concatenate(blocks)
-    inverse = np.empty(n, dtype=np.int64)
-    for position, u in enumerate(order):
-        inverse[u] = position
-    return stacked[:, inverse]
+        heads.append(prefix)
+        tails.append(tail)
+    sizes = np.fromiter((tail.size for tail in tails), dtype=np.int64, count=len(tails))
+    matrix = np.empty((int(sizes.sum()), len(order)), dtype=np.int64)
+    if tails:
+        np.concatenate(tails, out=matrix[:, order[-1]])
+        prefixes = np.array(heads, dtype=np.int64)
+        for j, u in enumerate(order[:-1]):
+            matrix[:, u] = np.repeat(prefixes[:, j], sizes)
+    return matrix
 
 
 def compiled_embedding_matrix(csr: CSRGraph, metagraph: Metagraph) -> np.ndarray:

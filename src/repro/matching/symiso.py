@@ -258,25 +258,16 @@ def _twin_pairs(search: Backtracker, start: int, mid: int, stop: int) -> Iterato
     assignment, used = search.assignment, search.used
     kinds_active = search.kinds_active
     matchings = [tuple(assignment[start:mid]) for _ in search.window(start, mid)]
-    # per twin position: representative offsets it must be adjacent to
-    # (through an edge of the aligned signature) and apart from
-    adjacent = [
-        [
-            (j - start, sig)
-            for j, sig in zip(plan.neighbors_at[p], plan.signatures_at[p])
-            if start <= j < mid
-        ]
-        for p in range(mid, stop)
-    ]
-    apart = [
-        [j - start for j in plan.nonneighbors_at[p] if start <= j < mid]
-        for p in range(mid, stop)
-    ]
     if mid - start == 1:
         # singleton twins (the common case: the two anchor users):
         # scalar candidates, a single cross constraint
-        must_connect = bool(adjacent[0])
-        pair_sig = adjacent[0][0][1] if kinds_active and must_connect else None
+        cross = [
+            sig
+            for j, sig in zip(plan.neighbors_at[mid], plan.signatures_at[mid])
+            if j == start
+        ]
+        must_connect = bool(cross)
+        pair_sig = cross[0] if kinds_active and must_connect else None
         scalars = [m[0] for m in matchings]
         for i, a in enumerate(scalars):
             adj_a = graph.adjacency(a)
@@ -295,14 +286,17 @@ def _twin_pairs(search: Backtracker, start: int, mid: int, stop: int) -> Iterato
         assignment[start] = assignment[mid] = None
         return
 
+    # a multi-node twin is another component of the moved nodes than its
+    # representative (decompose), so no pattern edge joins the two: per
+    # twin position, only the representative offsets it must be apart from
+    apart = [
+        [j - start for j in plan.nonneighbors_at[p] if start <= j < mid]
+        for p in range(mid, stop)
+    ]
+
     def cross_ok(rep: tuple[NodeId, ...], twin: tuple[NodeId, ...]) -> bool:
         for k, t in enumerate(twin):
             adj_t = graph.adjacency(t)
-            for x, sig in adjacent[k]:
-                if rep[x] not in adj_t:
-                    return False
-                if kinds_active and graph.edge_signature(rep[x], t) != sig:
-                    return False
             for x in apart[k]:
                 if rep[x] in adj_t:
                     return False

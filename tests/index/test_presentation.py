@@ -1,13 +1,18 @@
-"""Presentation invariance of the Eq. 1–2 counts (ROADMAP item 14, count slice).
+"""Presentation invariance of the catalog and the Eq. 1–2 counts (ROADMAP item 14).
 
-The counts depend on the graph's structure and labels, never on what
-the nodes are called or in which order nodes and edges were added.  So
-relabelling every node through a random bijection (int, str, tuple or
-mixed ids) and re-adding nodes and edges in a random order must give
-every ``|I(M)|``, ``m_x`` and ``m_xy`` of the original, mapped through
-the bijection — after the build and after one randomized
-:class:`GraphDelta` mapped the same way.  The store turns node ids into
-rows, so this is where a presentation leak would show.
+The mined catalog and the counts depend on the graph's structure and
+labels, never on what the nodes are called or in which order nodes and
+edges were added.  So relabelling every node through a random bijection
+(int, str, tuple or mixed ids) and re-adding nodes and edges in a
+random order must give
+
+- the original's mining run: its patterns' canonical forms in order,
+  their supports, ``candidates_tested`` and ``budget_hits``, and the
+  catalog built from them;
+- every ``|I(M)|``, ``m_x`` and ``m_xy`` of the original, mapped through
+  the bijection — after the build and after one randomized
+  :class:`GraphDelta` mapped the same way.  The store turns node ids
+  into rows, so this is where a presentation leak would show.
 """
 
 from __future__ import annotations
@@ -22,20 +27,35 @@ from repro.datasets import load_dataset
 from repro.graph.typed_graph import TypedGraph
 from repro.index.delta import GraphDelta, apply_delta
 from repro.index.parallel import build_index
-from repro.mining import MinerConfig, mine_catalog
+from repro.metagraph.canonical import canonical_form
+from repro.mining import GramiMiner, MinerConfig, build_catalog
 from tests.oracles import ledger, pair_key
 
 DATASETS = ("toy", "linkedin", "reactions")
 ID_KINDS = ("int", "str", "tuple", "mixed")
 NEWCOMER = ("newcomer",)
+CONFIG = MinerConfig(max_nodes=4, min_support=2)
+
+
+def mined(graph: TypedGraph, anchor_type: str) -> tuple:
+    """What mining ``graph`` reports, as comparable values, and its catalog."""
+    result = GramiMiner(CONFIG).mine(graph)
+    catalog = build_catalog(result.patterns, anchor_type=anchor_type, max_nodes=CONFIG.max_nodes)
+    report = (
+        [canonical_form(m) for m in result.patterns],
+        result.supports,
+        result.candidates_tested,
+        result.budget_hits,
+        [canonical_form(catalog[mg_id]) for mg_id in catalog.ids()],
+    )
+    return report, catalog
 
 
 @lru_cache(maxsize=None)
 def original(name: str):
-    """A tiny dataset graph and the catalog mined from it (shared, never mutated)."""
+    """A tiny dataset graph, its mining report and catalog (shared, never mutated)."""
     dataset = load_dataset(name, scale="tiny")
-    config = MinerConfig(max_nodes=4, min_support=2)
-    return dataset.graph, mine_catalog(dataset.graph, config, anchor_type=dataset.anchor_type)
+    return dataset.graph, *mined(dataset.graph, dataset.anchor_type)
 
 
 def bijection(nodes, kind: str, rng: random.Random) -> dict:
@@ -110,8 +130,22 @@ def assert_mapped(built, shown, names: dict) -> None:
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=24, deadline=None)
+def test_catalog_follows_any_relabelling_and_insertion_order(name, kind, seed):
+    base, report, catalog = original(name)
+    rng = random.Random(seed)
+    names = bijection(base.nodes(), kind, rng)
+    shown_report, _ = mined(present(base, names, rng), catalog.anchor_type)
+    assert shown_report == report
+
+
+@given(
+    name=st.sampled_from(DATASETS),
+    kind=st.sampled_from(ID_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=24, deadline=None)
 def test_counts_follow_any_relabelling_and_insertion_order(name, kind, seed):
-    base, catalog = original(name)
+    base, _, catalog = original(name)
     graph = base.copy()
     rng = random.Random(seed)
     names = bijection([*graph.nodes(), NEWCOMER], kind, rng)

@@ -13,7 +13,28 @@ from repro.metagraph.similarity import (
     mcs_size,
     structural_similarity,
 )
+from tests.matching.test_cross_matcher_parity import random_pattern
 from tests.metagraph.test_canonical_symmetry import random_metagraph
+
+
+def mirrored_pattern(rng: random.Random) -> Metagraph:
+    """Two copies of a random pattern hung off one hub, maybe cross-joined.
+
+    The swap of the copies is an automorphism; a cross edge ``(i, j')``
+    comes with ``(j, i')``, so it stays one.  Without cross edges each
+    copy is one moved component and the two form a multi-node family.
+    """
+    half = random_pattern(rng, max_nodes=3)
+    n = half.size
+    types = ["school", *half.types, *half.types]
+    hook = 1 + rng.randrange(n)
+    edges = {(0, hook), (0, hook + n)}
+    for u, v in half.edges:
+        edges.update({(1 + u, 1 + v), (1 + n + u, 1 + n + v)})
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i, j = rng.randrange(n), rng.randrange(n)
+        edges.update({(1 + i, 1 + n + j), (1 + j, 1 + n + i)})
+    return Metagraph(types, edges)
 
 
 class TestDecompose:
@@ -105,6 +126,23 @@ class TestDecompose:
             twin = d.components[family.twin]
             assert {d.sigma[u] for u in rep} == set(twin)
             assert not set(rep) & set(twin)
+
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_no_edge_joins_a_multi_node_family(self, seed):
+        """A representative with more than one node is a different moved
+        component than its twin, so no pattern edge joins the two (an
+        edge would have merged them into one component, which is split
+        into singleton twins instead)."""
+        rng = random.Random(seed)
+        for m in (random_pattern(rng), mirrored_pattern(rng)):
+            d = decompose(m)
+            for family in d.families:
+                rep = d.components[family.representative]
+                twin = d.components[family.twin]
+                if len(rep) > 1:
+                    assert not any(m.has_edge(u, v) for u in rep for v in twin)
 
 
 class TestStructuralSimilarity:

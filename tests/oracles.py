@@ -8,7 +8,8 @@ one place the store's integer arrays turn into dicts), Def. 3 as three
 dense dot products per pair, and the scalar ranker that scores one
 candidate at a time.  The same goes for the streamed
 ``Instance`` counter and the engine-generic Eq. 1–2 counting that the
-compiled kernel's embedding-matrix counter replaced, the pure-Python
+compiled kernel's embedding-matrix counter replaced, that counter's
+per-row deduplicating form, the pure-Python
 pinned enumeration the delta path's compiled one replaced, the
 set-operation shard slicing the mask-based one replaced, the
 miner's MNI support without symmetry breaking, the per-call
@@ -285,6 +286,47 @@ def count_instances_into(counts, instances, sym_pairs) -> None:
         # repro-lint: ignore[unordered-iter] -- commutative `+= 1` fold; the Counter value per node is order-independent
         for node in nodes_here:
             counts.node_counts[node] += 1
+
+
+def lexsort_count_embeddings(csr, embeddings, sym_pairs) -> MetagraphCounts:
+    """The embedding-matrix counter before it relied on injective rows.
+
+    Same contract as :func:`repro.index.instance_index.count_embeddings`,
+    but each row's pair codes and anchor nodes are deduplicated by two
+    ``lexsort`` passes over (row, value) before tallying, so it also
+    counts rows that repeat a node.
+    """
+    if embeddings.shape[0] == 0 or not sym_pairs:
+        return MetagraphCounts(num_instances=embeddings.shape[0])
+    stride = max(csr.num_nodes, 1)
+    code_cols = []
+    for u, v in sorted(sym_pairs):
+        a, b = embeddings[:, u], embeddings[:, v]
+        code_cols.append(np.minimum(a, b) * stride + np.maximum(a, b))
+    rows = np.repeat(np.arange(embeddings.shape[0]), len(code_cols))
+    code = np.stack(code_cols, axis=1).ravel()
+    order = np.lexsort((code, rows))
+    rows, code = rows[order], code[order]
+    keep = np.ones(rows.size, dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]) | (code[1:] != code[:-1])
+    rows, code = rows[keep], code[keep]
+    uniq_codes, pair_tallies = np.unique(code, return_counts=True)
+    node_rows = np.concatenate([rows, rows])
+    node_vals = np.concatenate([code // stride, code % stride])
+    order = np.lexsort((node_vals, node_rows))
+    node_rows, node_vals = node_rows[order], node_vals[order]
+    keep = np.ones(node_rows.size, dtype=bool)
+    keep[1:] = (node_rows[1:] != node_rows[:-1]) | (node_vals[1:] != node_vals[:-1])
+    uniq_nodes, node_tallies = np.unique(node_vals[keep], return_counts=True)
+    node_ids = csr.node_ids
+    ends = np.stack([uniq_codes // stride, uniq_codes % stride], axis=1)
+    return MetagraphCounts(
+        num_instances=embeddings.shape[0],
+        nodes=tuple(node_ids[c] for c in uniq_nodes.tolist()),
+        node_count=node_tallies.astype(np.int64),
+        pairs=np.searchsorted(uniq_nodes, ends).astype(np.int64),
+        pair_count=pair_tallies.astype(np.int64),
+    )
 
 
 @dataclass
