@@ -21,7 +21,7 @@ from repro.matching.ordering import estimated_cost_order, rarest_type_order
 
 
 def cost_order(graph, metagraph):
-    return estimated_cost_order(metagraph, csr_view(graph).cardinalities())
+    return estimated_cost_order(metagraph, csr_view(graph))
 
 
 @pytest.fixture(scope="module")

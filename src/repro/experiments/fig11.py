@@ -24,7 +24,7 @@ from repro.matching.base import deduplicate_instances
 ENGINE_ORDER = ("SymISO", "SymISO-R", "BoostISO", "TurboISO", "QuickSI")
 
 
-def _sample_by_size(catalog, per_size: int) -> dict[int, list[int]]:
+def sample_by_size(catalog, per_size: int) -> dict[int, list[int]]:
     """Up to ``per_size`` metagraph ids per node-count bucket (3..5)."""
     buckets: dict[int, list[int]] = {}
     for mg_id in catalog.ids():
@@ -63,7 +63,7 @@ def run_dataset(runner: OfflineRunner, dataset_name: str) -> list[dict]:
     config = runner.config
     phase = runner.offline(dataset_name)
     graph = phase.dataset.graph
-    samples = _sample_by_size(phase.catalog, config.fig11_per_size)
+    samples = sample_by_size(phase.catalog, config.fig11_per_size)
     rows = []
     for size, mg_ids in samples.items():
         row: dict[str, object] = {

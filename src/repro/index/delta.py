@@ -340,7 +340,7 @@ def _count_pinned(
     return found
 
 
-def _enumerate_for_node(
+def enumerate_for_node(
     graph: TypedGraph,
     catalog: MetagraphCatalog,
     mg_ids: Sequence[int],
@@ -351,7 +351,7 @@ def _enumerate_for_node(
     return _count_pinned(graph, catalog, mg_ids, (node,), None, radius)
 
 
-def _enumerate_for_edge(
+def enumerate_for_edge(
     graph: TypedGraph,
     catalog: MetagraphCatalog,
     mg_ids: Sequence[int],
@@ -457,28 +457,28 @@ def apply_delta(
         post: dict[int, MetagraphCounts] = {}
         if edit.op == "add_node":
             graph.add_node(edit.u, edit.node_type)
-            post = _enumerate_for_node(graph, catalog, mg_ids, edit.u, radius)
+            post = enumerate_for_node(graph, catalog, mg_ids, edit.u, radius)
         elif edit.op == "remove_node":
             # removal cannot create instances: induced subgraphs of the
             # surviving node sets are untouched
-            pre = _enumerate_for_node(graph, catalog, mg_ids, edit.u, radius)
+            pre = enumerate_for_node(graph, catalog, mg_ids, edit.u, radius)
             graph.remove_node(edit.u)
         elif edit.op == "add_edge":
-            pre = _enumerate_for_edge(
+            pre = enumerate_for_edge(
                 graph, catalog, mg_ids, edit.u, edit.v, False, radius
             )
             graph.add_edge(edit.u, edit.v, edit.kind)
             patch_csr_view(graph, edit.u, edit.v)
-            post = _enumerate_for_edge(
+            post = enumerate_for_edge(
                 graph, catalog, mg_ids, edit.u, edit.v, True, radius
             )
         else:  # remove_edge
-            pre = _enumerate_for_edge(
+            pre = enumerate_for_edge(
                 graph, catalog, mg_ids, edit.u, edit.v, True, radius
             )
             graph.remove_edge(edit.u, edit.v)
             patch_csr_view(graph, edit.u, edit.v)
-            post = _enumerate_for_edge(
+            post = enumerate_for_edge(
                 graph, catalog, mg_ids, edit.u, edit.v, False, radius
             )
         stats.edits_applied += 1

@@ -83,7 +83,7 @@ COMPILED_DIR = "compiled"
 
 # the payload members: CompiledVectors' structure arrays plus the
 # integer counts its float data is derived from
-_MEMBERS = (
+PAYLOAD_MEMBERS = (
     "node_indptr", "node_indices", "node_count",
     "pair_indptr", "pair_indices", "pair_count",
     "pair_ptr", "partner_pos", "entry_pair",
@@ -105,7 +105,7 @@ _MANIFEST_SHAPE = {
     "instance_totals": (list, type(None)),
     "models": dict,
     "value_table": {"counts": list, "floats": list},
-    "compiled_arrays": {name: {"bytes": int, "sha256": str} for name in _MEMBERS},
+    "compiled_arrays": {name: {"bytes": int, "sha256": str} for name in PAYLOAD_MEMBERS},
     "extra": dict,
     "update_log": list,
 }
@@ -155,7 +155,7 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _manifest_digest(manifest: dict) -> str:
+def manifest_digest(manifest: dict) -> str:
     """Digest of every manifest field except the digest itself.
 
     The manifest is the snapshot's root of trust (node-id table, model
@@ -261,7 +261,7 @@ def save_index(
     distinct, floats = value_table(
         np.concatenate([compiled.node_count, compiled.pair_count]), vectors.transform
     )
-    payloads = {name: _npy_bytes(getattr(compiled, name)) for name in _MEMBERS}
+    payloads = {name: _npy_bytes(getattr(compiled, name)) for name in PAYLOAD_MEMBERS}
     catalog_json = catalog.to_json().encode("utf-8")
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -298,7 +298,7 @@ def save_index(
         "extra": extra or {},
         "update_log": list(update_log or []),
     }
-    manifest["manifest_sha256"] = _manifest_digest(manifest)
+    manifest["manifest_sha256"] = manifest_digest(manifest)
 
     files = {
         Path(_content_name("catalog", manifest["catalog_sha256"], ".json")): catalog_json
@@ -408,7 +408,7 @@ def read_manifest(path: str | Path) -> dict:
             f"snapshot format version {version!r} is not supported (this "
             f"build reads version {FORMAT_VERSION}); rebuild the index"
         )
-    if manifest.get("manifest_sha256") != _manifest_digest(manifest):
+    if manifest.get("manifest_sha256") != manifest_digest(manifest):
         raise SnapshotError(
             "snapshot manifest does not match its own digest "
             "(corrupt or tampered snapshot)"
@@ -432,7 +432,7 @@ def _read_payload(
     touches the digest again.
     """
     arrays: dict[str, np.ndarray] = {}
-    for name in _MEMBERS:
+    for name in PAYLOAD_MEMBERS:
         recorded = manifest["compiled_arrays"][name]
         filename = _content_name(name, recorded["sha256"], ".npy")
         member_path = source / COMPILED_DIR / filename

@@ -110,58 +110,13 @@ def dual_stage_train(
     reverse_heuristic: bool = False,
 ) -> DualStageResult:
     """Alg. 1: seed stage on metapaths, candidate stage on top-|K|."""
-    trainer = trainer or Trainer()
-    seed_ids = catalog.metapath_ids()
-    if not seed_ids:
-        raise LearningError(
-            "catalog contains no metapaths to use as dual-stage seeds"
-        )
-    # --- seed stage -----------------------------------------------------
-    match_time = [0.0]
-
-    def on_metagraph(_mg_id: int, seconds: float) -> None:
-        match_time[0] += seconds
-
-    vectors, index = build_index(
-        graph,
-        catalog,
-        mg_ids=seed_ids,
-        transform=transform,
-        on_metagraph=on_metagraph,
-    )
-    seed_match_seconds = match_time[0]
-    train_start = time.perf_counter()
-    w0 = trainer.train(triplets, vectors, active_ids=seed_ids)
-    train_seconds = time.perf_counter() - train_start
-
-    # --- candidate stage -------------------------------------------------
-    scores = candidate_heuristic_scores(catalog, seed_ids, w0)
-    candidates = select_candidates(scores, num_candidates, reverse=reverse_heuristic)
-    match_time[0] = 0.0
-    build_index(
-        graph,
-        catalog,
-        mg_ids=candidates,
-        vectors=vectors,
-        index=index,
-        on_metagraph=on_metagraph,
-    )
-    candidate_match_seconds = match_time[0]
-    active = sorted(set(seed_ids) | set(candidates))
-    train_start = time.perf_counter()
-    weights = trainer.train(triplets, vectors, active_ids=active)
-    train_seconds += time.perf_counter() - train_start
-
-    return DualStageResult(
-        weights=weights,
-        seed_ids=tuple(seed_ids),
-        candidate_ids=tuple(candidates),
-        seed_weights=w0,
-        vectors=vectors,
-        seed_match_seconds=seed_match_seconds,
-        candidate_match_seconds=candidate_match_seconds,
-        train_seconds=train_seconds,
-        heuristic_scores=scores,
+    return _train_in_stages(
+        graph, catalog, triplets, trainer, transform,
+        max_stages=1,
+        stop=lambda _weights, _stage: False,
+        pick=lambda scores: select_candidates(
+            scores, num_candidates, reverse=reverse_heuristic
+        ),
     )
 
 
@@ -182,12 +137,39 @@ def multi_stage_train(
     receives the current weights and the stage number and returns True
     when training accuracy is acceptable.
     """
+    return _train_in_stages(
+        graph, catalog, triplets, trainer, transform,
+        max_stages=max_stages,
+        stop=stop,
+        pick=lambda scores: select_candidates(scores, batch_size),
+    )
+
+
+def _train_in_stages(
+    graph: TypedGraph,
+    catalog: MetagraphCatalog,
+    triplets: Sequence[Triplet],
+    trainer: Trainer | None,
+    transform: Transform,
+    *,
+    max_stages: int,
+    stop: Callable[[np.ndarray, int], bool],
+    pick: Callable[[dict[int, float]], list[int]],
+) -> DualStageResult:
+    """The stage loop of both trainers.
+
+    The seed stage matches the metapaths and trains on them.  Each of
+    up to ``max_stages`` candidate stages first asks ``stop(weights,
+    stages_done)``, then scores every unmatched metagraph by Eq. 7
+    against the metagraphs matched so far and the current weights,
+    matches the ids ``pick(scores)`` selects and retrains on everything
+    matched.  An empty selection ends the loop without a retrain: the
+    active set would be unchanged, and the trainer is deterministic.
+    """
     trainer = trainer or Trainer()
-    seed_ids = list(catalog.metapath_ids())
+    seed_ids = catalog.metapath_ids()
     if not seed_ids:
-        raise LearningError(
-            "catalog contains no metapaths to use as multi-stage seeds"
-        )
+        raise LearningError("catalog contains no metapaths to use as stage seeds")
     match_time = [0.0]
 
     def on_metagraph(_mg_id: int, seconds: float) -> None:
@@ -204,13 +186,16 @@ def multi_stage_train(
     train_seconds = time.perf_counter() - train_start
     w0 = weights.copy()
     active = list(seed_ids)
-    all_candidates: list[int] = []
+    candidates: list[int] = []
+    first_scores: dict[int, float] = {}
 
     for stage in range(1, max_stages + 1):
         if stop(weights, stage - 1):
             break
         scores = candidate_heuristic_scores(catalog, active, weights)
-        batch = select_candidates(scores, batch_size)
+        if stage == 1:
+            first_scores = scores
+        batch = pick(scores)
         if not batch:
             break
         build_index(
@@ -218,7 +203,7 @@ def multi_stage_train(
             vectors=vectors, index=index, on_metagraph=on_metagraph,
         )
         active = sorted(set(active) | set(batch))
-        all_candidates.extend(batch)
+        candidates.extend(batch)
         train_start = time.perf_counter()
         weights = trainer.train(triplets, vectors, active_ids=active)
         train_seconds += time.perf_counter() - train_start
@@ -226,10 +211,11 @@ def multi_stage_train(
     return DualStageResult(
         weights=weights,
         seed_ids=tuple(seed_ids),
-        candidate_ids=tuple(all_candidates),
+        candidate_ids=tuple(candidates),
         seed_weights=w0,
         vectors=vectors,
         seed_match_seconds=seed_match_seconds,
         candidate_match_seconds=match_time[0],
         train_seconds=train_seconds,
+        heuristic_scores=first_scores,
     )

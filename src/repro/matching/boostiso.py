@@ -37,7 +37,7 @@ class BoostISOMatcher:
         regions = candidate_regions(graph, metagraph)
         if regions is None:
             return
-        order = estimated_cost_order(metagraph, csr_view(graph).cardinalities())
+        order = estimated_cost_order(metagraph, csr_view(graph))
         plan = MatchPlan(metagraph, order, induced=True, fixed=None)
         yield from backtrack_embeddings(
             graph, plan, candidate_pool=regions, memoize=True

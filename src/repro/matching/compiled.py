@@ -8,15 +8,19 @@ plan one candidate at a time; :func:`assignment_batches` executes it
 over :class:`~repro.graph.csr.CSRGraph` arrays:
 
 - **candidate regions** come from one vectorised comparison of the
-  neighbourhood-profile matrix against the pattern node's profile
-  (:func:`profile_candidates`, the one region filter: TurboISO's and
-  BoostISO's :func:`repro.matching.turboiso.candidate_regions` is its
-  node-id view);
-- **candidate generation** intersects the sorted typed-adjacency slices
-  of the matched pattern neighbours by binary search on whole arrays
-  (seeded from the smallest slice, as the Python executor does);
+  per-(type, signature) neighbourhood-profile matrix against the
+  pattern node's profile (:func:`profile_candidates`, the one region
+  filter: TurboISO's and BoostISO's
+  :func:`repro.matching.turboiso.candidate_regions` is its node-id
+  view);
+- **candidate generation** intersects, by binary search on whole
+  arrays, the sorted (type, signature) blocks that the edges to the
+  matched pattern neighbours select (seeded from the smallest block,
+  as the Python executor does).  Plain and kinded graphs take this one
+  path: a graph without edge kinds has the one signature ``("", 0)``;
 - the plan's **non-neighbours** (induced semantics, Def. 2) mask out
-  candidates with the same binary-search membership test;
+  candidates found in any block of the type, with the same
+  binary-search membership test;
 - the backtracking itself is **iterative** (an explicit stack of
   candidate arrays), so deep patterns never touch Python's recursion
   machinery;
@@ -79,7 +83,7 @@ def _contains_sorted(haystack: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def compiled_order(csr: CSRGraph, metagraph: Metagraph) -> list[int]:
     """The paper's estimated-cost matching order over ``csr``'s type totals."""
-    return estimated_cost_order(metagraph, csr.cardinalities())
+    return estimated_cost_order(metagraph, csr)
 
 
 def profile_candidates(
@@ -87,7 +91,6 @@ def profile_candidates(
     metagraph: Metagraph,
     tcodes: Sequence[int],
     pool: Mapping[int, np.ndarray] | None,
-    kinds_active: bool = False,
 ) -> tuple[list[np.ndarray], list[bool]] | None:
     """Per-pattern-node global candidate arrays (profile filter ∩ pool).
 
@@ -96,26 +99,25 @@ def profile_candidates(
     Returns the arrays plus a per-node "is the whole type class" flag —
     a full base filters nothing, so the search skips intersecting
     against it.  Returns None when some pattern node has no candidates
-    at all.  With ``kinds_active`` (on a kinded ``csr``) the filter
-    compares the per-(type, signature) profile matrix instead, so a node lacking the
-    right labeled/directed neighbour edges is pruned up front.
+    at all, which includes a pattern edge whose neighbour type or edge
+    signature the graph lacks (a kinded pattern on a plain graph).  The
+    filter compares per-(type, signature) block counts, so a node
+    lacking the right labeled/directed neighbour edges is pruned up
+    front.
     """
-    # columns: one per type, or one per (type, signature) when kinded
-    width = csr.num_sigs if kinds_active else 1
-    profiles = csr.sig_profiles if kinds_active else csr.profiles
-    assert profiles is not None
+    num_sigs = csr.num_sigs
     base: list[np.ndarray] = []
     full: list[bool] = []
     for u in metagraph.nodes():
-        profile = np.zeros(csr.num_types * width, dtype=csr.profiles.dtype)
+        profile = np.zeros(csr.num_types * num_sigs, dtype=csr.profiles.dtype)
         for v in metagraph.neighbors(u):
             code_v = csr.type_id(metagraph.node_type(v))
-            sig = csr.sig_id(*metagraph.edge_signature(u, v)) if kinds_active else 0
+            sig = csr.sig_index.get(metagraph.edge_signature(u, v))
             if code_v is None or sig is None:  # absent type or signature: no match
                 return None
-            profile[code_v * width + sig] += 1
+            profile[code_v * num_sigs + sig] += 1
         lo, hi = csr.type_range(tcodes[u])
-        mask = (profiles[lo:hi] >= profile).all(axis=1)
+        mask = (csr.profiles[lo:hi] >= profile).all(axis=1)
         cand = lo + np.nonzero(mask)[0]
         if pool is not None and u in pool:
             restricted = pool[u]
@@ -159,25 +161,36 @@ def assignment_batches(
             raise MatchingError("a candidate pool must be invariant under the broken group")
     order = plan.order
     n = metagraph.size
-    if metagraph.has_kinds and not csr.has_kinds:
-        # a kinded pattern edge can never match a plain graph
-        return
-    kinds_active = metagraph.has_kinds or csr.has_kinds
     tcodes: list[int] = []
     for u in metagraph.nodes():
         code = csr.type_id(metagraph.node_type(u))
         if code is None:
             return
         tcodes.append(code)
-    built = profile_candidates(csr, metagraph, tcodes, pool, kinds_active)
+    built = profile_candidates(csr, metagraph, tcodes, pool)
     if built is None:
         return
     base, base_full = built
     if n == 1:
         yield (), base[0]
         return
-    neighbors_at = plan.neighbors_at
-    nonneighbors_at = plan.nonneighbors_at
+    # (earlier position, block column) pairs, once per plan: each earlier
+    # neighbour's block of the edge's (type, signature) (every signature
+    # is present, or the profile filter returned None), and each earlier
+    # non-neighbour's S blocks of the type
+    num_sigs = csr.num_sigs
+    indices, block_ptr = csr.indices, csr.block_ptr
+    neighbor_blocks_at: list[list[tuple[int, int]]] = []
+    nonneighbor_blocks_at: list[list[tuple[int, int]]] = []
+    for i, u in enumerate(order):
+        first = tcodes[u] * num_sigs
+        neighbor_blocks_at.append([
+            (j, first + csr.sig_index[signature])
+            for j, signature in zip(plan.neighbors_at[i], plan.signatures_at[i])
+        ])
+        nonneighbor_blocks_at.append([
+            (j, c) for j in plan.nonneighbors_at[i] for c in range(first, first + num_sigs)
+        ])
     lower_at, upper_at = plan.lower_at, plan.upper_at
     bounded_at = [bool(lo or hi) for lo, hi in zip(lower_at, upper_at)]
 
@@ -191,8 +204,6 @@ def assignment_batches(
     clash_positions = [
         j for j in range(last) if tcodes[order[j]] == tcodes[order[last]]
     ]
-
-    empty = np.empty(0, dtype=csr.indices.dtype)
 
     def bounded(i: int, cand: np.ndarray) -> np.ndarray:
         # the symmetry conditions checked at position i: one slice of
@@ -209,23 +220,12 @@ def assignment_batches(
         return cand[start:stop]
 
     def candidates(i: int) -> np.ndarray:
-        code = tcodes[order[i]]
-        nbr_positions = neighbors_at[i]
-        if nbr_positions:
-            if kinds_active:
-                slices = []
-                for j, signature in zip(nbr_positions, plan.signatures_at[i]):
-                    sig = csr.sig_id(*signature)
-                    if sig is None:
-                        return empty
-                    slices.append(
-                        csr.typed_neighbors_sig(assignment[j], code, sig)
-                    )
-            else:
-                slices = [
-                    csr.typed_neighbors(assignment[j], code)
-                    for j in nbr_positions
-                ]
+        neighbor_blocks = neighbor_blocks_at[i]
+        if neighbor_blocks:
+            slices = [
+                indices[block_ptr[assignment[j], c] : block_ptr[assignment[j], c + 1]]
+                for j, c in neighbor_blocks
+            ]
             k_min = 0
             if len(slices) > 1:
                 k_min = min(range(len(slices)), key=lambda k: slices[k].size)
@@ -242,10 +242,10 @@ def assignment_batches(
             cand = base[order[i]]
             if bounded_at[i]:
                 cand = bounded(i, cand)
-        for j in nonneighbors_at[i]:
+        for j, c in nonneighbor_blocks_at[i]:
             if cand.size == 0:
                 break
-            adjacent = csr.typed_neighbors(assignment[j], code)
+            adjacent = indices[block_ptr[assignment[j], c] : block_ptr[assignment[j], c + 1]]
             if adjacent.size:
                 cand = cand[~_contains_sorted(adjacent, cand)]
         return cand

@@ -10,8 +10,9 @@ where ``|I(<u, u'>)|`` is the number of graph edges whose endpoint types
 match the pattern edge and ``|I(u)|`` the number of graph nodes of
 ``u``'s type.  At each step the edge minimising the estimate is added;
 node order is the order of first appearance.  Both cardinalities have
-one source, :class:`~repro.graph.csr.CSRCardinalities`: the per-type
-totals accumulated while the CSR view is laid out.
+one source, the CSR view (:meth:`~repro.graph.csr.CSRGraph.nodes_of`,
+:meth:`~repro.graph.csr.CSRGraph.edges_of`): the per-type totals
+accumulated while it is laid out.
 
 A rarest-type-first connected order grown from a given start (QuickSI's
 static order from the rarest node, and the delta path's pinned searches
@@ -25,33 +26,33 @@ import random
 from collections.abc import Callable
 
 from repro.exceptions import MatchingError
-from repro.graph.csr import CSRCardinalities
+from repro.graph.csr import CSRGraph
 from repro.graph.typed_graph import TypedGraph
 from repro.metagraph.metagraph import Metagraph
 
 
 def estimated_cost_order(
-    metagraph: Metagraph, cardinalities: CSRCardinalities
+    metagraph: Metagraph, csr: CSRGraph
 ) -> list[int]:
     """The paper's f(M)-minimising node order (Sect. IV-C).
 
     Greedy: start from the pattern edge with the fewest matching graph
     edges; repeatedly extend by the frontier edge whose selectivity
     ``|I(<u,u'>)| / |I(u)|`` is smallest.  Every prefix of the returned
-    order induces a connected sub-pattern.  ``cardinalities`` answers
-    |I(t)| and |I(<t1, t2>)|: ``csr_view(graph).cardinalities()``.
+    order induces a connected sub-pattern.  ``csr`` (the graph's
+    ``csr_view``) answers |I(t)| and |I(<t1, t2>)|.
     """
     n = metagraph.size
     if n == 1:
         return [0]
 
     def edge_cost(u: int, v: int) -> float:
-        return cardinalities.edges_of(metagraph.node_type(u), metagraph.node_type(v))
+        return csr.edges_of(metagraph.node_type(u), metagraph.node_type(v))
 
     first_edge = min(metagraph.edges, key=lambda e: (edge_cost(*e), e))
     # orient the first edge: bind the rarer-type endpoint first
     u0, v0 = first_edge
-    nodes_of = cardinalities.nodes_of
+    nodes_of = csr.nodes_of
     if nodes_of(metagraph.node_type(v0)) < nodes_of(metagraph.node_type(u0)):
         u0, v0 = v0, u0
     order = [u0, v0]

@@ -89,9 +89,7 @@ class SymISOMatcher:
             rng = random.Random(self.seed)
             node_order = random_connected_order(metagraph, rng)
         else:
-            node_order = estimated_cost_order(
-                metagraph, csr_view(graph).cardinalities()
-            )
+            node_order = estimated_cost_order(metagraph, csr_view(graph))
         comp_order = component_order_from_node_order(node_order, decomp.components)
         # SymISO-R ablates the order policy entirely: raw first-appearance
         # component order from the random node order, no anchor-first

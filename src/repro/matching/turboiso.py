@@ -33,19 +33,16 @@ def candidate_regions(
     """Per-pattern-node candidate sets from neighbourhood profiles.
 
     A graph node qualifies for pattern node ``u`` when it has at least
-    as many neighbours of each type as ``u`` does in the pattern (of
-    each type and edge signature, when either side carries edge
-    kinds): the node-id view of the kernel's
+    as many neighbours of each type and edge signature as ``u`` does in
+    the pattern: the node-id view of the kernel's
     :func:`~repro.matching.compiled.profile_candidates`.  Returns None
     when some pattern node has no candidates (no match).
     """
     csr = csr_view(graph)
     tcodes = [csr.type_id(metagraph.node_type(u)) for u in metagraph.nodes()]
-    if None in tcodes or (metagraph.has_kinds and not csr.has_kinds):
+    if None in tcodes:
         return None
-    built = profile_candidates(
-        csr, metagraph, tcodes, None, metagraph.has_kinds or csr.has_kinds  # type: ignore[arg-type]
-    )
+    built = profile_candidates(csr, metagraph, tcodes, None)  # type: ignore[arg-type]
     if built is None:
         return None
     node_ids = csr.node_ids
@@ -64,7 +61,7 @@ class TurboISOMatcher:
         regions = candidate_regions(graph, metagraph)
         if regions is None:
             return
-        order = estimated_cost_order(metagraph, csr_view(graph).cardinalities())
+        order = estimated_cost_order(metagraph, csr_view(graph))
         plan = MatchPlan(metagraph, order, induced=True, fixed=None)
         yield from backtrack_embeddings(
             graph, plan, candidate_pool=regions

@@ -182,11 +182,11 @@ class InProcessBackend(ShardBackend):
         return f"<InProcessBackend: {self.sharded!r}>"
 
 
-class _TransportFailure(Exception):
+class TransportFailure(Exception):
     """A worker could not be reached/answer; failover-eligible."""
 
 
-class _WorkerHandle:
+class WorkerHandle:
     """One worker process of one shard: socket, connection, liveness."""
 
     def __init__(self, shard_id: int, replica: int, socket_path: Path):
@@ -276,7 +276,7 @@ class SubprocessBackend(ShardBackend):
             if start_timeout is None
             else start_timeout
         )
-        self._workers: list[list[_WorkerHandle]] = []
+        self._workers: list[list[WorkerHandle]] = []
         self._socket_dir: Path | None = None
         self._nodes: tuple[NodeId, ...] | None = None
         self._pos: dict[NodeId, int] = {}
@@ -319,7 +319,7 @@ class SubprocessBackend(ShardBackend):
         )
         self._workers = [
             [
-                _WorkerHandle(
+                WorkerHandle(
                     shard_id,
                     replica,
                     self._socket_dir / f"shard{shard_id}-r{replica}.sock",
@@ -348,7 +348,7 @@ class SubprocessBackend(ShardBackend):
             raise
         self._started = True
 
-    def _spawn(self, handle: _WorkerHandle) -> None:  # guarded-by-caller: handle.lock
+    def _spawn(self, handle: WorkerHandle) -> None:  # guarded-by-caller: handle.lock
         handle.drop_connection()
         handle.known_universes.clear()
         try:
@@ -378,8 +378,8 @@ class SubprocessBackend(ShardBackend):
             stdout=subprocess.DEVNULL,
         )
 
-    def _ensure_connected(self, handle: _WorkerHandle, deadline: float) -> None:  # guarded-by-caller: handle.lock
-        """Connect + handshake (lock held); _TransportFailure on give-up."""
+    def _ensure_connected(self, handle: WorkerHandle, deadline: float) -> None:  # guarded-by-caller: handle.lock
+        """Connect + handshake (lock held); TransportFailure on give-up."""
         if handle.conn is not None:
             return
         if not handle.alive():
@@ -387,11 +387,11 @@ class SubprocessBackend(ShardBackend):
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise _TransportFailure(
+                raise TransportFailure(
                     f"{handle.name}: no worker became reachable in time"
                 )
             if handle.proc is not None and handle.proc.poll() is not None:
-                raise _TransportFailure(
+                raise TransportFailure(
                     f"{handle.name}: worker exited with code "
                     f"{handle.proc.returncode} before serving"
                 )
@@ -418,7 +418,7 @@ class SubprocessBackend(ShardBackend):
                 # this incarnation so the next attempt spawns a correct
                 # replacement
                 handle.kill()
-                raise _TransportFailure(
+                raise TransportFailure(
                     f"{handle.name}: bad handshake response {hello!r} "
                     "(worker killed for respawn)"
                 )
@@ -461,29 +461,29 @@ class SubprocessBackend(ShardBackend):
 
     # -- serving -------------------------------------------------------
     def _call(  # guarded-by-caller: handle.lock
-        self, handle: _WorkerHandle, doc: dict, deadline: float
+        self, handle: WorkerHandle, doc: dict, deadline: float
     ) -> dict:
         """One request/response on a connected handle (lock held)."""
         remaining = deadline - time.monotonic()
         if remaining <= 0:
-            raise _TransportFailure(f"{handle.name}: request deadline elapsed")
+            raise TransportFailure(f"{handle.name}: request deadline elapsed")
         try:
             handle.conn.settimeout(remaining)
             send_frame(handle.conn, doc)
             response = recv_frame(handle.conn)
         except (OSError, ServingError) as exc:
             handle.drop_connection()
-            raise _TransportFailure(f"{handle.name}: {exc}") from exc
+            raise TransportFailure(f"{handle.name}: {exc}") from exc
         if response is None:
             handle.drop_connection()
-            raise _TransportFailure(
+            raise TransportFailure(
                 f"{handle.name}: worker closed the connection mid-request"
             )
         return response
 
     def _score_on_worker(
         self,
-        handle: _WorkerHandle,
+        handle: WorkerHandle,
         request: ScoreRequest,
         deadline: float,
     ) -> dict[int, list[tuple[NodeId, float]]]:
@@ -508,7 +508,7 @@ class SubprocessBackend(ShardBackend):
                     # about — retriable, not a protocol violation
                     handle.known_universes.discard(digest)
                     handle.drop_connection()
-                    raise _TransportFailure(
+                    raise TransportFailure(
                         f"{handle.name}: universe cache miss persisted "
                         "after an inline re-send (worker restarted "
                         "mid-request)"
@@ -517,7 +517,7 @@ class SubprocessBackend(ShardBackend):
                 error = response.get("error")
                 if isinstance(error, dict):
                     raise_remote_error(error)  # deterministic; no failover
-                raise _TransportFailure(
+                raise TransportFailure(
                     f"{handle.name}: malformed response {response!r}"
                 )
             if digest is not None:
@@ -542,7 +542,7 @@ class SubprocessBackend(ShardBackend):
             for handle in self._workers[shard_id]:
                 try:
                     return self._score_on_worker(handle, request, deadline)
-                except _TransportFailure as exc:
+                except TransportFailure as exc:
                     # replica is gone: respawn it in the background and
                     # fail the request over to the next one
                     failures.append(str(exc))

@@ -1,4 +1,4 @@
-"""Tier-1 gate: the shipped tree passes its own invariant suite.
+"""Tier-1 gate: the shipped tree and its tests pass the invariant suite.
 
 This is the test CI leans on: any change that breaks a determinism,
 locking, lifecycle, wire-taxonomy or API invariant — or adds an
@@ -15,11 +15,12 @@ from repro.analysis import run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
+TESTS = REPO_ROOT / "tests"
 
 
 def test_shipped_tree_is_lint_clean():
-    report = run_lint([SRC], root=REPO_ROOT)
-    assert report.files_checked > 50
+    report = run_lint([SRC, TESTS], root=REPO_ROOT)
+    assert report.files_checked > 150
     assert report.clean, "\n".join(
         [str(f) for f in report.findings] + report.errors
     )
@@ -52,7 +53,7 @@ def test_every_suppression_carries_a_justification():
 
 def test_cli_lint_exits_zero_on_shipped_tree():
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "src"],
+        [sys.executable, "-m", "repro", "lint", "src", "tests"],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,

@@ -1,6 +1,6 @@
 """Tests for Fig. 11's per-size metagraph sampling and engine timing."""
 
-from repro.experiments.fig11 import _sample_by_size, time_engine
+from repro.experiments.fig11 import sample_by_size, time_engine
 from repro.metagraph.catalog import MetagraphCatalog
 from repro.metagraph.metagraph import Metagraph, metapath
 
@@ -23,14 +23,14 @@ def _catalog() -> MetagraphCatalog:
 
 class TestSampleBySize:
     def test_buckets_by_node_count(self):
-        samples = _sample_by_size(_catalog(), per_size=8)
+        samples = sample_by_size(_catalog(), per_size=8)
         assert set(samples) == {3, 4, 5}
         assert len(samples[3]) == 3
         assert len(samples[4]) == 1
         assert len(samples[5]) == 1
 
     def test_per_size_cap(self):
-        samples = _sample_by_size(_catalog(), per_size=2)
+        samples = sample_by_size(_catalog(), per_size=2)
         assert len(samples[3]) == 2
 
     def test_sizes_below_three_excluded(self):
@@ -38,7 +38,7 @@ class TestSampleBySize:
             [metapath("user", "user"), metapath("user", "school", "user")],
             anchor_type="user",
         )
-        samples = _sample_by_size(catalog, per_size=5)
+        samples = sample_by_size(catalog, per_size=5)
         assert 2 not in samples
 
 

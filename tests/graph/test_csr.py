@@ -15,7 +15,6 @@ import pickle
 import random
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,25 +39,33 @@ def assert_csr_matches_graph(csr: CSRGraph, graph: TypedGraph) -> None:
         assert {csr.node_ids[i] for i in range(lo, hi)} == set(
             graph.nodes_of_type(name)
         )
+    num_sigs = csr.num_sigs
     for node in graph.nodes():
         dense = id_of[node]
-        row = csr.neighbors(dense)
-        assert list(row) == sorted(row), "adjacency rows must be sorted"
+        row = csr.indices[csr.indptr[dense] : csr.indptr[dense + 1]]
         assert {csr.node_ids[v] for v in row} == set(graph.neighbors(node))
-        # typed slices and profile row agree with the typed adjacency
+        # each (type, signature) block is sorted, holds exactly the
+        # neighbours of that type over that signature, and its profile
+        # entry counts them
         for name in graph.types:
             code = csr.type_id(name)
-            typed = csr.typed_neighbors(dense, code)
-            assert {csr.node_ids[v] for v in typed} == set(
-                graph.neighbors_of_type(node, name)
-            )
-            assert csr.profiles[dense, code] == graph.typed_degree(node, name)
+            for sig, signature in enumerate(csr.sig_names):
+                block = csr.block(dense, code * num_sigs + sig)
+                assert list(block) == sorted(block), "blocks must be sorted"
+                assert {csr.node_ids[v] for v in block} == {
+                    w
+                    for w in graph.neighbors_of_type(node, name)
+                    if graph.edge_signature(node, w) == signature
+                }
+                assert csr.profiles[dense, code * num_sigs + sig] == block.size
+        # the blocks tile the row in order
+        assert csr.block_ptr[dense, 0] == csr.indptr[dense]
+        assert csr.block_ptr[dense, -1] == csr.indptr[dense + 1]
 
 
 VIEW_FIELDS = (
-    "version", "type_names", "type_start", "node_ids", "indptr", "indices",
-    "type_ptr", "profiles", "edge_type_counts", "sig_names", "edge_sig",
-    "sig_profiles",
+    "version", "type_names", "type_start", "node_ids", "sig_names", "indptr",
+    "indices", "block_ptr", "profiles", "edge_type_counts",
 )
 
 
@@ -133,6 +140,18 @@ class TestPatchedView:
         assert not toggle_and_check(toy_graph, u, v)
         assert toggle_and_check(toy_graph, u, v)  # plain again: patched
 
+    def test_first_and_last_plain_edge_lay_out_in_full(self):
+        # an edgeless graph has no signature, one edge has ("", 0)
+        graph = TypedGraph()
+        for node in ("a", "b", "c"):
+            graph.add_node(node, "t")
+        assert not toggle_and_check(graph, "a", "b")
+        assert csr_view(graph).sig_names == (("", 0),)
+        assert toggle_and_check(graph, "b", "c")  # a second edge: patched
+        assert toggle_and_check(graph, "b", "c")
+        assert not toggle_and_check(graph, "a", "b")
+        assert csr_view(graph).sig_names == ()
+
     def test_stale_cache_is_left_alone(self, toy_graph):
         csr_view(toy_graph)
         toy_graph.add_node("Zoe", "user")
@@ -159,7 +178,7 @@ class TestLayout:
         from tests.oracles import GraphCardinalities
 
         reference = GraphCardinalities(toy_graph)
-        stats = CSRGraph.from_graph(toy_graph).cardinalities()
+        stats = CSRGraph.from_graph(toy_graph)
         types = sorted(toy_graph.types) + ["ghost"]
         for a in types:
             assert stats.nodes_of(a) == reference.nodes_of(a)
@@ -169,8 +188,12 @@ class TestLayout:
     def test_has_edge(self, toy_graph):
         csr = CSRGraph.from_graph(toy_graph)
         id_of = csr.id_of
-        assert csr.has_edge(id_of["Kate"], id_of["456 White St"])
-        assert not csr.has_edge(id_of["Kate"], id_of["Bob"])
+        kate = id_of["Kate"]
+        # a plain graph's one signature: block c is the neighbours of type c
+        assert csr.sig_names == (("", 0),)
+        address = csr.block(kate, csr.type_id("address")).tolist()
+        assert id_of["456 White St"] in address
+        assert id_of["Bob"] not in csr.block(kate, csr.type_id("user")).tolist()
 
     def test_pickle_roundtrip_rebuilds_id_map(self, toy_graph):
         csr = CSRGraph.from_graph(toy_graph)
@@ -290,6 +313,7 @@ class TestViewCacheUnderApplyUpdates:
         toy_graph.remove_edge("Kate", "456 White St")
         after = csr_view(toy_graph)
         id_of = after.id_of
-        row = after.neighbors(id_of["Kate"])
+        kate = id_of["Kate"]
+        row = after.indices[after.indptr[kate] : after.indptr[kate + 1]]
         assert id_of["456 White St"] not in set(row.tolist())
         assert before is not after

@@ -188,35 +188,37 @@ class TestCSR:
     def test_sig_slices_partition_typed_neighbors(self):
         g = kinded_graph()
         csr = CSRGraph.from_graph(g)
-        assert csr.has_kinds
+        assert csr.num_sigs > 1
         for node in g.nodes():
             nid = csr.id_of[node]
             for code, type_name in enumerate(csr.type_names):
-                typed = set(csr.typed_neighbors(nid, code).tolist())
-                by_sig = set()
+                typed = set(g.neighbors_of_type(node, type_name))
+                by_sig: set = set()
                 for sig in range(csr.num_sigs):
-                    by_sig |= set(
-                        csr.typed_neighbors_sig(nid, code, sig).tolist()
-                    )
+                    block = csr.block(nid, code * csr.num_sigs + sig).tolist()
+                    assert not by_sig & set(block)  # the blocks are disjoint
+                    by_sig |= {csr.node_ids[v] for v in block}
                 assert by_sig == typed, (node, type_name)
 
     def test_sig_ids_match_edge_signatures(self):
         g = kinded_graph()
         csr = CSRGraph.from_graph(g)
         m1, r1 = csr.id_of["m1"], csr.id_of["r1"]
-        sig = csr.sig_id(*g.edge_signature("m1", "r1"))
-        assert sig is not None
-        code = csr.type_id("rxn")
-        assert r1 in csr.typed_neighbors_sig(m1, code, sig).tolist()
-        # the reverse direction lives in the flipped signature slice
-        back = csr.sig_id(*g.edge_signature("r1", "m1"))
-        code_mol = csr.type_id("mol")
-        assert m1 in csr.typed_neighbors_sig(r1, code_mol, back).tolist()
+        sig = csr.sig_index[g.edge_signature("m1", "r1")]
+        column = csr.type_id("rxn") * csr.num_sigs + sig
+        assert r1 in csr.block(m1, column).tolist()
+        # the reverse direction lives in the flipped signature block
+        back = csr.sig_index[g.edge_signature("r1", "m1")]
+        column = csr.type_id("mol") * csr.num_sigs + back
+        assert m1 in csr.block(r1, column).tolist()
 
-    def test_plain_graph_csr_has_no_sig_layer(self):
+    def test_plain_graph_csr_has_one_plain_signature(self):
+        # a plain view has the one signature ("", 0), or none when edgeless
         g = TypedGraph()
         g.add_node("a", "t")
         g.add_node("b", "t")
+        assert CSRGraph.from_graph(g).sig_names == ()
         g.add_edge("a", "b")
         csr = CSRGraph.from_graph(g)
-        assert not csr.has_kinds
+        assert csr.sig_names == (("", 0),)
+        assert csr.profiles.tolist() == [[1], [1]]

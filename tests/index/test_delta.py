@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import re
+from unittest import mock
 
 import pytest
 
@@ -33,7 +34,7 @@ from repro.index.delta import (
     catalog_radius,
     pattern_diameter,
 )
-from repro.index.instance_index import MetagraphCounts
+from repro.index.compiled import CompiledVectors
 from repro.index.parallel import build_index
 from repro.matching.compiled import compiled_embedding_matrix
 from repro.metagraph.catalog import MetagraphCatalog
@@ -146,8 +147,17 @@ def apply_spliced(graph, catalog, vectors, delta, index):
     """``apply_delta`` after a compile, so the next compile is a splice."""
     before = vectors.compile()
     stats = apply_delta(graph, catalog, vectors, delta, index=index)
-    # still current (no count changed), or the base of the next splice
-    assert vectors._state[0] is before
+    bases = []
+    splice = CompiledVectors.splice
+
+    def spy(base, *args, **kwargs):
+        bases.append(base)
+        return splice(base, *args, **kwargs)
+
+    with mock.patch.object(CompiledVectors, "splice", spy):
+        after = vectors.compile()
+    # still current (no count changed), or the base of the splice
+    assert bases == [before] if bases else after is before
     return stats
 
 
@@ -535,15 +545,16 @@ class TestNoOpsAndValidation:
         graph = make_graph(8)
         vectors, index = build_index(graph, catalog)
         before = vectors.compile()
-        state = vectors._state
         added = make_counts(1, {"z": 1}, {("u0", "z"): 1})
         retired = make_counts(1, {"u0": 10 ** 6})
         with pytest.raises(DeltaError):
             vectors.patch_counts(0, retired, added)
         assert "z" not in nodes_with_counts(vectors)
-        assert vectors._state is state
         assert vectors.compile() is before
         assert_matches_fresh_build(graph, catalog, vectors, index)
+        # nor did "z" join the node table: the next patch adds only its own node
+        vectors.patch_counts(0, make_counts(), make_counts(1, {"y": 1}))
+        assert list(vectors.compile().nodes) == list(before.nodes) + ["y"]
 
 
 class TestEditVocabulary:

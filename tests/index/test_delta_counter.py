@@ -24,8 +24,8 @@ from repro.datasets import load_dataset
 from repro.exceptions import CatalogMismatchError
 from repro.index.delta import (
     GraphDelta,
-    _enumerate_for_edge,
-    _enumerate_for_node,
+    enumerate_for_edge,
+    enumerate_for_node,
     affected_region,
     apply_delta,
     catalog_radius,
@@ -136,7 +136,7 @@ def assert_pinned_parity(graph, catalog, nodes, pairs) -> int:
     ids = list(catalog.ids())
     seen = 0
     for node in nodes:
-        got = _enumerate_for_node(graph, catalog, ids, node, radius)
+        got = enumerate_for_node(graph, catalog, ids, node, radius)
         pins = node_pin_sets(graph.node_type(node), node)
         assert in_dict_form(got) == in_dict_form(
             oracle_found(graph, catalog, [node], pins)
@@ -144,7 +144,7 @@ def assert_pinned_parity(graph, catalog, nodes, pairs) -> int:
         seen += sum(c.num_instances for c in got.values())
     for u, v in pairs:
         adjacent = graph.has_edge(u, v)
-        got = _enumerate_for_edge(graph, catalog, ids, u, v, adjacent, radius)
+        got = enumerate_for_edge(graph, catalog, ids, u, v, adjacent, radius)
         assert in_dict_form(got) == in_dict_form(
             oracle_found(graph, catalog, [u, v], edge_pin_sets(graph, u, v))
         ), (u, v)
@@ -200,7 +200,7 @@ class TestPinnedCountParity:
         expected = in_dict_form({2: oracle_counts(graph, friend, "user", pin_sets, None)})
         assert expected[2][0] == 1
         radius = catalog_radius(catalog)
-        assert in_dict_form(_enumerate_for_edge(graph, catalog, [2], u, v, True, radius)) == expected
+        assert in_dict_form(enumerate_for_edge(graph, catalog, [2], u, v, True, radius)) == expected
         assert pinned == [{0: u, 1: v}] and pinned[0] in pin_sets
 
     def test_kinded_reactions(self):

@@ -16,8 +16,8 @@ from repro.exceptions import SnapshotError
 from repro.index.persist import (
     COMPILED_DIR,
     MANIFEST_FILE,
-    _MEMBERS,
-    _manifest_digest,
+    PAYLOAD_MEMBERS,
+    manifest_digest,
     load_compiled,
     load_index,
     read_manifest,
@@ -57,8 +57,8 @@ class TestSidecarRoundtrip:
     def test_sidecar_members_written(self, snapshot):
         target, _ds, _vectors = snapshot
         members = sorted(p.name for p in (target / COMPILED_DIR).glob("*.npy"))
-        assert len(members) == len(_MEMBERS)
-        for name in _MEMBERS:
+        assert len(members) == len(PAYLOAD_MEMBERS)
+        for name in PAYLOAD_MEMBERS:
             # filenames carry the content digest so a manifest and
             # members from different builds can never silently pair up
             assert member_path(target, name).name.endswith(".npy")
@@ -229,7 +229,7 @@ class TestSidecarIntegrity:
         manifest = json.loads((target / MANIFEST_FILE).read_text())
         for version in (1, 2, 3, 99):
             manifest["format_version"] = version
-            manifest["manifest_sha256"] = _manifest_digest(manifest)
+            manifest["manifest_sha256"] = manifest_digest(manifest)
             (target / MANIFEST_FILE).write_text(json.dumps(manifest, indent=1))
             for load in (load_index, load_compiled):
                 with pytest.raises(

@@ -15,7 +15,7 @@ from repro.index.delta import GraphDelta
 from repro.index.persist import (
     FORMAT_VERSION,
     MANIFEST_FILE,
-    _manifest_digest,
+    manifest_digest,
     catalog_fingerprint,
     graph_fingerprint,
     load_compiled,
@@ -94,7 +94,7 @@ def rewrite_manifest(snapshot: Path, change) -> None:
     manifest_path = snapshot / MANIFEST_FILE
     manifest = json.loads(manifest_path.read_text())
     change(manifest)
-    manifest["manifest_sha256"] = _manifest_digest(manifest)
+    manifest["manifest_sha256"] = manifest_digest(manifest)
     manifest_path.write_text(json.dumps(manifest))
 
 
@@ -335,7 +335,7 @@ class TestRejection:
             # well-formed JSON object, self-digest intact, a key missing
             manifest = json.loads(manifest_path.read_text())
             del manifest["nodes"]
-            manifest["manifest_sha256"] = _manifest_digest(manifest)
+            manifest["manifest_sha256"] = manifest_digest(manifest)
             doc = json.dumps(manifest)
         manifest_path.write_text(doc)
         for load in (load_index, load_compiled):

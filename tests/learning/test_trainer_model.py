@@ -311,7 +311,7 @@ class TestProximityModel:
         manifest = json.loads((target / persist.MANIFEST_FILE).read_text())
         manifest["models"]["c"] = [np.inf, 1.0, 0.0, 0.0]
         del manifest["manifest_sha256"]
-        manifest["manifest_sha256"] = persist._manifest_digest(manifest)
+        manifest["manifest_sha256"] = persist.manifest_digest(manifest)
         (target / persist.MANIFEST_FILE).write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="not finite"):
             persist.load_index(target)

@@ -26,7 +26,7 @@ from tests.oracles import GraphCardinalities
 
 
 def cost_order(graph, metagraph):
-    return estimated_cost_order(metagraph, csr_view(graph).cardinalities())
+    return estimated_cost_order(metagraph, csr_view(graph))
 
 
 def connected_prefixes(metagraph, order) -> bool:
@@ -63,7 +63,7 @@ class TestCardinalities:
         config = ExperimentConfig(scale="tiny").miner_config(name)
         patterns = GramiMiner(config).mine(graph).patterns
         assert patterns
-        stats = csr_view(graph).cardinalities()
+        stats = csr_view(graph)
         reference = GraphCardinalities(graph)
         for mg in patterns:
             assert estimated_cost_order(mg, stats) == estimated_cost_order(

@@ -283,7 +283,6 @@ def count_instances_into(counts, instances, sym_pairs) -> None:
         nodes_here = {n for pair in pairs_here for n in pair}
         for pair in pairs_here:
             counts.pair_counts[pair] += 1
-        # repro-lint: ignore[unordered-iter] -- commutative `+= 1` fold; the Counter value per node is order-independent
         for node in nodes_here:
             counts.node_counts[node] += 1
 
@@ -438,8 +437,9 @@ def unbroken_mni_support(
 class GraphCardinalities:
     """|I(t)| and |I(<t1, t2>)| counted off the dict-of-set graph.
 
-    The reference for :class:`repro.graph.csr.CSRCardinalities`: one
-    O(|E|) pass over ``graph.edges()`` per construction.
+    The reference for :meth:`repro.graph.csr.CSRGraph.nodes_of` and
+    :meth:`~repro.graph.csr.CSRGraph.edges_of`: one O(|E|) pass over
+    ``graph.edges()`` per construction.
     """
 
     def __init__(self, graph):

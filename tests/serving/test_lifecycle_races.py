@@ -42,7 +42,7 @@ from repro.serving import (
     ShardedVectors,
     SubprocessBackend,
 )
-from repro.serving.backend import _TransportFailure, _WorkerHandle
+from repro.serving.backend import TransportFailure, WorkerHandle
 from repro.serving.protocol import (
     ScoreRequest,
     recv_frame,
@@ -261,7 +261,7 @@ class TestFailoverRaces:
         # of a retriable transport failure
         compiled, model, universe = corpus
         backend = SubprocessBackend(served, 2, replicas=1)
-        handle = _WorkerHandle(0, 0, Path("/nonexistent.sock"))
+        handle = WorkerHandle(0, 0, Path("/nonexistent.sock"))
         ours, theirs = socket.socketpair()
         handle.conn = ours
         digest = universe_digest(universe)
@@ -285,7 +285,7 @@ class TestFailoverRaces:
             universe=universe,
         )
         try:
-            with pytest.raises(_TransportFailure, match="cache miss persisted"):
+            with pytest.raises(TransportFailure, match="cache miss persisted"):
                 backend._score_on_worker(
                     handle, request, deadline=time.monotonic() + 5.0
                 )
