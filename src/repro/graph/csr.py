@@ -128,17 +128,19 @@ class CSRGraph:
             type_of[type_start[t] : type_start[t + 1]] = t
         src = np.concatenate([heads, tails])
         dst = np.concatenate([tails, heads])
-        sig = np.concatenate([head_code[kinds], tail_code[kinds]])
         width = num_types * num_sigs
-        # (row, block, neighbour): the block orders by type, then signature
-        col = type_of[dst] * num_sigs + sig
-        order = np.lexsort((dst, col, src))
-        src, col = src[order], col[order]
+        # each entry's (row, block) code; the block orders by type, then signature
+        row_block = src * width
+        row_block += type_of[dst] * num_sigs
+        row_block += np.concatenate([head_code[kinds], tail_code[kinds]])
+        # rows sorted by (row, block, neighbour) on one packed key; keys are
+        # unique (no multi-edges), so the unstable sort is deterministic
+        order = np.argsort(row_block * n + dst)
 
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         indices = dst[order].astype(np.int32)
-        profiles = np.bincount(src * width + col, minlength=n * width).reshape(n, width)
+        profiles = np.bincount(row_block, minlength=n * width).reshape(n, width)
         block_ptr = np.empty((n, width + 1), dtype=np.int64)
         block_ptr[:, 0] = indptr[:-1]
         np.cumsum(profiles, axis=1, out=block_ptr[:, 1:])
@@ -214,10 +216,16 @@ class CSRGraph:
         profiles = self.profiles.copy()
         profiles[a, col_a] += step
         profiles[b, col_b] += step
-        if step < 0 and not all(
-            profiles[:, col % num_sigs :: num_sigs].any() for col in (col_a, col_b)
-        ):
-            return None  # the last edge of a signature
+        if step < 0:
+            for row, col in ((a, col_a), (b, col_b)):
+                sig = col % num_sigs
+                # the block, else the row, mostly settles it without the column scan
+                if not (
+                    profiles[row, col]
+                    or profiles[row, sig::num_sigs].any()
+                    or profiles[:, sig::num_sigs].any()
+                ):
+                    return None  # the last edge of a signature
         edge_type_counts = self.edge_type_counts.copy()
         edge_type_counts[min(ta, tb), max(ta, tb)] += step
         patched = CSRGraph(
@@ -239,7 +247,7 @@ class CSRGraph:
         """Position of ``node`` in ``row`` among its type-``code`` blocks, and its block."""
         first = code * self.num_sigs
         bounds = self.block_ptr[row, first : first + self.num_sigs + 1]
-        at = int(bounds[0]) + int(np.flatnonzero(self.indices[bounds[0] : bounds[-1]] == node)[0])
+        at = int(bounds[0]) + int((self.indices[bounds[0] : bounds[-1]] == node).argmax())
         return at, first + int(bounds[1:].searchsorted(at, side="right"))
 
     # ------------------------------------------------------------------

@@ -19,7 +19,8 @@ over :class:`~repro.graph.csr.CSRGraph` arrays:
   as the Python executor does).  Plain and kinded graphs take this one
   path: a graph without edge kinds has the one signature ``("", 0)``;
 - the plan's **non-neighbours** (induced semantics, Def. 2) mask out
-  candidates found in any block of the type, with the same
+  candidates found in any block of the type (the type's S blocks are
+  one contiguous slice, sorted when S > 1), with the same
   binary-search membership test;
 - the backtracking itself is **iterative** (an explicit stack of
   candidate arrays), so deep patterns never touch Python's recursion
@@ -177,7 +178,7 @@ def assignment_batches(
     # (earlier position, block column) pairs, once per plan: each earlier
     # neighbour's block of the edge's (type, signature) (every signature
     # is present, or the profile filter returned None), and each earlier
-    # non-neighbour's S blocks of the type
+    # non-neighbour's first block of the type, whose S blocks are contiguous
     num_sigs = csr.num_sigs
     indices, block_ptr = csr.indices, csr.block_ptr
     neighbor_blocks_at: list[list[tuple[int, int]]] = []
@@ -188,9 +189,7 @@ def assignment_batches(
             (j, first + csr.sig_index[signature])
             for j, signature in zip(plan.neighbors_at[i], plan.signatures_at[i])
         ])
-        nonneighbor_blocks_at.append([
-            (j, c) for j in plan.nonneighbors_at[i] for c in range(first, first + num_sigs)
-        ])
+        nonneighbor_blocks_at.append([(j, first) for j in plan.nonneighbors_at[i]])
     lower_at, upper_at = plan.lower_at, plan.upper_at
     bounded_at = [bool(lo or hi) for lo, hi in zip(lower_at, upper_at)]
 
@@ -245,8 +244,10 @@ def assignment_batches(
         for j, c in nonneighbor_blocks_at[i]:
             if cand.size == 0:
                 break
-            adjacent = indices[block_ptr[assignment[j], c] : block_ptr[assignment[j], c + 1]]
+            adjacent = indices[block_ptr[assignment[j], c] : block_ptr[assignment[j], c + num_sigs]]
             if adjacent.size:
+                if num_sigs > 1:  # one sorted array out of the type's S sorted blocks
+                    adjacent = np.sort(adjacent)
                 cand = cand[~_contains_sorted(adjacent, cand)]
         return cand
 

@@ -419,18 +419,29 @@ def test_concurrent_compiles_after_a_delta_agree(catalog):
         for _ in range(5):
             graph = make_graph(13)
             vectors, index = build_index(graph, catalog)
-            apply_spliced(graph, catalog, vectors, delta, index)
+            before = vectors.compile()
+            apply_delta(graph, catalog, vectors, delta, index=index)
+            # the patch stays pending until the readers race to splice it
+            bases = []
+            splice = CompiledVectors.splice
+
+            def spy(base, *args, **kwargs):
+                bases.append(base)
+                return splice(base, *args, **kwargs)
+
             results: list = []
             threads = [
                 threading.Thread(target=lambda: results.append(vectors.compile()))
                 for _ in range(8)
             ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
+            with mock.patch.object(CompiledVectors, "splice", spy):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in threads)
             assert len(results) == 8
+            assert bases and all(base is before for base in bases)
             for compiled in results:
                 assert_same_compiled(compiled, expected)
     finally:
